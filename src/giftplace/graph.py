@@ -122,39 +122,37 @@ def build_clique_graph(design: Design, max_clique_pins: int | None = None) -> Sp
 
     Weights from multiple nets on the same cell pair accumulate; pins of a net
     landing on the same cell produce no edge. Nets with fewer than 2 pins are
-    ignored; nets above ``max_clique_pins`` (if set) are skipped with a log
-    message.
+    ignored; nets above ``max_clique_pins`` (if set) are skipped, and the
+    number of skipped nets is logged.
+
+    All nets of one degree M are expanded from the CSR pin table with one
+    (nets, M) gather and one ``triu_indices(M, 1)``. Pair memory is the sum of
+    M(M-1)/2 over expanded nets; ``max_clique_pins`` is the guard against wide
+    nets. Pairs are laid out in net order, so duplicates sum in net order.
     """
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    skipped = 0
-    for net in design.nets:
-        m = net.degree
-        if m < 2:
-            continue
-        if max_clique_pins is not None and m > max_clique_pins:
-            skipped += 1
-            continue
-        cells = np.fromiter((p.cell for p in net.pins), dtype=np.int64, count=m)
+    net_start, pin_cell, _, _ = design.pin_table()
+    degree = np.diff(net_start)
+    expand = degree >= 2
+    if max_clique_pins is not None:
+        over = expand & (degree > max_clique_pins)
+        if over.any():
+            log.info("clique expansion skipped %d nets with more than %d pins", over.sum(), max_clique_pins)
+        expand &= ~over
+    pair_start = np.concatenate(([0], np.cumsum(np.where(expand, degree * (degree - 1) // 2, 0))))
+    a, b = np.empty((2, pair_start[-1]), dtype=np.int64)
+    w = np.empty(pair_start[-1])
+    nets = np.flatnonzero(expand)
+    nets = nets[np.argsort(degree[nets], kind="stable")]
+    bucket_degrees, bucket_starts = np.unique(degree[nets], return_index=True)
+    for m, group in zip(bucket_degrees.tolist(), np.split(nets, bucket_starts[1:])):
         iu, ju = np.triu_indices(m, k=1)
-        a = cells[iu]
-        b = cells[ju]
-        keep = a != b
-        if not keep.any():
-            continue
-        a, b = a[keep], b[keep]
-        rows.append(np.minimum(a, b))
-        cols.append(np.maximum(a, b))
-        vals.append(np.full(a.shape[0], 2.0 / m))
-    if skipped:
-        log.info("clique expansion skipped %d nets with more than %d pins", skipped, max_clique_pins)
+        cells = pin_cell[net_start[group, None] + np.arange(m)]
+        pos = pair_start[group, None] + np.arange(iu.shape[0])
+        a[pos], b[pos], w[pos] = cells[:, iu], cells[:, ju], 2.0 / m
+    keep = a != b
+    a, b = a[keep], b[keep]
     n = design.num_cells
-    if not rows:
-        return SparseSymMatrix(sp.csr_matrix((n, n)))
-    upper = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
+    upper = sp.coo_matrix((w[keep], (np.minimum(a, b), np.maximum(a, b))), shape=(n, n)).tocsr()
     return SparseSymMatrix(upper + upper.T)
 
 
@@ -180,11 +178,11 @@ def normalized_augmented_adjacency(adj: SparseSymMatrix, sigma: float) -> Sparse
             raise IsolatedNodeError(int(isolated[0]))
     aug = adj.to_scipy()
     if sigma > 0:
-        aug = (aug + sigma * sp.identity(adj.n, format="csr")).tocsr()
+        aug = aug + sigma * sp.identity(adj.n, format="csr")
     s = 1.0 / np.sqrt(deg + sigma)
-    aug = aug.tocoo()
-    data = aug.data * s[aug.row] * s[aug.col]
-    scaled = sp.coo_matrix((data, (aug.row, aug.col)), shape=aug.shape).tocsr()
+    rows = np.repeat(np.arange(adj.n), np.diff(aug.indptr))
+    data = aug.data * s[rows] * s[aug.indices]
+    scaled = sp.csr_matrix((data, aug.indices.copy(), aug.indptr.copy()), shape=aug.shape)
     return SparseSymMatrix(scaled, check=False)
 
 

@@ -11,8 +11,10 @@ lower-left corners. The conversion happens here and only here.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -147,20 +149,13 @@ class Design:
         """
         tbl = getattr(self, "_pin_table", None)
         if tbl is None:
-            counts = [net.degree for net in self.nets]
+            degrees = np.fromiter(map(len, map(attrgetter("pins"), self.nets)), np.int64, len(self.nets))
             net_start = np.zeros(len(self.nets) + 1, dtype=np.int64)
-            np.cumsum(counts, out=net_start[1:])
-            total = int(net_start[-1])
-            pin_cell = np.empty(total, dtype=np.int64)
-            pin_dx = np.empty(total, dtype=float)
-            pin_dy = np.empty(total, dtype=float)
-            k = 0
-            for net in self.nets:
-                for p in net.pins:
-                    pin_cell[k] = p.cell
-                    pin_dx[k] = p.dx
-                    pin_dy[k] = p.dy
-                    k += 1
+            np.cumsum(degrees, out=net_start[1:])
+            pins = [p for net in self.nets for p in net.pins]
+            pin_cell = np.fromiter(map(attrgetter("cell"), pins), np.int64, len(pins))
+            pin_dx = np.fromiter(map(attrgetter("dx"), pins), float, len(pins))
+            pin_dy = np.fromiter(map(attrgetter("dy"), pins), float, len(pins))
             tbl = (net_start, pin_cell, pin_dx, pin_dy)
             self._pin_table = tbl
         return tbl
@@ -194,13 +189,17 @@ class Design:
 
 
 def _data_lines(path: str):
-    """Yield (lineno, stripped line) skipping comments, blanks, UCLA headers."""
+    """Yield (lineno, stripped line) skipping comments, blanks, UCLA headers.
+
+    A header is a line whose first token is ``UCLA``; a cell named ``UCLAcell``
+    is data.
+    """
     with open(path, "r") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("UCLA"):
+            if line.startswith("UCLA") and (len(line) == 4 or line[4].isspace()):
                 continue
             yield lineno, line
 
@@ -241,8 +240,8 @@ def _parse_nodes(path: str) -> tuple[list[Cell], dict[str, int], int | None]:
             height = float(tokens[2])
         except ValueError:
             raise MalformedLineError(path, lineno, line, "width/height are not numbers")
-        if width <= 0 or height <= 0:
-            raise MalformedLineError(path, lineno, line, "width/height must be positive")
+        if not (0 < width < math.inf and 0 < height < math.inf):
+            raise MalformedLineError(path, lineno, line, "width/height must be positive and finite")
         if name in name_to_id:
             raise DuplicateCellError(path, lineno, name)
         fixed = any(t.startswith("terminal") for t in tokens[3:])
@@ -301,6 +300,8 @@ def _parse_nets(path: str, name_to_id: dict[str, int]) -> list[Net]:
                     dy = float(offs[1])
                 except ValueError:
                     raise MalformedLineError(path, lineno, line, "pin offsets are not numbers")
+                if not (math.isfinite(dx) and math.isfinite(dy)):
+                    raise MalformedLineError(path, lineno, line, "pin offsets must be finite")
         nets[-1].pins.append(Pin(cell=name_to_id[cell_name], dx=dx, dy=dy))
         pending -= 1
     if pending:
@@ -323,6 +324,8 @@ def _parse_pl(path: str) -> dict[str, tuple[float, float, bool]]:
             y = float(tokens[2])
         except ValueError:
             raise MalformedLineError(path, lineno, line, "coordinates are not numbers")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise MalformedLineError(path, lineno, line, "coordinates must be finite")
         fixed = any(t == "/FIXED" or t == "/FIXED_NI" for t in tokens[3:])
         placed[name] = (x, y, fixed)
     return placed

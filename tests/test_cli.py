@@ -86,6 +86,47 @@ class TestGift:
         assert "broken.nodes" in err
 
 
+def poison_c0(aux: str, ext: str, column: int, value: str) -> int:
+    """Overwrite one number on cell c0's line of the design's ``ext`` file; return the line number."""
+    path = aux[: -len(".aux")] + ext
+    with open(path) as f:
+        lines = f.read().split("\n")
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.split()[:1] == ["c0"])
+    tokens = lines[lineno - 1].split()
+    tokens[column] = value
+    lines[lineno - 1] = "\t".join(tokens)
+    with open(path, "w") as f:
+        f.write("\n".join(lines))
+    return lineno
+
+
+class TestNonFiniteInput:
+    """NaN or inf in an input file exits 1 naming the line: no traceback, no NaN JSON."""
+
+    @pytest.mark.parametrize("command", ["gift", "metrics"])
+    @pytest.mark.parametrize(
+        "ext,column,value", [(".nodes", 1, "nan"), (".nodes", 2, "inf"), (".pl", 1, "nan"), (".pl", 2, "-inf")]
+    )
+    def test_design_file_exit_1(self, bench, capsys, command, ext, column, value):
+        lineno = poison_c0(bench, ext, column, value)
+        code, out, err = run_cli(capsys, command, bench)
+        assert code == 1
+        assert f"synth{ext}:{lineno}:" in err
+        assert "Traceback" not in err
+        assert "NaN" not in out and "Infinity" not in out
+
+    def test_metrics_placement_exit_1(self, bench, tmp_path, capsys):
+        design = parse_design(bench)
+        pl = str(tmp_path / "eval.pl")
+        write_placement(design, np.tile(design.region.center, (design.num_cells, 1)), pl)
+        lineno = poison_c0(pl[: -len(".pl")] + ".aux", ".pl", 1, "nan")
+        code, out, err = run_cli(capsys, "metrics", bench, "--pl", pl)
+        assert code == 1
+        assert f"eval.pl:{lineno}:" in err
+        assert "Traceback" not in err
+        assert "NaN" not in out
+
+
 class TestPlace:
     def test_center_init_runs(self, bench, tmp_path, capsys):
         out = tmp_path / "p.pl"

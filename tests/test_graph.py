@@ -6,8 +6,11 @@ independently of the CSR code paths.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from giftplace import (
     Cell,
@@ -24,6 +27,7 @@ from giftplace import (
     apply_operator_power,
     build_clique_graph,
     from_coo,
+    generate,
     identity_minus,
     laplacian,
     normalized_augmented_adjacency,
@@ -46,6 +50,109 @@ def dense_aug_oracle(a: np.ndarray, sigma: float) -> np.ndarray:
     d = a.sum(axis=1)
     s = np.diag(1.0 / np.sqrt(d + sigma))
     return s @ (a + sigma * np.eye(a.shape[0])) @ s
+
+
+WIDE_FANOUT = {2: 0.35, 3: 0.2, 4: 0.15, 6: 0.1, 8: 0.08, 16: 0.07, 32: 0.05}
+
+
+def reference_clique_graph(design: Design, max_clique_pins: int | None = None) -> sp.csr_matrix:
+    """Per-net loop over Net/Pin objects: the bit-exact oracle for the bucketed build."""
+    rows, cols, vals = [], [], []
+    for net in design.nets:
+        m = net.degree
+        if m < 2 or (max_clique_pins is not None and m > max_clique_pins):
+            continue
+        cells = np.fromiter((p.cell for p in net.pins), dtype=np.int64, count=m)
+        iu, ju = np.triu_indices(m, k=1)
+        a, b = cells[iu], cells[ju]
+        keep = a != b
+        rows.append(np.minimum(a, b)[keep])
+        cols.append(np.maximum(a, b)[keep])
+        vals.append(np.full(int(keep.sum()), 2.0 / m))
+    n = design.num_cells
+    if not rows:
+        return SparseSymMatrix(sp.csr_matrix((n, n))).to_scipy()
+    upper = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+    return SparseSymMatrix(upper + upper.T).to_scipy()
+
+
+def reference_augmented(adj: SparseSymMatrix, sigma: float) -> sp.csr_matrix:
+    """A_sigma through a COO round trip: the bit-exact oracle for the CSR scaling."""
+    aug = adj.to_scipy()
+    if sigma > 0:
+        aug = (aug + sigma * sp.identity(adj.n, format="csr")).tocsr()
+    s = 1.0 / np.sqrt(adj.degrees + sigma)
+    aug = aug.tocoo()
+    data = aug.data * s[aug.row] * s[aug.col]
+    return sp.coo_matrix((data, (aug.row, aug.col)), shape=aug.shape).tocsr()
+
+
+def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
+    """Exact equality of the CSR arrays, dtypes included (not allclose)."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+
+
+ORACLE_DESIGNS = {
+    "generated-default": lambda: generate(cells=2000, seed=11),
+    "generated-wide": lambda: generate(cells=2000, fanout=WIDE_FANOUT, long_range_fraction=0.5, seed=12),
+    "repeated-cells": lambda: design_with_nets(4, [[0, 0, 1], [2, 2, 2], [1, 3, 1, 3], [0, 1]]),
+    "degree-0-and-1": lambda: design_with_nets(3, [[], [0], [1, 2], [2]]),
+    # pair (0, 1) sums 2/3 + 2/5 + 2/7 + 2/6; summed in degree order instead
+    # of net order the last bit differs
+    "shared-pair-mixed-degrees": lambda: design_with_nets(
+        15, [[0, 1, 2], [0, 1, 3, 4, 5], [0, 1, 6, 7, 8, 9, 10], [0, 1, 11, 12, 13, 14]]
+    ),
+    "no-nets": lambda: design_with_nets(3, []),
+    "no-cells": lambda: design_with_nets(0, []),
+}
+
+
+class TestBucketedBuildOracle:
+    """The degree-bucketed build equals the per-net loop bit for bit."""
+
+    @pytest.mark.parametrize("name", ORACLE_DESIGNS)
+    def test_matches_per_net_loop(self, name):
+        design = ORACLE_DESIGNS[name]()
+        assert_same_csr(build_clique_graph(design).to_scipy(), reference_clique_graph(design))
+
+    @pytest.mark.parametrize("name", ["generated-wide", "repeated-cells"])
+    @pytest.mark.parametrize("offset", [-3, -1, 0, 1])
+    def test_max_clique_pins_around_max_degree(self, name, offset):
+        design = ORACLE_DESIGNS[name]()
+        cap = max(net.degree for net in design.nets) + offset
+        got = build_clique_graph(design, max_clique_pins=cap).to_scipy()
+        assert_same_csr(got, reference_clique_graph(design, max_clique_pins=cap))
+
+    @pytest.mark.parametrize("name", ["generated-default", "generated-wide"])
+    @pytest.mark.parametrize("sigma", [0.0, 2.0, 4.0])
+    def test_augmented_matches_coo_round_trip(self, name, sigma):
+        adj = build_clique_graph(ORACLE_DESIGNS[name]())
+        got = normalized_augmented_adjacency(adj, sigma).to_scipy()
+        assert_same_csr(got, reference_augmented(adj, sigma))
+
+    def test_augmented_leaves_adjacency_untouched(self):
+        adj = build_clique_graph(ORACLE_DESIGNS["generated-default"]())
+        before = adj.to_scipy().copy()
+        normalized_augmented_adjacency(adj, 0.0)
+        assert_same_csr(adj.to_scipy(), before)
+
+    @pytest.mark.parametrize("cap,message", [(3, "skipped 4 nets"), (0, "skipped 5 nets"), (6, None)])
+    def test_skip_log_counts_nets_not_buckets(self, caplog, cap, message):
+        # degrees 5, 5, 4, 6 and 2 in 4 degree buckets; the 1-pin net is never
+        # counted, since nets under 2 pins are ignored before the cap applies
+        design = design_with_nets(7, [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [0, 1, 2, 3], [0] * 6, [6], [0, 1]])
+        with caplog.at_level(logging.INFO, logger="giftplace.graph"):
+            build_clique_graph(design, max_clique_pins=cap)
+        if message is None:
+            assert "skipped" not in caplog.text
+        else:
+            assert f"clique expansion {message} with more than {cap} pins" in caplog.text
 
 
 class TestCliqueGraph:

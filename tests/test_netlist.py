@@ -114,6 +114,12 @@ class TestParse:
         # bbox of the placed rectangles: a at (0,0) 2x1 ... pad at (9,9) 1x1
         assert (r.xmin, r.ymin, r.xmax, r.ymax) == (0.0, 0.0, 10.0, 10.0)
 
+    def test_cell_name_starting_with_ucla_kept(self, tmp_path):
+        # without a NumNodes header nothing would notice a dropped cell
+        nodes = NODES.replace("NumNodes : 4\n", "") + "  UCLAcell 1 1\n"
+        design = parse_design(write_corpus(tmp_path, nodes=nodes, pl=PL + "UCLAcell 5 5 : N\n"))
+        assert [c.name for c in design.cells] == ["a", "b", "c", "pad", "UCLAcell"]
+
     def test_pl_fixed_marker_forces_fixed(self, tmp_path):
         pl = PL.replace("c 0 3 : N", "c 0 3 : N /FIXED")
         design = parse_design(write_corpus(tmp_path, pl=pl))
@@ -165,6 +171,23 @@ class TestParseErrors:
     def test_nonpositive_dimensions(self, tmp_path):
         with pytest.raises(MalformedLineError):
             parse_design(write_corpus(tmp_path, nodes=NODES.replace("a 2 1", "a 0 1")))
+
+    @pytest.mark.parametrize("line", ["a nan 1", "a 2 nan", "a inf 1", "a 2 -inf", "a 2 NaN"])
+    def test_nonfinite_dimensions(self, tmp_path, line):
+        with pytest.raises(MalformedLineError) as exc:
+            parse_design(write_corpus(tmp_path, nodes=NODES.replace("a 2 1", line)))
+        assert exc.value.lineno == 5
+
+    @pytest.mark.parametrize("line", ["b nan 0 : N", "b 3 inf : N", "b -inf 0 : N"])
+    def test_nonfinite_coordinates(self, tmp_path, line):
+        with pytest.raises(MalformedLineError) as exc:
+            parse_design(write_corpus(tmp_path, pl=PL.replace("b 3 0 : N", line)))
+        assert exc.value.lineno == 3
+
+    def test_nonfinite_pin_offset(self, tmp_path):
+        with pytest.raises(MalformedLineError) as exc:
+            parse_design(write_corpus(tmp_path, nets=NETS.replace("a I : 0.5 0", "a I : nan 0")))
+        assert exc.value.lineno == 5
 
     def test_error_carries_location(self, tmp_path):
         nets = NETS.replace("  b I\n", "  ghost I\n")
