@@ -28,13 +28,11 @@ from .graph import (
     DENSE_LIMIT,
     FilterTerm,
     SparseSymMatrix,
-    apply_operator_power,
     build_clique_graph,
     from_coo,
     identity_minus,
     laplacian,
     normalized_augmented_adjacency,
-    save_matrix_market,
 )
 from .metrics import (
     DensityGrid,
@@ -49,10 +47,7 @@ from .metrics import (
     report,
 )
 from .netlist import (
-    Cell,
     Design,
-    Net,
-    Pin,
     Region,
     Row,
     aux_files,
@@ -77,7 +72,6 @@ from .spectral import (
     SpectralBasis,
     eigendecompose,
     eigenvector_placement,
-    exact_denoise,
     filter_response,
     gft,
     ideal_lowpass,

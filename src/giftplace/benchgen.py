@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .netlist import Cell, Design, Net, Pin, Region, Row
+from .netlist import Design, Region, Row
 
 log = logging.getLogger(__name__)
 
@@ -53,33 +53,26 @@ def generate(
         rows=[Row(y=-half + r, height=1.0, x=-half, num_sites=side) for r in range(side)],
     )
 
-    all_cells = [Cell(id=i, name=f"c{i}", width=1.0, height=1.0) for i in range(cells)]
-    nets: list[Net] = []
-
-    def add_net(members: np.ndarray | list[int]) -> None:
-        nets.append(Net(id=len(nets), name=f"n{len(nets)}", pins=[Pin(cell=int(c)) for c in members]))
-
-    # mesh: right and up neighbors on the logical grid
-    for i in range(cells):
-        r, c = divmod(i, cols)
-        if c + 1 < cols and i + 1 < cells:
-            add_net([i, i + 1])
-        if i + cols < cells:
-            add_net([i, i + cols])
+    # mesh: right and up neighbors on the logical grid, in cell order
+    ids = np.arange(cells)
+    mesh = np.stack([ids, ids + 1, ids, ids + cols], axis=1).reshape(cells, 2, 2)
+    keep = np.stack([(ids % cols + 1 < cols) & (ids + 1 < cells), ids + cols < cells], axis=1)
+    mesh = mesh[keep]
 
     # random long-range nets with the requested fanout profile
     degrees = np.array(sorted(fanout), dtype=np.int64)
     weights = np.array([fanout[int(d)] for d in degrees], dtype=float)
     weights = weights / weights.sum()
     n_long = int(round(long_range_fraction * cells))
+    long_nets = []
     for _ in range(n_long):
         d = min(int(rng.choice(degrees, p=weights)), cells)
-        add_net(rng.choice(cells, size=d, replace=False))
+        long_nets.append(rng.choice(cells, size=d, replace=False))
 
     # IO terminals on the periphery, attached to the matching grid side
     n_io = io_count if io_count is not None else max(4, int(round(2 * math.sqrt(cells))))
-    grid_c = np.arange(cells) % cols
-    grid_r = np.arange(cells) // cols
+    grid_c = ids % cols
+    grid_r = ids // cols
     side_cells = {
         "bottom": np.flatnonzero(grid_r <= max(rows // 3, 0)),
         "right": np.flatnonzero(grid_c >= cols - 1 - cols // 3),
@@ -87,21 +80,31 @@ def generate(
         "left": np.flatnonzero(grid_c <= max(cols // 3, 0)),
     }
     perimeter = 4.0 * side
+    fixed_xy = np.full((cells + n_io, 2), np.nan)
+    io_nets = np.empty((n_io, 2), dtype=np.int64)
     for j in range(n_io):
         t = (j + 0.5) * perimeter / n_io
         x, y, side_name = _ring_point(t, side, half)
-        io_cell = Cell(
-            id=len(all_cells), name=f"io{j}", width=1.0, height=1.0,
-            fixed=True, fixed_pos=(x, y),
-        )
-        all_cells.append(io_cell)
+        fixed_xy[cells + j] = (x, y)
         candidates = side_cells[side_name]
         target = int(rng.choice(candidates)) if candidates.size else int(rng.integers(cells))
-        add_net([target, io_cell.id])
+        io_nets[j] = (target, cells + j)
 
-    design = Design(cells=all_cells, nets=nets, region=region)
-    design.validate()
-    return design
+    pin_cell = np.concatenate([mesh.ravel(), *long_nets, io_nets.ravel()])
+    net_degrees = np.concatenate([np.full(len(mesh), 2), [len(n) for n in long_nets], np.full(n_io, 2)])
+    return Design(
+        names=[f"c{i}" for i in range(cells)] + [f"io{j}" for j in range(n_io)],
+        widths=np.ones(cells + n_io),
+        heights=np.ones(cells + n_io),
+        fixed=np.arange(cells + n_io) >= cells,
+        fixed_xy=fixed_xy,
+        net_names=[f"n{j}" for j in range(net_degrees.size)],
+        net_start=np.concatenate(([0], np.cumsum(net_degrees))),
+        pin_cell=pin_cell,
+        pin_dx=np.zeros(pin_cell.size),
+        pin_dy=np.zeros(pin_cell.size),
+        region=region,
+    )
 
 
 def _ring_point(t: float, side: int, half: float) -> tuple[float, float, str]:

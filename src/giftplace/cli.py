@@ -5,7 +5,8 @@ writes a JSON run manifest holding the fully resolved options, so
 ``giftplace report <manifest> --replay --out-dir D`` reproduces the run's
 outputs byte-for-byte (volatile wall-clock data lives only in the manifest).
 
-Exit codes: 0 ok, 1 input/parse error, 2 computation/guard error, 3 output IO
+Exit codes: 0 ok, 1 input/parse error, 2 computation/guard error (and any
+other GiftPlaceError, such as a design that fails validation), 3 output IO
 error, 4 placer divergence.
 """
 
@@ -28,6 +29,7 @@ from .errors import (
     DimensionMismatchError,
     DivergenceError,
     DuplicateCellError,
+    GiftPlaceError,
     IsolatedNodeError,
     MalformedLineError,
     MissingFileError,
@@ -43,7 +45,7 @@ from .graph import (
     laplacian,
     normalized_augmented_adjacency,
 )
-from .metrics import GridConfig, density_map, hpwl, overflow, report as metrics_report
+from .metrics import GridConfig, report as metrics_report
 from .netlist import aux_files, parse_design, read_placement, write_design, write_placement
 from .placer import PlacerConfig, run_placer
 from .spectral import eigendecompose, eigenvector_placement, filter_response
@@ -190,9 +192,7 @@ def _timed(fn, *args, **kwargs):
 
 def _center_init(design) -> np.ndarray:
     g = np.tile(design.region.center, (design.num_cells, 1))
-    mask = design.fixed_mask()
-    if mask.any():
-        g[mask] = design.fixed_positions()[mask]
+    g[design.fixed] = design.fixed_xy[design.fixed]
     return g
 
 
@@ -243,9 +243,7 @@ def run_place(opts: dict) -> int:
         basis = eigendecompose(identity_minus(normalized_augmented_adjacency(adj, 0.0)))
         timings.append(("eigen", basis.seconds))
         g0 = eigenvector_placement(basis, design.region)
-        mask = design.fixed_mask()
-        if mask.any():
-            g0[mask] = design.fixed_positions()[mask]
+        g0[design.fixed] = design.fixed_xy[design.fixed]
     elif init.startswith("file:"):
         g0 = read_placement(design, init[len("file:"):])
     else:
@@ -361,7 +359,7 @@ def run_benchgen(opts: dict) -> int:
     manifest = opts["manifest"] or os.path.join(opts["out_dir"], f"{opts['name']}.manifest.json")
     opts.update(manifest=manifest)
     _write_manifest(manifest, "benchgen", opts, {"aux": aux}, [("generate", t_gen)])
-    print(json.dumps({"aux": aux, "cells": design.num_cells, "nets": len(design.nets)}))
+    print(json.dumps({"aux": aux, "cells": design.num_cells, "nets": design.num_nets}))
     return EXIT_OK
 
 
@@ -537,6 +535,9 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         _diag(f"{type(exc).__name__}: {exc}")
         return EXIT_DIVERGED
+    except GiftPlaceError as exc:
+        _diag(f"{type(exc).__name__}: {exc}")
+        return EXIT_COMPUTE
     except ValueError as exc:
         _diag(str(exc))
         return EXIT_COMPUTE

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +64,7 @@ def initial_signal(design: Design, config: GiftConfig) -> np.ndarray:
     rng = np.random.default_rng(config.seed)
     g = np.tile(design.region.center, (design.num_cells, 1))
     g += rng.standard_normal((design.num_cells, 2)) * _jitter_scale(design, config)
-    mask = design.fixed_mask()
-    if mask.any():
-        g[mask] = design.fixed_positions()[mask]
+    g[design.fixed] = design.fixed_xy[design.fixed]
     return g
 
 
@@ -109,10 +107,8 @@ def gift_place(
     out = gift_filter(adj, g, config)
     filter_seconds = time.perf_counter() - t0
 
-    mask = design.fixed_mask()
-    if mask.any():
-        out[mask] = design.fixed_positions()[mask]
-    movable = ~mask
+    out[design.fixed] = design.fixed_xy[design.fixed]
+    movable = ~design.fixed
     region = design.region
     out[movable, 0] = np.clip(out[movable, 0], region.xmin, region.xmax)
     out[movable, 1] = np.clip(out[movable, 1], region.ymin, region.ymax)

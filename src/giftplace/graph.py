@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 
 from .errors import (
     DimensionMismatchError,
@@ -130,7 +129,7 @@ def build_clique_graph(design: Design, max_clique_pins: int | None = None) -> Sp
     M(M-1)/2 over expanded nets; ``max_clique_pins`` is the guard against wide
     nets. Pairs are laid out in net order, so duplicates sum in net order.
     """
-    net_start, pin_cell, _, _ = design.pin_table()
+    net_start, pin_cell = design.net_start, design.pin_cell
     degree = np.diff(net_start)
     expand = degree >= 2
     if max_clique_pins is not None:
@@ -189,21 +188,3 @@ def normalized_augmented_adjacency(adj: SparseSymMatrix, sigma: float) -> Sparse
 def identity_minus(op: SparseSymMatrix) -> SparseSymMatrix:
     """I - op; for op = A_sigma this is the (augmented) normalized Laplacian."""
     return SparseSymMatrix(sp.identity(op.n, format="csr") - op.to_scipy())
-
-
-def apply_operator_power(op: SparseSymMatrix, g: np.ndarray, k: int) -> np.ndarray:
-    """Apply op k times to each column of g via repeated sparse products.
-
-    op^k is never materialized; cost is k * O(nnz) per column.
-    """
-    if k < 1:
-        raise ValueError(f"power k must be >= 1, got {k}")
-    out = np.asarray(g, dtype=float)
-    for _ in range(k):
-        out = op.matmul(out)
-    return out
-
-
-def save_matrix_market(mat: SparseSymMatrix, path: str, comment: str = "") -> None:
-    """Debug dump in MatrixMarket coordinate format."""
-    mmwrite(path, mat.to_scipy().tocoo(), comment=comment, symmetry="general")

@@ -9,8 +9,7 @@ the bins it overlaps, so total mass is conserved exactly.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,7 @@ class GridConfig:
 
 def default_bins(design: Design) -> tuple[int, int]:
     """128x128, or bins of ~8x the average cell dimension — whichever is coarser."""
-    w, h = design.sizes()
+    w, h = design.widths, design.heights
     aw = float(w.mean()) if w.size else 1.0
     ah = float(h.mean()) if h.size else 1.0
     nx = max(1, min(128, int(design.region.width / (8.0 * aw))))
@@ -95,7 +94,7 @@ def rayleigh_smoothness(laplacian: SparseSymMatrix, column: np.ndarray, center: 
 def hpwl(design: Design, g: np.ndarray) -> float:
     """Half-perimeter wirelength over pin positions (cell center + pin offset)."""
     g = np.asarray(g, dtype=float)
-    net_start, pin_cell, pin_dx, pin_dy = design.pin_table()
+    net_start, pin_cell, pin_dx, pin_dy = design.net_start, design.pin_cell, design.pin_dx, design.pin_dy
     if pin_cell.size == 0:
         return 0.0
     degrees = np.diff(net_start)
@@ -125,7 +124,7 @@ def density_map(design: Design, g: np.ndarray, grid: GridConfig | None = None) -
     bin_h = region.height / ny
     rho = np.zeros((nx, ny))
     g = np.asarray(g, dtype=float)
-    w, h = design.sizes()
+    w, h = design.widths, design.heights
 
     x0 = np.clip(g[:, 0] - w / 2.0, region.xmin, region.xmax)
     x1 = np.clip(g[:, 0] + w / 2.0, region.xmin, region.xmax)

@@ -13,8 +13,9 @@ from __future__ import annotations
 import logging
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,36 +32,19 @@ log = logging.getLogger(__name__)
 PL_PRECISION = 6  # decimal digits written to .pl files
 
 
-@dataclass
-class Cell:
-    """One placeable object. ``fixed_pos`` is the immovable center, set iff fixed."""
-
-    id: int
-    name: str
-    width: float
-    height: float
-    fixed: bool = False
-    fixed_pos: tuple[float, float] | None = None
-
-
-@dataclass
-class Pin:
-    """Net pin: owning cell id plus offset from the cell center."""
+class Pin(NamedTuple):
+    """One pin of the ``Design.nets`` view: cell id plus offset from its center."""
 
     cell: int
-    dx: float = 0.0
-    dy: float = 0.0
+    dx: float
+    dy: float
 
 
-@dataclass
-class Net:
-    id: int
+class Net(NamedTuple):
+    """One net of the ``Design.nets`` view."""
+
     name: str
-    pins: list[Pin] = field(default_factory=list)
-
-    @property
-    def degree(self) -> int:
-        return len(self.pins)
+    pins: tuple[Pin, ...]
 
 
 @dataclass
@@ -95,93 +79,96 @@ class Region:
         return (0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
 
 
-@dataclass
+@dataclass(eq=False)
 class Design:
-    """Immutable-by-convention in-memory circuit. Derived arrays are cached."""
+    """In-memory circuit as a struct of arrays; immutable by convention.
 
-    cells: list[Cell]
-    nets: list[Net]
+    Cell i is row i of ``names``, ``widths``, ``heights``, ``fixed`` and
+    ``fixed_xy`` (N x 2 fixed centers, NaN for movable cells). Net j is
+    ``net_names[j]`` and owns the pins ``net_start[j]:net_start[j+1]`` of
+    ``pin_cell``, ``pin_dx`` and ``pin_dy`` (offsets from the cell center).
+    Construction coerces the arrays to their dtypes and validates them.
+    """
+
+    names: list[str]
+    widths: np.ndarray
+    heights: np.ndarray
+    fixed: np.ndarray
+    fixed_xy: np.ndarray
+    net_names: list[str]
+    net_start: np.ndarray
+    pin_cell: np.ndarray
+    pin_dx: np.ndarray
+    pin_dy: np.ndarray
     region: Region
+
+    def __post_init__(self) -> None:
+        self.widths = np.asarray(self.widths, dtype=float)
+        self.heights = np.asarray(self.heights, dtype=float)
+        self.fixed = np.asarray(self.fixed, dtype=bool)
+        self.fixed_xy = np.asarray(self.fixed_xy, dtype=float)
+        self.net_start = np.asarray(self.net_start, dtype=np.int64)
+        self.pin_cell = np.asarray(self.pin_cell, dtype=np.int64)
+        self.pin_dx = np.asarray(self.pin_dx, dtype=float)
+        self.pin_dy = np.asarray(self.pin_dy, dtype=float)
+        self.validate()
 
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return len(self.names)
+
+    @property
+    def num_nets(self) -> int:
+        return len(self.net_names)
 
     @property
     def num_movable(self) -> int:
-        return int(np.count_nonzero(~self.fixed_mask()))
+        return int(np.count_nonzero(~self.fixed))
 
     @property
     def num_fixed(self) -> int:
-        return int(np.count_nonzero(self.fixed_mask()))
+        return int(np.count_nonzero(self.fixed))
 
     def fixed_mask(self) -> np.ndarray:
-        """Boolean mask over cell ids, True for fixed terminals."""
-        mask = getattr(self, "_fixed_mask", None)
-        if mask is None:
-            mask = np.array([c.fixed for c in self.cells], dtype=bool)
-            self._fixed_mask = mask
-        return mask
-
-    def sizes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(widths, heights) arrays indexed by cell id."""
-        sizes = getattr(self, "_sizes", None)
-        if sizes is None:
-            w = np.array([c.width for c in self.cells], dtype=float)
-            h = np.array([c.height for c in self.cells], dtype=float)
-            sizes = (w, h)
-            self._sizes = sizes
-        return sizes
-
-    def fixed_positions(self) -> np.ndarray:
-        """N x 2 array with fixed cell centers filled in, NaN for movable."""
-        pos = np.full((self.num_cells, 2), np.nan)
-        for c in self.cells:
-            if c.fixed:
-                pos[c.id] = c.fixed_pos
-        return pos
+        return self.fixed
 
     def pin_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat pin arrays (net_start, pin_cell, pin_dx, pin_dy).
+        return self.net_start, self.pin_cell, self.pin_dx, self.pin_dy
 
-        ``net_start`` has one extra entry so net i owns the slice
-        [net_start[i], net_start[i+1]).
-        """
-        tbl = getattr(self, "_pin_table", None)
-        if tbl is None:
-            degrees = np.fromiter(map(len, map(attrgetter("pins"), self.nets)), np.int64, len(self.nets))
-            net_start = np.zeros(len(self.nets) + 1, dtype=np.int64)
-            np.cumsum(degrees, out=net_start[1:])
-            pins = [p for net in self.nets for p in net.pins]
-            pin_cell = np.fromiter(map(attrgetter("cell"), pins), np.int64, len(pins))
-            pin_dx = np.fromiter(map(attrgetter("dx"), pins), float, len(pins))
-            pin_dy = np.fromiter(map(attrgetter("dy"), pins), float, len(pins))
-            tbl = (net_start, pin_cell, pin_dx, pin_dy)
-            self._pin_table = tbl
-        return tbl
+    @property
+    def nets(self) -> list[Net]:
+        """Per-net view for callers outside the pipeline, rebuilt on each access."""
+        starts = self.net_start.tolist()
+        pins = list(map(Pin, self.pin_cell.tolist(), self.pin_dx.tolist(), self.pin_dy.tolist()))
+        return [Net(name, tuple(pins[a:b])) for name, a, b in zip(self.net_names, starts, starts[1:])]
 
     def validate(self) -> None:
         """Check structural invariants; raises GiftPlaceError on violation."""
-        names = set()
-        for i, c in enumerate(self.cells):
-            if c.id != i:
-                raise GiftPlaceError(f"cell ids not contiguous: cell {c.name!r} has id {c.id} at index {i}")
-            if c.name in names:
-                raise GiftPlaceError(f"duplicate cell name {c.name!r}")
-            names.add(c.name)
-            if not (c.width > 0 and c.height > 0):
-                raise GiftPlaceError(f"cell {c.name!r} has non-positive dimensions")
-            if c.fixed != (c.fixed_pos is not None):
-                raise GiftPlaceError(f"cell {c.name!r}: fixed_pos must be present exactly when fixed")
-        n = len(self.cells)
-        for j, net in enumerate(self.nets):
-            if net.id != j:
-                raise GiftPlaceError(f"net ids not contiguous at index {j}")
-            for p in net.pins:
-                if not (0 <= p.cell < n):
-                    raise GiftPlaceError(f"net {net.name!r} pin references cell id {p.cell} out of range")
-        if not (self.region.xmax > self.region.xmin and self.region.ymax > self.region.ymin):
-            raise GiftPlaceError("region must have positive extent")
+        n = len(self.names)
+        if not (self.widths.shape == self.heights.shape == self.fixed.shape == (n,) and self.fixed_xy.shape == (n, 2)):
+            raise GiftPlaceError(f"cell arrays do not all have {n} rows, one per name")
+        if not (self.net_start.shape == (len(self.net_names) + 1,) and self.pin_cell.ndim == 1
+                and self.pin_cell.shape == self.pin_dx.shape == self.pin_dy.shape):
+            raise GiftPlaceError("net and pin arrays have inconsistent lengths")
+        if len(set(self.names)) != n:
+            dup = next(name for name, count in Counter(self.names).items() if count > 1)
+            raise GiftPlaceError(f"duplicate cell name {dup!r}")
+        w, h = self.widths, self.heights
+        bad = np.flatnonzero(~((w > 0) & (h > 0) & np.isfinite(w) & np.isfinite(h)))
+        if bad.size:
+            raise GiftPlaceError(f"cell {self.names[bad[0]]!r} has non-positive or non-finite dimensions")
+        bad = np.flatnonzero((np.isfinite(self.fixed_xy) != self.fixed[:, None]).any(axis=1))
+        if bad.size:
+            raise GiftPlaceError(f"cell {self.names[bad[0]]!r}: fixed_xy must be finite exactly when fixed")
+        if self.net_start[0] != 0 or self.net_start[-1] != self.pin_cell.size or np.any(np.diff(self.net_start) < 0):
+            raise GiftPlaceError("net_start must rise monotonically from 0 to the pin count")
+        bad = np.flatnonzero((self.pin_cell < 0) | (self.pin_cell >= n))
+        if bad.size:
+            net = self.net_names[np.searchsorted(self.net_start, bad[0], side="right") - 1]
+            raise GiftPlaceError(f"net {net!r} pin references cell id {self.pin_cell[bad[0]]} out of range")
+        r = self.region
+        if not (np.isfinite([r.xmin, r.ymin, r.xmax, r.ymax]).all() and r.xmax > r.xmin and r.ymax > r.ymin):
+            raise GiftPlaceError("region must be finite with positive extent")
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +198,33 @@ def _header_value(line: str) -> str | None:
     return line.split(":", 1)[1].strip()
 
 
-def _parse_nodes(path: str) -> tuple[list[Cell], dict[str, int], int | None]:
-    cells: list[Cell] = []
+def _header_count(path: str, lineno: int, line: str) -> int:
+    value = _header_value(line)
+    if value is None:
+        raise MalformedLineError(path, lineno, line, "header missing ':'")
+    try:
+        return int(value)
+    except ValueError:
+        raise MalformedLineError(path, lineno, line, "header count is not an integer")
+
+
+def _parse_nodes(path: str):
+    """(names, widths, heights, fixed flags, name -> id, NumTerminals or None)."""
+    names: list[str] = []
+    widths: list[float] = []
+    heights: list[float] = []
+    fixed: list[bool] = []
     name_to_id: dict[str, int] = {}
     num_nodes: int | None = None
     num_terminals: int | None = None
     for lineno, line in _data_lines(path):
-        first = line.split(None, 1)[0]
-        if first == "NumNodes" or first == "NumTerminals":
-            value = _header_value(line)
-            if value is None:
-                raise MalformedLineError(path, lineno, line, "header missing ':'")
-            try:
-                count = int(value)
-            except ValueError:
-                raise MalformedLineError(path, lineno, line, "header count is not an integer")
-            if first == "NumNodes":
-                num_nodes = count
-            else:
-                num_terminals = count
-            continue
         tokens = line.split()
+        if tokens[0] == "NumNodes":
+            num_nodes = _header_count(path, lineno, line)
+            continue
+        if tokens[0] == "NumTerminals":
+            num_terminals = _header_count(path, lineno, line)
+            continue
         if len(tokens) < 3:
             raise MalformedLineError(path, lineno, line, "expected 'name width height [terminal]'")
         name = tokens[0]
@@ -244,28 +237,30 @@ def _parse_nodes(path: str) -> tuple[list[Cell], dict[str, int], int | None]:
             raise MalformedLineError(path, lineno, line, "width/height must be positive and finite")
         if name in name_to_id:
             raise DuplicateCellError(path, lineno, name)
-        fixed = any(t.startswith("terminal") for t in tokens[3:])
-        name_to_id[name] = len(cells)
-        cells.append(Cell(id=len(cells), name=name, width=width, height=height, fixed=fixed))
-    if num_nodes is not None and num_nodes != len(cells):
-        raise MalformedLineError(path, 0, f"NumNodes : {num_nodes}", f"header declares {num_nodes} nodes, body has {len(cells)}")
-    return cells, name_to_id, num_terminals
+        name_to_id[name] = len(names)
+        names.append(name)
+        widths.append(width)
+        heights.append(height)
+        fixed.append(any(t.startswith("terminal") for t in tokens[3:]))
+    if num_nodes is not None and num_nodes != len(names):
+        raise MalformedLineError(path, 0, f"NumNodes : {num_nodes}", f"header declares {num_nodes} nodes, body has {len(names)}")
+    return names, widths, heights, fixed, name_to_id, num_terminals
 
 
-def _parse_nets(path: str, name_to_id: dict[str, int]) -> list[Net]:
-    nets: list[Net] = []
+def _parse_nets(path: str, name_to_id: dict[str, int]):
+    """(net names, net_start, pin_cell, pin_dx, pin_dy) as flat lists."""
+    net_names: list[str] = []
+    net_start: list[int] = []
+    pin_cell: list[int] = []
+    pin_dx: list[float] = []
+    pin_dy: list[float] = []
     num_nets: int | None = None
     pending: int = 0  # pin lines still expected for the current net
     for lineno, line in _data_lines(path):
-        first = line.split(None, 1)[0]
+        tokens = line.split()
+        first = tokens[0]
         if first in ("NumNets", "NumPins"):
-            value = _header_value(line)
-            if value is None:
-                raise MalformedLineError(path, lineno, line, "header missing ':'")
-            try:
-                count = int(value)
-            except ValueError:
-                raise MalformedLineError(path, lineno, line, "header count is not an integer")
+            count = _header_count(path, lineno, line)
             if first == "NumNets":
                 num_nets = count
             continue
@@ -280,20 +275,18 @@ def _parse_nets(path: str, name_to_id: dict[str, int]) -> list[Net]:
                 pending = int(parts[0])
             except (IndexError, ValueError):
                 raise MalformedLineError(path, lineno, line, "NetDegree count is not an integer")
-            name = parts[1] if len(parts) > 1 else f"net{len(nets)}"
-            nets.append(Net(id=len(nets), name=name))
+            net_names.append(parts[1] if len(parts) > 1 else f"net{len(net_names)}")
+            net_start.append(len(pin_cell))
             continue
         # a pin line
-        if not nets or pending == 0:
+        if pending == 0:
             raise MalformedLineError(path, lineno, line, "pin line outside a NetDegree block")
-        tokens = line.split()
-        cell_name = tokens[0]
-        if cell_name not in name_to_id:
-            raise DanglingPinError(path, lineno, cell_name)
+        cell = name_to_id.get(first)
+        if cell is None:
+            raise DanglingPinError(path, lineno, first)
         dx = dy = 0.0
         if ":" in tokens:
-            idx = tokens.index(":")
-            offs = tokens[idx + 1:]
+            offs = tokens[tokens.index(":") + 1:]
             if len(offs) >= 2:
                 try:
                     dx = float(offs[0])
@@ -302,13 +295,16 @@ def _parse_nets(path: str, name_to_id: dict[str, int]) -> list[Net]:
                     raise MalformedLineError(path, lineno, line, "pin offsets are not numbers")
                 if not (math.isfinite(dx) and math.isfinite(dy)):
                     raise MalformedLineError(path, lineno, line, "pin offsets must be finite")
-        nets[-1].pins.append(Pin(cell=name_to_id[cell_name], dx=dx, dy=dy))
+        pin_cell.append(cell)
+        pin_dx.append(dx)
+        pin_dy.append(dy)
         pending -= 1
     if pending:
         raise MalformedLineError(path, 0, "", f"last net is missing {pending} pin line(s)")
-    if num_nets is not None and num_nets != len(nets):
-        raise MalformedLineError(path, 0, f"NumNets : {num_nets}", f"header declares {num_nets} nets, body has {len(nets)}")
-    return nets
+    if num_nets is not None and num_nets != len(net_names):
+        raise MalformedLineError(path, 0, f"NumNets : {num_nets}", f"header declares {num_nets} nets, body has {len(net_names)}")
+    net_start.append(len(pin_cell))
+    return net_names, net_start, pin_cell, pin_dx, pin_dy
 
 
 def _parse_pl(path: str) -> dict[str, tuple[float, float, bool]]:
@@ -376,6 +372,8 @@ def _parse_scl(path: str) -> list[Row]:
                     cur["num_sites"] = float(parts[parts.index("NumSites") + 1])
         except (ValueError, IndexError):
             raise MalformedLineError(path, lineno, line, "malformed row attribute")
+        if not all(map(math.isfinite, cur.values())):
+            raise MalformedLineError(path, lineno, line, "row attributes must be finite")
     return rows
 
 
@@ -426,23 +424,25 @@ def parse_design(aux_path: str) -> Design:
     DuplicateCellError or DanglingPinError on bad input.
     """
     by_ext = aux_files(aux_path)
-    cells, name_to_id, num_terminals = _parse_nodes(by_ext[".nodes"])
-    nets = _parse_nets(by_ext[".nets"], name_to_id)
+    names, widths, heights, fixed, name_to_id, num_terminals = _parse_nodes(by_ext[".nodes"])
+    net_names, net_start, pin_cell, pin_dx, pin_dy = _parse_nets(by_ext[".nets"], name_to_id)
     placed = _parse_pl(by_ext[".pl"])
 
+    fixed_xy = np.full((len(names), 2), np.nan)
     for name, (llx, lly, pl_fixed) in placed.items():
-        if name not in name_to_id:
+        i = name_to_id.get(name)
+        if i is None:
             log.warning("%s: placement for undeclared cell %r skipped", by_ext[".pl"], name)
             continue
-        cell = cells[name_to_id[name]]
         if pl_fixed:
-            cell.fixed = True
-        if cell.fixed:
-            cell.fixed_pos = (llx + cell.width / 2.0, lly + cell.height / 2.0)
-    for cell in cells:
-        if cell.fixed and cell.fixed_pos is None:
-            raise MalformedLineError(by_ext[".pl"], 0, cell.name, "fixed cell has no placement")
-    fixed_count = sum(1 for c in cells if c.fixed)
+            fixed[i] = True
+        if fixed[i]:
+            fixed_xy[i] = (llx + widths[i] / 2.0, lly + heights[i] / 2.0)
+    fixed = np.array(fixed, dtype=bool)
+    unplaced = np.flatnonzero(fixed & np.isnan(fixed_xy[:, 0]))
+    if unplaced.size:
+        raise MalformedLineError(by_ext[".pl"], 0, names[unplaced[0]], "fixed cell has no placement")
+    fixed_count = int(np.count_nonzero(fixed))
     if num_terminals is not None and num_terminals != fixed_count:
         log.warning(
             "%s: NumTerminals declares %d but %d cells are fixed",
@@ -453,30 +453,46 @@ def parse_design(aux_path: str) -> Design:
     if rows:
         region = _region_from_rows(rows)
     else:
-        region = _region_from_placement(cells, placed)
+        region = _region_from_placement(placed, name_to_id, widths, heights)
         log.warning("%s: no usable .scl; region set to placement bounding box", aux_path)
 
-    design = Design(cells=cells, nets=nets, region=region)
-    design.validate()
-    return design
+    return Design(
+        names=names,
+        widths=np.array(widths, dtype=float),
+        heights=np.array(heights, dtype=float),
+        fixed=fixed,
+        fixed_xy=fixed_xy,
+        net_names=net_names,
+        net_start=np.array(net_start, dtype=np.int64),
+        pin_cell=np.array(pin_cell, dtype=np.int64),
+        pin_dx=np.array(pin_dx, dtype=float),
+        pin_dy=np.array(pin_dy, dtype=float),
+        region=region,
+    )
 
 
-def _region_from_placement(cells: list[Cell], placed: dict[str, tuple[float, float, bool]]) -> Region:
+def _region_from_placement(
+    placed: dict[str, tuple[float, float, bool]], name_to_id: dict[str, int], widths: list[float], heights: list[float]
+) -> Region:
     """Fallback region: bounding box of the rectangles placed in .pl."""
     xs0, ys0, xs1, ys1 = [], [], [], []
-    by_name = {c.name: c for c in cells}
     for name, (llx, lly, _) in placed.items():
-        c = by_name.get(name)
-        if c is None:
+        i = name_to_id.get(name)
+        if i is None:
             continue
         xs0.append(llx)
         ys0.append(lly)
-        xs1.append(llx + c.width)
-        ys1.append(lly + c.height)
+        xs1.append(llx + widths[i])
+        ys1.append(lly + heights[i])
     if not xs0 or max(xs1) <= min(xs0) or max(ys1) <= min(ys0):
         log.warning("degenerate placement bounding box; using unit region")
         return Region(0.0, 0.0, 1.0, 1.0)
     return Region(min(xs0), min(ys0), max(xs1), max(ys1))
+
+
+def _half_sizes(design: Design) -> np.ndarray:
+    """N x 2 half widths and heights: center minus this is the lower-left corner."""
+    return np.column_stack((design.widths, design.heights)) / 2.0
 
 
 def read_placement(design: Design, pl_path: str) -> np.ndarray:
@@ -484,14 +500,12 @@ def read_placement(design: Design, pl_path: str) -> np.ndarray:
     if not os.path.isfile(pl_path):
         raise MissingFileError(pl_path)
     placed = _parse_pl(pl_path)
-    coords = np.empty((design.num_cells, 2), dtype=float)
-    for cell in design.cells:
-        if cell.name not in placed:
-            raise MalformedLineError(pl_path, 0, cell.name, "no placement for cell")
-        llx, lly, _ = placed[cell.name]
-        coords[cell.id, 0] = llx + cell.width / 2.0
-        coords[cell.id, 1] = lly + cell.height / 2.0
-    return coords
+    corners = []
+    for name in design.names:
+        if name not in placed:
+            raise MalformedLineError(pl_path, 0, name, "no placement for cell")
+        corners.append(placed[name][:2])
+    return np.array(corners, dtype=float).reshape(-1, 2) + _half_sizes(design)
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +529,10 @@ def write_placement(design: Design, placement: np.ndarray, path: str) -> None:
             f"placement shape {placement.shape} does not match design with {design.num_cells} cells"
         )
     lines = ["UCLA pl 1.0", ""]
-    for cell in design.cells:
-        cx, cy = placement[cell.id]
-        llx = cx - cell.width / 2.0
-        lly = cy - cell.height / 2.0
-        suffix = " /FIXED" if cell.fixed else ""
-        lines.append(f"{cell.name}\t{llx:.{PL_PRECISION}f}\t{lly:.{PL_PRECISION}f}\t: N{suffix}")
+    corners = (placement - _half_sizes(design)).tolist()
+    for name, (llx, lly), fixed in zip(design.names, corners, design.fixed.tolist()):
+        suffix = " /FIXED" if fixed else ""
+        lines.append(f"{name}\t{llx:.{PL_PRECISION}f}\t{lly:.{PL_PRECISION}f}\t: N{suffix}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -535,24 +547,23 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
     if placement is None:
         placement = np.tile(design.region.center, (design.num_cells, 1))
     placement = np.array(placement, dtype=float)
-    fixed = design.fixed_positions()
-    mask = design.fixed_mask()
-    placement[mask] = fixed[mask]
+    placement[design.fixed] = design.fixed_xy[design.fixed]
 
     nodes_lines = ["UCLA nodes 1.0", "", f"NumNodes : {design.num_cells}", f"NumTerminals : {design.num_fixed}"]
-    for cell in design.cells:
-        marker = "\tterminal" if cell.fixed else ""
-        nodes_lines.append(f"\t{cell.name}\t{_fmt(cell.width)}\t{_fmt(cell.height)}{marker}")
+    for cell, w, h, fixed in zip(design.names, design.widths.tolist(), design.heights.tolist(), design.fixed.tolist()):
+        marker = "\tterminal" if fixed else ""
+        nodes_lines.append(f"\t{cell}\t{_fmt(w)}\t{_fmt(h)}{marker}")
     with open(os.path.join(out_dir, f"{name}.nodes"), "w") as f:
         f.write("\n".join(nodes_lines) + "\n")
 
-    num_pins = sum(net.degree for net in design.nets)
-    nets_lines = ["UCLA nets 1.0", "", f"NumNets : {len(design.nets)}", f"NumPins : {num_pins}"]
-    for net in design.nets:
-        nets_lines.append(f"NetDegree : {net.degree} {net.name}")
-        for pin in net.pins:
-            cell = design.cells[pin.cell]
-            nets_lines.append(f"\t{cell.name} I : {_fmt(pin.dx)} {_fmt(pin.dy)}")
+    names = design.names
+    pins = zip(design.pin_cell.tolist(), design.pin_dx.tolist(), design.pin_dy.tolist())
+    pin_lines = [f"\t{names[c]} I : {_fmt(dx)} {_fmt(dy)}" for c, dx, dy in pins]
+    nets_lines = ["UCLA nets 1.0", "", f"NumNets : {design.num_nets}", f"NumPins : {len(pin_lines)}"]
+    starts = design.net_start.tolist()
+    for net, a, b in zip(design.net_names, starts, starts[1:]):
+        nets_lines.append(f"NetDegree : {b - a} {net}")
+        nets_lines.extend(pin_lines[a:b])
     with open(os.path.join(out_dir, f"{name}.nets"), "w") as f:
         f.write("\n".join(nets_lines) + "\n")
 

@@ -95,7 +95,7 @@ def smooth_wirelength_grad(design: Design, g: np.ndarray, gamma: float) -> tuple
         raise ValueError("gamma must be positive")
     g = np.asarray(g, dtype=float)
     grad = np.zeros_like(g)
-    net_start, pin_cell, pin_dx, pin_dy = design.pin_table()
+    net_start, pin_cell, pin_dx, pin_dy = design.net_start, design.pin_cell, design.pin_dx, design.pin_dy
     if pin_cell.size == 0:
         return 0.0, grad
     degrees = np.diff(net_start)
@@ -117,7 +117,7 @@ def smooth_wirelength_grad(design: Design, g: np.ndarray, gamma: float) -> tuple
         value += float(np.sum(hi_n - lo_n + gamma * (np.log(sa_n) + np.log(sb_n))))
         weights = ea / np.repeat(sa_n, seg_sizes) - eb / np.repeat(sb_n, seg_sizes)
         np.add.at(grad[:, axis], pin_cell, weights)
-    grad[design.fixed_mask()] = 0.0
+    grad[design.fixed] = 0.0
     return value, grad
 
 
@@ -133,7 +133,7 @@ def _field_weighted_grad(
     region = design.region
     g = np.asarray(g, dtype=float)
     grad = np.zeros_like(g)
-    w, h = design.sizes()
+    w, h = design.widths, design.heights
     x0 = np.clip(g[:, 0] - w / 2.0, region.xmin, region.xmax)
     x1 = np.clip(g[:, 0] + w / 2.0, region.xmin, region.xmax)
     y0 = np.clip(g[:, 1] - h / 2.0, region.ymin, region.ymax)
@@ -143,7 +143,7 @@ def _field_weighted_grad(
     free_lo_y = (g[:, 1] - h / 2.0 > region.ymin).astype(float)
     free_hi_y = (g[:, 1] + h / 2.0 < region.ymax).astype(float)
 
-    active = np.flatnonzero(~design.fixed_mask() & (x1 > x0) & (y1 > y0))
+    active = np.flatnonzero(~design.fixed & (x1 > x0) & (y1 > y0))
     if active.size == 0:
         return grad
     x0, x1, y0, y1 = x0[active], x1[active], y0[active], y1[active]
@@ -239,8 +239,8 @@ def default_placer_bins(design: Design) -> GridConfig:
     because the per-iteration displacement cap is one bin width, bins as
     large as the cells maximize transport speed.
     """
-    w, h = design.sizes()
-    mov = ~design.fixed_mask()
+    w, h = design.widths, design.heights
+    mov = ~design.fixed
     aw = float(w[mov].mean()) if mov.any() else float(w.mean()) if w.size else 1.0
     ah = float(h[mov].mean()) if mov.any() else float(h.mean()) if h.size else 1.0
     nx = int(np.clip(round(design.region.width / max(aw, 1e-9)), 4, 512))
@@ -289,7 +289,7 @@ def run_placer(
     if not np.all(np.isfinite(g)):
         raise DivergenceError("objective not finite at iteration 0")
     region = design.region
-    movable = ~design.fixed_mask()
+    movable = ~design.fixed
     g[movable, 0] = np.clip(g[movable, 0], region.xmin, region.xmax)
     g[movable, 1] = np.clip(g[movable, 1], region.ymin, region.ymax)
 

@@ -1,8 +1,8 @@
 """Dense spectral toolkit for small graphs.
 
 Used for verification (tying the sparse filter back to its frequency-domain
-definition), the eigenvector placement baseline, and the exact (I+L)^-1
-denoiser. Everything densifies, so all entry points are guarded to modest n.
+definition) and the eigenvector placement baseline. Everything densifies,
+so all entry points are guarded to modest n.
 """
 
 from __future__ import annotations
@@ -13,13 +13,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CutoffOutOfRangeError,
     DegenerateSpectrumWarning,
     DimensionMismatchError,
-    TooLargeForDenseError,
 )
 from .graph import DENSE_LIMIT, SparseSymMatrix
 from .netlist import Region
@@ -120,17 +118,6 @@ def _rescale_to(g: np.ndarray, region: Region) -> np.ndarray:
         else:
             out[:, axis] = lo + (col - col.min()) * (hi - lo) / span
     return out
-
-
-def exact_denoise(laplacian: SparseSymMatrix, g: np.ndarray, limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Solve (I + L) g' = g exactly (dense SPD solve)."""
-    if laplacian.n > limit:
-        raise TooLargeForDenseError(laplacian.n, limit)
-    g = np.asarray(g, dtype=float)
-    if g.shape[0] != laplacian.n:
-        raise DimensionMismatchError(f"signal has {g.shape[0]} rows, Laplacian has {laplacian.n}")
-    a = np.eye(laplacian.n) + laplacian.to_dense(limit)
-    return scipy.linalg.solve(a, g, assume_a="pos")
 
 
 def filter_response(sigma: float, k: int, lambdas: np.ndarray) -> FilterResponse:

@@ -11,52 +11,57 @@ import numpy as np
 import pytest
 
 from giftplace import (
-    Cell,
     Design,
-    Net,
-    Pin,
     Region,
     SparseSymMatrix,
     from_coo,
 )
 
 
-def make_design(cells, nets, region) -> Design:
-    design = Design(cells=cells, nets=nets, region=region)
-    design.validate()
-    return design
+def make_design(names, nets, region: Region, sizes=(1.0, 1.0), pads=None) -> Design:
+    """Build a Design from plain lists; construction validates it.
+
+    ``names`` is a list of cell names, or a count for cells c0, c1, ...
+    ``nets`` lists each net's pins; a pin is a cell id or (cell, dx, dy).
+    ``sizes`` is one (width, height) for every cell, or one per cell.
+    ``pads`` maps fixed cell ids to their centers.
+    """
+    names = [f"c{i}" for i in range(names)] if isinstance(names, int) else list(names)
+    wh = np.broadcast_to(np.asarray(sizes, dtype=float), (len(names), 2))
+    fixed_xy = np.full((len(names), 2), np.nan)
+    for cell, xy in (pads or {}).items():
+        fixed_xy[cell] = xy
+    pins = [p if isinstance(p, tuple) else (p, 0.0, 0.0) for net in nets for p in net]
+    return Design(
+        names=names,
+        widths=wh[:, 0],
+        heights=wh[:, 1],
+        fixed=~np.isnan(fixed_xy[:, 0]),
+        fixed_xy=fixed_xy,
+        net_names=[f"n{j}" for j in range(len(nets))],
+        net_start=np.cumsum([0] + [len(net) for net in nets]),
+        pin_cell=[p[0] for p in pins],
+        pin_dx=[p[1] for p in pins],
+        pin_dy=[p[2] for p in pins],
+        region=region,
+    )
 
 
 @pytest.fixture
 def tri_design() -> Design:
     """Three movable unit cells joined by one 3-pin net, plus a 2-pin net."""
-    cells = [
-        Cell(id=0, name="a", width=1.0, height=1.0),
-        Cell(id=1, name="b", width=1.0, height=1.0),
-        Cell(id=2, name="c", width=1.0, height=1.0),
-    ]
-    nets = [
-        Net(id=0, name="n0", pins=[Pin(0), Pin(1), Pin(2)]),
-        Net(id=1, name="n1", pins=[Pin(0), Pin(1)]),
-    ]
-    return make_design(cells, nets, Region(0.0, 0.0, 10.0, 10.0))
+    return make_design(["a", "b", "c"], [[0, 1, 2], [0, 1]], Region(0.0, 0.0, 10.0, 10.0))
 
 
 @pytest.fixture
 def anchored_design() -> Design:
     """Two movable cells between two fixed pads on a 12x4 strip."""
-    cells = [
-        Cell(id=0, name="p_left", width=1.0, height=1.0, fixed=True, fixed_pos=(1.0, 2.0)),
-        Cell(id=1, name="m0", width=1.0, height=1.0),
-        Cell(id=2, name="m1", width=1.0, height=1.0),
-        Cell(id=3, name="p_right", width=1.0, height=1.0, fixed=True, fixed_pos=(11.0, 2.0)),
-    ]
-    nets = [
-        Net(id=0, name="n0", pins=[Pin(0), Pin(1)]),
-        Net(id=1, name="n1", pins=[Pin(1), Pin(2)]),
-        Net(id=2, name="n2", pins=[Pin(2), Pin(3)]),
-    ]
-    return make_design(cells, nets, Region(0.0, 0.0, 12.0, 4.0))
+    return make_design(
+        ["p_left", "m0", "m1", "p_right"],
+        [[0, 1], [1, 2], [2, 3]],
+        Region(0.0, 0.0, 12.0, 4.0),
+        pads={0: (1.0, 2.0), 3: (11.0, 2.0)},
+    )
 
 
 def random_connected_graph(n: int, rng: np.random.Generator) -> SparseSymMatrix:

@@ -86,7 +86,7 @@ def paired_runs():
         adj = build_clique_graph(design)
         g_gift, _ = gift_place(design, adj, GiftConfig(seed=seed))
         movable = ~design.fixed_mask()
-        g_center = np.array(design.fixed_positions())
+        g_center = np.array(design.fixed_xy)
         g_center[movable] = [design.region.center[0], design.region.center[1]]
         config = PlacerConfig(stop_overflow=0.15, seed=seed)
         g_gift_final, gift_trace = run_placer(design, g_gift, config)
@@ -209,7 +209,7 @@ def test_placer_gradients_match_finite_differences():
             rng.uniform(region.ymin + 1.0, region.ymax - 1.0, design.num_cells),
         ])
         fixed = design.fixed_mask()
-        g[fixed] = design.fixed_positions()[fixed]
+        g[fixed] = design.fixed_xy[fixed]
         movable = np.flatnonzero(~fixed)
 
         _, wl_grad = smooth_wirelength_grad(design, g, 1.0)

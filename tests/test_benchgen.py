@@ -31,8 +31,9 @@ class UnionFind:
 
 def clique_components(design) -> int:
     uf = UnionFind(design.num_cells)
-    for net in design.nets:
-        pins = [p.cell for p in net.pins]
+    starts = design.net_start.tolist()
+    for lo, hi in zip(starts, starts[1:]):
+        pins = design.pin_cell[lo:hi].tolist()
         for a, b in zip(pins, pins[1:]):
             uf.union(a, b)
     return uf.components()
@@ -43,7 +44,7 @@ class TestGenerate:
         design = generate(cells=100, seed=1)
         assert design.num_movable == 100
         assert design.num_fixed >= 4
-        assert len(design.nets) >= 99
+        assert design.num_nets >= 99
 
     def test_clique_graph_connected(self):
         design = generate(cells=100, seed=1)
@@ -59,26 +60,23 @@ class TestGenerate:
     def test_determinism(self):
         a = generate(cells=120, seed=9)
         b = generate(cells=120, seed=9)
-        assert [c.name for c in a.cells] == [c.name for c in b.cells]
-        assert [c.fixed_pos for c in a.cells] == [c.fixed_pos for c in b.cells]
-        assert [[p.cell for p in n.pins] for n in a.nets] == [[p.cell for p in n.pins] for n in b.nets]
+        assert a.names == b.names
+        assert np.array_equal(a.fixed_xy, b.fixed_xy, equal_nan=True)
+        assert np.array_equal(a.net_start, b.net_start) and np.array_equal(a.pin_cell, b.pin_cell)
 
     def test_seeds_differ(self):
         a = generate(cells=120, seed=1)
         b = generate(cells=120, seed=2)
-        assert [[p.cell for p in n.pins] for n in a.nets] != [[p.cell for p in n.pins] for n in b.nets]
+        assert not (np.array_equal(a.net_start, b.net_start) and np.array_equal(a.pin_cell, b.pin_cell))
 
     def test_all_two_pin_fanout(self):
         design = generate(cells=60, fanout={2: 1.0}, seed=5)
-        assert all(net.degree == 2 for net in design.nets)
+        assert np.all(np.diff(design.net_start) == 2)
 
     def test_io_on_periphery(self):
         design = generate(cells=100, seed=1)
         r = design.region
-        for cell in design.cells:
-            if not cell.fixed:
-                continue
-            x, y = cell.fixed_pos
+        for x, y in design.fixed_xy[design.fixed].tolist():
             on_x_edge = abs(x - (r.xmin + 0.5)) < 1e-9 or abs(x - (r.xmax - 0.5)) < 1e-9
             on_y_edge = abs(y - (r.ymin + 0.5)) < 1e-9 or abs(y - (r.ymax - 0.5)) < 1e-9
             assert on_x_edge or on_y_edge
@@ -118,10 +116,23 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(cells=12, rows=2, cols=2)
 
+    def test_mesh_nets_match_per_cell_loop(self):
+        # reference: each cell's right neighbor, then its upper one, cell by cell
+        cells, cols = 23, 5
+        design = generate(cells=cells, cols=cols, seed=0)
+        expected = []
+        for i in range(cells):
+            if i % cols + 1 < cols and i + 1 < cells:
+                expected += [i, i + 1]
+            if i + cols < cells:
+                expected += [i, i + cols]
+        assert design.pin_cell[: len(expected)].tolist() == expected
+        assert np.all(np.diff(design.net_start)[: len(expected) // 2] == 2)
+
     def test_long_range_fraction_zero(self):
         design = generate(cells=49, long_range_fraction=0.0, seed=3)
         # mesh + io nets only; everything is 2-pin
-        assert all(net.degree == 2 for net in design.nets)
+        assert np.all(np.diff(design.net_start) == 2)
 
 
 class TestRoundTripThroughBookshelf:
@@ -131,7 +142,7 @@ class TestRoundTripThroughBookshelf:
         again = parse_design(aux)
         assert again.num_cells == design.num_cells
         assert again.num_fixed == design.num_fixed
-        assert [n.degree for n in again.nets] == [n.degree for n in design.nets]
+        assert np.array_equal(again.net_start, design.net_start)
         r1, r2 = design.region, again.region
         assert (r1.xmin, r1.ymin, r1.xmax, r1.ymax) == (r2.xmin, r2.ymin, r2.xmax, r2.ymax)
         assert clique_components(again) == 1
@@ -150,7 +161,7 @@ class TestRoundTripThroughBookshelf:
         design = generate(cells=40, seed=6)
         aux = write_design(design, str(tmp_path), "rt")
         again = parse_design(aux)
-        p1 = design.fixed_positions()
-        p2 = again.fixed_positions()
-        mask = design.fixed_mask()
+        p1 = design.fixed_xy
+        p2 = again.fixed_xy
+        mask = design.fixed
         assert np.allclose(p1[mask], p2[mask], atol=1e-6)

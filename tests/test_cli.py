@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ class TestBenchgen:
         assert code == 0
         info = json.loads(out)
         design = parse_design(info["aux"])
-        assert sum(not c.fixed for c in design.cells) == 50
+        assert int(np.count_nonzero(~design.fixed)) == 50
 
     def test_same_seed_identical_files(self, tmp_path, capsys):
         a = tmp_path / "a"
@@ -127,6 +128,60 @@ class TestNonFiniteInput:
         assert "NaN" not in out
 
 
+def poison_scl(aux: str, keyword: str, line: str) -> int:
+    """Replace the first .scl line holding ``keyword``; returns its line number."""
+    path = aux[: -len(".aux")] + ".scl"
+    with open(path) as f:
+        lines = f.read().split("\n")
+    lineno = next(i for i, text in enumerate(lines, start=1) if keyword in text)
+    lines[lineno - 1] = line
+    with open(path, "w") as f:
+        f.write("\n".join(lines))
+    return lineno
+
+
+class TestSclRows:
+    """A bad .scl row ends in a one-line diagnostic and its exit code, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["gift", "place"])
+    @pytest.mark.parametrize(
+        "keyword,line",
+        [
+            ("Coordinate", "\tCoordinate : nan"),
+            ("Coordinate", "\tCoordinate : inf"),
+            ("Height", "\tHeight : -inf"),
+            ("Sitewidth", "\tSitewidth : nan"),
+            ("SubrowOrigin", "\tSubrowOrigin : nan NumSites : 10"),
+            ("SubrowOrigin", "\tSubrowOrigin : 0 NumSites : inf"),
+        ],
+        ids=["coordinate-nan", "coordinate-inf", "height-inf", "sitewidth-nan", "origin-nan", "numsites-inf"],
+    )
+    def test_nonfinite_row_exit_1(self, bench, tmp_path, capsys, command, keyword, line):
+        lineno = poison_scl(bench, keyword, line)
+        out = tmp_path / "out.pl"
+        code, stdout, err = run_cli(capsys, command, bench, "--out", str(out))
+        assert code == 1
+        assert f"synth.scl:{lineno}:" in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_invalid_design_exit_2(self, bench, tmp_path, capsys):
+        # rows of zero sites give the region no width: validation, not parsing, rejects it
+        scl = bench[: -len(".aux")] + ".scl"
+        with open(scl) as f:
+            text = f.read()
+        with open(scl, "w") as f:
+            f.write(re.sub(r"NumSites : \d+", "NumSites : 0", text))
+        out = tmp_path / "out.pl"
+        code, stdout, err = run_cli(capsys, "gift", bench, "--out", str(out))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "GiftPlaceError: region must be finite with positive extent" in err
+        assert stdout == ""
+        assert not out.exists()
+
+
 class TestPlace:
     def test_center_init_runs(self, bench, tmp_path, capsys):
         out = tmp_path / "p.pl"
@@ -153,7 +208,7 @@ class TestPlace:
     def test_file_init_starts_from_given_coordinates(self, bench, tmp_path, capsys):
         design = parse_design(bench)
         rng = np.random.default_rng(5)
-        g = np.array(design.fixed_positions())
+        g = np.array(design.fixed_xy)
         movable = ~design.fixed_mask()
         g[movable, 0] = rng.uniform(design.region.xmin + 1, design.region.xmax - 1, movable.sum())
         g[movable, 1] = rng.uniform(design.region.ymin + 1, design.region.ymax - 1, movable.sum())

@@ -6,16 +6,15 @@ independent eigendecomposition of each augmented operator.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from giftplace import (
-    Cell,
     DimensionMismatchError,
     FilterTerm,
     GiftConfig,
-    Net,
-    Pin,
     Region,
     build_clique_graph,
     from_coo,
@@ -62,24 +61,15 @@ class TestInitialSignal:
 
     def test_jitter_independent_of_fixed_layout(self, anchored_design):
         """The movable cells' noise must not shift when other cells are fixed."""
-        free = make_design(
-            [Cell(id=c.id, name=c.name, width=c.width, height=c.height) for c in anchored_design.cells],
-            [Net(id=n.id, name=n.name, pins=list(n.pins)) for n in anchored_design.nets],
-            anchored_design.region,
-        )
+        free = dataclasses.replace(anchored_design, fixed=np.zeros(4, bool), fixed_xy=np.full((4, 2), np.nan))
         g_fixed = initial_signal(anchored_design, GiftConfig(seed=5))
         g_free = initial_signal(free, GiftConfig(seed=5))
         assert np.array_equal(g_fixed[1:3], g_free[1:3])
 
     def test_default_scale_tracks_region(self):
         """Doubling the region doubles the default jitter spread."""
-        cells = [Cell(id=i, name=f"c{i}", width=1.0, height=1.0) for i in range(400)]
-        small = make_design(cells, [], Region(0.0, 0.0, 100.0, 100.0))
-        big = make_design(
-            [Cell(id=i, name=f"c{i}", width=1.0, height=1.0) for i in range(400)],
-            [],
-            Region(0.0, 0.0, 200.0, 200.0),
-        )
+        small = make_design(400, [], Region(0.0, 0.0, 100.0, 100.0))
+        big = make_design(400, [], Region(0.0, 0.0, 200.0, 200.0))
         gs = initial_signal(small, GiftConfig(seed=9))
         gb = initial_signal(big, GiftConfig(seed=9))
         assert gb[:, 0].std() == pytest.approx(2.0 * gs[:, 0].std(), rel=1e-9)
@@ -137,12 +127,9 @@ class TestGiftFilter:
 
 class TestGiftPlace:
     def test_all_fixed_design(self):
-        cells = [
-            Cell(id=0, name="p0", width=1.0, height=1.0, fixed=True, fixed_pos=(2.0, 2.0)),
-            Cell(id=1, name="p1", width=1.0, height=1.0, fixed=True, fixed_pos=(8.0, 8.0)),
-        ]
-        nets = [Net(id=0, name="n0", pins=[Pin(0), Pin(1)])]
-        design = make_design(cells, nets, Region(0.0, 0.0, 10.0, 10.0))
+        design = make_design(
+            ["p0", "p1"], [[0, 1]], Region(0.0, 0.0, 10.0, 10.0), pads={0: (2.0, 2.0), 1: (8.0, 8.0)}
+        )
         adj = build_clique_graph(design)
         g, timings = gift_place(design, adj)
         assert g.tolist() == [[2.0, 2.0], [8.0, 8.0]]
@@ -162,7 +149,7 @@ class TestGiftPlace:
         adj = build_clique_graph(design)
         g, _ = gift_place(design, adj)
         mask = design.fixed_mask()
-        assert np.array_equal(g[mask], design.fixed_positions()[mask])
+        assert np.array_equal(g[mask], design.fixed_xy[mask])
 
     def test_end_to_end_determinism(self):
         design = generate(cells=150, seed=6)

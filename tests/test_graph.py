@@ -13,36 +13,28 @@ import pytest
 import scipy.sparse as sp
 
 from giftplace import (
-    Cell,
     Design,
     DimensionMismatchError,
     FilterTerm,
+    GiftConfig,
     IsolatedNodeError,
-    Net,
     NonSymmetricError,
-    Pin,
     Region,
     SparseSymMatrix,
     TooLargeForDenseError,
-    apply_operator_power,
     build_clique_graph,
     from_coo,
     generate,
+    gift_filter,
     identity_minus,
     laplacian,
     normalized_augmented_adjacency,
-    save_matrix_market,
 )
 from tests.conftest import make_design, random_connected_graph
 
 
 def design_with_nets(n_cells: int, nets_pins: list[list[int]]) -> Design:
-    cells = [Cell(id=i, name=f"c{i}", width=1.0, height=1.0) for i in range(n_cells)]
-    nets = [
-        Net(id=j, name=f"n{j}", pins=[Pin(c) for c in pins])
-        for j, pins in enumerate(nets_pins)
-    ]
-    return make_design(cells, nets, Region(0.0, 0.0, 10.0, 10.0))
+    return make_design(n_cells, nets_pins, Region(0.0, 0.0, 10.0, 10.0))
 
 
 def dense_aug_oracle(a: np.ndarray, sigma: float) -> np.ndarray:
@@ -56,13 +48,14 @@ WIDE_FANOUT = {2: 0.35, 3: 0.2, 4: 0.15, 6: 0.1, 8: 0.08, 16: 0.07, 32: 0.05}
 
 
 def reference_clique_graph(design: Design, max_clique_pins: int | None = None) -> sp.csr_matrix:
-    """Per-net loop over Net/Pin objects: the bit-exact oracle for the bucketed build."""
+    """Per-net loop over pin-table slices: the bit-exact oracle for the bucketed build."""
     rows, cols, vals = [], [], []
-    for net in design.nets:
-        m = net.degree
+    starts = design.net_start.tolist()
+    for lo, hi in zip(starts, starts[1:]):
+        m = hi - lo
         if m < 2 or (max_clique_pins is not None and m > max_clique_pins):
             continue
-        cells = np.fromiter((p.cell for p in net.pins), dtype=np.int64, count=m)
+        cells = design.pin_cell[lo:hi]
         iu, ju = np.triu_indices(m, k=1)
         a, b = cells[iu], cells[ju]
         keep = a != b
@@ -125,7 +118,7 @@ class TestBucketedBuildOracle:
     @pytest.mark.parametrize("offset", [-3, -1, 0, 1])
     def test_max_clique_pins_around_max_degree(self, name, offset):
         design = ORACLE_DESIGNS[name]()
-        cap = max(net.degree for net in design.nets) + offset
+        cap = int(np.diff(design.net_start).max()) + offset
         got = build_clique_graph(design, max_clique_pins=cap).to_scipy()
         assert_same_csr(got, reference_clique_graph(design, max_clique_pins=cap))
 
@@ -321,19 +314,23 @@ class TestAugmentedAdjacency:
 
 
 class TestOperatorPower:
+    """One filter term with alpha = 1 is the operator power A_sigma^k g."""
+
+    @staticmethod
+    def power(adj: SparseSymMatrix, sigma: float, g: np.ndarray, k: int) -> np.ndarray:
+        return gift_filter(adj, g, GiftConfig(terms=(FilterTerm(sigma=sigma, k=k, alpha=1.0),)))
+
     def test_hand_computed_square(self):
         adj = from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
-        op = normalized_augmented_adjacency(adj, 2.0)
-        g = np.array([0.0, 3.0])
-        out = apply_operator_power(op, g, 2)
+        out = self.power(adj, 2.0, np.array([0.0, 3.0]), 2)
         assert np.abs(out - np.array([4.0 / 3.0, 5.0 / 3.0])).max() < 1e-12
 
     def test_composition_identity(self, graph_rng):
         adj = random_connected_graph(25, graph_rng)
         op = normalized_augmented_adjacency(adj, 4.0)
         g = graph_rng.standard_normal((25, 2))
-        once_twice = apply_operator_power(op, apply_operator_power(op, g, 1), 1)
-        assert np.abs(apply_operator_power(op, g, 2) - once_twice).max() < 1e-14
+        once_twice = op.matmul(self.power(adj, 4.0, g, 1))
+        assert np.abs(self.power(adj, 4.0, g, 2) - once_twice).max() < 1e-14
 
     def test_matches_dense_matrix_power(self, graph_rng):
         adj = random_connected_graph(30, graph_rng)
@@ -341,18 +338,17 @@ class TestOperatorPower:
         g = graph_rng.standard_normal((30, 2))
         for k in (1, 2, 4):
             expected = np.linalg.matrix_power(op.to_dense(), k) @ g
-            assert np.abs(apply_operator_power(op, g, k) - expected).max() < 1e-10
+            assert np.abs(self.power(adj, 4.0, g, k) - expected).max() < 1e-10
 
     def test_k_zero_rejected(self):
         adj = from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            apply_operator_power(adj, np.zeros(2), 0)
+            self.power(adj, 1.0, np.zeros(2), 0)
 
     def test_constant_signal_on_regular_graph(self):
         adj = from_coo(4, [0, 1, 1, 2, 2, 3, 3, 0], [1, 0, 2, 1, 3, 2, 0, 3], np.ones(8))
-        op = normalized_augmented_adjacency(adj, 1.0)
         g = np.full(4, 2.5)
-        assert np.abs(apply_operator_power(op, g, 3) - g).max() < 1e-12
+        assert np.abs(self.power(adj, 1.0, g, 3) - g).max() < 1e-12
 
 
 class TestFilterTerm:
@@ -372,13 +368,3 @@ class TestIdentityMinus:
         eig = np.linalg.eigvalsh(lap.to_dense())
         assert eig.min() >= -1e-9
         assert eig.max() <= 2.0 + 1e-9
-
-
-def test_matrix_market_dump(tmp_path, graph_rng):
-    adj = random_connected_graph(10, graph_rng)
-    path = str(tmp_path / "adj.mtx")
-    save_matrix_market(adj, path)
-    import scipy.io
-
-    back = scipy.io.mmread(path).tocsr()
-    assert np.abs(back.toarray() - adj.to_dense()).max() < 1e-12

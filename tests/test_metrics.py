@@ -11,12 +11,9 @@ import numpy as np
 import pytest
 
 from giftplace import (
-    Cell,
     DensityGrid,
     DimensionMismatchError,
     GridConfig,
-    Net,
-    Pin,
     Region,
     ZeroSignalError,
     build_clique_graph,
@@ -39,9 +36,7 @@ from tests.conftest import make_design, random_connected_graph
 
 
 def grid_design(n_cells=1, cell_w=1.0, cell_h=1.0, region=(0.0, 0.0, 8.0, 8.0), nets=()):
-    cells = [Cell(id=i, name=f"c{i}", width=cell_w, height=cell_h) for i in range(n_cells)]
-    net_objs = [Net(id=j, name=f"n{j}", pins=[Pin(c) for c in pins]) for j, pins in enumerate(nets)]
-    return make_design(cells, net_objs, Region(*region))
+    return make_design(n_cells, list(nets), Region(*region), sizes=(cell_w, cell_h))
 
 
 class TestQuadraticWirelength:
@@ -131,9 +126,9 @@ class TestHpwl:
         assert hpwl(design, g + 11.0) == pytest.approx(hpwl(design, g))
 
     def test_pin_offsets_honored(self):
-        cells = [Cell(id=0, name="a", width=4.0, height=2.0), Cell(id=1, name="b", width=2.0, height=2.0)]
-        nets = [Net(id=0, name="n", pins=[Pin(0, dx=2.0, dy=0.0), Pin(1, dx=-1.0, dy=0.5)])]
-        design = make_design(cells, nets, Region(0.0, 0.0, 20.0, 20.0))
+        design = make_design(
+            ["a", "b"], [[(0, 2.0, 0.0), (1, -1.0, 0.5)]], Region(0.0, 0.0, 20.0, 20.0), sizes=[(4.0, 2.0), (2.0, 2.0)]
+        )
         g = np.array([[5.0, 5.0], [10.0, 5.0]])
         # pin positions: (7,5) and (9,5.5)
         assert hpwl(design, g) == pytest.approx(2.0 + 0.5)
@@ -144,7 +139,7 @@ class TestHpwl:
         g = rng.uniform(-5.0, 5.0, size=(design.num_cells, 2))
         expected = 0.0
         for net in design.nets:
-            if net.degree < 2:
+            if len(net.pins) < 2:
                 continue
             xs = [g[p.cell, 0] + p.dx for p in net.pins]
             ys = [g[p.cell, 1] + p.dy for p in net.pins]
@@ -187,7 +182,7 @@ class TestDensityMap:
             [rng.uniform(r.xmin, r.xmax, design.num_cells), rng.uniform(r.ymin, r.ymax, design.num_cells)]
         )
         grid = density_map(design, g, GridConfig(nx=13, ny=11))
-        w, h = design.sizes()
+        w, h = design.widths, design.heights
         x0 = np.clip(g[:, 0] - w / 2, r.xmin, r.xmax)
         x1 = np.clip(g[:, 0] + w / 2, r.xmin, r.xmax)
         y0 = np.clip(g[:, 1] - h / 2, r.ymin, r.ymax)

@@ -12,11 +12,8 @@ import numpy as np
 import pytest
 
 from giftplace import (
-    Cell,
     DivergenceError,
     GridConfig,
-    Net,
-    Pin,
     PlacerConfig,
     Region,
     default_placer_bins,
@@ -41,19 +38,18 @@ def random_positions(design, rng):
         ]
     )
     fixed = design.fixed_mask()
-    g[fixed] = design.fixed_positions()[fixed]
+    g[fixed] = design.fixed_xy[fixed]
     return g
 
 
 def offset_pin_design():
     """Four cells, pins displaced from cell centers, on a 20x20 region."""
-    cells = [Cell(id=i, name=f"c{i}", width=2.0, height=2.0) for i in range(4)]
     nets = [
-        Net(id=0, name="n0", pins=[Pin(0, 0.3, -0.2), Pin(1, -0.4, 0.1), Pin(2, 0.0, 0.5)]),
-        Net(id=1, name="n1", pins=[Pin(2, -0.1, -0.3), Pin(3, 0.2, 0.2)]),
-        Net(id=2, name="n2", pins=[Pin(0, 0.0, 0.0), Pin(3, -0.5, 0.4)]),
+        [(0, 0.3, -0.2), (1, -0.4, 0.1), (2, 0.0, 0.5)],
+        [(2, -0.1, -0.3), (3, 0.2, 0.2)],
+        [(0, 0.0, 0.0), (3, -0.5, 0.4)],
     ]
-    return make_design(cells, nets, Region(0.0, 0.0, 20.0, 20.0))
+    return make_design(4, nets, Region(0.0, 0.0, 20.0, 20.0), sizes=(2.0, 2.0))
 
 
 def fd_gradient(fun, g, movable, h):
@@ -71,12 +67,7 @@ def fd_gradient(fun, g, movable, h):
 
 class TestWirelengthGradient:
     def test_two_pin_log_sum_exp_bounds(self):
-        cells = [
-            Cell(id=0, name="a", width=1.0, height=1.0),
-            Cell(id=1, name="b", width=1.0, height=1.0),
-        ]
-        nets = [Net(id=0, name="n0", pins=[Pin(0), Pin(1)])]
-        design = make_design(cells, nets, Region(0.0, 0.0, 20.0, 20.0))
+        design = make_design(["a", "b"], [[0, 1]], Region(0.0, 0.0, 20.0, 20.0))
         g = np.array([[2.0, 5.0], [12.0, 8.0]])
         gamma = 1.0
         value, _ = smooth_wirelength_grad(design, g, gamma)
@@ -139,9 +130,7 @@ class TestWirelengthGradient:
 
 class TestDensityGradient:
     def test_under_target_is_flat(self):
-        cells = [Cell(id=i, name=f"c{i}", width=1.0, height=1.0) for i in range(2)]
-        nets = [Net(id=0, name="n0", pins=[Pin(0), Pin(1)])]
-        design = make_design(cells, nets, Region(0.0, 0.0, 40.0, 40.0))
+        design = make_design(2, [[0, 1]], Region(0.0, 0.0, 40.0, 40.0))
         g = np.array([[5.0, 5.0], [30.0, 30.0]])
         value, grad, _ = density_penalty_grad(design, g, GridConfig(nx=4, ny=4))
         assert value == 0.0
@@ -171,9 +160,7 @@ class TestDensityGradient:
         assert np.max(np.abs(grad[movable] - fd[movable])) <= 1e-4
 
     def test_descent_step_off_overfull_bin_reduces_value(self):
-        cells = [Cell(id=i, name=f"c{i}", width=2.0, height=2.0) for i in range(2)]
-        nets = [Net(id=0, name="n0", pins=[Pin(0), Pin(1)])]
-        design = make_design(cells, nets, Region(0.0, 0.0, 8.0, 8.0))
+        design = make_design(2, [[0, 1]], Region(0.0, 0.0, 8.0, 8.0), sizes=(2.0, 2.0))
         g = np.array([[3.9, 4.1], [4.1, 3.9]])  # the two cells overlap near the center
         grid = GridConfig(nx=8, ny=8)  # unit bins: the doubled-up region is overfull
         value, grad, _ = density_penalty_grad(design, g, grid)
@@ -183,12 +170,9 @@ class TestDensityGradient:
         assert value2 < value
 
     def test_fixed_cells_contribute_density_but_not_gradient(self):
-        cells = [
-            Cell(id=0, name="blockage", width=4.0, height=4.0, fixed=True, fixed_pos=(4.0, 4.0)),
-            Cell(id=1, name="m", width=2.0, height=2.0),
-        ]
-        nets = [Net(id=0, name="n0", pins=[Pin(0), Pin(1)])]
-        design = make_design(cells, nets, Region(0.0, 0.0, 8.0, 8.0))
+        design = make_design(
+            ["blockage", "m"], [[0, 1]], Region(0.0, 0.0, 8.0, 8.0), sizes=[(4.0, 4.0), (2.0, 2.0)], pads={0: (4.0, 4.0)}
+        )
         g = np.array([[4.0, 4.0], [4.3, 3.8]])
         value, grad, _ = density_penalty_grad(design, g, GridConfig(nx=4, ny=4))
         assert value > 0.0  # the blockage alone overfills its bins
@@ -199,9 +183,7 @@ class TestDensityGradient:
 class TestElectrostaticGradient:
     def test_uniform_occupancy_feels_no_force(self):
         # one 2x2 cell centered in each 4x4 bin: zero charge everywhere
-        cells = [Cell(id=i, name=f"c{i}", width=2.0, height=2.0) for i in range(4)]
-        nets = [Net(id=0, name="n0", pins=[Pin(0), Pin(1), Pin(2), Pin(3)])]
-        design = make_design(cells, nets, Region(0.0, 0.0, 8.0, 8.0))
+        design = make_design(4, [[0, 1, 2, 3]], Region(0.0, 0.0, 8.0, 8.0), sizes=(2.0, 2.0))
         g = np.array([[2.0, 2.0], [6.0, 2.0], [2.0, 6.0], [6.0, 6.0]])
         value, grad, _ = electrostatic_grad(design, g, GridConfig(nx=2, ny=2))
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -213,7 +195,7 @@ class TestElectrostaticGradient:
         g = random_positions(design, np.random.default_rng(6))
         value, _, _ = electrostatic_grad(design, g, grid)
         assert value >= 0.0
-        stacked = np.array(design.fixed_positions())
+        stacked = np.array(design.fixed_xy)
         movable = ~design.fixed_mask()
         stacked[movable] = [design.region.center[0], design.region.center[1]]
         value_stacked, _, _ = electrostatic_grad(design, stacked, grid)
@@ -237,9 +219,7 @@ class TestElectrostaticGradient:
         # density: the overfill penalty sees nothing to do, while the
         # potential field pulls every cell -- interior ones included --
         # toward the empty right half
-        cells = [Cell(id=i, name=f"c{i}", width=2.0, height=4.0) for i in range(6)]
-        nets = [Net(id=0, name="n0", pins=[Pin(0), Pin(5)])]
-        design = make_design(cells, nets, Region(0.0, 0.0, 24.0, 4.0))
+        design = make_design(6, [[0, 5]], Region(0.0, 0.0, 24.0, 4.0), sizes=(2.0, 4.0))
         g = np.column_stack([0.2 + 1.0 + 2.0 * np.arange(6), np.full(6, 2.0)])
         grid = GridConfig(nx=12, ny=1)
         pen_value, pen_grad, _ = density_penalty_grad(design, g, grid)
@@ -250,12 +230,9 @@ class TestElectrostaticGradient:
         assert np.all(es_grad[:, 0] < 0.0)  # descent moves every cell rightward
 
     def test_fixed_cells_contribute_charge_but_not_gradient(self):
-        cells = [
-            Cell(id=0, name="blockage", width=4.0, height=4.0, fixed=True, fixed_pos=(4.0, 4.0)),
-            Cell(id=1, name="m", width=2.0, height=2.0),
-        ]
-        nets = [Net(id=0, name="n0", pins=[Pin(0), Pin(1)])]
-        design = make_design(cells, nets, Region(0.0, 0.0, 8.0, 8.0))
+        design = make_design(
+            ["blockage", "m"], [[0, 1]], Region(0.0, 0.0, 8.0, 8.0), sizes=[(4.0, 4.0), (2.0, 2.0)], pads={0: (4.0, 4.0)}
+        )
         g = np.array([[4.0, 4.0], [4.3, 3.8]])
         value, grad, _ = electrostatic_grad(design, g, GridConfig(nx=4, ny=4))
         assert value > 0.0
@@ -277,7 +254,7 @@ class TestPlacerConfig:
     def test_default_bins_no_coarser_than_cells(self):
         design = generate(cells=200, seed=1)
         grid = default_placer_bins(design)
-        w, h = design.sizes()
+        w, h = design.widths, design.heights
         movable = ~design.fixed_mask()
         assert design.region.width / grid.nx <= float(w[movable].mean()) + 1e-9
         assert design.region.height / grid.ny <= float(h[movable].mean()) + 1e-9
@@ -338,7 +315,7 @@ class TestRunPlacer:
         g0 = self.spread_start(design, seed=4)
         fixed = design.fixed_mask()
         g, _ = run_placer(design, g0, PlacerConfig(max_iters=30))
-        np.testing.assert_array_equal(g[fixed], design.fixed_positions()[fixed])
+        np.testing.assert_array_equal(g[fixed], design.fixed_xy[fixed])
 
     def test_pure_wirelength_descent_is_monotone(self):
         # with the density weight pinned at zero and a small fixed step, the
@@ -361,7 +338,7 @@ class TestRunPlacer:
 
     def test_budget_exhaustion_flagged(self):
         design = generate(cells=100, seed=7)
-        g0 = np.array(design.fixed_positions())
+        g0 = np.array(design.fixed_xy)
         movable = ~design.fixed_mask()
         g0[movable] = [
             0.5 * (design.region.xmin + design.region.xmax),

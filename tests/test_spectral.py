@@ -13,7 +13,6 @@ from giftplace import (
     TooLargeForDenseError,
     eigendecompose,
     eigenvector_placement,
-    exact_denoise,
     filter_response,
     from_coo,
     gft,
@@ -198,31 +197,6 @@ class TestEigenvectorPlacement:
         basis = eigendecompose(norm_laplacian(path_graph(2)))
         with pytest.raises(ValueError):
             eigenvector_placement(basis)
-
-
-class TestExactDenoise:
-    def test_two_node_hand_solve(self):
-        adj = from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
-        out = exact_denoise(laplacian(adj), np.array([0.0, 3.0]))
-        assert np.abs(out - np.array([1.0, 2.0])).max() < 1e-12
-
-    def test_constant_passes_through(self, graph_rng):
-        adj = random_connected_graph(30, graph_rng)
-        g = np.full((30, 2), 4.25)
-        assert np.abs(exact_denoise(laplacian(adj), g) - g).max() < 1e-10
-
-    def test_residual(self, graph_rng):
-        adj = random_connected_graph(60, graph_rng)
-        lap = laplacian(adj)
-        g = graph_rng.standard_normal((60, 2)) * 5.0
-        out = exact_denoise(lap, g)
-        residual = out + lap.matmul(out) - g
-        assert np.abs(residual).max() <= 1e-8
-
-    def test_dense_guard(self, graph_rng):
-        adj = random_connected_graph(30, graph_rng)
-        with pytest.raises(TooLargeForDenseError):
-            exact_denoise(laplacian(adj), np.zeros(30), limit=10)
 
 
 class TestFilterResponse:
