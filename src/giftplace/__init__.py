@@ -62,7 +62,6 @@ from .placer import (
     TraceRecord,
     balanced_lambda0,
     default_placer_bins,
-    density_penalty_grad,
     electrostatic_grad,
     run_placer,
     smooth_wirelength_grad,

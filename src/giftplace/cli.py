@@ -13,6 +13,7 @@ error, 4 placer divergence.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -24,18 +25,12 @@ import numpy as np
 from . import __version__
 from .benchgen import generate
 from .errors import (
-    CutoffOutOfRangeError,
     DanglingPinError,
-    DimensionMismatchError,
     DivergenceError,
     DuplicateCellError,
     GiftPlaceError,
-    IsolatedNodeError,
     MalformedLineError,
     MissingFileError,
-    NonSymmetricError,
-    TooLargeForDenseError,
-    ZeroSignalError,
 )
 from .gift import GiftConfig, gift_place
 from .graph import (
@@ -59,55 +54,84 @@ EXIT_IO = 3
 EXIT_DIVERGED = 4
 
 PARSE_ERRORS = (MissingFileError, MalformedLineError, DuplicateCellError, DanglingPinError)
-COMPUTE_ERRORS = (
-    IsolatedNodeError,
-    TooLargeForDenseError,
-    NonSymmetricError,
-    DimensionMismatchError,
-    CutoffOutOfRangeError,
-    ZeroSignalError,
-)
 
-DEFAULTS: dict[str, dict] = {
+_GENERATE = inspect.signature(generate).parameters
+_COMMON = {
+    "seed": (int, 0, "random seed"),
+    "manifest": (str, None, "run manifest path"),
+}
+_TERMS = (str, None, "filter terms sigma:k:alpha,... (default: the paper's three terms)")
+_JITTER = (float, GiftConfig.jitter_scale, "initial jitter scale (default: a quarter of the smaller region side)")
+_BINS = (str, None, "density bins, N or NXxNY (default: sized per design)")
+_RHO_T = (float, GridConfig.rho_t, "target density in (0,1]")
+_MAX_CLIQUE_PINS = (int, None, "skip nets with more pins than this during clique expansion")
+
+# command -> option -> (type, default, help): the flags, the config-file keys
+# and the resolved defaults of every command that writes a manifest
+OPTIONS: dict[str, dict[str, tuple]] = {
     "gift": {
-        "seed": 0, "out": None, "manifest": None, "terms": None,
-        "jitter": None, "max_clique_pins": None,
+        "out": (str, None, "output .pl path (default: AUX stem + .gift.pl)"),
+        "terms": _TERMS,
+        "jitter": _JITTER,
+        "max_clique_pins": _MAX_CLIQUE_PINS,
+        **_COMMON,
     },
     "place": {
-        "seed": 0, "out": None, "trace": None, "manifest": None, "init": "center",
-        "gamma": None, "lambda0": None, "lambda_growth": 1.03, "step": None,
-        "max_iters": 1000, "stop_overflow": 0.15, "bins": None, "rho_t": 1.0,
-        "terms": None, "jitter": None, "max_clique_pins": None,
+        "init": (str, "center", "center|gift|eigen|file:PATH"),
+        "out": (str, None, "final .pl path (default: AUX stem + .place.pl)"),
+        "trace": (str, None, "per-iteration trace CSV path (default: OUT + .trace.csv)"),
+        "gamma": (float, PlacerConfig.gamma, "wirelength smoothing (default: region width / 100)"),
+        "lambda0": (float, PlacerConfig.lambda0, "initial density weight (default: balances the forces)"),
+        "lambda_growth": (float, PlacerConfig.lambda_growth, "per-iteration density weight multiplier"),
+        "step": (float, PlacerConfig.step, "fixed step size (default: per-cell saturated steps)"),
+        "max_iters": (int, PlacerConfig.max_iters, "iteration budget"),
+        "stop_overflow": (float, PlacerConfig.stop_overflow, "stop once overflow is at most this"),
+        "bins": _BINS,
+        "rho_t": _RHO_T,
+        "terms": _TERMS,
+        "jitter": _JITTER,
+        "max_clique_pins": _MAX_CLIQUE_PINS,
+        **_COMMON,
     },
     "spectrum": {
-        "seed": 0, "sigma": "0,1,2,3", "k": "1,2,4", "out_dir": ".",
-        "manifest": None, "max_clique_pins": None,
+        "sigma": (str, "0,1,2,3", "comma list of self-loop weights"),
+        "k": (str, "1,2,4", "comma list of filter powers"),
+        "out_dir": (str, ".", "directory for CSV outputs"),
+        "max_clique_pins": _MAX_CLIQUE_PINS,
+        **_COMMON,
     },
     "metrics": {
-        "seed": 0, "pl": None, "out": None, "manifest": None,
-        "bins": None, "rho_t": 1.0, "max_clique_pins": None,
+        "pl": (str, None, "placement to evaluate (default: the design's .pl)"),
+        "out": (str, None, "also write the JSON here"),
+        "bins": _BINS,
+        "rho_t": _RHO_T,
+        "max_clique_pins": _MAX_CLIQUE_PINS,
+        **_COMMON,
     },
     "benchgen": {
-        "seed": 0, "cells": 100, "rows": None, "cols": None, "fanout": None,
-        "io": None, "long_range_fraction": 0.15, "utilization": 0.70,
-        "out_dir": ".", "name": "synth", "manifest": None,
+        "cells": (int, 100, "movable cell count (>= 4)"),
+        "rows": (int, None, "logical grid rows"),
+        "cols": (int, None, "logical grid cols"),
+        "fanout": (str, None, "net degree profile, e.g. 2:0.5,3:0.3,4:0.2"),
+        "io": (int, None, "IO terminal count"),
+        "long_range_fraction": (float, _GENERATE["long_range_fraction"].default, "share of random long-range nets"),
+        "utilization": (float, _GENERATE["utilization"].default, "movable area over region area"),
+        "out_dir": (str, ".", "output directory"),
+        "name": (str, "synth", "benchmark file stem"),
+        **_COMMON,
     },
 }
 
-_INT_KEYS = {"seed", "max_iters", "cells", "rows", "cols", "io", "max_clique_pins"}
-_FLOAT_KEYS = {
-    "jitter", "gamma", "lambda0", "lambda_growth", "step", "stop_overflow",
-    "rho_t", "long_range_fraction", "utilization",
+COMMAND_HELP = {
+    "gift": "filter a seeded placement signal and write the result",
+    "place": "run the toy analytical placer",
+    "spectrum": "eigenvalue histograms and filter response curves",
+    "metrics": "report placement quality metrics as JSON",
+    "benchgen": "generate a synthetic Bookshelf design",
 }
 
 # option keys holding output paths, re-rooted on replay
-OUTPUT_KEYS: dict[str, tuple[str, ...]] = {
-    "gift": ("out", "manifest"),
-    "place": ("out", "trace", "manifest"),
-    "spectrum": ("out_dir", "manifest"),
-    "metrics": ("out", "manifest"),
-    "benchgen": ("out_dir", "manifest"),
-}
+OUTPUT_KEYS = ("out", "trace", "out_dir", "manifest")
 
 
 def _diag(message: str) -> None:
@@ -116,28 +140,17 @@ def _diag(message: str) -> None:
     print(f"giftplace: {prefix} {message}", file=sys.stderr)
 
 
-def _parse_terms(spec: str | None) -> tuple[FilterTerm, ...] | None:
-    """'sigma:k:alpha,...' -> FilterTerm tuple; None passes through."""
-    if spec is None:
-        return None
-    terms = []
-    for part in spec.split(","):
-        fields = part.split(":")
-        if len(fields) != 3:
-            raise ValueError(f"bad filter term {part!r}, expected sigma:k:alpha")
-        terms.append(FilterTerm(sigma=float(fields[0]), k=int(fields[1]), alpha=float(fields[2])))
-    return tuple(terms)
-
-
-def _parse_bins(spec: str | None) -> tuple[int, int] | None:
-    if spec is None:
-        return None
-    parts = spec.lower().split("x")
-    if len(parts) == 1:
-        return int(parts[0]), int(parts[0])
-    if len(parts) == 2:
-        return int(parts[0]), int(parts[1])
-    raise ValueError(f"bad bins {spec!r}, expected N or NXxNY")
+def _gift_config(opts: dict) -> GiftConfig:
+    """--terms is 'sigma:k:alpha,...'; unset keeps the paper's terms."""
+    terms = GiftConfig.terms
+    if opts["terms"] is not None:
+        terms = []
+        for part in opts["terms"].split(","):
+            fields = part.split(":")
+            if len(fields) != 3:
+                raise ValueError(f"bad filter term {part!r}, expected sigma:k:alpha")
+            terms.append(FilterTerm(sigma=float(fields[0]), k=int(fields[1]), alpha=float(fields[2])))
+    return GiftConfig(terms=terms, seed=opts["seed"], jitter_scale=opts["jitter"])
 
 
 def _parse_fanout(spec: str | None) -> dict[int, float] | None:
@@ -150,14 +163,15 @@ def _parse_fanout(spec: str | None) -> dict[int, float] | None:
     return profile
 
 
-def _grid_config(opts: dict) -> GridConfig | None:
-    bins = _parse_bins(opts.get("bins"))
-    rho_t = opts.get("rho_t", 1.0)
-    if bins is None and rho_t == 1.0:
-        return None
-    if bins is None:
-        return GridConfig(rho_t=rho_t)
-    return GridConfig(nx=bins[0], ny=bins[1], rho_t=rho_t)
+def _grid_config(opts: dict) -> GridConfig:
+    """--bins is N or NXxNY; unset leaves the bin counts to the consumer."""
+    nx = ny = None
+    if opts["bins"] is not None:
+        parts = opts["bins"].lower().split("x")
+        if len(parts) > 2:
+            raise ValueError(f"bad bins {opts['bins']!r}, expected N or NXxNY")
+        nx, ny = int(parts[0]), int(parts[-1])
+    return GridConfig(nx=nx, ny=ny, rho_t=opts["rho_t"])
 
 
 def _json_safe(value):
@@ -203,12 +217,7 @@ def _center_init(design) -> np.ndarray:
 def run_gift(opts: dict) -> int:
     design, t_parse = _timed(parse_design, opts["aux"])
     adj, t_graph = _timed(build_clique_graph, design, opts.get("max_clique_pins"))
-    config = GiftConfig(
-        terms=_parse_terms(opts.get("terms")) or GiftConfig().terms,
-        seed=opts["seed"],
-        jitter_scale=opts["jitter"],
-    )
-    placement, tm = gift_place(design, adj, config)
+    placement, tm = gift_place(design, adj, _gift_config(opts))
 
     out = opts["out"] or os.path.splitext(opts["aux"])[0] + ".gift.pl"
     manifest = opts["manifest"] or out + ".manifest.json"
@@ -221,6 +230,16 @@ def run_gift(opts: dict) -> int:
 
 
 def run_place(opts: dict) -> int:
+    pconfig = PlacerConfig(
+        gamma=opts["gamma"],
+        lambda0=opts["lambda0"],
+        lambda_growth=opts["lambda_growth"],
+        step=opts["step"],
+        max_iters=opts["max_iters"],
+        stop_overflow=opts["stop_overflow"],
+        grid=_grid_config(opts),
+        seed=opts["seed"],
+    )
     design, t_parse = _timed(parse_design, opts["aux"])
     timings = [("parse", t_parse)]
 
@@ -230,12 +249,7 @@ def run_place(opts: dict) -> int:
     elif init == "gift":
         adj, t_graph = _timed(build_clique_graph, design, opts.get("max_clique_pins"))
         timings.append(("graph", t_graph))
-        config = GiftConfig(
-            terms=_parse_terms(opts.get("terms")) or GiftConfig().terms,
-            seed=opts["seed"],
-            jitter_scale=opts["jitter"],
-        )
-        g0, tm = gift_place(design, adj, config)
+        g0, tm = gift_place(design, adj, _gift_config(opts))
         timings.append(("filter", tm["filter"]))
     elif init == "eigen":
         adj, t_graph = _timed(build_clique_graph, design, opts.get("max_clique_pins"))
@@ -249,16 +263,6 @@ def run_place(opts: dict) -> int:
     else:
         raise ValueError(f"unknown --init {init!r} (expected center|gift|eigen|file:PATH)")
 
-    pconfig = PlacerConfig(
-        gamma=opts.get("gamma"),
-        lambda0=opts["lambda0"],
-        lambda_growth=opts["lambda_growth"],
-        step=opts.get("step"),
-        max_iters=opts["max_iters"],
-        stop_overflow=opts["stop_overflow"],
-        grid=_grid_config(opts),
-        seed=opts["seed"],
-    )
     (g_final, trace), t_place = _timed(run_placer, design, g0, pconfig)
     timings.append(("place", t_place))
 
@@ -370,15 +374,15 @@ def run_report(opts: dict) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
     command = doc.get("command")
-    if command not in HANDLERS or command == "report":
+    if command not in OPTIONS:
         raise ValueError(f"manifest has unknown command {command!r}")
     out_dir = opts.get("out_dir")
     if not out_dir:
         raise ValueError("--replay requires --out-dir")
     os.makedirs(out_dir, exist_ok=True)
     new_opts = dict(doc["options"])
-    for key in OUTPUT_KEYS[command]:
-        if key == "out_dir":
+    for key in OUTPUT_KEYS:
+        if key == "out_dir" and key in new_opts:
             new_opts[key] = out_dir
         elif new_opts.get(key):
             new_opts[key] = os.path.join(out_dir, os.path.basename(new_opts[key]))
@@ -399,10 +403,12 @@ HANDLERS = {
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random seed (default 0)")
+def _add_options(p: argparse.ArgumentParser, options: dict[str, tuple]) -> None:
+    for key, (kind, default, text) in options.items():
+        if default is not None:
+            text = f"{text} (default {default})"
+        p.add_argument("--" + key.replace("_", "-"), type=kind, default=argparse.SUPPRESS, help=text)
     p.add_argument("--config", default=argparse.SUPPRESS, help="key=value config file; flags override")
-    p.add_argument("--manifest", default=argparse.SUPPRESS, help="run manifest path")
     p.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
 
 
@@ -413,69 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"giftplace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gift", help="filter a seeded placement signal and write the result")
-    p.add_argument("aux", help="input .aux design")
-    p.add_argument("--out", default=argparse.SUPPRESS, help="output .pl path")
-    p.add_argument("--terms", default=argparse.SUPPRESS, help="filter terms sigma:k:alpha,... ")
-    p.add_argument("--jitter", type=float, default=argparse.SUPPRESS, help="initial jitter scale")
-    p.add_argument("--max-clique-pins", type=int, default=argparse.SUPPRESS,
-                   help="skip nets with more pins than this during clique expansion")
-    _add_common(p)
-
-    p = sub.add_parser("place", help="run the toy analytical placer")
-    p.add_argument("aux", help="input .aux design")
-    p.add_argument("--init", default=argparse.SUPPRESS, help="center|gift|eigen|file:PATH")
-    p.add_argument("--out", default=argparse.SUPPRESS, help="final .pl path")
-    p.add_argument("--trace", default=argparse.SUPPRESS, help="per-iteration trace CSV path")
-    p.add_argument("--gamma", type=float, default=argparse.SUPPRESS, help="wirelength smoothing")
-    p.add_argument("--lambda0", type=float, default=argparse.SUPPRESS, help="initial density weight")
-    p.add_argument("--lambda-growth", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--step", type=float, default=argparse.SUPPRESS, help="fixed step size")
-    p.add_argument("--max-iters", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--stop-overflow", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--bins", default=argparse.SUPPRESS, help="density bins, N or NXxNY")
-    p.add_argument("--rho-t", type=float, default=argparse.SUPPRESS, help="target density in (0,1]")
-    p.add_argument("--terms", default=argparse.SUPPRESS, help="gift filter terms (init=gift)")
-    p.add_argument("--jitter", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--max-clique-pins", type=int, default=argparse.SUPPRESS)
-    _add_common(p)
-
-    p = sub.add_parser("spectrum", help="eigenvalue histograms and filter response curves")
-    p.add_argument("aux", help="input .aux design")
-    p.add_argument("--sigma", default=argparse.SUPPRESS, help="comma list of self-loop weights")
-    p.add_argument("--k", default=argparse.SUPPRESS, help="comma list of filter powers")
-    p.add_argument("--out-dir", default=argparse.SUPPRESS, help="directory for CSV outputs")
-    p.add_argument("--max-clique-pins", type=int, default=argparse.SUPPRESS)
-    _add_common(p)
-
-    p = sub.add_parser("metrics", help="report placement quality metrics as JSON")
-    p.add_argument("aux", help="input .aux design")
-    p.add_argument("--pl", default=argparse.SUPPRESS, help="placement to evaluate (default: the design's .pl)")
-    p.add_argument("--out", default=argparse.SUPPRESS, help="also write the JSON here")
-    p.add_argument("--bins", default=argparse.SUPPRESS)
-    p.add_argument("--rho-t", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--max-clique-pins", type=int, default=argparse.SUPPRESS)
-    _add_common(p)
-
-    p = sub.add_parser("benchgen", help="generate a synthetic Bookshelf design")
-    p.add_argument("--cells", type=int, default=argparse.SUPPRESS, help="movable cell count (>= 4)")
-    p.add_argument("--rows", type=int, default=argparse.SUPPRESS, help="logical grid rows")
-    p.add_argument("--cols", type=int, default=argparse.SUPPRESS, help="logical grid cols")
-    p.add_argument("--fanout", default=argparse.SUPPRESS, help="net degree profile, e.g. 2:0.5,3:0.3,4:0.2")
-    p.add_argument("--io", type=int, default=argparse.SUPPRESS, help="IO terminal count")
-    p.add_argument("--long-range-fraction", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--utilization", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--out-dir", default=argparse.SUPPRESS)
-    p.add_argument("--name", default=argparse.SUPPRESS, help="benchmark file stem")
-    _add_common(p)
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command, help=COMMAND_HELP[command])
+        if command != "benchgen":
+            p.add_argument("aux", help="input .aux design")
+        _add_options(p, options)
 
     p = sub.add_parser("report", help="summarize a run manifest, or replay it")
     p.add_argument("manifest_path", help="manifest JSON from a previous run")
     p.add_argument("--replay", action="store_true", help="re-execute the recorded run")
-    p.add_argument("--out-dir", default=argparse.SUPPRESS, help="output directory for the replay")
-    _add_common(p)
-
+    _add_options(p, {"out_dir": (str, None, "output directory for the replay"), **_COMMON})
     return parser
 
 
@@ -484,32 +437,30 @@ def _load_config(path: str, command: str) -> dict:
     if not os.path.isfile(path):
         raise MissingFileError(path)
     values: dict = {}
-    known = DEFAULTS.get(command, {})
+    options = OPTIONS.get(command, {})
     with open(path) as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise MalformedLineError(path, 0, line, "expected key=value")
+                raise MalformedLineError(path, lineno, line, "expected key=value")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            val = val.strip()
-            if key not in known:
+            if key not in options:
                 log.warning("%s: unknown config key %r ignored", path, key)
                 continue
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            else:
-                values[key] = val
+            kind = options[key][0]
+            try:
+                values[key] = kind(val.strip())
+            except ValueError:
+                raise MalformedLineError(path, lineno, line, f"{key} expects {kind.__name__}")
     return values
 
 
 def _resolve(command: str, ns: argparse.Namespace) -> dict:
     provided = {k: v for k, v in vars(ns).items() if k not in ("command", "verbose")}
-    opts = dict(DEFAULTS.get(command, {}))
+    opts = {key: default for key, (_, default, _) in OPTIONS.get(command, {}).items()}
     config_path = provided.pop("config", None)
     if config_path:
         opts.update(_load_config(config_path, command))
@@ -529,13 +480,10 @@ def main(argv: list[str] | None = None) -> int:
     except PARSE_ERRORS as exc:
         _diag(str(exc))
         return EXIT_INPUT
-    except COMPUTE_ERRORS as exc:
-        _diag(f"{type(exc).__name__}: {exc}")
-        return EXIT_COMPUTE
     except DivergenceError as exc:
         _diag(f"{type(exc).__name__}: {exc}")
         return EXIT_DIVERGED
-    except GiftPlaceError as exc:
+    except GiftPlaceError as exc:  # computation and guard errors, invalid designs
         _diag(f"{type(exc).__name__}: {exc}")
         return EXIT_COMPUTE
     except ValueError as exc:

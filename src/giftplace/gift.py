@@ -12,6 +12,7 @@ so each extra power costs one sparse product per signal column.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -43,6 +44,8 @@ class GiftConfig:
         self.terms = tuple(self.terms)
         if not self.terms:
             raise ValueError("filter needs at least one term")
+        if self.jitter_scale is not None and not 0.0 <= self.jitter_scale < math.inf:
+            raise ValueError(f"jitter_scale must be finite and >= 0, got {self.jitter_scale}")
 
 
 def _jitter_scale(design: Design, config: GiftConfig) -> float:

@@ -11,6 +11,7 @@ whose powers act as low-pass filters on placement signals.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,12 @@ class FilterTerm:
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.k < 1:
             raise ValueError(f"power k must be >= 1, got {self.k}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
 
 class SparseSymMatrix:
@@ -168,8 +171,8 @@ def normalized_augmented_adjacency(adj: SparseSymMatrix, sigma: float) -> Sparse
     error. The result is exactly symmetric (entries scaled as s_i*s_j*a_ij) and
     has spectral radius <= 1.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     deg = adj.degrees
     if sigma == 0:
         isolated = np.flatnonzero(deg <= 0)

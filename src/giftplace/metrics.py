@@ -31,6 +31,8 @@ class GridConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.rho_t <= 1.0:
             raise ValueError(f"rho_t must be in (0, 1], got {self.rho_t}")
+        if (self.nx is not None and self.nx < 1) or (self.ny is not None and self.ny < 1):
+            raise ValueError(f"bin counts must be >= 1, got {self.nx}x{self.ny}")
 
 
 def default_bins(design: Design) -> tuple[int, int]:

@@ -275,6 +275,8 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
                 pending = int(parts[0])
             except (IndexError, ValueError):
                 raise MalformedLineError(path, lineno, line, "NetDegree count is not an integer")
+            if pending < 0:
+                raise MalformedLineError(path, lineno, line, "NetDegree count must be >= 0")
             net_names.append(parts[1] if len(parts) > 1 else f"net{len(net_names)}")
             net_start.append(len(pin_cell))
             continue

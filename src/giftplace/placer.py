@@ -19,6 +19,7 @@ state instead of measuring pile-peeling depth.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -48,10 +49,20 @@ class PlacerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "lambda0", "lambda_growth", "step"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        if self.lambda0 is not None and self.lambda0 < 0:
+            raise ValueError("lambda0 must be >= 0")
         if self.lambda_growth < 1.0:
             raise ValueError("lambda_growth must be >= 1")
+        if self.step is not None and self.step <= 0:
+            raise ValueError("step must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
         if not 0.0 < self.stop_overflow < 1.0:
             raise ValueError("stop_overflow must be in (0, 1)")
 
@@ -178,22 +189,6 @@ def _field_weighted_grad(
     return grad
 
 
-def density_penalty_grad(
-    design: Design, g: np.ndarray, grid: GridConfig | None = None
-) -> tuple[float, np.ndarray, DensityGrid]:
-    """Quadratic overfill penalty sum_b max(0, rho_b - rho_t*bin_area)^2.
-
-    The gradient follows each cell's overlap derivatives; fixed cells
-    contribute density but receive zero gradient.
-    """
-    dens = density_map(design, g, grid)
-    excess = np.maximum(0.0, dens.rho - dens.rho_t * dens.bin_area)
-    value = float(np.sum(excess * excess))
-    if value == 0.0:
-        return value, np.zeros_like(np.asarray(g, dtype=float)), dens
-    return value, _field_weighted_grad(design, g, dens, 2.0 * excess), dens
-
-
 def _poisson_potential(q: np.ndarray, bin_w: float, bin_h: float) -> np.ndarray:
     """Solve the 5-point Neumann Poisson problem lap(phi) = -q on the bin grid.
 
@@ -248,6 +243,15 @@ def default_placer_bins(design: Design) -> GridConfig:
     return GridConfig(nx=nx, ny=ny)
 
 
+def _placer_grid(design: Design, grid: GridConfig | None) -> GridConfig:
+    """The requested grid, with unset bin counts taken from default_placer_bins."""
+    grid = grid or GridConfig()
+    if grid.nx is None or grid.ny is None:
+        bins = default_placer_bins(design)
+        grid = GridConfig(nx=grid.nx or bins.nx, ny=grid.ny or bins.ny, rho_t=grid.rho_t)
+    return grid
+
+
 def balanced_lambda0(design: Design, config: PlacerConfig) -> float:
     """Density weight equalizing the two force magnitudes at a canonical state.
 
@@ -258,7 +262,7 @@ def balanced_lambda0(design: Design, config: PlacerConfig) -> float:
     incomparable across them — and it is degenerate at a coincident stack,
     where the wirelength gradient nearly vanishes.
     """
-    grid = config.grid or default_placer_bins(design)
+    grid = _placer_grid(design, config.grid)
     gamma = config.gamma if config.gamma is not None else 0.01 * design.region.width
     cloud = initial_signal(design, GiftConfig(seed=config.seed))
     _, wl_grad = smooth_wirelength_grad(design, cloud, gamma)
@@ -280,7 +284,7 @@ def run_placer(
     touched. Raises DivergenceError when the objective stops being finite.
     """
     config = config or PlacerConfig()
-    grid = config.grid or default_placer_bins(design)
+    grid = _placer_grid(design, config.grid)
     gamma = config.gamma if config.gamma is not None else 0.01 * design.region.width
 
     g = np.array(g0, dtype=float)
@@ -295,17 +299,9 @@ def run_placer(
 
     t_start = time.perf_counter()
     trace = PlacerTrace()
-
     wl_val, wl_grad = smooth_wirelength_grad(design, g, gamma)
     d_val, d_grad, dens = electrostatic_grad(design, g, grid)
     lam = config.lambda0 if config.lambda0 is not None else balanced_lambda0(design, config)
-    ovf = overflow(dens)
-    trace.records.append(
-        TraceRecord(0, wl_val, hpwl(design, g), ovf, lam, time.perf_counter() - t_start)
-    )
-    if ovf <= config.stop_overflow:
-        trace.converged = True
-        return g, trace
 
     # With config.step set, the update rule is applied literally. The default
     # is a saturated per-cell step: cells move along their own negative
@@ -313,25 +309,25 @@ def run_placer(
     # capped at one bin per iteration — the density weight grows without
     # bound, so any constant step would eventually overshoot.
     max_move = MAX_MOVE_BINS * min(dens.bin_w, dens.bin_h)
-    for it in range(1, config.max_iters + 1):
+    for it in range(config.max_iters + 1):
+        if it > 0:
+            if config.step is not None:
+                g = _advance(g, grad, config.step, movable, region)
+            else:
+                mag = np.hypot(grad[movable, 0], grad[movable, 1])
+                if mag.size == 0 or not np.any(mag > 0):
+                    log.info("zero gradient at iteration %d; stopping", it)
+                    break
+                ref = float(np.sqrt(np.mean(mag**2)))
+                scale = np.minimum(max_move / ref, max_move / np.maximum(mag, 1e-300))
+                g = _advance(g, grad, scale[:, None], movable, region)
+            wl_val, wl_grad = smooth_wirelength_grad(design, g, gamma)
+            d_val, d_grad, dens = electrostatic_grad(design, g, grid)
+            lam *= config.lambda_growth
         obj = wl_val + lam * d_val
         grad = wl_grad + lam * d_grad
         if not (np.isfinite(obj) and np.all(np.isfinite(grad))):
             raise DivergenceError(f"objective not finite at iteration {it}")
-        if config.step is not None:
-            g = _advance(g, grad, config.step, movable, region)
-        else:
-            mag = np.hypot(grad[movable, 0], grad[movable, 1])
-            if mag.size == 0 or not np.any(mag > 0):
-                log.info("zero gradient at iteration %d; stopping", it)
-                break
-            ref = float(np.sqrt(np.mean(mag**2)))
-            scale = np.minimum(max_move / ref, max_move / np.maximum(mag, 1e-300))
-            g = _advance(g, grad, scale[:, None], movable, region)
-        wl_val, wl_grad = smooth_wirelength_grad(design, g, gamma)
-        d_val, d_grad, dens = electrostatic_grad(design, g, grid)
-
-        lam *= config.lambda_growth
         ovf = overflow(dens)
         trace.records.append(
             TraceRecord(it, wl_val, hpwl(design, g), ovf, lam, time.perf_counter() - t_start)

@@ -299,6 +299,81 @@ class TestConfigFile:
         assert code == 1
         assert "nope.cfg" in err
 
+    @pytest.mark.parametrize(
+        "text,reason",
+        [("seed = 3\n# budget\nmax_iters = abc\n", "max_iters expects int"), ("seed = 3\n\nmax_iters 5\n", "expected key=value")],
+        ids=["bad-value", "no-equals"],
+    )
+    def test_bad_line_exit_1_names_it(self, bench, tmp_path, capsys, text, reason):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "p.pl"
+        code, stdout, err = run_cli(capsys, "place", bench, "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert f"run.cfg:3: {reason}" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_config_and_flags_resolve_alike(self, tmp_path, capsys):
+        values = {"cells": "30", "rows": "5", "io": "6", "long_range_fraction": "0.25", "utilization": "0.5", "seed": "4"}
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        flags = [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), v)]
+        options = []
+        for name, args in (("cfg", ["--config", str(cfg)]), ("flags", flags)):
+            code, _, _ = run_cli(capsys, "benchgen", *args, "--out-dir", str(tmp_path / name))
+            assert code == 0
+            manifest = json.loads((tmp_path / name / "synth.manifest.json").read_text())
+            options.append({k: v for k, v in manifest["options"].items() if k not in ("out_dir", "manifest")})
+        assert options[0] == options[1]
+        assert options[0]["rows"] == 5 and options[0]["utilization"] == 0.5
+
+
+class TestUnusableOptions:
+    """A value no config object can use exits 2 with one diagnostic line and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("place", ["--step", "nan"]),
+            ("place", ["--step", "0"]),
+            ("place", ["--gamma", "inf"]),
+            ("place", ["--lambda0", "-1"]),
+            ("place", ["--lambda-growth", "nan"]),
+            ("place", ["--max-iters", "-1"]),
+            ("place", ["--bins", "0"]),
+            ("place", ["--init", "gift", "--jitter", "nan"]),
+            ("gift", ["--jitter", "nan"]),
+            ("gift", ["--jitter", "inf"]),
+            ("gift", ["--terms", "2:2:nan"]),
+            ("gift", ["--terms", "nan:2:1"]),
+            ("metrics", ["--bins", "0"]),
+        ],
+    )
+    def test_exit_2(self, bench, tmp_path, capsys, command, flags):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, command, bench, *flags, "--out", str(out))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_spectrum_non_finite_sigma_exit_2(self, bench, tmp_path, capsys):
+        out_dir = tmp_path / "spec"
+        code, stdout, err = run_cli(capsys, "spectrum", bench, "--sigma", "nan", "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert stdout == ""
+        assert not list(out_dir.glob("*.csv"))
+
+    def test_help_shows_library_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["place", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for default in ("(default 1.03)", "(default 1000)", "(default 0.15)", "(default 1.0)", "(default center)"):
+            assert default in text
+
 
 class TestDiagnostics:
     def test_no_color_respected(self, tmp_path, capsys, monkeypatch):

@@ -49,6 +49,11 @@ class TestInitialSignal:
         g = initial_signal(tri_design, GiftConfig(seed=3, jitter_scale=0.0))
         assert np.all(g == np.array(tri_design.region.center))
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
+    def test_unusable_jitter_rejected(self, scale):
+        with pytest.raises(ValueError, match="jitter_scale must be finite and >= 0"):
+            GiftConfig(jitter_scale=scale)
+
     def test_seed_determinism(self, tri_design):
         a = initial_signal(tri_design, GiftConfig(seed=11))
         b = initial_signal(tri_design, GiftConfig(seed=11))

@@ -290,6 +290,12 @@ class TestAugmentedAdjacency:
         with pytest.raises(ValueError):
             normalized_augmented_adjacency(adj, -0.5)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        adj = from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            normalized_augmented_adjacency(adj, sigma)
+
     def test_matches_dense_oracle(self, graph_rng):
         for sigma in (0.0, 1.0, 2.0, 4.0):
             adj = random_connected_graph(40, graph_rng)
@@ -359,6 +365,13 @@ class TestFilterTerm:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             FilterTerm(sigma=-1.0, k=2, alpha=0.1)
+
+    @pytest.mark.parametrize(
+        "sigma,alpha", [(float("nan"), 0.1), (float("inf"), 0.1), (2.0, float("nan")), (2.0, float("-inf"))]
+    )
+    def test_rejects_non_finite(self, sigma, alpha):
+        with pytest.raises(ValueError, match="must be finite"):
+            FilterTerm(sigma=sigma, k=2, alpha=alpha)
 
 
 class TestIdentityMinus:

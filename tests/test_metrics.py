@@ -203,6 +203,11 @@ class TestDensityMap:
         small = grid_design(region=(0.0, 0.0, 2048.0, 2048.0))
         assert default_bins(small) == (128, 128)
 
+    @pytest.mark.parametrize("bins", [{"nx": 0}, {"ny": 0}, {"nx": -2, "ny": 4}])
+    def test_grid_rejects_empty_bin_counts(self, bins):
+        with pytest.raises(ValueError, match="bin counts must be >= 1"):
+            GridConfig(**bins)
+
 
 class TestOverflow:
     def make_grid(self, rho, rho_t=1.0, bin_w=1.0, bin_h=1.0):

@@ -166,6 +166,17 @@ class TestParseErrors:
         with pytest.raises(MalformedLineError):
             parse_design(write_corpus(tmp_path, nets=nets))
 
+    @pytest.mark.parametrize(
+        "header,bad,lineno",
+        [("NetDegree : 3 n_first", "NetDegree : -3 n_first", 4), ("NetDegree : 2 n_pad", "NetDegree : -1 n_pad", 8)],
+        ids=["first-net", "last-net"],
+    )
+    def test_negative_net_degree(self, tmp_path, header, bad, lineno):
+        with pytest.raises(MalformedLineError) as exc:
+            parse_design(write_corpus(tmp_path, nets=NETS.replace(header, bad)))
+        assert exc.value.lineno == lineno
+        assert "NetDegree count must be >= 0" in str(exc.value)
+
     def test_garbage_dimensions(self, tmp_path):
         with pytest.raises(MalformedLineError):
             parse_design(write_corpus(tmp_path, nodes=NODES.replace("a 2 1", "a two 1")))

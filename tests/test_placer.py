@@ -17,13 +17,14 @@ from giftplace import (
     PlacerConfig,
     Region,
     default_placer_bins,
-    density_penalty_grad,
     electrostatic_grad,
     generate,
     hpwl,
+    overflow,
     run_placer,
     smooth_wirelength_grad,
 )
+from giftplace import placer
 
 from conftest import make_design
 
@@ -128,58 +129,6 @@ class TestWirelengthGradient:
             smooth_wirelength_grad(tri_design, g, -1.0)
 
 
-class TestDensityGradient:
-    def test_under_target_is_flat(self):
-        design = make_design(2, [[0, 1]], Region(0.0, 0.0, 40.0, 40.0))
-        g = np.array([[5.0, 5.0], [30.0, 30.0]])
-        value, grad, _ = density_penalty_grad(design, g, GridConfig(nx=4, ny=4))
-        assert value == 0.0
-        np.testing.assert_array_equal(grad, 0.0)
-
-    def test_value_matches_density_map(self):
-        design = generate(cells=30, seed=5)
-        g = random_positions(design, np.random.default_rng(5))
-        grid = GridConfig(nx=6, ny=6)
-        value, _, dens = density_penalty_grad(design, g, grid)
-        excess = np.maximum(0.0, dens.rho - dens.rho_t * dens.bin_area)
-        assert value == pytest.approx(float(np.sum(excess**2)), rel=1e-12)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_finite_differences(self, seed):
-        design = generate(cells=20, seed=seed)
-        # random positions land cell edges away from bin boundaries with
-        # probability 1, keeping the finite-difference stencil off the kinks
-        rng = np.random.default_rng(200 + seed)
-        g = random_positions(design, rng)
-        grid = GridConfig(nx=5, ny=5)
-        movable = ~design.fixed_mask()
-        _, grad, _ = density_penalty_grad(design, g, grid)
-        fd = fd_gradient(
-            lambda gg: density_penalty_grad(design, gg, grid)[0], g, movable, 1e-7
-        )
-        assert np.max(np.abs(grad[movable] - fd[movable])) <= 1e-4
-
-    def test_descent_step_off_overfull_bin_reduces_value(self):
-        design = make_design(2, [[0, 1]], Region(0.0, 0.0, 8.0, 8.0), sizes=(2.0, 2.0))
-        g = np.array([[3.9, 4.1], [4.1, 3.9]])  # the two cells overlap near the center
-        grid = GridConfig(nx=8, ny=8)  # unit bins: the doubled-up region is overfull
-        value, grad, _ = density_penalty_grad(design, g, grid)
-        assert value > 0.0
-        step = g - 0.05 * grad / np.abs(grad).max()
-        value2, _, _ = density_penalty_grad(design, step, grid)
-        assert value2 < value
-
-    def test_fixed_cells_contribute_density_but_not_gradient(self):
-        design = make_design(
-            ["blockage", "m"], [[0, 1]], Region(0.0, 0.0, 8.0, 8.0), sizes=[(4.0, 4.0), (2.0, 2.0)], pads={0: (4.0, 4.0)}
-        )
-        g = np.array([[4.0, 4.0], [4.3, 3.8]])
-        value, grad, _ = density_penalty_grad(design, g, GridConfig(nx=4, ny=4))
-        assert value > 0.0  # the blockage alone overfills its bins
-        np.testing.assert_array_equal(grad[0], 0.0)
-        assert np.any(grad[1] != 0.0)
-
-
 class TestElectrostaticGradient:
     def test_uniform_occupancy_feels_no_force(self):
         # one 2x2 cell centered in each 4x4 bin: zero charge everywhere
@@ -216,16 +165,13 @@ class TestElectrostaticGradient:
 
     def test_full_row_pulled_toward_empty_half(self):
         # cells tile the left half of the region at exactly the target
-        # density: the overfill penalty sees nothing to do, while the
-        # potential field pulls every cell -- interior ones included --
-        # toward the empty right half
+        # density, so no bin overflows; the potential field still pulls
+        # every cell -- interior ones included -- toward the empty right half
         design = make_design(6, [[0, 5]], Region(0.0, 0.0, 24.0, 4.0), sizes=(2.0, 4.0))
         g = np.column_stack([0.2 + 1.0 + 2.0 * np.arange(6), np.full(6, 2.0)])
         grid = GridConfig(nx=12, ny=1)
-        pen_value, pen_grad, _ = density_penalty_grad(design, g, grid)
-        assert pen_value == 0.0
-        np.testing.assert_array_equal(pen_grad, 0.0)
-        es_value, es_grad, _ = electrostatic_grad(design, g, grid)
+        es_value, es_grad, dens = electrostatic_grad(design, g, grid)
+        assert overflow(dens) == 0.0
         assert es_value > 0.0
         assert np.all(es_grad[:, 0] < 0.0)  # descent moves every cell rightward
 
@@ -250,6 +196,46 @@ class TestPlacerConfig:
             PlacerConfig(stop_overflow=0.0)
         with pytest.raises(ValueError):
             PlacerConfig(stop_overflow=1.5)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("gamma", np.nan), ("gamma", np.inf), ("lambda0", np.nan), ("lambda0", -np.inf),
+            ("lambda0", -1.0), ("lambda_growth", np.nan), ("lambda_growth", np.inf),
+            ("step", np.nan), ("step", np.inf), ("step", 0.0), ("step", -0.1), ("max_iters", -1),
+        ],
+    )
+    def test_rejects_unusable_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PlacerConfig(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        PlacerConfig(lambda0=0.0, max_iters=0, lambda_growth=1.0)
+
+    @pytest.mark.parametrize(
+        "grid,nx",
+        [(None, None), (GridConfig(rho_t=0.999), None), (GridConfig(nx=7, rho_t=0.5), 7)],
+        ids=["unset", "rho_t-only", "nx-only"],
+    )
+    def test_unset_bins_come_from_default_placer_bins(self, monkeypatch, grid, nx):
+        # the placer and the lambda calibration must both see the placer's
+        # bins, not the coarse metrics default, whatever else the grid sets
+        design = generate(cells=200, seed=1)
+        default = default_placer_bins(design)
+        seen = []
+        real = placer.electrostatic_grad
+
+        def spy(design, g, grid=None):
+            value, grad, dens = real(design, g, grid)
+            seen.append((dens.nx, dens.ny, dens.rho_t))
+            return value, grad, dens
+
+        monkeypatch.setattr(placer, "electrostatic_grad", spy)
+        g0 = random_positions(design, np.random.default_rng(1))
+        run_placer(design, g0, PlacerConfig(max_iters=0, grid=grid))
+        rho_t = grid.rho_t if grid else 1.0
+        assert len(seen) == 2  # balanced_lambda0, then iteration 0
+        assert set(seen) == {(nx or default.nx, default.ny, rho_t)}
 
     def test_default_bins_no_coarser_than_cells(self):
         design = generate(cells=200, seed=1)
@@ -359,6 +345,29 @@ class TestRunPlacer:
         g0[0] = np.nan  # cell 0 is movable in this corpus
         with pytest.raises(DivergenceError):
             run_placer(design, g0, PlacerConfig(max_iters=5))
+
+    @pytest.mark.parametrize(
+        "stop_overflow,max_iters,bad_call",
+        [(0.999, 5, 1), (1e-9, 2, 3)],
+        ids=["satisfied-target", "last-iteration"],
+    )
+    def test_non_finite_evaluation_raises(self, monkeypatch, stop_overflow, max_iters, bad_call):
+        # neither a satisfied stopping target nor the end of the budget may
+        # hand back a non-finite objective as a result
+        design = generate(cells=16, seed=8)
+        g0 = self.spread_start(design, seed=8)
+        calls = []
+        real = placer.smooth_wirelength_grad
+
+        def poisoned(design, g, gamma):
+            calls.append(gamma)
+            value, grad = real(design, g, gamma)
+            return (np.nan if len(calls) == bad_call else value), grad
+
+        monkeypatch.setattr(placer, "smooth_wirelength_grad", poisoned)
+        config = PlacerConfig(lambda0=1.0, stop_overflow=stop_overflow, max_iters=max_iters)
+        with pytest.raises(DivergenceError, match=f"iteration {bad_call - 1}"):
+            run_placer(design, g0, config)
 
     def test_trace_csv_reproducible_without_seconds(self, tmp_path):
         design = generate(cells=30, seed=9)
