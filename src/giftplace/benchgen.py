@@ -36,6 +36,10 @@ def generate(
         raise ValueError(f"need at least 4 cells, got {cells}")
     if not 0.0 < utilization <= 1.0:
         raise ValueError(f"utilization must be in (0, 1], got {utilization}")
+    if not 0.0 <= long_range_fraction <= 1.0:
+        raise ValueError(f"long_range_fraction must be in [0, 1], got {long_range_fraction}")
+    if io_count is not None and io_count < 0:
+        raise ValueError(f"io_count must be >= 0, got {io_count}")
     rng = np.random.default_rng(seed)
 
     cols = cols or math.ceil(math.sqrt(cells))
@@ -62,6 +66,8 @@ def generate(
     # random long-range nets with the requested fanout profile
     degrees = np.array(sorted(fanout), dtype=np.int64)
     weights = np.array([fanout[int(d)] for d in degrees], dtype=float)
+    if not (np.isfinite(weights).all() and (weights >= 0).all() and weights.sum() > 0):
+        raise ValueError(f"fanout weights must be finite and >= 0 with a positive sum, got {fanout}")
     weights = weights / weights.sum()
     n_long = int(round(long_range_fraction * cells))
     long_nets = []

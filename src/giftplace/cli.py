@@ -158,9 +158,20 @@ def _parse_fanout(spec: str | None) -> dict[int, float] | None:
         return None
     profile: dict[int, float] = {}
     for part in spec.split(","):
-        d, w = part.split(":")
-        profile[int(d)] = float(w)
+        try:
+            d, w = part.split(":")
+            profile[int(d)] = float(w)
+        except ValueError:
+            raise ValueError(f"bad --fanout entry {part!r}, expected DEGREE:WEIGHT") from None
     return profile
+
+
+def _clique_cap(opts: dict) -> int | None:
+    """--max-clique-pins; a cap below 2 would skip every net and leave no graph."""
+    cap = opts.get("max_clique_pins")
+    if cap is not None and cap < 2:
+        raise ValueError(f"--max-clique-pins must be >= 2, got {cap}")
+    return cap
 
 
 def _grid_config(opts: dict) -> GridConfig:
@@ -215,8 +226,9 @@ def _center_init(design) -> np.ndarray:
 
 
 def run_gift(opts: dict) -> int:
+    cap = _clique_cap(opts)
     design, t_parse = _timed(parse_design, opts["aux"])
-    adj, t_graph = _timed(build_clique_graph, design, opts.get("max_clique_pins"))
+    adj, t_graph = _timed(build_clique_graph, design, cap)
     placement, tm = gift_place(design, adj, _gift_config(opts))
 
     out = opts["out"] or os.path.splitext(opts["aux"])[0] + ".gift.pl"
@@ -240,6 +252,7 @@ def run_place(opts: dict) -> int:
         grid=_grid_config(opts),
         seed=opts["seed"],
     )
+    cap = _clique_cap(opts)
     design, t_parse = _timed(parse_design, opts["aux"])
     timings = [("parse", t_parse)]
 
@@ -247,12 +260,12 @@ def run_place(opts: dict) -> int:
     if init == "center":
         g0 = _center_init(design)
     elif init == "gift":
-        adj, t_graph = _timed(build_clique_graph, design, opts.get("max_clique_pins"))
+        adj, t_graph = _timed(build_clique_graph, design, cap)
         timings.append(("graph", t_graph))
         g0, tm = gift_place(design, adj, _gift_config(opts))
         timings.append(("filter", tm["filter"]))
     elif init == "eigen":
-        adj, t_graph = _timed(build_clique_graph, design, opts.get("max_clique_pins"))
+        adj, t_graph = _timed(build_clique_graph, design, cap)
         timings.append(("graph", t_graph))
         basis = eigendecompose(identity_minus(normalized_augmented_adjacency(adj, 0.0)))
         timings.append(("eigen", basis.seconds))
@@ -285,11 +298,12 @@ def run_place(opts: dict) -> int:
 
 
 def run_spectrum(opts: dict) -> int:
+    cap = _clique_cap(opts)
     design, t_parse = _timed(parse_design, opts["aux"])
     if design.num_cells == 0:
         _diag("design has no cells; nothing to analyze")
         return EXIT_INPUT
-    adj, t_graph = _timed(build_clique_graph, design, opts.get("max_clique_pins"))
+    adj, t_graph = _timed(build_clique_graph, design, cap)
     sigmas = [float(s) for s in str(opts["sigma"]).split(",")]
     ks = [int(k) for k in str(opts["k"]).split(",")]
 
@@ -324,10 +338,11 @@ def run_spectrum(opts: dict) -> int:
 
 
 def run_metrics(opts: dict) -> int:
+    cap = _clique_cap(opts)
     design, t_parse = _timed(parse_design, opts["aux"])
     pl_path = opts.get("pl") or aux_files(opts["aux"])[".pl"]
     g = read_placement(design, pl_path)
-    adj, t_graph = _timed(build_clique_graph, design, opts.get("max_clique_pins"))
+    adj, t_graph = _timed(build_clique_graph, design, cap)
     lap = laplacian(adj)
     rep = metrics_report(design, adj, lap, g, _grid_config(opts))
 

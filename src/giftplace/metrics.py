@@ -53,8 +53,6 @@ class DensityGrid:
     bin_h: float
     rho: np.ndarray  # (nx, ny) occupied area per bin
     rho_t: float
-    xmin: float
-    ymin: float
 
     @property
     def bin_area(self) -> float:
@@ -121,53 +119,74 @@ def density_map(design: Design, g: np.ndarray, grid: GridConfig | None = None) -
         dx, dy = default_bins(design)
         nx = nx or dx
         ny = ny or dy
+    bin_w = design.region.width / nx
+    bin_h = design.region.height / ny
+    rho = np.zeros(nx * ny)
+    for _, bx, by, lx, ly, _, _ in _bin_overlaps(design, g, nx, ny, bin_w, bin_h):
+        np.add.at(rho, bx * ny + by, lx * ly)  # a flat index is several times faster than a tuple
+    return DensityGrid(nx=nx, ny=ny, bin_w=bin_w, bin_h=bin_h, rho=rho.reshape(nx, ny), rho_t=cfg.rho_t)
+
+
+class _Axis:
+    """One axis of every cell's region-clipped interval and the bins it spans."""
+
+    def __init__(self, center: np.ndarray, size: np.ndarray, start: float, end: float, width: float, count: int):
+        self.lo = np.clip(center - size / 2.0, start, end)
+        self.hi = np.clip(center + size / 2.0, start, end)
+        self.first = np.clip(np.floor((self.lo - start) / width).astype(np.int64), 0, count - 1)
+        last = np.clip(np.ceil((self.hi - start) / width).astype(np.int64) - 1, 0, count - 1)
+        self.span = np.maximum(last, self.first) - self.first
+        self.start, self.end, self.width = start, end, width
+
+    def overlap(self, cells: np.ndarray, off: int | np.ndarray):
+        """Bin, overlap length and its derivative at bin offset ``off`` from each cell's first bin.
+
+        Offsets past a cell's span give zero length and derivative: the bin
+        beyond the last one can still clip a floating-point sliver.
+        """
+        lo, hi, span = self.lo[cells], self.hi[cells], self.span[cells]
+        b = self.first[cells] + np.minimum(off, span)
+        bs = self.start + b * self.width
+        be = self.start + (b + 1) * self.width
+        ell = np.where(off <= span, np.maximum(np.minimum(hi, be) - np.maximum(lo, bs), 0.0), 0.0)
+        # an edge moves the overlap at rate 1 while strictly inside the bin;
+        # an edge held by the region clip sits on the region boundary and is frozen
+        d_ell = ((hi < be) & (hi < self.end)).astype(float) - ((lo > bs) & (lo > self.start)).astype(float)
+        return b, ell, np.where(ell > 0.0, d_ell, 0.0)
+
+
+def _bin_overlaps(design: Design, g: np.ndarray, nx: int, ny: int, bin_w: float, bin_h: float):
+    """Yield ``(cells, bx, by, lx, ly, dlx, dly)``: each cell's overlap with each bin it covers.
+
+    The area of cell ``cells[k]`` in bin ``(bx[k], by[k])`` is ``lx[k] * ly[k]``;
+    ``dlx``/``dly`` are the derivatives of the lengths in the cell's x and y.
+    Cells within two bins on both axes come as four corner-offset groups, the
+    wider ones as one group of their flattened per-cell outer products, so the
+    work is the number of overlapped bins.
+    """
     region = design.region
-    bin_w = region.width / nx
-    bin_h = region.height / ny
-    rho = np.zeros((nx, ny))
     g = np.asarray(g, dtype=float)
-    w, h = design.widths, design.heights
+    x = _Axis(g[:, 0], design.widths, region.xmin, region.xmax, bin_w, nx)
+    y = _Axis(g[:, 1], design.heights, region.ymin, region.ymax, bin_h, ny)
+    valid = (x.hi > x.lo) & (y.hi > y.lo)
+    narrow = (x.span <= 1) & (y.span <= 1)
 
-    x0 = np.clip(g[:, 0] - w / 2.0, region.xmin, region.xmax)
-    x1 = np.clip(g[:, 0] + w / 2.0, region.xmin, region.xmax)
-    y0 = np.clip(g[:, 1] - h / 2.0, region.ymin, region.ymax)
-    y1 = np.clip(g[:, 1] + h / 2.0, region.ymin, region.ymax)
-    valid = (x1 > x0) & (y1 > y0)
+    cells = np.flatnonzero(valid & narrow)
+    xs = [x.overlap(cells, off) for off in (0, 1)]
+    ys = [y.overlap(cells, off) for off in (0, 1)]
+    for bx, lx, dlx in xs:
+        for by, ly, dly in ys:
+            yield cells, bx, by, lx, ly, dlx, dly
 
-    ix0, ix1 = _bin_span(x0, x1, region.xmin, bin_w, nx)
-    iy0, iy1 = _bin_span(y0, y1, region.ymin, bin_h, ny)
-    fast = valid & (ix1 - ix0 <= 1) & (iy1 - iy0 <= 1)
-
-    if fast.any():
-        f = np.flatnonzero(fast)
-        lxa = np.minimum(x1[f], region.xmin + (ix0[f] + 1) * bin_w) - x0[f]
-        lxb = np.where(ix1[f] > ix0[f], x1[f] - (region.xmin + ix1[f] * bin_w), 0.0)
-        lya = np.minimum(y1[f], region.ymin + (iy0[f] + 1) * bin_h) - y0[f]
-        lyb = np.where(iy1[f] > iy0[f], y1[f] - (region.ymin + iy1[f] * bin_h), 0.0)
-        np.add.at(rho, (ix0[f], iy0[f]), lxa * lya)
-        np.add.at(rho, (ix0[f], iy1[f]), lxa * lyb)
-        np.add.at(rho, (ix1[f], iy0[f]), lxb * lya)
-        np.add.at(rho, (ix1[f], iy1[f]), lxb * lyb)
-
-    for i in np.flatnonzero(valid & ~fast):
-        bx = region.xmin + np.arange(ix0[i], ix1[i] + 2) * bin_w
-        by = region.ymin + np.arange(iy0[i], iy1[i] + 2) * bin_h
-        lx = np.minimum(x1[i], bx[1:]) - np.maximum(x0[i], bx[:-1])
-        ly = np.minimum(y1[i], by[1:]) - np.maximum(y0[i], by[:-1])
-        rho[ix0[i]:ix1[i] + 1, iy0[i]:iy1[i] + 1] += np.outer(np.maximum(lx, 0.0), np.maximum(ly, 0.0))
-
-    return DensityGrid(
-        nx=nx, ny=ny, bin_w=bin_w, bin_h=bin_h, rho=rho, rho_t=cfg.rho_t,
-        xmin=region.xmin, ymin=region.ymin,
-    )
-
-
-def _bin_span(lo: np.ndarray, hi: np.ndarray, origin: float, width: float, count: int):
-    """First and last bin index overlapped by each [lo, hi] interval."""
-    first = np.clip(np.floor((lo - origin) / width).astype(np.int64), 0, count - 1)
-    last = np.clip(np.ceil((hi - origin) / width).astype(np.int64) - 1, 0, count - 1)
-    last = np.maximum(last, first)
-    return first, last
+    wide = np.flatnonzero(valid & ~narrow)
+    cols = y.span[wide] + 1
+    counts = (x.span[wide] + 1) * cols
+    cells = np.repeat(wide, counts)
+    k = np.arange(cells.size) - np.repeat(np.cumsum(counts) - counts, counts)  # index in the cell's outer product
+    cols = np.repeat(cols, counts)
+    bx, lx, dlx = x.overlap(cells, k // cols)
+    by, ly, dly = y.overlap(cells, k % cols)
+    yield cells, bx, by, lx, ly, dlx, dly
 
 
 def overflow(grid: DensityGrid) -> float:

@@ -28,7 +28,7 @@ from scipy.fft import dctn, idctn
 
 from .errors import DivergenceError
 from .gift import GiftConfig, initial_signal
-from .metrics import DensityGrid, GridConfig, _bin_span, density_map, hpwl, overflow
+from .metrics import DensityGrid, GridConfig, _bin_overlaps, density_map, hpwl, overflow
 from .netlist import Design
 
 log = logging.getLogger(__name__)
@@ -135,57 +135,13 @@ def smooth_wirelength_grad(design: Design, g: np.ndarray, gamma: float) -> tuple
 def _field_weighted_grad(
     design: Design, g: np.ndarray, dens: DensityGrid, bin_field: np.ndarray
 ) -> np.ndarray:
-    """Accumulate sum_b field_b * d(overlap area of cell i with bin b)/d(x_i, y_i).
-
-    The x-overlap with a bin changes at rate +-1 while the corresponding cell
-    edge lies strictly inside the bin (piecewise-linear overlap); edges frozen
-    by the region clip have zero derivative. Fixed cells get zero rows.
-    """
-    region = design.region
-    g = np.asarray(g, dtype=float)
-    grad = np.zeros_like(g)
-    w, h = design.widths, design.heights
-    x0 = np.clip(g[:, 0] - w / 2.0, region.xmin, region.xmax)
-    x1 = np.clip(g[:, 0] + w / 2.0, region.xmin, region.xmax)
-    y0 = np.clip(g[:, 1] - h / 2.0, region.ymin, region.ymax)
-    y1 = np.clip(g[:, 1] + h / 2.0, region.ymin, region.ymax)
-    free_lo_x = (g[:, 0] - w / 2.0 > region.xmin).astype(float)
-    free_hi_x = (g[:, 0] + w / 2.0 < region.xmax).astype(float)
-    free_lo_y = (g[:, 1] - h / 2.0 > region.ymin).astype(float)
-    free_hi_y = (g[:, 1] + h / 2.0 < region.ymax).astype(float)
-
-    active = np.flatnonzero(~design.fixed & (x1 > x0) & (y1 > y0))
-    if active.size == 0:
-        return grad
-    x0, x1, y0, y1 = x0[active], x1[active], y0[active], y1[active]
-    ix0, ix1 = _bin_span(x0, x1, region.xmin, dens.bin_w, dens.nx)
-    iy0, iy1 = _bin_span(y0, y1, region.ymin, dens.bin_h, dens.ny)
-
-    def _axis(lo, hi, i_first, span_off, origin, width, free_lo, free_hi):
-        b = i_first + span_off
-        bs = origin + b * width
-        be = bs + width
-        ell = np.maximum(np.minimum(hi, be) - np.maximum(lo, bs), 0.0)
-        d_ell = np.where(hi < be, free_hi, 0.0) - np.where(lo > bs, free_lo, 0.0)
-        d_ell = np.where(ell > 0.0, d_ell, 0.0)
-        return b, ell, d_ell
-
-    gx = np.zeros(active.size)
-    gy = np.zeros(active.size)
-    for dx in range(int((ix1 - ix0).max()) + 1):
-        in_x = dx <= ix1 - ix0
-        bx, lx, dlx = _axis(x0, x1, ix0, dx, region.xmin, dens.bin_w,
-                            free_lo_x[active], free_hi_x[active])
-        for dy in range(int((iy1 - iy0).max()) + 1):
-            in_y = dy <= iy1 - iy0
-            by, ly, dly = _axis(y0, y1, iy0, dy, region.ymin, dens.bin_h,
-                                free_lo_y[active], free_hi_y[active])
-            use = in_x & in_y
-            f = np.where(use, bin_field[np.minimum(bx, dens.nx - 1), np.minimum(by, dens.ny - 1)], 0.0)
-            gx += f * dlx * ly
-            gy += f * lx * dly
-    grad[active, 0] = gx
-    grad[active, 1] = gy
+    """sum_b field_b * d(overlap area of cell i with bin b)/d(x_i, y_i); fixed cells get zero rows."""
+    grad = np.zeros((design.num_cells, 2))
+    for cells, bx, by, lx, ly, dlx, dly in _bin_overlaps(design, g, dens.nx, dens.ny, dens.bin_w, dens.bin_h):
+        f = bin_field[bx, by]
+        np.add.at(grad[:, 0], cells, f * dlx * ly)
+        np.add.at(grad[:, 1], cells, f * lx * dly)
+    grad[design.fixed] = 0.0
     return grad
 
 
@@ -243,13 +199,14 @@ def default_placer_bins(design: Design) -> GridConfig:
     return GridConfig(nx=nx, ny=ny)
 
 
-def _placer_grid(design: Design, grid: GridConfig | None) -> GridConfig:
-    """The requested grid, with unset bin counts taken from default_placer_bins."""
-    grid = grid or GridConfig()
+def _placer_defaults(design: Design, config: PlacerConfig) -> tuple[GridConfig, float]:
+    """The bin grid (unset counts from default_placer_bins) and the LSE gamma."""
+    grid = config.grid or GridConfig()
     if grid.nx is None or grid.ny is None:
         bins = default_placer_bins(design)
         grid = GridConfig(nx=grid.nx or bins.nx, ny=grid.ny or bins.ny, rho_t=grid.rho_t)
-    return grid
+    gamma = config.gamma if config.gamma is not None else 0.01 * design.region.width
+    return grid, gamma
 
 
 def balanced_lambda0(design: Design, config: PlacerConfig) -> float:
@@ -262,8 +219,7 @@ def balanced_lambda0(design: Design, config: PlacerConfig) -> float:
     incomparable across them — and it is degenerate at a coincident stack,
     where the wirelength gradient nearly vanishes.
     """
-    grid = _placer_grid(design, config.grid)
-    gamma = config.gamma if config.gamma is not None else 0.01 * design.region.width
+    grid, gamma = _placer_defaults(design, config)
     cloud = initial_signal(design, GiftConfig(seed=config.seed))
     _, wl_grad = smooth_wirelength_grad(design, cloud, gamma)
     _, d_grad, _ = electrostatic_grad(design, cloud, grid)
@@ -284,8 +240,7 @@ def run_placer(
     touched. Raises DivergenceError when the objective stops being finite.
     """
     config = config or PlacerConfig()
-    grid = _placer_grid(design, config.grid)
-    gamma = config.gamma if config.gamma is not None else 0.01 * design.region.width
+    grid, gamma = _placer_defaults(design, config)
 
     g = np.array(g0, dtype=float)
     if g.shape != (design.num_cells, 2):

@@ -438,3 +438,58 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "giftplace" in capsys.readouterr().out
+
+
+class TestUnusableGeneratorInputs:
+    """A benchgen input the generator cannot use exits 2, names the option and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--long-range-fraction", "-1"], "long_range_fraction"),
+            (["--long-range-fraction", "2"], "long_range_fraction"),
+            (["--long-range-fraction", "nan"], "long_range_fraction"),
+            (["--io", "-3"], "io_count"),
+            (["--fanout", "2:nan"], "fanout"),
+            (["--fanout", "2:0"], "fanout"),
+            (["--fanout", "2:-1,3:2"], "fanout"),
+            (["--fanout", "2"], "--fanout"),
+            (["--fanout", "two:1"], "--fanout"),
+        ],
+    )
+    def test_exit_2(self, tmp_path, capsys, flags, named):
+        out_dir = tmp_path / "gen"
+        code, stdout, err = run_cli(capsys, "benchgen", "--cells", "50", *flags, "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert named in err
+        assert stdout == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [["--long-range-fraction", "0"], ["--long-range-fraction", "1"], ["--io", "0"]])
+    def test_boundary_values_accepted(self, tmp_path, capsys, flags):
+        code, _, _ = run_cli(capsys, "benchgen", "--cells", "50", *flags, "--out-dir", str(tmp_path))
+        assert code == 0
+
+
+class TestCliqueCap:
+    """A clique cap below 2 would skip every net; each command that reads it exits 2."""
+
+    @pytest.mark.parametrize("cap", ["-1", "0", "1"])
+    @pytest.mark.parametrize(
+        "command,flags",
+        [("gift", []), ("place", ["--init", "gift"]), ("metrics", []), ("spectrum", [])],
+    )
+    def test_below_two_exit_2(self, bench, tmp_path, capsys, command, flags, cap):
+        out = tmp_path / "out"
+        out_flag = "--out-dir" if command == "spectrum" else "--out"
+        code, stdout, err = run_cli(capsys, command, bench, *flags, "--max-clique-pins", cap, out_flag, str(out))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "--max-clique-pins" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_two_accepted(self, bench, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "gift", bench, "--max-clique-pins", "2", "--out", str(tmp_path / "g.pl"))
+        assert code == 0

@@ -213,7 +213,7 @@ class TestOverflow:
     def make_grid(self, rho, rho_t=1.0, bin_w=1.0, bin_h=1.0):
         return DensityGrid(
             nx=rho.shape[0], ny=rho.shape[1], bin_w=bin_w, bin_h=bin_h,
-            rho=rho, rho_t=rho_t, xmin=0.0, ymin=0.0,
+            rho=rho, rho_t=rho_t,
         )
 
     def test_under_target_zero(self):

@@ -8,15 +8,19 @@ behavior.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from giftplace import (
+    Design,
     DivergenceError,
     GridConfig,
     PlacerConfig,
     Region,
     default_placer_bins,
+    density_map,
     electrostatic_grad,
     generate,
     hpwl,
@@ -389,3 +393,129 @@ class TestRunPlacer:
         path = tmp_path / "t.csv"
         trace.write_csv(str(path))
         assert path.read_text().splitlines()[0] == "iter,wl,hpwl,overflow,lambda,seconds"
+
+
+def with_macro(design, width, height):
+    """``design`` plus one movable cell of the given size, last."""
+    return Design(
+        names=list(design.names) + ["macro"],
+        widths=np.append(design.widths, width),
+        heights=np.append(design.heights, height),
+        fixed=np.append(design.fixed, False),
+        fixed_xy=np.vstack([design.fixed_xy, (np.nan, np.nan)]),
+        net_names=design.net_names,
+        net_start=design.net_start,
+        pin_cell=design.pin_cell,
+        pin_dx=design.pin_dx,
+        pin_dy=design.pin_dy,
+        region=design.region,
+    )
+
+
+def design_bin(design, grid):
+    """Bin width and height of ``grid`` on ``design``'s region."""
+    return design.region.width / grid.nx, design.region.height / grid.ny
+
+
+def overlap_oracle(design, g, nx, ny, bin_field):
+    """Occupancy and field gradient from every (cell, bin) pair, one cell at a time.
+
+    Per axis, the overlap with bin [s, e] is min(hi, e) - max(lo, s) of the
+    region-clipped interval [lo, hi]; its derivative is +1 for a right edge
+    strictly inside the bin and -1 for a left edge strictly inside it, unless
+    the raw edge lies on or beyond the region boundary (the clip holds it).
+    """
+    region = design.region
+    rho = np.zeros((nx, ny))
+    grad = np.zeros((design.num_cells, 2))
+    axes = (
+        (region.xmin, region.xmax, region.width / nx, nx, design.widths),
+        (region.ymin, region.ymax, region.height / ny, ny, design.heights),
+    )
+    for i in range(design.num_cells):
+        lengths = []
+        for axis, (start, end, width, count, size) in enumerate(axes):
+            raw_lo, raw_hi = g[i, axis] - size[i] / 2.0, g[i, axis] + size[i] / 2.0
+            lo, hi = min(max(raw_lo, start), end), min(max(raw_hi, start), end)
+            s = start + np.arange(count) * width
+            e = start + np.arange(1, count + 1) * width
+            ell = np.maximum(np.minimum(hi, e) - np.maximum(lo, s), 0.0)
+            d_ell = ((s < hi) & (hi < e) & (raw_hi < end)).astype(float)
+            d_ell -= ((s < lo) & (lo < e) & (raw_lo > start)).astype(float)
+            lengths.append((ell, np.where(ell > 0.0, d_ell, 0.0)))
+        (lx, dlx), (ly, dly) = lengths
+        rho += np.outer(lx, ly)
+        if not design.fixed[i]:
+            grad[i] = (dlx @ bin_field @ ly, lx @ bin_field @ dly)
+    return rho, grad
+
+
+class TestOverlapKernel:
+    """density_map and the spreading force share one cell-to-bin overlap kernel."""
+
+    @staticmethod
+    def mixed_design(rng):
+        """Narrow and wide, fixed and movable cells, some clipped or outside, on an odd grid."""
+        region = Region(0.1, -0.3, 0.1 + rng.uniform(5.0, 12.0), -0.3 + rng.uniform(5.0, 12.0))
+        nx, ny = int(rng.integers(3, 17)), int(rng.integers(3, 17))
+        bw, bh = region.width / nx, region.height / ny
+        n = 60
+        sizes = np.column_stack([rng.uniform(0.2, 1.5, n) * bw, rng.uniform(0.2, 1.5, n) * bh])
+        wide = rng.choice(n, 12, replace=False)
+        sizes[wide] = np.column_stack([rng.uniform(1.0, 6.0, 12) * bw, rng.uniform(1.0, 6.0, 12) * bh])
+        g = np.column_stack([
+            rng.uniform(region.xmin - 2.0 * bw, region.xmax + 2.0 * bw, n),
+            rng.uniform(region.ymin - 2.0 * bh, region.ymax + 2.0 * bh, n),
+        ])
+        g[:4, 0] = region.xmin + sizes[:4, 0] / 2.0  # left edge on the region boundary
+        g[4:8, 1] = region.ymax - sizes[4:8, 1] / 2.0  # top edge on the region boundary
+        g[8:12] = np.column_stack([region.xmin - sizes[8:12, 0], region.ymax + sizes[8:12, 1]])  # outside
+        fixed = rng.choice(n, 15, replace=False)
+        design = make_design(n, [[0, 1]], region, sizes=sizes, pads={int(i): tuple(g[i]) for i in fixed})
+        return design, g, nx, ny
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_bin_oracle(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        design, g, nx, ny = self.mixed_design(rng)
+        dens = density_map(design, g, GridConfig(nx=nx, ny=ny))
+        bin_field = rng.normal(size=(nx, ny))
+        grad = placer._field_weighted_grad(design, g, dens, bin_field)
+        rho_want, grad_want = overlap_oracle(design, g, nx, ny, bin_field)
+        assert np.any(grad_want[:, 0] != 0.0) and np.any(grad_want[:, 1] != 0.0)
+        np.testing.assert_allclose(dens.rho, rho_want, rtol=1e-12, atol=1e-12 * rho_want.max())
+        np.testing.assert_allclose(grad, grad_want, rtol=1e-12, atol=1e-12 * np.abs(grad_want).max())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_macro_matches_finite_differences(self, seed):
+        base = generate(cells=150, seed=seed)
+        grid = default_placer_bins(base)
+        bw, bh = design_bin(base, grid)
+        design = with_macro(base, 6.3 * bw, 4.7 * bh)
+        g = random_positions(design, np.random.default_rng(700 + seed))
+        movable = ~design.fixed
+        _, grad, _ = electrostatic_grad(design, g, grid)
+        fd = fd_gradient(lambda gg: electrostatic_grad(design, gg, grid)[0], g, movable, 1e-6)
+        assert np.any(grad[-1] != 0.0)
+        assert np.max(np.abs(grad[movable] - fd[movable])) <= 1e-4
+
+    def test_wide_cell_cost_follows_overlapped_bins(self):
+        # a force computed by one pass per (widest span) offset pair takes
+        # about 100x longer once a single 64x64-bin cell is movable
+        base = generate(cells=5000, seed=1)
+        grid = default_placer_bins(base)
+        bw, bh = design_bin(base, grid)
+        design = with_macro(base, 64 * bw, 64 * bh)
+        g_base = random_positions(base, np.random.default_rng(1))
+        g = np.vstack([g_base, base.region.center])
+
+        def best_of_5(d, pos):
+            times = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                electrostatic_grad(d, pos, grid)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        assert best_of_5(design, g) <= 3.0 * best_of_5(base, g_base)
+
