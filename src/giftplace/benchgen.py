@@ -38,12 +38,13 @@ def generate(
         raise ValueError(f"utilization must be in (0, 1], got {utilization}")
     if not 0.0 <= long_range_fraction <= 1.0:
         raise ValueError(f"long_range_fraction must be in [0, 1], got {long_range_fraction}")
-    if io_count is not None and io_count < 0:
-        raise ValueError(f"io_count must be >= 0, got {io_count}")
+    for name, value, least in (("rows", rows, 1), ("cols", cols, 1), ("io_count", io_count, 0)):
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)
 
-    cols = cols or math.ceil(math.sqrt(cells))
-    rows = rows or math.ceil(cells / cols)
+    cols = math.ceil(math.sqrt(cells)) if cols is None else cols
+    rows = math.ceil(cells / cols) if rows is None else rows
     if rows * cols < cells:
         raise ValueError(f"{rows} rows x {cols} cols cannot hold {cells} cells")
     fanout = fanout or DEFAULT_FANOUT

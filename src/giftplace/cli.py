@@ -166,6 +166,17 @@ def _parse_fanout(spec: str | None) -> dict[int, float] | None:
     return profile
 
 
+def _comma_list(opts: dict, key: str, kind: type, ok, rule: str) -> list:
+    """A comma-list option such as --sigma, each value converted and checked."""
+    try:
+        values = [kind(v) for v in str(opts[key]).split(",")]
+    except ValueError:
+        values = None
+    if values is None or not all(map(ok, values)):
+        raise ValueError(f"--{key} must be a comma list of {rule}, got {opts[key]!r}")
+    return values
+
+
 def _clique_cap(opts: dict) -> int | None:
     """--max-clique-pins; a cap below 2 would skip every net and leave no graph."""
     cap = opts.get("max_clique_pins")
@@ -215,12 +226,6 @@ def _timed(fn, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
-def _center_init(design) -> np.ndarray:
-    g = np.tile(design.region.center, (design.num_cells, 1))
-    g[design.fixed] = design.fixed_xy[design.fixed]
-    return g
-
-
 # ---------------------------------------------------------------------------
 # command handlers (each takes the fully resolved options dict)
 
@@ -258,7 +263,7 @@ def run_place(opts: dict) -> int:
 
     init = opts["init"]
     if init == "center":
-        g0 = _center_init(design)
+        g0 = np.tile(design.region.center, (design.num_cells, 1))
     elif init == "gift":
         adj, t_graph = _timed(build_clique_graph, design, cap)
         timings.append(("graph", t_graph))
@@ -270,11 +275,12 @@ def run_place(opts: dict) -> int:
         basis = eigendecompose(identity_minus(normalized_augmented_adjacency(adj, 0.0)))
         timings.append(("eigen", basis.seconds))
         g0 = eigenvector_placement(basis, design.region)
-        g0[design.fixed] = design.fixed_xy[design.fixed]
     elif init.startswith("file:"):
         g0 = read_placement(design, init[len("file:"):])
     else:
         raise ValueError(f"unknown --init {init!r} (expected center|gift|eigen|file:PATH)")
+    # every start keeps the design's pads where the design puts them
+    g0[design.fixed] = design.fixed_xy[design.fixed]
 
     (g_final, trace), t_place = _timed(run_placer, design, g0, pconfig)
     timings.append(("place", t_place))
@@ -298,14 +304,14 @@ def run_place(opts: dict) -> int:
 
 
 def run_spectrum(opts: dict) -> int:
+    sigmas = _comma_list(opts, "sigma", float, lambda s: 0.0 <= s < np.inf, "finite numbers >= 0")
+    ks = _comma_list(opts, "k", int, lambda k: k >= 1, "integers >= 1")
     cap = _clique_cap(opts)
     design, t_parse = _timed(parse_design, opts["aux"])
     if design.num_cells == 0:
         _diag("design has no cells; nothing to analyze")
         return EXIT_INPUT
     adj, t_graph = _timed(build_clique_graph, design, cap)
-    sigmas = [float(s) for s in str(opts["sigma"]).split(",")]
-    ks = [int(k) for k in str(opts["k"]).split(",")]
 
     out_dir = opts["out_dir"]
     os.makedirs(out_dir, exist_ok=True)

@@ -1,5 +1,9 @@
 """Clique-model circuit graph and derived sparse operators.
 
+The clique graph is A = B W B^T - diag(B W B^T), where B is the cells x nets
+pin-count incidence matrix and W = diag(2/M) over nets of M pins. It is built
+as that sparse product, so no per-pin-pair triplets are ever materialized.
+
 Everything here is built on symmetric CSR matrices. The central object for
 filtering is the augmented normalized adjacency
 
@@ -122,15 +126,11 @@ def from_coo(n: int, rows, cols, vals) -> SparseSymMatrix:
 def build_clique_graph(design: Design, max_clique_pins: int | None = None) -> SparseSymMatrix:
     """Expand every net into a clique with edge weight 2/M (M = pin count).
 
-    Weights from multiple nets on the same cell pair accumulate; pins of a net
-    landing on the same cell produce no edge. Nets with fewer than 2 pins are
-    ignored; nets above ``max_clique_pins`` (if set) are skipped, and the
-    number of skipped nets is logged.
-
-    All nets of one degree M are expanded from the CSR pin table with one
-    (nets, M) gather and one ``triu_indices(M, 1)``. Pair memory is the sum of
-    M(M-1)/2 over expanded nets; ``max_clique_pins`` is the guard against wide
-    nets. Pairs are laid out in net order, so duplicates sum in net order.
+    Weights of nets sharing a cell pair add up in net order; pins of a net on
+    the same cell make no edge. Nets under 2 pins are ignored; nets above
+    ``max_clique_pins`` (if set) are skipped, and their count is logged. The
+    result is the strict upper triangle of B W B^T plus its transpose; B keeps
+    its net indices sorted, so each pair's weight is summed in net order.
     """
     net_start, pin_cell = design.net_start, design.pin_cell
     degree = np.diff(net_start)
@@ -140,21 +140,13 @@ def build_clique_graph(design: Design, max_clique_pins: int | None = None) -> Sp
         if over.any():
             log.info("clique expansion skipped %d nets with more than %d pins", over.sum(), max_clique_pins)
         expand &= ~over
-    pair_start = np.concatenate(([0], np.cumsum(np.where(expand, degree * (degree - 1) // 2, 0))))
-    a, b = np.empty((2, pair_start[-1]), dtype=np.int64)
-    w = np.empty(pair_start[-1])
-    nets = np.flatnonzero(expand)
-    nets = nets[np.argsort(degree[nets], kind="stable")]
-    bucket_degrees, bucket_starts = np.unique(degree[nets], return_index=True)
-    for m, group in zip(bucket_degrees.tolist(), np.split(nets, bucket_starts[1:])):
-        iu, ju = np.triu_indices(m, k=1)
-        cells = pin_cell[net_start[group, None] + np.arange(m)]
-        pos = pair_start[group, None] + np.arange(iu.shape[0])
-        a[pos], b[pos], w[pos] = cells[:, iu], cells[:, ju], 2.0 / m
-    keep = a != b
-    a, b = a[keep], b[keep]
-    n = design.num_cells
-    upper = sp.coo_matrix((w[keep], (np.minimum(a, b), np.maximum(a, b))), shape=(n, n)).tocsr()
+    pins = np.repeat(expand, degree)
+    nets = np.repeat(np.arange(degree.size), degree)[pins]
+    incidence = sp.csr_matrix((np.ones(nets.size), (pin_cell[pins], nets)), shape=(design.num_cells, degree.size))
+    # indices only name kept nets, so 2/M is never taken for M < 2
+    weights = incidence.data * (2.0 / degree[incidence.indices])
+    weighted = sp.csr_matrix((weights, incidence.indices, incidence.indptr), shape=incidence.shape)
+    upper = sp.triu(weighted @ incidence.T, k=1, format="csr")
     return SparseSymMatrix(upper + upper.T)
 
 

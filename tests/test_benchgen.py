@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -155,7 +157,7 @@ class TestRoundTripThroughBookshelf:
         for ext in (".aux", ".nodes", ".nets", ".pl", ".scl"):
             f1 = a1.replace(".aux", ext)
             f2 = a2.replace(".aux", ext)
-            assert open(f1, "rb").read() == open(f2, "rb").read()
+            assert Path(f1).read_bytes() == Path(f2).read_bytes()
 
     def test_fixed_positions_survive_round_trip(self, tmp_path):
         design = generate(cells=40, seed=6)

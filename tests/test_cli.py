@@ -226,6 +226,22 @@ class TestPlace:
         g_out = read_placement(design, str(out))
         np.testing.assert_allclose(g_out, g, atol=1e-6)
 
+    def test_file_init_keeps_fixed_cells(self, bench, tmp_path, capsys):
+        design = parse_design(bench)
+        g = np.tile(design.region.center, (design.num_cells, 1))
+        g[design.fixed] = design.fixed_xy[design.fixed]
+        pad = int(np.flatnonzero(design.fixed)[0])
+        g[pad] = (0.0, 0.0)
+        custom = tmp_path / "moved_pad.pl"
+        write_placement(design, g, str(custom))
+        out = tmp_path / "from_file.pl"
+        code, _, _ = run_cli(
+            capsys, "place", bench, "--init", f"file:{custom}", "--out", str(out), "--max-iters", "3",
+        )
+        assert code == 0
+        g_out = read_placement(design, str(out))
+        np.testing.assert_allclose(g_out[design.fixed], design.fixed_xy[design.fixed], atol=1e-6)
+
     def test_eigen_init_too_large_exit_2(self, tmp_path, capsys):
         out = tmp_path / "big"
         out.mkdir()
@@ -367,6 +383,30 @@ class TestUnusableOptions:
         assert stdout == ""
         assert not list(out_dir.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--k", "2,0"], "--k"),
+            (["--k", "1.5"], "--k"),
+            (["--sigma", "1,-1"], "--sigma"),
+            (["--sigma", "0,x"], "--sigma"),
+            (["--sigma", "0,inf"], "--sigma"),
+        ],
+    )
+    def test_spectrum_bad_list_exit_2_before_writing(self, bench, tmp_path, capsys, flags, named):
+        out_dir = tmp_path / "spec"
+        code, stdout, err = run_cli(capsys, "spectrum", bench, *flags, "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert named in err
+        assert stdout == ""
+        assert not out_dir.exists()
+
+    def test_spectrum_lists_checked_before_parsing(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "spectrum", str(tmp_path / "missing.aux"), "--k", "0")
+        assert code == 2
+        assert "--k" in err
+
     def test_help_shows_library_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["place", "--help"])
@@ -465,6 +505,13 @@ class TestUnusableGeneratorInputs:
         assert named in err
         assert stdout == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [(["--cols", "0"], "cols"), (["--cols", "-1"], "cols"), (["--rows", "0"], "rows"), (["--rows", "-2"], "rows")],
+    )
+    def test_grid_below_one_exit_2(self, tmp_path, capsys, flags, named):
+        self.test_exit_2(tmp_path, capsys, flags, named)
 
     @pytest.mark.parametrize("flags", [["--long-range-fraction", "0"], ["--long-range-fraction", "1"], ["--io", "0"]])
     def test_boundary_values_accepted(self, tmp_path, capsys, flags):

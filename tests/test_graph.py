@@ -6,7 +6,9 @@ independently of the CSR code paths.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,7 +50,7 @@ WIDE_FANOUT = {2: 0.35, 3: 0.2, 4: 0.15, 6: 0.1, 8: 0.08, 16: 0.07, 32: 0.05}
 
 
 def reference_clique_graph(design: Design, max_clique_pins: int | None = None) -> sp.csr_matrix:
-    """Per-net loop over pin-table slices: the bit-exact oracle for the bucketed build."""
+    """Per-net loop over pin-table slices: the bit-exact oracle for the incidence-product build."""
     rows, cols, vals = [], [], []
     starts = design.net_start.tolist()
     for lo, hi in zip(starts, starts[1:]):
@@ -91,6 +93,31 @@ def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
         assert np.array_equal(g, w), name
 
 
+def with_extra_net(design: Design, cells: np.ndarray) -> Design:
+    """``design`` plus one more net on ``cells``."""
+    return dataclasses.replace(
+        design,
+        net_names=[*design.net_names, "extra"],
+        net_start=np.append(design.net_start, design.net_start[-1] + cells.size),
+        pin_cell=np.concatenate([design.pin_cell, cells]),
+        pin_dx=np.zeros(design.pin_cell.size + cells.size),
+        pin_dy=np.zeros(design.pin_cell.size + cells.size),
+    )
+
+
+def net_order_sum(nets: list[list[int]]) -> dict[tuple[int, int], float]:
+    """2/M per pin pair, added pair by pair in net order: the order the build promises."""
+    acc: dict[tuple[int, int], float] = {}
+    for pins in nets:
+        w = 2.0 / len(pins)
+        for i, a in enumerate(pins):
+            for b in pins[i + 1:]:
+                if a != b:
+                    key = (min(a, b), max(a, b))
+                    acc[key] = acc.get(key, 0.0) + w
+    return acc
+
+
 ORACLE_DESIGNS = {
     "generated-default": lambda: generate(cells=2000, seed=11),
     "generated-wide": lambda: generate(cells=2000, fanout=WIDE_FANOUT, long_range_fraction=0.5, seed=12),
@@ -103,11 +130,14 @@ ORACLE_DESIGNS = {
     ),
     "no-nets": lambda: design_with_nets(3, []),
     "no-cells": lambda: design_with_nets(0, []),
+    "generated-plus-500-pin-net": lambda: with_extra_net(
+        generate(cells=2000, seed=13), np.random.default_rng(13).choice(2000, size=500, replace=False)
+    ),
 }
 
 
 class TestBucketedBuildOracle:
-    """The degree-bucketed build equals the per-net loop bit for bit."""
+    """The incidence-product build equals the per-net loop bit for bit."""
 
     @pytest.mark.parametrize("name", ORACLE_DESIGNS)
     def test_matches_per_net_loop(self, name):
@@ -146,6 +176,46 @@ class TestBucketedBuildOracle:
             assert "skipped" not in caplog.text
         else:
             assert f"clique expansion {message} with more than {cap} pins" in caplog.text
+
+
+class TestIncidenceProductBuild:
+    """The B W B^T build sums in net order, stays symmetric and peaks near its output size."""
+
+    def test_equals_net_order_sum(self):
+        rng = np.random.default_rng(0)
+        mismatched = []
+        for trial in range(200):
+            n = int(rng.integers(3, 40))
+            nets = [
+                [int(c) for c in rng.choice(n, size=int(rng.integers(2, min(n, 11) + 1)), replace=False)]
+                for _ in range(int(rng.integers(0, 60)))
+            ]
+            upper = sp.triu(build_clique_graph(design_with_nets(n, nets)).to_scipy(), k=1).tocoo()
+            got = dict(zip(zip(upper.row.tolist(), upper.col.tolist()), upper.data.tolist()))
+            if got != net_order_sum(nets):
+                mismatched.append(trial)
+        assert mismatched == []
+
+    def test_cell_named_five_times_is_symmetric(self):
+        rng = np.random.default_rng(5)
+        nets = [[int(c) for c in rng.choice(8, size=4)] + [int(rng.integers(20))] * 5 for _ in range(30)]
+        design = design_with_nets(20, nets)
+        got = build_clique_graph(design).to_scipy()
+        assert (got != got.T).nnz == 0
+        want = reference_clique_graph(design)
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-15, atol=0.0)
+
+    def test_wide_net_peak_memory_near_output_size(self):
+        design = design_with_nets(1000, [list(range(1000))])
+        tracemalloc.start()
+        try:
+            got = build_clique_graph(design).to_scipy()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.nnz == 1000 * 999
+        assert peak <= 5.5 * (got.data.nbytes + got.indices.nbytes + got.indptr.nbytes)
 
 
 class TestCliqueGraph:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -364,7 +366,7 @@ class TestRoundTrip:
         p1, p2 = str(tmp_path / "a.pl"), str(tmp_path / "b.pl")
         write_placement(anchored_design, g, p1)
         write_placement(anchored_design, g, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_fixed_marker_round_trips(self, tmp_path, anchored_design):
         path = str(tmp_path / "f.pl")
@@ -372,7 +374,7 @@ class TestRoundTrip:
         mask = anchored_design.fixed_mask()
         g[mask] = anchored_design.fixed_xy[mask]
         write_placement(anchored_design, g, path)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.count("/FIXED") == 2
 
     def test_shape_mismatch_rejected(self, tmp_path, anchored_design):
