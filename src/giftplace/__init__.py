@@ -9,7 +9,6 @@ for verification at small n.
 
 from .benchgen import generate
 from .errors import (
-    CutoffOutOfRangeError,
     DanglingPinError,
     DegenerateSpectrumWarning,
     DimensionMismatchError,
@@ -72,9 +71,6 @@ from .spectral import (
     eigendecompose,
     eigenvector_placement,
     filter_response,
-    gft,
-    ideal_lowpass,
-    igft,
     taylor_gap,
 )
 

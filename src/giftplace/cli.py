@@ -146,10 +146,12 @@ def _gift_config(opts: dict) -> GiftConfig:
     if opts["terms"] is not None:
         terms = []
         for part in opts["terms"].split(","):
-            fields = part.split(":")
-            if len(fields) != 3:
-                raise ValueError(f"bad filter term {part!r}, expected sigma:k:alpha")
-            terms.append(FilterTerm(sigma=float(fields[0]), k=int(fields[1]), alpha=float(fields[2])))
+            try:
+                sigma, k, alpha = part.split(":")
+                fields = float(sigma), int(k), float(alpha)
+            except ValueError:
+                raise ValueError(f"bad --terms entry {part!r}, expected sigma:k:alpha") from None
+            terms.append(FilterTerm(*fields))
     return GiftConfig(terms=terms, seed=opts["seed"], jitter_scale=opts["jitter"])
 
 
@@ -190,9 +192,10 @@ def _grid_config(opts: dict) -> GridConfig:
     nx = ny = None
     if opts["bins"] is not None:
         parts = opts["bins"].lower().split("x")
-        if len(parts) > 2:
-            raise ValueError(f"bad bins {opts['bins']!r}, expected N or NXxNY")
-        nx, ny = int(parts[0]), int(parts[-1])
+        try:
+            nx, ny = map(int, parts * 2 if len(parts) == 1 else parts)
+        except ValueError:
+            raise ValueError(f"bad --bins {opts['bins']!r}, expected N or NXxNY") from None
     return GridConfig(nx=nx, ny=ny, rho_t=opts["rho_t"])
 
 
@@ -231,16 +234,17 @@ def _timed(fn, *args, **kwargs):
 
 
 def run_gift(opts: dict) -> int:
+    gconfig = _gift_config(opts)
     cap = _clique_cap(opts)
     design, t_parse = _timed(parse_design, opts["aux"])
     adj, t_graph = _timed(build_clique_graph, design, cap)
-    placement, tm = gift_place(design, adj, _gift_config(opts))
+    placement, t_filter = _timed(gift_place, design, adj, gconfig)
 
     out = opts["out"] or os.path.splitext(opts["aux"])[0] + ".gift.pl"
     manifest = opts["manifest"] or out + ".manifest.json"
     opts.update(out=out, manifest=manifest)
     write_placement(design, placement, out)
-    timings = [("parse", t_parse), ("graph", t_graph), ("filter", tm["filter"])]
+    timings = [("parse", t_parse), ("graph", t_graph), ("filter", t_filter)]
     _write_manifest(manifest, "gift", opts, {"pl": out}, timings)
     print(json.dumps({"out": out, "timings": [{"phase": p, "seconds": s} for p, s in timings]}))
     return EXIT_OK
@@ -257,6 +261,7 @@ def run_place(opts: dict) -> int:
         grid=_grid_config(opts),
         seed=opts["seed"],
     )
+    gconfig = _gift_config(opts)
     cap = _clique_cap(opts)
     design, t_parse = _timed(parse_design, opts["aux"])
     timings = [("parse", t_parse)]
@@ -267,13 +272,13 @@ def run_place(opts: dict) -> int:
     elif init == "gift":
         adj, t_graph = _timed(build_clique_graph, design, cap)
         timings.append(("graph", t_graph))
-        g0, tm = gift_place(design, adj, _gift_config(opts))
-        timings.append(("filter", tm["filter"]))
+        g0, t_filter = _timed(gift_place, design, adj, gconfig)
+        timings.append(("filter", t_filter))
     elif init == "eigen":
         adj, t_graph = _timed(build_clique_graph, design, cap)
         timings.append(("graph", t_graph))
-        basis = eigendecompose(identity_minus(normalized_augmented_adjacency(adj, 0.0)))
-        timings.append(("eigen", basis.seconds))
+        basis, t_eigen = _timed(eigendecompose, identity_minus(normalized_augmented_adjacency(adj, 0.0)))
+        timings.append(("eigen", t_eigen))
         g0 = eigenvector_placement(basis, design.region)
     elif init.startswith("file:"):
         g0 = read_placement(design, init[len("file:"):])
@@ -290,7 +295,7 @@ def run_place(opts: dict) -> int:
     manifest = opts["manifest"] or out + ".manifest.json"
     opts.update(out=out, trace=trace_path, manifest=manifest)
     write_placement(design, g_final, out)
-    trace.write_csv(trace_path, include_seconds=False)
+    trace.write_csv(trace_path)
     _write_manifest(manifest, "place", opts, {"pl": out, "trace": trace_path}, timings)
     last = trace.records[-1]
     print(json.dumps({
@@ -344,13 +349,14 @@ def run_spectrum(opts: dict) -> int:
 
 
 def run_metrics(opts: dict) -> int:
+    grid = _grid_config(opts)
     cap = _clique_cap(opts)
     design, t_parse = _timed(parse_design, opts["aux"])
     pl_path = opts.get("pl") or aux_files(opts["aux"])[".pl"]
     g = read_placement(design, pl_path)
     adj, t_graph = _timed(build_clique_graph, design, cap)
     lap = laplacian(adj)
-    rep = metrics_report(design, adj, lap, g, _grid_config(opts))
+    rep = metrics_report(design, adj, lap, g, grid)
 
     manifest = opts["manifest"] or (
         opts["out"] + ".manifest.json" if opts.get("out")

@@ -74,10 +74,6 @@ class TooLargeForDenseError(GiftPlaceError):
         self.limit = limit
 
 
-class CutoffOutOfRangeError(GiftPlaceError):
-    """Low-pass cutoff index outside 1..n."""
-
-
 class ZeroSignalError(GiftPlaceError):
     """Rayleigh quotient of an (effectively) all-zero signal."""
 

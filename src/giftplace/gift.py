@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,23 +95,13 @@ def gift_filter(adj: SparseSymMatrix, g: np.ndarray, config: GiftConfig | None =
     return out
 
 
-def gift_place(
-    design: Design, adj: SparseSymMatrix, config: GiftConfig | None = None
-) -> tuple[np.ndarray, dict[str, float]]:
-    """Full initialization: seed signal, filter, re-pin fixed cells, clamp.
-
-    Returns (placement, timings) where timings maps phase name to seconds;
-    only the filter step is timed here (graph construction is the caller's).
-    """
+def gift_place(design: Design, adj: SparseSymMatrix, config: GiftConfig | None = None) -> np.ndarray:
+    """Full initialization: seed signal, filter, re-pin fixed cells, clamp."""
     config = config or GiftConfig()
-    g = initial_signal(design, config)
-    t0 = time.perf_counter()
-    out = gift_filter(adj, g, config)
-    filter_seconds = time.perf_counter() - t0
-
+    out = gift_filter(adj, initial_signal(design, config), config)
     out[design.fixed] = design.fixed_xy[design.fixed]
     movable = ~design.fixed
     region = design.region
     out[movable, 0] = np.clip(out[movable, 0], region.xmin, region.xmax)
     out[movable, 1] = np.clip(out[movable, 1], region.ymin, region.ymax)
-    return out, {"filter": filter_seconds}
+    return out

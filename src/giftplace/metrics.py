@@ -9,11 +9,12 @@ the bins it overlaps, so total mass is conserved exactly.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroSignalError
+from .errors import DimensionMismatchError, GiftPlaceError, ZeroSignalError
 from .graph import SparseSymMatrix
 from .netlist import Design
 
@@ -210,8 +211,11 @@ def report(
     g: np.ndarray,
     grid: GridConfig | None = None,
 ) -> dict:
-    """Summary metrics as a JSON-ready dict."""
-    dens = density_map(design, g, grid)
+    """Summary metrics as a JSON-ready dict.
+
+    Raises GiftPlaceError naming the first metric that is not finite, as
+    coordinates far outside any region make them.
+    """
 
     def _rayleigh(col: np.ndarray) -> float | None:
         try:
@@ -219,11 +223,17 @@ def report(
         except ZeroSignalError:
             return None
 
-    return {
-        "hpwl": hpwl(design, g),
-        "quadratic_wl": quadratic_wirelength(adj, g),
-        "rayleigh_x": _rayleigh(g[:, 0]),
-        "rayleigh_y": _rayleigh(g[:, 1]),
-        "overflow": overflow(dens),
-        "max_bin_density": max_bin_density(dens),
-    }
+    with np.errstate(all="ignore"):  # overflow shows up as a non-finite metric below
+        dens = density_map(design, g, grid)
+        rep = {
+            "hpwl": hpwl(design, g),
+            "quadratic_wl": quadratic_wirelength(adj, g),
+            "rayleigh_x": _rayleigh(g[:, 0]),
+            "rayleigh_y": _rayleigh(g[:, 1]),
+            "overflow": overflow(dens),
+            "max_bin_density": max_bin_density(dens),
+        }
+    for name, value in rep.items():
+        if value is not None and not math.isfinite(value):
+            raise GiftPlaceError(f"metric {name} is not finite ({value}); the placement is out of numeric range")
+    return rep

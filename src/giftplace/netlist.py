@@ -309,14 +309,18 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
     return net_names, net_start, pin_cell, pin_dx, pin_dy
 
 
-def _parse_pl(path: str) -> dict[str, tuple[float, float, bool]]:
-    """name -> (lower-left x, lower-left y, fixed flag)."""
-    placed: dict[str, tuple[float, float, bool]] = {}
+def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(N x 2 lower-left corners, N /FIXED flags), indexed by cell id.
+
+    Corners are NaN for cells that no line places. A cell on several lines
+    keeps its last line; a name missing from ``name_to_id`` is skipped.
+    """
+    n = len(name_to_id)
+    xs, ys, fixed = [math.nan] * n, [math.nan] * n, [False] * n
     for lineno, line in _data_lines(path):
         tokens = line.split()
         if len(tokens) < 3:
             raise MalformedLineError(path, lineno, line, "expected 'name x y [: orient] [/FIXED]'")
-        name = tokens[0]
         try:
             x = float(tokens[1])
             y = float(tokens[2])
@@ -324,9 +328,13 @@ def _parse_pl(path: str) -> dict[str, tuple[float, float, bool]]:
             raise MalformedLineError(path, lineno, line, "coordinates are not numbers")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise MalformedLineError(path, lineno, line, "coordinates must be finite")
-        fixed = any(t == "/FIXED" or t == "/FIXED_NI" for t in tokens[3:])
-        placed[name] = (x, y, fixed)
-    return placed
+        i = name_to_id.get(tokens[0])
+        if i is None:
+            log.warning("%s: placement for undeclared cell %r skipped", path, tokens[0])
+            continue
+        xs[i], ys[i] = x, y
+        fixed[i] = any(t == "/FIXED" or t == "/FIXED_NI" for t in tokens[3:])
+    return np.column_stack((xs, ys)), np.array(fixed, dtype=bool)
 
 
 def _parse_scl(path: str) -> list[Row]:
@@ -428,19 +436,11 @@ def parse_design(aux_path: str) -> Design:
     by_ext = aux_files(aux_path)
     names, widths, heights, fixed, name_to_id, num_terminals = _parse_nodes(by_ext[".nodes"])
     net_names, net_start, pin_cell, pin_dx, pin_dy = _parse_nets(by_ext[".nets"], name_to_id)
-    placed = _parse_pl(by_ext[".pl"])
+    corners, pl_fixed = _parse_pl(by_ext[".pl"], name_to_id)
+    sizes = np.column_stack((widths, heights))
 
-    fixed_xy = np.full((len(names), 2), np.nan)
-    for name, (llx, lly, pl_fixed) in placed.items():
-        i = name_to_id.get(name)
-        if i is None:
-            log.warning("%s: placement for undeclared cell %r skipped", by_ext[".pl"], name)
-            continue
-        if pl_fixed:
-            fixed[i] = True
-        if fixed[i]:
-            fixed_xy[i] = (llx + widths[i] / 2.0, lly + heights[i] / 2.0)
-    fixed = np.array(fixed, dtype=bool)
+    fixed = np.array(fixed, dtype=bool) | pl_fixed
+    fixed_xy = np.where(fixed[:, None], corners + sizes / 2.0, np.nan)
     unplaced = np.flatnonzero(fixed & np.isnan(fixed_xy[:, 0]))
     if unplaced.size:
         raise MalformedLineError(by_ext[".pl"], 0, names[unplaced[0]], "fixed cell has no placement")
@@ -455,7 +455,7 @@ def parse_design(aux_path: str) -> Design:
     if rows:
         region = _region_from_rows(rows)
     else:
-        region = _region_from_placement(placed, name_to_id, widths, heights)
+        region = _region_from_placement(corners, sizes)
         log.warning("%s: no usable .scl; region set to placement bounding box", aux_path)
 
     return Design(
@@ -473,23 +473,15 @@ def parse_design(aux_path: str) -> Design:
     )
 
 
-def _region_from_placement(
-    placed: dict[str, tuple[float, float, bool]], name_to_id: dict[str, int], widths: list[float], heights: list[float]
-) -> Region:
+def _region_from_placement(corners: np.ndarray, sizes: np.ndarray) -> Region:
     """Fallback region: bounding box of the rectangles placed in .pl."""
-    xs0, ys0, xs1, ys1 = [], [], [], []
-    for name, (llx, lly, _) in placed.items():
-        i = name_to_id.get(name)
-        if i is None:
-            continue
-        xs0.append(llx)
-        ys0.append(lly)
-        xs1.append(llx + widths[i])
-        ys1.append(lly + heights[i])
-    if not xs0 or max(xs1) <= min(xs0) or max(ys1) <= min(ys0):
+    placed = ~np.isnan(corners[:, 0])
+    lo = corners[placed]
+    hi = lo + sizes[placed]
+    if not placed.any() or np.any(hi.max(axis=0) <= lo.min(axis=0)):
         log.warning("degenerate placement bounding box; using unit region")
         return Region(0.0, 0.0, 1.0, 1.0)
-    return Region(min(xs0), min(ys0), max(xs1), max(ys1))
+    return Region(*lo.min(axis=0).tolist(), *hi.max(axis=0).tolist())
 
 
 def _half_sizes(design: Design) -> np.ndarray:
@@ -501,13 +493,11 @@ def read_placement(design: Design, pl_path: str) -> np.ndarray:
     """Read cell centers for every design cell from a .pl file."""
     if not os.path.isfile(pl_path):
         raise MissingFileError(pl_path)
-    placed = _parse_pl(pl_path)
-    corners = []
-    for name in design.names:
-        if name not in placed:
-            raise MalformedLineError(pl_path, 0, name, "no placement for cell")
-        corners.append(placed[name][:2])
-    return np.array(corners, dtype=float).reshape(-1, 2) + _half_sizes(design)
+    corners, _ = _parse_pl(pl_path, {name: i for i, name in enumerate(design.names)})
+    missing = np.flatnonzero(np.isnan(corners[:, 0]))
+    if missing.size:
+        raise MalformedLineError(pl_path, 0, design.names[missing[0]], "no placement for cell")
+    return corners + _half_sizes(design)
 
 
 # ---------------------------------------------------------------------------

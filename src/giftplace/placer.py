@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +73,6 @@ class TraceRecord:
     hpwl: float
     overflow: float
     lam: float
-    seconds: float
 
 
 @dataclass
@@ -86,13 +84,12 @@ class PlacerTrace:
     def iterations(self) -> int:
         return self.records[-1].iteration if self.records else 0
 
-    def write_csv(self, path: str, include_seconds: bool = True) -> None:
-        """Dump the trace; pass include_seconds=False for byte-reproducible files."""
+    def write_csv(self, path: str) -> None:
+        """Dump the trace; the file holds no timing, so it is byte-reproducible."""
         with open(path, "w") as f:
-            f.write("iter,wl,hpwl,overflow,lambda" + (",seconds\n" if include_seconds else "\n"))
+            f.write("iter,wl,hpwl,overflow,lambda\n")
             for r in self.records:
-                row = f"{r.iteration},{r.wl:.10g},{r.hpwl:.10g},{r.overflow:.10g},{r.lam:.10g}"
-                f.write(row + (f",{r.seconds:.6f}\n" if include_seconds else "\n"))
+                f.write(f"{r.iteration},{r.wl:.10g},{r.hpwl:.10g},{r.overflow:.10g},{r.lam:.10g}\n")
 
 
 def smooth_wirelength_grad(design: Design, g: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:
@@ -252,7 +249,6 @@ def run_placer(
     g[movable, 0] = np.clip(g[movable, 0], region.xmin, region.xmax)
     g[movable, 1] = np.clip(g[movable, 1], region.ymin, region.ymax)
 
-    t_start = time.perf_counter()
     trace = PlacerTrace()
     wl_val, wl_grad = smooth_wirelength_grad(design, g, gamma)
     d_val, d_grad, dens = electrostatic_grad(design, g, grid)
@@ -284,9 +280,7 @@ def run_placer(
         if not (np.isfinite(obj) and np.all(np.isfinite(grad))):
             raise DivergenceError(f"objective not finite at iteration {it}")
         ovf = overflow(dens)
-        trace.records.append(
-            TraceRecord(it, wl_val, hpwl(design, g), ovf, lam, time.perf_counter() - t_start)
-        )
+        trace.records.append(TraceRecord(it, wl_val, hpwl(design, g), ovf, lam))
         if ovf <= config.stop_overflow:
             trace.converged = True
             break

@@ -7,22 +7,14 @@ so all entry points are guarded to modest n.
 
 from __future__ import annotations
 
-import logging
-import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CutoffOutOfRangeError,
-    DegenerateSpectrumWarning,
-    DimensionMismatchError,
-)
+from .errors import DegenerateSpectrumWarning
 from .graph import DENSE_LIMIT, SparseSymMatrix
 from .netlist import Region
-
-log = logging.getLogger(__name__)
 
 DEGENERACY_TOL = 1e-9
 
@@ -33,7 +25,6 @@ class SpectralBasis:
 
     lambdas: np.ndarray
     U: np.ndarray
-    seconds: float = 0.0  # wall time of the decomposition
 
     @property
     def n(self) -> int:
@@ -56,33 +47,8 @@ class FilterResponse:
 
 def eigendecompose(mat: SparseSymMatrix, limit: int = DENSE_LIMIT) -> SpectralBasis:
     """Full dense eigensystem, eigenvalues ascending."""
-    dense = mat.to_dense(limit)
-    t0 = time.perf_counter()
-    lambdas, u = np.linalg.eigh(dense)
-    seconds = time.perf_counter() - t0
-    return SpectralBasis(lambdas=lambdas, U=u, seconds=seconds)
-
-
-def gft(basis: SpectralBasis, g: np.ndarray) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    if g.shape[0] != basis.n:
-        raise DimensionMismatchError(f"signal has {g.shape[0]} rows, basis has {basis.n}")
-    return basis.U.T @ g
-
-
-def igft(basis: SpectralBasis, ghat: np.ndarray) -> np.ndarray:
-    ghat = np.asarray(ghat, dtype=float)
-    if ghat.shape[0] != basis.n:
-        raise DimensionMismatchError(f"coefficients have {ghat.shape[0]} rows, basis has {basis.n}")
-    return basis.U @ ghat
-
-
-def ideal_lowpass(basis: SpectralBasis, g: np.ndarray, t: int) -> np.ndarray:
-    """Project g onto the t lowest-frequency eigenvectors."""
-    if not 1 <= t <= basis.n:
-        raise CutoffOutOfRangeError(t, basis.n)
-    ut = basis.U[:, :t]
-    return ut @ (ut.T @ np.asarray(g, dtype=float))
+    lambdas, u = np.linalg.eigh(mat.to_dense(limit))
+    return SpectralBasis(lambdas=lambdas, U=u)
 
 
 def eigenvector_placement(basis: SpectralBasis, region: Region | None = None) -> np.ndarray:

@@ -84,7 +84,7 @@ def paired_runs():
     for seed in range(10):
         design = generate(cells=5000, seed=seed)
         adj = build_clique_graph(design)
-        g_gift, _ = gift_place(design, adj, GiftConfig(seed=seed))
+        g_gift = gift_place(design, adj, GiftConfig(seed=seed))
         movable = ~design.fixed_mask()
         g_center = np.array(design.fixed_xy)
         g_center[movable] = [design.region.center[0], design.region.center[1]]
@@ -251,7 +251,7 @@ def test_filtering_reduces_smoothness_and_rayleigh():
         for seed in range(20):
             config = GiftConfig(seed=seed)
             cloud = initial_signal(design, config)
-            filtered, _ = gift_place(design, adj, config)
+            filtered = gift_place(design, adj, config)
             if quadratic_wirelength(adj, filtered) < quadratic_wirelength(adj, cloud):
                 s_wins += 1
             r_before = np.mean([

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,12 +289,41 @@ class TestSpectrum:
         assert code == 1
 
 
+def move_in_pl(src: str, dst: str, cell: str, x: str, y: str) -> None:
+    """Copy a .pl file with ``cell``'s lower-left corner moved to (x, y)."""
+    lines = []
+    for line in Path(src).read_text().split("\n"):
+        tokens = line.split()
+        lines.append("\t".join([cell, x, y, *tokens[3:]]) if tokens[:1] == [cell] else line)
+    Path(dst).write_text("\n".join(lines))
+
+
 class TestMetrics:
     def test_reports_quality_numbers(self, bench, capsys):
         code, stdout, _ = run_cli(capsys, "metrics", bench)
         assert code == 0
         rep = json.loads(stdout)
         assert {"hpwl", "quadratic_wl", "overflow", "max_bin_density"} <= set(rep)
+
+    @pytest.mark.parametrize("via_pl_option", [True, False], ids=["movable-in-pl-option", "fixed-pad-in-design"])
+    def test_non_finite_metric_exit_2_writes_nothing(self, bench, tmp_path, capsys, via_pl_option):
+        """Coordinates whose squares overflow end in one line naming the metric, not Infinity/NaN JSON."""
+        design_pl = bench[: -len(".aux")] + ".pl"
+        if via_pl_option:
+            placed = str(tmp_path / "big.pl")
+            move_in_pl(design_pl, placed, "c0", "1e300", "-1e300")
+            flags = ["--pl", placed]
+        else:
+            move_in_pl(design_pl, design_pl, "io0", "1e200", "-1e200")
+            flags = []
+        out = tmp_path / "metrics.json"
+        code, stdout, err = run_cli(capsys, "metrics", bench, *flags, "--out", str(out))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "GiftPlaceError: metric quadratic_wl is not finite" in err
+        assert stdout == ""
+        assert not out.exists()
+        assert not (tmp_path / "metrics.json.manifest.json").exists()
 
 
 class TestConfigFile:
@@ -364,6 +394,8 @@ class TestUnusableOptions:
             ("gift", ["--terms", "2:2:nan"]),
             ("gift", ["--terms", "nan:2:1"]),
             ("metrics", ["--bins", "0"]),
+            ("place", ["--jitter", "-1"]),
+            ("place", ["--terms", "1:0:1"]),
         ],
     )
     def test_exit_2(self, bench, tmp_path, capsys, command, flags):
@@ -374,6 +406,40 @@ class TestUnusableOptions:
         assert "Traceback" not in err
         assert stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flags,named",
+        [
+            ("place", ["--bins", "x"], "--bins"),
+            ("place", ["--bins", "3x"], "--bins"),
+            ("metrics", ["--bins", "3x4x5"], "--bins"),
+            ("gift", ["--terms", "1:2:x"], "--terms"),
+            ("gift", ["--terms", "1:0.5:1"], "--terms"),
+            ("place", ["--init", "gift", "--terms", "1:2"], "--terms"),
+        ],
+    )
+    def test_conversion_error_names_option(self, bench, tmp_path, capsys, command, flags, named):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, command, bench, *flags, "--out", str(out))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert named in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("gift", ["--terms", "1:0:1"]),
+            ("place", ["--jitter", "-1"]),
+            ("place", ["--bins", "x"]),
+            ("metrics", ["--bins", "x"]),
+        ],
+    )
+    def test_filter_and_grid_options_checked_before_parsing(self, tmp_path, capsys, command, flags):
+        code, _, err = run_cli(capsys, command, str(tmp_path / "missing.aux"), *flags)
+        assert code == 2
+        assert "missing.aux" not in err
 
     def test_spectrum_non_finite_sigma_exit_2(self, bench, tmp_path, capsys):
         out_dir = tmp_path / "spec"
@@ -413,6 +479,30 @@ class TestUnusableOptions:
         text = " ".join(capsys.readouterr().out.split())
         for default in ("(default 1.03)", "(default 1000)", "(default 0.15)", "(default 1.0)", "(default center)"):
             assert default in text
+
+
+class TestManifestPhases:
+    """The timed phases a manifest records, per command and start."""
+
+    @pytest.mark.parametrize(
+        "args,phases",
+        [
+            (["place", "--init", "center", "--max-iters", "3"], ["parse", "place"]),
+            (["place", "--init", "gift", "--max-iters", "3"], ["parse", "graph", "filter", "place"]),
+            (["place", "--init", "eigen", "--max-iters", "3"], ["parse", "graph", "eigen", "place"]),
+            (["gift"], ["parse", "graph", "filter"]),
+        ],
+    )
+    def test_phase_names(self, bench, tmp_path, capsys, args, phases):
+        command, *flags = args
+        manifest = tmp_path / "run.manifest.json"
+        code, _, _ = run_cli(
+            capsys, command, bench, *flags, "--out", str(tmp_path / "out.pl"), "--manifest", str(manifest)
+        )
+        assert code == 0
+        timings = json.loads(manifest.read_text())["timings"]
+        assert [t["phase"] for t in timings] == phases
+        assert all(t["seconds"] >= 0.0 for t in timings)
 
 
 class TestDiagnostics:

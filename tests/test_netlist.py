@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,50 @@ class TestParse:
         design = parse_design(write_corpus(tmp_path, pl=pl))
         assert design.fixed[2]
         assert design.num_fixed == 2
+
+
+class TestPlacementLines:
+    """How .pl lines land on cells: bounding-box region, repeated and undeclared names."""
+
+    TWO_CELLS = "UCLA nodes 1.0\nNumNodes : 2\nNumTerminals : 0\n  a 1 1\n  b 1 1\n"
+    ONE_NET = "UCLA nets 1.0\nNumNets : 1\nNumPins : 2\nNetDegree : 2 n\n  a I\n  b I\n"
+
+    def test_region_without_scl_spans_placed_rectangles(self, tmp_path):
+        # a (2x1) sets xmin, b sets ymin, c (1x2) sets xmax and ymax through its
+        # size; the undeclared ghost is not part of the box
+        pl = "UCLA pl 1.0\na -2 1 : N\nb 3 -4 : N\nc 12 7 : N\npad 5 5 : N /FIXED\nghost 100 100 : N\n"
+        r = parse_design(write_corpus(tmp_path, pl=pl, scl=None)).region
+        assert (r.xmin, r.ymin, r.xmax, r.ymax) == (-2.0, -4.0, 13.0, 9.0)
+        assert r.rows == []
+
+    @pytest.mark.parametrize("body", ["", "a 1e17 1e17 : N\n"], ids=["nothing-placed", "zero-width-box"])
+    def test_degenerate_box_falls_back_to_unit_region(self, tmp_path, caplog, body):
+        aux = write_corpus(tmp_path, nodes=self.TWO_CELLS, nets=self.ONE_NET, pl="UCLA pl 1.0\n" + body, scl=None)
+        with caplog.at_level(logging.WARNING):
+            r = parse_design(aux).region
+        assert (r.xmin, r.ymin, r.xmax, r.ymax) == (0.0, 0.0, 1.0, 1.0)
+        assert "degenerate placement bounding box; using unit region" in caplog.text
+
+    def test_undeclared_name_skipped_with_warning_by_both_readers(self, tmp_path, caplog):
+        aux = write_corpus(tmp_path, pl=PL + "ghost 1 1 : N /FIXED\n")
+        with caplog.at_level(logging.WARNING):
+            design = parse_design(aux)
+        assert "placement for undeclared cell 'ghost' skipped" in caplog.text
+        assert design.names == ["a", "b", "c", "pad"] and design.num_fixed == 1
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            g = read_placement(design, str(tmp_path / "tiny.pl"))
+        assert "placement for undeclared cell 'ghost' skipped" in caplog.text
+        assert g.tolist() == [[1.0, 0.5], [3.5, 0.5], [0.5, 4.0], [9.5, 9.5]]
+
+    def test_repeated_line_keeps_last_position_and_fixed_flag(self, tmp_path):
+        pl = PL + "c 4 4 : N /FIXED\nb 1 1 : N /FIXED\nb 2 2 : N\n"
+        aux = write_corpus(tmp_path, pl=pl)
+        design = parse_design(aux)
+        assert design.fixed.tolist() == [False, False, True, True]
+        assert design.fixed_xy[2].tolist() == [4.5, 5.0]
+        g = read_placement(design, str(tmp_path / "tiny.pl"))
+        assert g[1].tolist() == [2.5, 2.5] and g[2].tolist() == [4.5, 5.0]
 
 
 class TestParseErrors:

@@ -379,20 +379,12 @@ class TestRunPlacer:
         _, trace = run_placer(design, g0, PlacerConfig(max_iters=15))
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        trace.write_csv(str(p1), include_seconds=False)
-        trace.write_csv(str(p2), include_seconds=False)
+        trace.write_csv(str(p1))
+        trace.write_csv(str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "iter,wl,hpwl,overflow,lambda"
         assert len(p1.read_text().splitlines()) == len(trace.records) + 1
-
-    def test_trace_csv_with_seconds_column(self, tmp_path):
-        design = generate(cells=16, seed=10)
-        g0 = self.spread_start(design, seed=10)
-        _, trace = run_placer(design, g0, PlacerConfig(max_iters=5))
-        path = tmp_path / "t.csv"
-        trace.write_csv(str(path))
-        assert path.read_text().splitlines()[0] == "iter,wl,hpwl,overflow,lambda,seconds"
 
 
 def with_macro(design, width, height):

@@ -1,4 +1,4 @@
-"""Dense spectral toolkit: eigensystem, GFT, projections, denoiser, responses."""
+"""Dense spectral toolkit: eigensystem, eigenvector placement, responses, Taylor gap."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from giftplace import (
-    CutoffOutOfRangeError,
     DegenerateSpectrumWarning,
     Region,
     SpectralBasis,
@@ -15,11 +14,7 @@ from giftplace import (
     eigenvector_placement,
     filter_response,
     from_coo,
-    gft,
     identity_minus,
-    igft,
-    ideal_lowpass,
-    laplacian,
     normalized_augmented_adjacency,
     quadratic_wirelength,
     rayleigh_smoothness,
@@ -77,83 +72,6 @@ class TestEigendecompose:
         adj = random_connected_graph(20, graph_rng)
         with pytest.raises(TooLargeForDenseError):
             eigendecompose(adj, limit=10)
-
-    def test_decomposition_is_timed(self, graph_rng):
-        basis = eigendecompose(random_connected_graph(20, graph_rng))
-        assert basis.seconds >= 0.0
-
-
-class TestGft:
-    def test_eigenvector_maps_to_basis_vector(self, graph_rng):
-        adj = random_connected_graph(25, graph_rng)
-        basis = eigendecompose(norm_laplacian(adj))
-        ghat = gft(basis, basis.U[:, 2])
-        expected = np.zeros(25)
-        expected[2] = 1.0
-        assert min(np.abs(ghat - expected).max(), np.abs(ghat + expected).max()) < 1e-8
-
-    def test_round_trip(self, graph_rng):
-        adj = random_connected_graph(30, graph_rng)
-        basis = eigendecompose(norm_laplacian(adj))
-        g = graph_rng.standard_normal((30, 2))
-        assert np.abs(igft(basis, gft(basis, g)) - g).max() < 1e-8
-
-    def test_parseval(self, graph_rng):
-        adj = random_connected_graph(30, graph_rng)
-        basis = eigendecompose(norm_laplacian(adj))
-        g = graph_rng.standard_normal(30)
-        assert np.linalg.norm(gft(basis, g)) == pytest.approx(np.linalg.norm(g), abs=1e-8)
-
-
-class TestIdealLowpass:
-    def test_full_cutoff_is_identity(self, graph_rng):
-        adj = random_connected_graph(20, graph_rng)
-        basis = eigendecompose(norm_laplacian(adj))
-        g = graph_rng.standard_normal((20, 2))
-        assert np.abs(ideal_lowpass(basis, g, 20) - g).max() < 1e-8
-
-    def test_cutoff_one_is_rank_one(self, graph_rng):
-        adj = random_connected_graph(20, graph_rng)
-        basis = eigendecompose(norm_laplacian(adj))
-        g = graph_rng.standard_normal(20)
-        out = ideal_lowpass(basis, g, 1)
-        u0 = basis.U[:, 0]
-        assert np.abs(out - u0 * (u0 @ g)).max() < 1e-10
-
-    def test_idempotent(self, graph_rng):
-        adj = random_connected_graph(20, graph_rng)
-        basis = eigendecompose(norm_laplacian(adj))
-        g = graph_rng.standard_normal((20, 2))
-        once = ideal_lowpass(basis, g, 7)
-        assert np.abs(ideal_lowpass(basis, once, 7) - once).max() < 1e-10
-
-    def test_never_roughens(self, graph_rng):
-        adj = random_connected_graph(25, graph_rng)
-        lap = laplacian(adj)
-        basis = eigendecompose(norm_laplacian(adj))
-        g = graph_rng.standard_normal((25, 2))
-        # projection onto low modes of L-tilde cannot raise the L-tilde form;
-        # check with the quadratic form of the same operator it projects in
-        lt = norm_laplacian(adj)
-        s_before = quadratic_wirelength_like(lt, g)
-        s_after = quadratic_wirelength_like(lt, ideal_lowpass(basis, g, 5))
-        assert s_after <= s_before + 1e-10
-        assert lap.n == 25  # silence unused-variable lint
-
-    def test_cutoff_bounds(self, graph_rng):
-        adj = random_connected_graph(10, graph_rng)
-        basis = eigendecompose(norm_laplacian(adj))
-        g = np.zeros(10)
-        for bad in (0, 11):
-            with pytest.raises(CutoffOutOfRangeError):
-                ideal_lowpass(basis, g, bad)
-
-
-def quadratic_wirelength_like(op, g):
-    """x^T M x summed over columns, dense oracle form."""
-    dense = op.to_dense()
-    g = np.atleast_2d(np.asarray(g, dtype=float).T).T
-    return float(sum(col @ dense @ col for col in g.T))
 
 
 class TestEigenvectorPlacement:
