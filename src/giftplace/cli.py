@@ -394,15 +394,34 @@ def run_benchgen(opts: dict) -> int:
     return EXIT_OK
 
 
+def _manifest_problem(doc) -> str | None:
+    """Why a JSON document is not a run manifest, or None if it is one."""
+    if not isinstance(doc, dict):
+        return "not a JSON object"
+    command, options = doc.get("command"), doc.get("options")
+    if not isinstance(command, str) or command not in OPTIONS:
+        return f"unknown command {command!r}"
+    if not isinstance(options, dict):
+        return "options is not an object"
+    required = [*OPTIONS[command], *([] if command == "benchgen" else ["aux"])]
+    return next((f"options lack {key!r}" for key in required if key not in options), None)
+
+
 def run_report(opts: dict) -> int:
-    with open(opts["manifest_path"]) as f:
-        doc = json.load(f)
+    path = opts["manifest_path"]
+    if not os.path.isfile(path):
+        raise MissingFileError(path)
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except ValueError as exc:  # not JSON text
+            raise ValueError(f"{path}: not a run manifest: {exc}") from None
+    problem = _manifest_problem(doc)
+    if problem:
+        raise ValueError(f"{path}: not a run manifest: {problem}")
     if not opts.get("replay"):
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
-    command = doc.get("command")
-    if command not in OPTIONS:
-        raise ValueError(f"manifest has unknown command {command!r}")
     out_dir = opts.get("out_dir")
     if not out_dir:
         raise ValueError("--replay requires --out-dir")
@@ -413,7 +432,7 @@ def run_report(opts: dict) -> int:
             new_opts[key] = out_dir
         elif new_opts.get(key):
             new_opts[key] = os.path.join(out_dir, os.path.basename(new_opts[key]))
-    return HANDLERS[command](new_opts)
+    return HANDLERS[doc["command"]](new_opts)
 
 
 HANDLERS = {

@@ -100,8 +100,5 @@ def gift_place(design: Design, adj: SparseSymMatrix, config: GiftConfig | None =
     config = config or GiftConfig()
     out = gift_filter(adj, initial_signal(design, config), config)
     out[design.fixed] = design.fixed_xy[design.fixed]
-    movable = ~design.fixed
-    region = design.region
-    out[movable, 0] = np.clip(out[movable, 0], region.xmin, region.xmax)
-    out[movable, 1] = np.clip(out[movable, 1], region.ymin, region.ymax)
+    design.region.clip(out, ~design.fixed)
     return out

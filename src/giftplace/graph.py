@@ -170,14 +170,11 @@ def normalized_augmented_adjacency(adj: SparseSymMatrix, sigma: float) -> Sparse
         isolated = np.flatnonzero(deg <= 0)
         if isolated.size:
             raise IsolatedNodeError(int(isolated[0]))
-    aug = adj.to_scipy()
-    if sigma > 0:
-        aug = aug + sigma * sp.identity(adj.n, format="csr")
     s = 1.0 / np.sqrt(deg + sigma)
-    rows = np.repeat(np.arange(adj.n), np.diff(aug.indptr))
-    data = aug.data * s[rows] * s[aug.indices]
-    scaled = sp.csr_matrix((data, aug.indices.copy(), aug.indptr.copy()), shape=aug.shape)
-    return SparseSymMatrix(scaled, check=False)
+    aug = adj.to_scipy() + sigma * sp.identity(adj.n, format="csr")  # a new matrix, scaled in place
+    aug.data *= np.repeat(s, np.diff(aug.indptr))
+    aug.data *= s[aug.indices]
+    return SparseSymMatrix(aug, check=False)
 
 
 def identity_minus(op: SparseSymMatrix) -> SparseSymMatrix:

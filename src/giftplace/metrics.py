@@ -20,6 +20,8 @@ from .netlist import Design
 
 log = logging.getLogger(__name__)
 
+MAX_BINS = 2048  # per-axis bin count ceiling, 4x the placer's own default cap
+
 
 @dataclass
 class GridConfig:
@@ -32,8 +34,8 @@ class GridConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.rho_t <= 1.0:
             raise ValueError(f"rho_t must be in (0, 1], got {self.rho_t}")
-        if (self.nx is not None and self.nx < 1) or (self.ny is not None and self.ny < 1):
-            raise ValueError(f"bin counts must be >= 1, got {self.nx}x{self.ny}")
+        if any(n is not None and not 1 <= n <= MAX_BINS for n in (self.nx, self.ny)):
+            raise ValueError(f"bin counts must be >= 1 and <= {MAX_BINS}, got {self.nx}x{self.ny}")
 
 
 def default_bins(design: Design) -> tuple[int, int]:
@@ -92,24 +94,25 @@ def rayleigh_smoothness(laplacian: SparseSymMatrix, column: np.ndarray, center: 
     return float(col @ laplacian.matmul(col)) / denom
 
 
+def _net_extents(design: Design, g: np.ndarray):
+    """Per axis, yield ``(p, starts, sizes, hi, lo)``: pin coordinates and each net's extent.
+
+    Only nets with pins appear; net j owns ``p[starts[j]:starts[j] + sizes[j]]``.
+    """
+    g = np.asarray(g, dtype=float)
+    pin_cell = design.pin_cell
+    starts = design.net_start[:-1][np.diff(design.net_start) > 0]
+    if starts.size == 0:
+        return
+    sizes = np.diff(np.append(starts, pin_cell.size))
+    for axis, offs in ((0, design.pin_dx), (1, design.pin_dy)):
+        p = g[pin_cell, axis] + offs
+        yield p, starts, sizes, np.maximum.reduceat(p, starts), np.minimum.reduceat(p, starts)
+
+
 def hpwl(design: Design, g: np.ndarray) -> float:
     """Half-perimeter wirelength over pin positions (cell center + pin offset)."""
-    g = np.asarray(g, dtype=float)
-    net_start, pin_cell, pin_dx, pin_dy = design.net_start, design.pin_cell, design.pin_dx, design.pin_dy
-    if pin_cell.size == 0:
-        return 0.0
-    degrees = np.diff(net_start)
-    starts = net_start[:-1][degrees > 0]
-    if starts.size == 0:
-        return 0.0
-    px = g[pin_cell, 0] + pin_dx
-    py = g[pin_cell, 1] + pin_dy
-    total = 0.0
-    for coords in (px, py):
-        hi = np.maximum.reduceat(coords, starts)
-        lo = np.minimum.reduceat(coords, starts)
-        total += float(np.sum(hi - lo))
-    return total
+    return float(sum(float(np.sum(hi - lo)) for _, _, _, hi, lo in _net_extents(design, g)))
 
 
 def density_map(design: Design, g: np.ndarray, grid: GridConfig | None = None) -> DensityGrid:

@@ -78,6 +78,10 @@ class Region:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
 
+    def clip(self, g: np.ndarray, rows) -> None:
+        """Clamp the centers ``g[rows]`` into the region, in place."""
+        g[rows] = np.clip(g[rows], (self.xmin, self.ymin), (self.xmax, self.ymax))
+
 
 @dataclass(eq=False)
 class Design:
@@ -254,15 +258,13 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
     pin_cell: list[int] = []
     pin_dx: list[float] = []
     pin_dy: list[float] = []
-    num_nets: int | None = None
+    declared: dict[str, int] = {}  # NumNets/NumPins header counts
     pending: int = 0  # pin lines still expected for the current net
     for lineno, line in _data_lines(path):
         tokens = line.split()
         first = tokens[0]
         if first in ("NumNets", "NumPins"):
-            count = _header_count(path, lineno, line)
-            if first == "NumNets":
-                num_nets = count
+            declared[first] = _header_count(path, lineno, line)
             continue
         if first == "NetDegree":
             if pending:
@@ -303,8 +305,9 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
         pending -= 1
     if pending:
         raise MalformedLineError(path, 0, "", f"last net is missing {pending} pin line(s)")
-    if num_nets is not None and num_nets != len(net_names):
-        raise MalformedLineError(path, 0, f"NumNets : {num_nets}", f"header declares {num_nets} nets, body has {len(net_names)}")
+    for key, what, body in (("NumNets", "nets", len(net_names)), ("NumPins", "pins", len(pin_cell))):
+        if key in declared and declared[key] != body:
+            raise MalformedLineError(path, 0, f"{key} : {declared[key]}", f"header declares {declared[key]} {what}, body has {body}")
     net_start.append(len(pin_cell))
     return net_names, net_start, pin_cell, pin_dx, pin_dy
 

@@ -27,7 +27,7 @@ from scipy.fft import dctn, idctn
 
 from .errors import DivergenceError
 from .gift import GiftConfig, initial_signal
-from .metrics import DensityGrid, GridConfig, _bin_overlaps, density_map, hpwl, overflow
+from .metrics import DensityGrid, GridConfig, _bin_overlaps, _net_extents, density_map, hpwl, overflow
 from .netlist import Design
 
 log = logging.getLogger(__name__)
@@ -103,28 +103,16 @@ def smooth_wirelength_grad(design: Design, g: np.ndarray, gamma: float) -> tuple
         raise ValueError("gamma must be positive")
     g = np.asarray(g, dtype=float)
     grad = np.zeros_like(g)
-    net_start, pin_cell, pin_dx, pin_dy = design.net_start, design.pin_cell, design.pin_dx, design.pin_dy
-    if pin_cell.size == 0:
-        return 0.0, grad
-    degrees = np.diff(net_start)
-    starts = net_start[:-1][degrees > 0]
-    if starts.size == 0:
-        return 0.0, grad
-    seg_sizes = np.diff(np.append(starts, pin_cell.size))
-
     value = 0.0
-    for axis, offs in ((0, pin_dx), (1, pin_dy)):
-        p = g[pin_cell, axis] + offs
-        hi_n = np.maximum.reduceat(p, starts)
-        lo_n = np.minimum.reduceat(p, starts)
+    for axis, (p, starts, sizes, hi_n, lo_n) in enumerate(_net_extents(design, g)):
         # max-shifted exponentials keep everything in (0, 1]
-        ea = np.exp((p - np.repeat(hi_n, seg_sizes)) / gamma)
-        eb = np.exp((np.repeat(lo_n, seg_sizes) - p) / gamma)
+        ea = np.exp((p - np.repeat(hi_n, sizes)) / gamma)
+        eb = np.exp((np.repeat(lo_n, sizes) - p) / gamma)
         sa_n = np.add.reduceat(ea, starts)
         sb_n = np.add.reduceat(eb, starts)
         value += float(np.sum(hi_n - lo_n + gamma * (np.log(sa_n) + np.log(sb_n))))
-        weights = ea / np.repeat(sa_n, seg_sizes) - eb / np.repeat(sb_n, seg_sizes)
-        np.add.at(grad[:, axis], pin_cell, weights)
+        weights = ea / np.repeat(sa_n, sizes) - eb / np.repeat(sb_n, sizes)
+        np.add.at(grad[:, axis], design.pin_cell, weights)
     grad[design.fixed] = 0.0
     return value, grad
 
@@ -246,12 +234,9 @@ def run_placer(
         raise DivergenceError("objective not finite at iteration 0")
     region = design.region
     movable = ~design.fixed
-    g[movable, 0] = np.clip(g[movable, 0], region.xmin, region.xmax)
-    g[movable, 1] = np.clip(g[movable, 1], region.ymin, region.ymax)
+    region.clip(g, movable)
 
     trace = PlacerTrace()
-    wl_val, wl_grad = smooth_wirelength_grad(design, g, gamma)
-    d_val, d_grad, dens = electrostatic_grad(design, g, grid)
     lam = config.lambda0 if config.lambda0 is not None else balanced_lambda0(design, config)
 
     # With config.step set, the update rule is applied literally. The default
@@ -259,22 +244,22 @@ def run_placer(
     # gradient at a speed proportional to its magnitude relative to the RMS,
     # capped at one bin per iteration — the density weight grows without
     # bound, so any constant step would eventually overshoot.
-    max_move = MAX_MOVE_BINS * min(dens.bin_w, dens.bin_h)
+    max_move = MAX_MOVE_BINS * min(region.width / grid.nx, region.height / grid.ny)
     for it in range(config.max_iters + 1):
         if it > 0:
-            if config.step is not None:
-                g = _advance(g, grad, config.step, movable, region)
-            else:
+            step = config.step
+            if step is None:
                 mag = np.hypot(grad[movable, 0], grad[movable, 1])
                 if mag.size == 0 or not np.any(mag > 0):
                     log.info("zero gradient at iteration %d; stopping", it)
                     break
                 ref = float(np.sqrt(np.mean(mag**2)))
-                scale = np.minimum(max_move / ref, max_move / np.maximum(mag, 1e-300))
-                g = _advance(g, grad, scale[:, None], movable, region)
-            wl_val, wl_grad = smooth_wirelength_grad(design, g, gamma)
-            d_val, d_grad, dens = electrostatic_grad(design, g, grid)
+                step = np.minimum(max_move / ref, max_move / np.maximum(mag, 1e-300))[:, None]
+            g[movable] -= step * grad[movable]
+            region.clip(g, movable)
             lam *= config.lambda_growth
+        wl_val, wl_grad = smooth_wirelength_grad(design, g, gamma)
+        d_val, d_grad, dens = electrostatic_grad(design, g, grid)
         obj = wl_val + lam * d_val
         grad = wl_grad + lam * d_grad
         if not (np.isfinite(obj) and np.all(np.isfinite(grad))):
@@ -285,11 +270,3 @@ def run_placer(
             trace.converged = True
             break
     return g, trace
-
-
-def _advance(g, grad, step, movable, region) -> np.ndarray:
-    out = g.copy()
-    out[movable] -= step * grad[movable]
-    out[movable, 0] = np.clip(out[movable, 0], region.xmin, region.xmax)
-    out[movable, 1] = np.clip(out[movable, 1], region.ymin, region.ymax)
-    return out

@@ -441,6 +441,21 @@ class TestUnusableOptions:
         assert code == 2
         assert "missing.aux" not in err
 
+    def test_metrics_bins_above_cap_exit_2(self, bench, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code, stdout, err = run_cli(capsys, "metrics", bench, "--bins", "2049", "--out", str(out))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "<= 2048" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metrics", "place"])
+    def test_bins_above_cap_checked_before_parsing(self, tmp_path, capsys, command):
+        code, _, err = run_cli(capsys, command, str(tmp_path / "missing.aux"), "--bins", "2049x4")
+        assert code == 2
+        assert "missing.aux" not in err
+
     def test_spectrum_non_finite_sigma_exit_2(self, bench, tmp_path, capsys):
         out_dir = tmp_path / "spec"
         code, stdout, err = run_cli(capsys, "spectrum", bench, "--sigma", "nan", "--out-dir", str(out_dir))
@@ -561,6 +576,59 @@ class TestReportReplay:
             assert (replay_dir / f"synth{ext}").read_bytes() == (
                 first / f"synth{ext}"
             ).read_bytes()
+
+
+class TestReportRejects:
+    """report takes only run manifests: anything else exits with one line and creates nothing."""
+
+    def report(self, capsys, tmp_path, path, replay):
+        out_dir = tmp_path / "replay"
+        code, stdout, err = run_cli(capsys, "report", str(path), *replay, "--out-dir", str(out_dir))
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not out_dir.exists()
+        return code, err
+
+    @pytest.mark.parametrize("replay", [[], ["--replay"]], ids=["print", "replay"])
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            ("[1]", "not a JSON object"),
+            ('{"command": "gift"}', "options is not an object"),
+            ('{"command": "gift", "options": []}', "options is not an object"),
+            ('{"command": "gift", "options": {}}', "options lack"),
+            ('{"command": "nope", "options": {}}', "unknown command 'nope'"),
+            ('{"command": ["gift"], "options": {}}', "unknown command"),
+            ("{", "not a run manifest"),
+        ],
+        ids=["list", "no-options", "options-list", "options-empty", "unknown-command", "command-list", "not-json"],
+    )
+    def test_not_a_manifest_exit_2(self, tmp_path, capsys, text, problem, replay):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, err = self.report(capsys, tmp_path, path, replay)
+        assert code == 2
+        assert "bad.json" in err
+        assert problem in err
+
+    @pytest.mark.parametrize("key", ["aux", "terms", "seed"])
+    def test_manifest_lacking_an_option_exit_2(self, bench, tmp_path, capsys, key):
+        code, _, _ = run_cli(capsys, "gift", bench, "--out", str(tmp_path / "g.pl"))
+        assert code == 0
+        path = tmp_path / "g.pl.manifest.json"
+        doc = json.loads(path.read_text())
+        del doc["options"][key]
+        path.write_text(json.dumps(doc))
+        code, err = self.report(capsys, tmp_path, path, ["--replay"])
+        assert code == 2
+        assert f"options lack {key!r}" in err
+
+    @pytest.mark.parametrize("replay", [[], ["--replay"]], ids=["print", "replay"])
+    def test_missing_manifest_exit_1(self, tmp_path, capsys, replay):
+        code, err = self.report(capsys, tmp_path, tmp_path / "missing.json", replay)
+        assert code == 1
+        assert "missing.json" in err
 
 
 def test_version_flag(capsys):

@@ -208,6 +208,14 @@ class TestDensityMap:
         with pytest.raises(ValueError, match="bin counts must be >= 1"):
             GridConfig(**bins)
 
+    @pytest.mark.parametrize("bins", [{"nx": 2049}, {"ny": 2049}, {"nx": 4, "ny": 10_000_000}])
+    def test_grid_rejects_bin_counts_above_cap(self, bins):
+        with pytest.raises(ValueError, match="bin counts must be .*<= 2048"):
+            GridConfig(**bins)
+
+    def test_grid_accepts_bin_counts_at_cap(self):
+        assert (GridConfig(nx=2048, ny=1).nx, GridConfig(nx=1, ny=2048).ny) == (2048, 2048)
+
 
 class TestOverflow:
     def make_grid(self, rho, rho_t=1.0, bin_w=1.0, bin_h=1.0):

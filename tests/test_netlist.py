@@ -208,6 +208,16 @@ class TestParseErrors:
         with pytest.raises(MalformedLineError):
             parse_design(write_corpus(tmp_path, nodes=NODES.replace("NumNodes : 4", "NumNodes : 7")))
 
+    @pytest.mark.parametrize(
+        "header,bad,reason",
+        [("NumPins : 5", "NumPins : 7", "header declares 7 pins, body has 5"),
+         ("NumNets : 2", "NumNets : 3", "header declares 3 nets, body has 2")],
+        ids=["pins", "nets"],
+    )
+    def test_nets_header_count_mismatch(self, tmp_path, header, bad, reason):
+        with pytest.raises(MalformedLineError, match=reason):
+            parse_design(write_corpus(tmp_path, nets=NETS.replace(header, bad)))
+
     def test_truncated_net_block(self, tmp_path):
         nets = NETS.replace("  pad I\n", "")
         with pytest.raises(MalformedLineError):
@@ -296,6 +306,14 @@ class TestDesignAccessors:
         for cell in (3, -1):
             with pytest.raises(GiftPlaceError, match="out of range"):
                 Design(**design_fields(pin_cell=np.array([0, 1, 1, cell])))
+
+
+class TestRegionClip:
+    @pytest.mark.parametrize("rows", [np.array([True, True, True, False]), np.array([0, 1, 2])], ids=["mask", "ids"])
+    def test_clamps_given_rows_in_place_and_leaves_the_others(self, rows):
+        g = np.array([[-3.0, 7.0], [4.0, 2.0], [12.0, -1.0], [-5.0, 9.0]])
+        Region(0.0, 1.0, 10.0, 5.0).clip(g, rows)
+        np.testing.assert_array_equal(g, [[0.0, 5.0], [4.0, 2.0], [10.0, 1.0], [-5.0, 9.0]])
 
 
 def design_fields(**override) -> dict:

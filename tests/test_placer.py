@@ -125,6 +125,19 @@ class TestWirelengthGradient:
         np.testing.assert_array_equal(grad[anchored_design.fixed_mask()], 0.0)
         assert np.any(grad[~anchored_design.fixed_mask()] != 0.0)
 
+    @pytest.mark.parametrize("nets", [[[], [0, 1]], []], ids=["empty-net", "no-nets"])
+    def test_empty_net_and_no_nets(self, nets):
+        design = make_design(2, nets, Region(0.0, 0.0, 20.0, 20.0))
+        g = np.array([[2.0, 5.0], [12.0, 8.0]])
+        value, grad = smooth_wirelength_grad(design, g, 1.0)
+        assert value >= hpwl(design, g)
+        assert np.isfinite(grad).all()
+        fd = fd_gradient(lambda gg: smooth_wirelength_grad(design, gg, 1.0)[0], g, np.ones(2, bool), 1e-6)
+        assert np.max(np.abs(grad - fd)) <= 1e-5
+        if not nets:
+            assert value == 0.0
+            np.testing.assert_array_equal(grad, np.zeros((2, 2)))
+
     def test_gamma_must_be_positive(self, tri_design):
         g = np.zeros((3, 2))
         with pytest.raises(ValueError):
@@ -338,6 +351,18 @@ class TestRunPlacer:
         _, trace = run_placer(design, g0, config)
         assert not trace.converged
         assert trace.iterations == 3
+
+    @pytest.mark.parametrize("step", [None, 0.02], ids=["saturated", "fixed-step"])
+    def test_leaves_g0_unchanged(self, step):
+        # the loop steps its own copy in place; start outside the region so the first clamp moves cells too
+        design = generate(cells=60, seed=3)
+        g0 = self.spread_start(design, seed=3)
+        g0[~design.fixed_mask()] += design.region.width / 2
+        before = g0.copy()
+        g, trace = run_placer(design, g0, PlacerConfig(step=step, max_iters=10, stop_overflow=1e-9))
+        np.testing.assert_array_equal(g0, before)
+        assert trace.iterations == 10
+        assert not np.array_equal(g, g0)
 
     def test_rejects_wrong_shape(self, tri_design):
         with pytest.raises(ValueError):
