@@ -147,7 +147,7 @@ def build_clique_graph(design: Design, max_clique_pins: int | None = None) -> Sp
     weights = incidence.data * (2.0 / degree[incidence.indices])
     weighted = sp.csr_matrix((weights, incidence.indices, incidence.indptr), shape=incidence.shape)
     upper = sp.triu(weighted @ incidence.T, k=1, format="csr")
-    return SparseSymMatrix(upper + upper.T)
+    return SparseSymMatrix(upper + upper.T, check=False)  # symmetric by construction
 
 
 def laplacian(adj: SparseSymMatrix) -> SparseSymMatrix:

@@ -195,6 +195,216 @@ def _data_lines(path: str):
             yield lineno, line
 
 
+# The fast path reads files in the regular layout that ``write_design`` emits:
+# ASCII whose only whitespace is space, tab and newline (so ``bytes`` and
+# ``str`` agree on token boundaries), no comments, banner and header lines
+# first, and a fixed token count per body line. It reads such a file in
+# line-aligned chunks of about CHUNK_BYTES, checks every token position in
+# bulk and converts numbers to exactly what the line parser's ``float``/``int``
+# give. On any irregularity it returns None and the line parser reads the file
+# instead; the line parser is the only source of errors and warnings. Chunks,
+# not the whole file, are split, so that few token strings are alive at once.
+CHUNK_BYTES = 1 << 19
+
+
+def _read_regular(path: str, keys: tuple[str, ...]) -> tuple[bytes, dict[str, int], int] | None:
+    """(file bytes, header counts, offset of the first body line), or None.
+
+    The leading lines may be banners (first token ``UCLA``), blank, or
+    ``Key : count`` for a key in ``keys``; the first other line starts the body.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    byte = np.frombuffer(data, dtype=np.uint8)
+    if not data.isascii() or b"#" in data or np.count_nonzero(byte < 32) != np.count_nonzero((byte == 9) | (byte == 10)):
+        return None
+    declared: dict[str, int] = {}
+    pos = 0
+    while pos < len(data):
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        tokens = data[pos:end].decode("ascii").split()
+        if tokens and tokens[0] != "UCLA":
+            if tokens[0] not in keys:
+                break
+            if len(tokens) != 3 or tokens[1] != ":":
+                return None
+            try:
+                declared[tokens[0]] = int(tokens[2])
+            except ValueError:
+                return None
+        pos = end + 1
+    return data, declared, pos
+
+
+class _Chunk:
+    """Line-aligned text of a regular file, split into tokens.
+
+    ``first[i]`` and ``counts[i]`` are the index of the first token and the
+    token count of the i-th nonblank line; ``colons`` are the indices of the
+    ``:`` tokens, or None if a ``:`` is part of a longer token.
+    """
+
+    def __init__(self, text: bytes) -> None:
+        byte = np.frombuffer(text, dtype=np.uint8)  # text ends with a newline
+        space = byte <= ord(" ")
+        starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+        before = np.searchsorted(starts, np.flatnonzero(byte == ord("\n")))  # tokens up to each line end
+        counts = np.diff(before, prepend=0)
+        self.first, self.counts = (before - counts)[counts > 0], counts[counts > 0]
+        lead, single = byte[starts], space[starts + 1]
+        self.colons = np.flatnonzero(lead == ord(":"))
+        if not (single[self.colons].all() and self.colons.size == np.count_nonzero(byte == ord(":"))):
+            self.colons = None
+        # a one-digit token's value is its digit; other numbers go through float()/int()
+        digit = lead.astype(np.int8) - ord("0")
+        self._digit = np.where(single & (digit >= 0) & (digit <= 9), digit, -1)
+        self.tokens = np.fromiter(text.decode("ascii").split(), dtype=object, count=starts.size)
+
+    def pick(self, idx: np.ndarray) -> list[str]:
+        return self.tokens[idx].tolist()
+
+    def numbers(self, idx: np.ndarray, kind: type) -> np.ndarray:
+        """``kind`` (float or int) of the tokens at ``idx``; raises ValueError
+        on a token that is not such a number and OverflowError on an int
+        beyond int64."""
+        digit = self._digit[idx]
+        values = digit.astype(np.int64 if kind is int else float)
+        rest = np.flatnonzero(digit < 0)
+        values[rest] = np.fromiter(map(kind, self.pick(idx[rest])), dtype=values.dtype, count=rest.size)
+        return values
+
+
+def _regular_chunks(data: bytes, pos: int, cut: bytes):
+    """Yield ``data[pos:]`` as Chunks that end just before an occurrence of ``cut``."""
+    while pos < len(data):
+        end = data.find(cut, pos + CHUNK_BYTES)
+        end = len(data) if end < 0 else end + 1
+        yield _Chunk(data[pos:end] if data.endswith(b"\n", pos, end) else data[pos:end] + b"\n")
+        pos = end
+
+
+def _join(parts: list[np.ndarray], dtype: type) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
+def _ids(name_to_id: dict[str, int], names: list[str]) -> np.ndarray:
+    """Cell ids of ``names``; raises KeyError on an undeclared name."""
+    return np.fromiter(map(name_to_id.__getitem__, names), dtype=np.int64, count=len(names))
+
+
+def _nodes_regular(path: str):
+    """``_parse_nodes`` of a regular file: every body line is ``name w h [terminal]``."""
+    regular = _read_regular(path, ("NumNodes", "NumTerminals"))
+    if regular is None:
+        return None
+    data, declared, pos = regular
+    names: list[str] = []
+    widths, heights, fixed = [], [], []
+    for chunk in _regular_chunks(data, pos, b"\n"):
+        first, marked = chunk.first, chunk.counts == 4
+        if not (marked | (chunk.counts == 3)).all():
+            return None
+        names += chunk.pick(first)
+        try:
+            widths.append(chunk.numbers(first + 1, float))
+            heights.append(chunk.numbers(first + 2, float))
+        except ValueError:
+            return None
+        flags = np.zeros(first.size, dtype=bool)
+        flags[marked] = [t.startswith("terminal") for t in chunk.pick(first[marked] + 3)]
+        fixed.append(flags)
+    widths, heights = _join(widths, float), _join(heights, float)
+    name_to_id = dict(zip(names, range(len(names))))
+    if (
+        len(name_to_id) != len(names)
+        or not name_to_id.keys().isdisjoint(("UCLA", "NumNodes", "NumTerminals"))
+        or not ((widths > 0) & (widths < math.inf) & (heights > 0) & (heights < math.inf)).all()
+        or declared.get("NumNodes", len(names)) != len(names)
+    ):
+        return None
+    return names, widths, heights, _join(fixed, bool), name_to_id, declared.get("NumTerminals")
+
+
+def _nets_regular(path: str, name_to_id: dict[str, int]):
+    """``_parse_nets`` of a regular file: ``NetDegree : k name`` lines, each
+    followed by k ``cell dir : dx dy`` lines."""
+    if not name_to_id.keys().isdisjoint(("UCLA", "NumNets", "NumPins", "NetDegree", ":")):
+        return None
+    regular = _read_regular(path, ("NumNets", "NumPins"))
+    if regular is None:
+        return None
+    data, declared, pos = regular
+    net_names: list[str] = []
+    degrees, cells, dxs, dys = [], [], [], []
+    for chunk in _regular_chunks(data, pos, b"\nNetDegree"):
+        heads, pins = chunk.counts == 4, chunk.counts == 5
+        if not (heads | pins).all() or not heads[0]:
+            return None
+        # the only ':' tokens are the second of a NetDegree line and the third of a pin line
+        if chunk.colons is None or not np.array_equal(chunk.colons, chunk.first + np.where(heads, 1, 2)):
+            return None
+        hf, pf = chunk.first[heads], chunk.first[pins]
+        if chunk.pick(hf).count("NetDegree") != hf.size:
+            return None
+        try:
+            degree = chunk.numbers(hf + 2, int)
+            cells.append(_ids(name_to_id, chunk.pick(pf)))
+            dxs.append(chunk.numbers(pf + 3, float))
+            dys.append(chunk.numbers(pf + 4, float))
+        except (ValueError, OverflowError, KeyError):
+            return None
+        # each degree must count the pin lines up to the next NetDegree line
+        if not np.array_equal(degree, np.diff(np.flatnonzero(heads), append=heads.size) - 1):
+            return None
+        degrees.append(degree)
+        net_names += chunk.pick(hf + 3)
+    pin_dx, pin_dy = _join(dxs, float), _join(dys, float)
+    if (
+        not (np.isfinite(pin_dx).all() and np.isfinite(pin_dy).all())
+        or declared.get("NumNets", len(net_names)) != len(net_names)
+        or declared.get("NumPins", pin_dx.size) != pin_dx.size
+    ):
+        return None
+    net_start = np.concatenate(([0], np.cumsum(_join(degrees, np.int64))))
+    return net_names, net_start, _join(cells, np.int64), pin_dx, pin_dy
+
+
+def _pl_regular(path: str, name_to_id: dict[str, int]):
+    """``_parse_pl`` of a regular file: every line is ``name x y : orient [/FIXED]``,
+    and each declared name is placed at most once."""
+    if "UCLA" in name_to_id:
+        return None
+    regular = _read_regular(path, ())
+    if regular is None:
+        return None
+    data, _, pos = regular
+    ids, xs, ys, marks = [], [], [], []
+    for chunk in _regular_chunks(data, pos, b"\n"):
+        first, marked = chunk.first, chunk.counts == 6
+        if not (marked | (chunk.counts == 5)).all() or chunk.colons is None or not np.array_equal(chunk.colons, first + 3):
+            return None
+        orients = chunk.pick(first + 4)
+        if "/FIXED" in orients or "/FIXED_NI" in orients or chunk.pick(first[marked] + 5).count("/FIXED") != marked.sum():
+            return None
+        try:
+            ids.append(_ids(name_to_id, chunk.pick(first)))
+            xs.append(chunk.numbers(first + 1, float))
+            ys.append(chunk.numbers(first + 2, float))
+        except (ValueError, KeyError):
+            return None
+        marks.append(marked)
+    ids, xy = _join(ids, np.int64), np.column_stack((_join(xs, float), _join(ys, float)))
+    n = len(name_to_id)
+    if not np.isfinite(xy).all() or np.bincount(ids, minlength=n).max(initial=0) > 1:
+        return None
+    corners = np.full((n, 2), math.nan)
+    corners[ids] = xy
+    fixed = np.zeros(n, dtype=bool)
+    fixed[ids] = _join(marks, bool)
+    return corners, fixed
+
+
 def _header_value(line: str) -> str | None:
     """Value of a 'Key : value' header line, or None if no colon."""
     if ":" not in line:
@@ -214,6 +424,9 @@ def _header_count(path: str, lineno: int, line: str) -> int:
 
 def _parse_nodes(path: str):
     """(names, widths, heights, fixed flags, name -> id, NumTerminals or None)."""
+    regular = _nodes_regular(path)
+    if regular is not None:
+        return regular
     names: list[str] = []
     widths: list[float] = []
     heights: list[float] = []
@@ -252,7 +465,10 @@ def _parse_nodes(path: str):
 
 
 def _parse_nets(path: str, name_to_id: dict[str, int]):
-    """(net names, net_start, pin_cell, pin_dx, pin_dy) as flat lists."""
+    """(net names, net_start, pin_cell, pin_dx, pin_dy), flat."""
+    regular = _nets_regular(path, name_to_id)
+    if regular is not None:
+        return regular
     net_names: list[str] = []
     net_start: list[int] = []
     pin_cell: list[int] = []
@@ -291,14 +507,18 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
         dx = dy = 0.0
         if ":" in tokens:
             offs = tokens[tokens.index(":") + 1:]
-            if len(offs) >= 2:
-                try:
-                    dx = float(offs[0])
-                    dy = float(offs[1])
-                except ValueError:
-                    raise MalformedLineError(path, lineno, line, "pin offsets are not numbers")
-                if not (math.isfinite(dx) and math.isfinite(dy)):
-                    raise MalformedLineError(path, lineno, line, "pin offsets must be finite")
+            if len(offs) != 2:
+                raise MalformedLineError(path, lineno, line, "expected 'name dir [: dx dy]'")
+            try:
+                dx = float(offs[0])
+                dy = float(offs[1])
+            except ValueError:
+                raise MalformedLineError(path, lineno, line, "pin offsets are not numbers")
+            if not (math.isfinite(dx) and math.isfinite(dy)):
+                raise MalformedLineError(path, lineno, line, "pin offsets must be finite")
+        elif len(tokens) > 2 or any(":" in t for t in tokens[1:]):
+            # offsets without a free-standing ':' would otherwise read as 0 0
+            raise MalformedLineError(path, lineno, line, "expected 'name dir [: dx dy]'")
         pin_cell.append(cell)
         pin_dx.append(dx)
         pin_dy.append(dy)
@@ -318,6 +538,9 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
     Corners are NaN for cells that no line places. A cell on several lines
     keeps its last line; a name missing from ``name_to_id`` is skipped.
     """
+    regular = _pl_regular(path, name_to_id)
+    if regular is not None:
+        return regular
     n = len(name_to_id)
     xs, ys, fixed = [math.nan] * n, [math.nan] * n, [False] * n
     for lineno, line in _data_lines(path):

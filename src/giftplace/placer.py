@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .errors import DivergenceError
 from .gift import GiftConfig, initial_signal
@@ -136,6 +135,8 @@ def _poisson_potential(q: np.ndarray, bin_w: float, bin_h: float) -> np.ndarray:
     Neumann (mirror) boundaries diagonalize under the type-II cosine
     transform; the zero-total-charge mode is projected out.
     """
+    from scipy.fft import dctn, idctn  # imported here: only the placer pays for scipy.fft
+
     nx, ny = q.shape
     wx = (2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx)) / bin_w**2
     wy = (2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny)) / bin_h**2

@@ -698,3 +698,17 @@ class TestCliqueCap:
     def test_two_accepted(self, bench, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "gift", bench, "--max-clique-pins", "2", "--out", str(tmp_path / "g.pl"))
         assert code == 0
+
+
+def test_importing_the_cli_leaves_scipy_fft_unloaded():
+    """Only the placer's Poisson solve needs scipy.fft; gift, spectrum, metrics and benchgen never load it."""
+    import subprocess
+    import sys
+
+    import giftplace
+
+    src = str(Path(giftplace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, giftplace.cli; print('scipy.fft' in sys.modules, 'scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["False", "True"]

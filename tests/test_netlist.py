@@ -282,6 +282,29 @@ class TestParseErrors:
         assert ".nets" in str(exc.value)
 
 
+class TestPinLines:
+    """A pin line is 'name dir [: dx dy]'; offsets never drop to 0 0 without a word."""
+
+    @pytest.mark.parametrize(
+        "line",
+        ["a I :0.5 0.25", "a I: 0.5 0.25", "a I : 0.5", "a I :", "a I : 0.5 0.25 1", "a I 0.5 0.25", "a I:0.5"],
+        ids=["glued-colon", "colon-on-dir", "one-offset", "no-offset", "three-offsets", "no-colon", "dir-glued"],
+    )
+    def test_malformed_offsets_are_errors_at_their_line(self, tmp_path, line):
+        with pytest.raises(MalformedLineError, match=r"expected 'name dir \[: dx dy\]'") as exc:
+            parse_design(write_corpus(tmp_path, nets=NETS.replace("a I : 0.5 0", line)))
+        assert exc.value.lineno == 5
+
+    @pytest.mark.parametrize(
+        "line,dx,dy",
+        [("a I", 0.0, 0.0), ("a", 0.0, 0.0), ("a I : 0.5 0.25", 0.5, 0.25), ("a : -1 2", -1.0, 2.0)],
+        ids=["no-offsets", "name-only", "offsets", "no-dir"],
+    )
+    def test_well_formed_pin_lines(self, tmp_path, line, dx, dy):
+        design = parse_design(write_corpus(tmp_path, nets=NETS.replace("a I : 0.5 0", line)))
+        assert (design.pin_dx[0], design.pin_dy[0]) == (dx, dy)
+
+
 class TestDesignAccessors:
     def test_pin_table_slices(self, tmp_path):
         design = parse_design(write_corpus(tmp_path))
