@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class DensityGrid:
     bin_h: float
     rho: np.ndarray  # (nx, ny) occupied area per bin
     rho_t: float
+    # _bin_overlaps' arrays when density_map built the grid: the field gradient reuses them
+    overlaps: list[tuple[np.ndarray, ...]] | None = field(default=None, repr=False, compare=False)
 
     @property
     def bin_area(self) -> float:
@@ -94,25 +96,15 @@ def rayleigh_smoothness(laplacian: SparseSymMatrix, column: np.ndarray, center: 
     return float(col @ laplacian.matmul(col)) / denom
 
 
-def _net_extents(design: Design, g: np.ndarray):
-    """Per axis, yield ``(p, starts, sizes, hi, lo)``: pin coordinates and each net's extent.
-
-    Only nets with pins appear; net j owns ``p[starts[j]:starts[j] + sizes[j]]``.
-    """
-    g = np.asarray(g, dtype=float)
-    pin_cell = design.pin_cell
-    starts = design.net_start[:-1][np.diff(design.net_start) > 0]
-    if starts.size == 0:
-        return
-    sizes = np.diff(np.append(starts, pin_cell.size))
-    for axis, offs in ((0, design.pin_dx), (1, design.pin_dy)):
-        p = g[pin_cell, axis] + offs
-        yield p, starts, sizes, np.maximum.reduceat(p, starts), np.minimum.reduceat(p, starts)
-
-
 def hpwl(design: Design, g: np.ndarray) -> float:
     """Half-perimeter wirelength over pin positions (cell center + pin offset)."""
-    return float(sum(float(np.sum(hi - lo)) for _, _, _, hi, lo in _net_extents(design, g)))
+    layout = design.pin_layout
+    n, total = layout.pairs, 0.0
+    for p in layout.positions(g):
+        tail = p[2 * n:]
+        spans = np.maximum.reduceat(tail, layout.starts) - np.minimum.reduceat(tail, layout.starts)
+        total += float(np.abs(p[:n] - p[n:2 * n]).sum()) + float(spans.sum())
+    return total
 
 
 def density_map(design: Design, g: np.ndarray, grid: GridConfig | None = None) -> DensityGrid:
@@ -125,10 +117,12 @@ def density_map(design: Design, g: np.ndarray, grid: GridConfig | None = None) -
         ny = ny or dy
     bin_w = design.region.width / nx
     bin_h = design.region.height / ny
+    overlaps = _bin_overlaps(design, g, nx, ny, bin_w, bin_h)
     rho = np.zeros(nx * ny)
-    for _, bx, by, lx, ly, _, _ in _bin_overlaps(design, g, nx, ny, bin_w, bin_h):
-        np.add.at(rho, bx * ny + by, lx * ly)  # a flat index is several times faster than a tuple
-    return DensityGrid(nx=nx, ny=ny, bin_w=bin_w, bin_h=bin_h, rho=rho.reshape(nx, ny), rho_t=cfg.rho_t)
+    for _, bins, lx, ly, _, _ in overlaps:
+        rho += np.bincount(bins, lx * ly, minlength=nx * ny)
+    rho = rho.reshape(nx, ny)
+    return DensityGrid(nx=nx, ny=ny, bin_w=bin_w, bin_h=bin_h, rho=rho, rho_t=cfg.rho_t, overlaps=overlaps)
 
 
 class _Axis:
@@ -160,13 +154,14 @@ class _Axis:
 
 
 def _bin_overlaps(design: Design, g: np.ndarray, nx: int, ny: int, bin_w: float, bin_h: float):
-    """Yield ``(cells, bx, by, lx, ly, dlx, dly)``: each cell's overlap with each bin it covers.
+    """Each cell's overlap with each bin it covers, as a list of groups ``(cells, bins, lx, ly, dlx, dly)``.
 
-    The area of cell ``cells[k]`` in bin ``(bx[k], by[k])`` is ``lx[k] * ly[k]``;
-    ``dlx``/``dly`` are the derivatives of the lengths in the cell's x and y.
-    Cells within two bins on both axes come as four corner-offset groups, the
-    wider ones as one group of their flattened per-cell outer products, so the
-    work is the number of overlapped bins.
+    In a group, the area of cell ``cells[k]`` in bin ``bins[k]`` (flat index
+    ``bx * ny + by``) is ``lx[k] * ly[k]``; ``dlx``/``dly`` are the
+    derivatives of the lengths in the cell's x and y. Cells within two bins on
+    both axes come as four corner-offset groups, the wider ones as one group of
+    their flattened per-cell outer products, so the work is the number of
+    overlapped bins.
     """
     region = design.region
     g = np.asarray(g, dtype=float)
@@ -178,9 +173,7 @@ def _bin_overlaps(design: Design, g: np.ndarray, nx: int, ny: int, bin_w: float,
     cells = np.flatnonzero(valid & narrow)
     xs = [x.overlap(cells, off) for off in (0, 1)]
     ys = [y.overlap(cells, off) for off in (0, 1)]
-    for bx, lx, dlx in xs:
-        for by, ly, dly in ys:
-            yield cells, bx, by, lx, ly, dlx, dly
+    groups = [(cells, bx * ny + by, lx, ly, dlx, dly) for bx, lx, dlx in xs for by, ly, dly in ys]
 
     wide = np.flatnonzero(valid & ~narrow)
     cols = y.span[wide] + 1
@@ -190,7 +183,8 @@ def _bin_overlaps(design: Design, g: np.ndarray, nx: int, ny: int, bin_w: float,
     cols = np.repeat(cols, counts)
     bx, lx, dlx = x.overlap(cells, k // cols)
     by, ly, dly = y.overlap(cells, k % cols)
-    yield cells, bx, by, lx, ly, dlx, dly
+    groups.append((cells, bx * ny + by, lx, ly, dlx, dly))
+    return groups
 
 
 def overflow(grid: DensityGrid) -> float:

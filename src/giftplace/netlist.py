@@ -10,6 +10,7 @@ lower-left corners. The conversion happens here and only here.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     DanglingPinError,
@@ -45,6 +47,31 @@ class Net(NamedTuple):
 
     name: str
     pins: tuple[Pin, ...]
+
+
+class PinLayout(NamedTuple):
+    """The pins of every net with 2 or more pins, ordered for the wirelength kernels.
+
+    Pins ``j`` and ``pairs + j`` are the two pins of the j-th 2-pin net. The
+    pins from ``2 * pairs`` on (the tail) are those of the larger nets in net
+    order; larger net j owns tail pins ``starts[j]`` up to ``starts[j + 1]``.
+    """
+
+    cell: np.ndarray        # (P,) cell id of each pin
+    offset: np.ndarray      # (2, P) pin dx and dy from the cell center
+    pairs: int              # number of 2-pin nets
+    starts: np.ndarray      # first tail pin of each larger net
+    net_of_pin: np.ndarray  # larger net of each tail pin
+    net_sum: sp.csr_matrix  # larger nets x tail pins of ones: sums each net's pins
+
+    def positions(self, g: np.ndarray):
+        """Yield the pins' x, then their y: the centers ``g`` of their cells plus the offsets.
+
+        One axis at a time keeps the temporaries small enough to reuse memory.
+        """
+        g = np.asarray(g, dtype=float)
+        for axis in (0, 1):
+            yield np.take(g[:, axis], self.cell) + self.offset[axis]
 
 
 @dataclass
@@ -91,7 +118,8 @@ class Design:
     ``fixed_xy`` (N x 2 fixed centers, NaN for movable cells). Net j is
     ``net_names[j]`` and owns the pins ``net_start[j]:net_start[j+1]`` of
     ``pin_cell``, ``pin_dx`` and ``pin_dy`` (offsets from the cell center).
-    Construction coerces the arrays to their dtypes and validates them.
+    Construction coerces the arrays to their dtypes and validates them;
+    ``pin_layout`` is built from them on first use and kept.
     """
 
     names: list[str]
@@ -138,6 +166,24 @@ class Design:
 
     def pin_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.net_start, self.pin_cell, self.pin_dx, self.pin_dy
+
+    @functools.cached_property
+    def pin_layout(self) -> PinLayout:
+        """The pins of the nets with 2 or more pins, ordered for the wirelength kernels."""
+        degree = np.diff(self.net_start)
+        two = self.net_start[:-1][degree == 2]
+        big = degree[degree > 2]
+        order = np.concatenate([two, two + 1, np.flatnonzero(np.repeat(degree > 2, degree))])
+        starts = np.concatenate([[0], np.cumsum(big)])
+        net_sum = sp.csr_matrix((np.ones(starts[-1]), np.arange(starts[-1]), starts), shape=(big.size, starts[-1]))
+        return PinLayout(
+            cell=self.pin_cell[order],
+            offset=np.stack([self.pin_dx[order], self.pin_dy[order]]),
+            pairs=two.size,
+            starts=starts[:-1],
+            net_of_pin=np.repeat(np.arange(big.size), big),
+            net_sum=net_sum,
+        )
 
     @property
     def nets(self) -> list[Net]:
@@ -746,13 +792,16 @@ def write_placement(design: Design, placement: np.ndarray, path: str) -> None:
         raise GiftPlaceError(
             f"placement shape {placement.shape} does not match design with {design.num_cells} cells"
         )
-    lines = ["UCLA pl 1.0", ""]
-    corners = (placement - _half_sizes(design)).tolist()
-    for name, (llx, lly), fixed in zip(design.names, corners, design.fixed.tolist()):
-        suffix = " /FIXED" if fixed else ""
-        lines.append(f"{name}\t{llx:.{PL_PRECISION}f}\t{lly:.{PL_PRECISION}f}\t: N{suffix}")
+    corners = placement - _half_sizes(design)
+    # one % format over the whole file: name, x, y and suffix of each cell in turn
+    fields: list = [None] * (4 * design.num_cells)
+    fields[0::4] = design.names
+    fields[1::4] = corners[:, 0].tolist()
+    fields[2::4] = corners[:, 1].tolist()
+    fields[3::4] = np.where(design.fixed, " /FIXED", "").tolist()
+    line = f"%s\t%.{PL_PRECISION}f\t%.{PL_PRECISION}f\t: N%s\n"
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("UCLA pl 1.0\n\n" + line * design.num_cells % tuple(fields))
 
 
 def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray | None = None) -> str:

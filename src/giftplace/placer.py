@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .gift import GiftConfig, initial_signal
-from .metrics import DensityGrid, GridConfig, _bin_overlaps, _net_extents, density_map, hpwl, overflow
+from .metrics import DensityGrid, GridConfig, density_map, hpwl, overflow
 from .netlist import Design
 
 log = logging.getLogger(__name__)
@@ -100,31 +100,44 @@ def smooth_wirelength_grad(design: Design, g: np.ndarray, gamma: float) -> tuple
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    g = np.asarray(g, dtype=float)
-    grad = np.zeros_like(g)
-    value = 0.0
-    for axis, (p, starts, sizes, hi_n, lo_n) in enumerate(_net_extents(design, g)):
+    layout = design.pin_layout
+    n, net, value, grad = layout.pairs, layout.net_of_pin, 0.0, []
+    for p in layout.positions(g):
+        # a 2-pin net at a, b: |a-b| + 2*gamma*log(1 + e^{-|a-b|/gamma}), weight tanh((a-b)/2gamma) on a
+        d = p[:n] - p[n:2 * n]
+        span = np.abs(d)
+        value += float(span.sum() + 2.0 * gamma * np.log1p(np.exp(-span / gamma)).sum())
+        # nets of 3 or more pins, in the tail: no reduceat segment is empty, and no such net gives empty arrays
+        tail = p[2 * n:]
+        hi = np.maximum.reduceat(tail, layout.starts)
+        lo = np.minimum.reduceat(tail, layout.starts)
         # max-shifted exponentials keep everything in (0, 1]
-        ea = np.exp((p - np.repeat(hi_n, sizes)) / gamma)
-        eb = np.exp((np.repeat(lo_n, sizes) - p) / gamma)
-        sa_n = np.add.reduceat(ea, starts)
-        sb_n = np.add.reduceat(eb, starts)
-        value += float(np.sum(hi_n - lo_n + gamma * (np.log(sa_n) + np.log(sb_n))))
-        weights = ea / np.repeat(sa_n, sizes) - eb / np.repeat(sb_n, sizes)
-        np.add.at(grad[:, axis], design.pin_cell, weights)
+        ea = np.exp((tail - hi[net]) / gamma)
+        eb = np.exp((lo[net] - tail) / gamma)
+        sa, sb = layout.net_sum @ ea, layout.net_sum @ eb
+        value += float(np.sum(hi - lo + gamma * (np.log(sa) + np.log(sb))))
+        # p's positions are used up: it takes each pin's weight, in place of one more large array
+        np.tanh(d / (2.0 * gamma), out=p[:n])
+        np.negative(p[:n], out=p[n:2 * n])
+        np.subtract(ea / sa[net], eb / sb[net], out=tail)
+        grad.append(np.bincount(layout.cell, p, minlength=design.num_cells))
+    grad = np.column_stack(grad)
     grad[design.fixed] = 0.0
     return value, grad
 
 
-def _field_weighted_grad(
-    design: Design, g: np.ndarray, dens: DensityGrid, bin_field: np.ndarray
-) -> np.ndarray:
-    """sum_b field_b * d(overlap area of cell i with bin b)/d(x_i, y_i); fixed cells get zero rows."""
-    grad = np.zeros((design.num_cells, 2))
-    for cells, bx, by, lx, ly, dlx, dly in _bin_overlaps(design, g, dens.nx, dens.ny, dens.bin_w, dens.bin_h):
-        f = bin_field[bx, by]
-        np.add.at(grad[:, 0], cells, f * dlx * ly)
-        np.add.at(grad[:, 1], cells, f * lx * dly)
+def _field_weighted_grad(design: Design, dens: DensityGrid, bin_field: np.ndarray) -> np.ndarray:
+    """sum_b field_b * d(overlap area of cell i with bin b)/d(x_i, y_i); fixed cells get zero rows.
+
+    The overlaps are the ones ``density_map`` kept on ``dens``.
+    """
+    n = design.num_cells
+    gx, gy = np.zeros(n), np.zeros(n)
+    for cells, bins, lx, ly, dlx, dly in dens.overlaps:
+        f = np.take(bin_field, bins)
+        gx += np.bincount(cells, f * dlx * ly, minlength=n)
+        gy += np.bincount(cells, f * lx * dly, minlength=n)
+    grad = np.column_stack([gx, gy])
     grad[design.fixed] = 0.0
     return grad
 
@@ -165,7 +178,7 @@ def electrostatic_grad(
     q = dens.rho - float(np.mean(dens.rho))
     phi = _poisson_potential(q, dens.bin_w, dens.bin_h)
     value = 0.5 * float(np.sum(q * phi))
-    return value, _field_weighted_grad(design, g, dens, phi), dens
+    return value, _field_weighted_grad(design, dens, phi), dens
 
 
 def default_placer_bins(design: Design) -> GridConfig:

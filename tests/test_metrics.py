@@ -254,6 +254,13 @@ class TestOverflow:
             rho2[dst] += moved
             assert overflow(self.make_grid(rho2)) <= base + 1e-12
 
+    def test_hand_built_grid_needs_no_overlaps(self):
+        rho = np.array([[0.5, 2.0], [0.0, 1.5]])
+        grid = self.make_grid(rho)
+        assert grid.overlaps is None
+        assert overflow(grid) == pytest.approx(1.5 / 4.0)
+        assert max_bin_density(grid) == 2.0
+
     def test_max_bin_density(self):
         rho = np.zeros((3, 3))
         rho[1, 2] = 4.5

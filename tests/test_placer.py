@@ -8,10 +8,13 @@ behavior.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from giftplace import (
     Design,
@@ -28,7 +31,7 @@ from giftplace import (
     run_placer,
     smooth_wirelength_grad,
 )
-from giftplace import placer
+from giftplace import metrics, placer
 
 from conftest import make_design
 
@@ -144,6 +147,54 @@ class TestWirelengthGradient:
             smooth_wirelength_grad(tri_design, g, 0.0)
         with pytest.raises(ValueError):
             smooth_wirelength_grad(tri_design, g, -1.0)
+
+
+def reference_wirelength(design, g, gamma):
+    """(LSE value, its gradient, HPWL) computed net by net with reduceat over net_start."""
+    g = np.asarray(g, dtype=float)
+    value, exact, grad = 0.0, 0.0, np.zeros_like(g)
+    starts = design.net_start[:-1][np.diff(design.net_start) > 0]
+    if starts.size == 0:
+        return value, grad, exact
+    sizes = np.diff(np.append(starts, design.pin_cell.size))
+    for axis, offs in ((0, design.pin_dx), (1, design.pin_dy)):
+        p = g[design.pin_cell, axis] + offs
+        hi, lo = np.maximum.reduceat(p, starts), np.minimum.reduceat(p, starts)
+        ea = np.exp((p - np.repeat(hi, sizes)) / gamma)
+        eb = np.exp((np.repeat(lo, sizes) - p) / gamma)
+        sa, sb = np.add.reduceat(ea, starts), np.add.reduceat(eb, starts)
+        value += float(np.sum(hi - lo + gamma * (np.log(sa) + np.log(sb))))
+        exact += float(np.sum(hi - lo))
+        np.add.at(grad[:, axis], design.pin_cell, ea / np.repeat(sa, sizes) - eb / np.repeat(sb, sizes))
+    grad[design.fixed] = 0.0
+    return value, grad, exact
+
+
+@st.composite
+def wirelength_cases(draw):
+    """A design whose nets mix the given degrees, on cells that may repeat within a net, and a placement."""
+    n = draw(st.integers(1, 8))
+    degrees = draw(st.sampled_from([(0, 1, 2, 3, 5), (2,), (3,), (0, 1, 3, 4), (1, 2, 6)]))
+    offset = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    pin = st.tuples(st.integers(0, n - 1), offset, offset)
+    net = st.sampled_from(degrees).flatmap(lambda k: st.lists(pin, min_size=k, max_size=k))
+    nets = draw(st.lists(net, max_size=12))
+    coord = st.floats(-50.0, 50.0)
+    g = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    fixed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    design = make_design(n, nets, Region(-60.0, -60.0, 60.0, 60.0), pads={i: tuple(g[i]) for i in range(n) if fixed[i]})
+    return design, g, draw(st.floats(0.05, 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wirelength_cases())
+def test_wirelength_and_hpwl_match_the_per_net_reference(case):
+    design, g, gamma = case
+    value, grad = smooth_wirelength_grad(design, g, gamma)
+    ref_value, ref_grad, ref_hpwl = reference_wirelength(design, g, gamma)
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+    assert hpwl(design, g) == pytest.approx(ref_hpwl, rel=1e-12, abs=1e-12)
 
 
 class TestElectrostaticGradient:
@@ -398,6 +449,22 @@ class TestRunPlacer:
         with pytest.raises(DivergenceError, match=f"iteration {bad_call - 1}"):
             run_placer(design, g0, config)
 
+    def test_one_hpwl_call_per_trace_record(self, monkeypatch):
+        # the benchmark counts these calls and reads the last record as the result's HPWL
+        design = generate(cells=60, seed=6)
+        calls = []
+        real = placer.hpwl
+
+        def counted(design, g):
+            calls.append(1)
+            return real(design, g)
+
+        monkeypatch.setattr(placer, "hpwl", counted)
+        g, trace = run_placer(design, self.spread_start(design, seed=6), PlacerConfig(max_iters=800))
+        assert trace.converged
+        assert len(calls) == len(trace.records) == trace.iterations + 1
+        assert trace.records[-1].hpwl == metrics.hpwl(design, g)
+
     def test_trace_csv_reproducible_without_seconds(self, tmp_path):
         design = generate(cells=30, seed=9)
         g0 = self.spread_start(design, seed=9)
@@ -497,11 +564,28 @@ class TestOverlapKernel:
         design, g, nx, ny = self.mixed_design(rng)
         dens = density_map(design, g, GridConfig(nx=nx, ny=ny))
         bin_field = rng.normal(size=(nx, ny))
-        grad = placer._field_weighted_grad(design, g, dens, bin_field)
+        grad = placer._field_weighted_grad(design, dens, bin_field)
         rho_want, grad_want = overlap_oracle(design, g, nx, ny, bin_field)
         assert np.any(grad_want[:, 0] != 0.0) and np.any(grad_want[:, 1] != 0.0)
         np.testing.assert_allclose(dens.rho, rho_want, rtol=1e-12, atol=1e-12 * rho_want.max())
         np.testing.assert_allclose(grad, grad_want, rtol=1e-12, atol=1e-12 * np.abs(grad_want).max())
+
+    def test_field_gradient_from_kept_overlaps_matches_a_fresh_pass(self):
+        base = generate(cells=150, seed=3)
+        grid = default_placer_bins(base)
+        bw, bh = design_bin(base, grid)
+        design = with_macro(base, 6.3 * bw, 4.7 * bh)  # takes the wide path
+        g = random_positions(design, np.random.default_rng(9))
+        dens = density_map(design, g, grid)
+        fresh = dataclasses.replace(
+            dens, overlaps=metrics._bin_overlaps(design, g, dens.nx, dens.ny, dens.bin_w, dens.bin_h)
+        )
+        bin_field = np.random.default_rng(10).normal(size=(dens.nx, dens.ny))
+        kept = placer._field_weighted_grad(design, dens, bin_field)
+        np.testing.assert_array_equal(kept, placer._field_weighted_grad(design, fresh, bin_field))
+        assert np.any(kept[-1] != 0.0)
+        # the kept overlaps are left out of comparison and repr
+        assert fresh == dens and "overlaps" not in repr(dens)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_macro_matches_finite_differences(self, seed):
