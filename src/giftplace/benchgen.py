@@ -38,7 +38,7 @@ def generate(
         raise ValueError(f"utilization must be in (0, 1], got {utilization}")
     if not 0.0 <= long_range_fraction <= 1.0:
         raise ValueError(f"long_range_fraction must be in [0, 1], got {long_range_fraction}")
-    for name, value, least in (("rows", rows, 1), ("cols", cols, 1), ("io_count", io_count, 0)):
+    for name, value, least in (("rows", rows, 1), ("cols", cols, 1), ("io_count", io_count, 0), ("seed", seed, 0)):
         if value is not None and value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)

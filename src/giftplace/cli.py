@@ -284,8 +284,6 @@ def run_place(opts: dict) -> int:
         g0 = read_placement(design, init[len("file:"):])
     else:
         raise ValueError(f"unknown --init {init!r} (expected center|gift|eigen|file:PATH)")
-    # every start keeps the design's pads where the design puts them
-    g0[design.fixed] = design.fixed_xy[design.fixed]
 
     (g_final, trace), t_place = _timed(run_placer, design, g0, pconfig)
     timings.append(("place", t_place))
@@ -404,7 +402,18 @@ def _manifest_problem(doc) -> str | None:
     if not isinstance(options, dict):
         return "options is not an object"
     required = [*OPTIONS[command], *([] if command == "benchgen" else ["aux"])]
-    return next((f"options lack {key!r}" for key in required if key not in options), None)
+    missing = next((key for key in required if key not in options), None)
+    if missing is not None:
+        return f"options lack {missing!r}"
+    # a value has its option's type (an int also fits a float, a bool fits none), or is null where the default is
+    table = {**OPTIONS[command], "aux": (str, "", "")}
+    for key, value in options.items():
+        if key not in table or (value is None and table[key][1] is None):
+            continue
+        kind = table[key][0]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            return f"option {key!r} is {json.dumps(value)}, not {kind.__name__}"
+    return None
 
 
 def run_report(opts: dict) -> int:

@@ -43,6 +43,8 @@ class GiftConfig:
         self.terms = tuple(self.terms)
         if not self.terms:
             raise ValueError("filter needs at least one term")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.jitter_scale is not None and not 0.0 <= self.jitter_scale < math.inf:
             raise ValueError(f"jitter_scale must be finite and >= 0, got {self.jitter_scale}")
 
@@ -96,9 +98,7 @@ def gift_filter(adj: SparseSymMatrix, g: np.ndarray, config: GiftConfig | None =
 
 
 def gift_place(design: Design, adj: SparseSymMatrix, config: GiftConfig | None = None) -> np.ndarray:
-    """Full initialization: seed signal, filter, re-pin fixed cells, clamp."""
+    """Full initialization: seed signal, filter, clamp each cell into its legal box."""
     config = config or GiftConfig()
     out = gift_filter(adj, initial_signal(design, config), config)
-    out[design.fixed] = design.fixed_xy[design.fixed]
-    design.region.clip(out, ~design.fixed)
-    return out
+    return np.clip(out, *design.bounds, out=out)

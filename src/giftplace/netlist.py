@@ -105,10 +105,6 @@ class Region:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
 
-    def clip(self, g: np.ndarray, rows) -> None:
-        """Clamp the centers ``g[rows]`` into the region, in place."""
-        g[rows] = np.clip(g[rows], (self.xmin, self.ymin), (self.xmax, self.ymax))
-
 
 @dataclass(eq=False)
 class Design:
@@ -119,7 +115,7 @@ class Design:
     ``net_names[j]`` and owns the pins ``net_start[j]:net_start[j+1]`` of
     ``pin_cell``, ``pin_dx`` and ``pin_dy`` (offsets from the cell center).
     Construction coerces the arrays to their dtypes and validates them;
-    ``pin_layout`` is built from them on first use and kept.
+    ``pin_layout`` and ``bounds`` are built from them on first use and kept.
     """
 
     names: list[str]
@@ -184,6 +180,15 @@ class Design:
             net_of_pin=np.repeat(np.arange(big.size), big),
             net_sum=net_sum,
         )
+
+    @functools.cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell center's legal box as N x 2 arrays ``(lo, hi)``: a fixed cell's
+        fixed center, a movable cell's region. ``np.clip(g, *design.bounds, out=g)``
+        legalizes ``g`` in place.
+        """
+        fixed, r = self.fixed[:, None], self.region
+        return np.where(fixed, self.fixed_xy, (r.xmin, r.ymin)), np.where(fixed, self.fixed_xy, (r.xmax, r.ymax))
 
     @property
     def nets(self) -> list[Net]:
@@ -816,23 +821,29 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
     placement = np.array(placement, dtype=float)
     placement[design.fixed] = design.fixed_xy[design.fixed]
 
-    nodes_lines = ["UCLA nodes 1.0", "", f"NumNodes : {design.num_cells}", f"NumTerminals : {design.num_fixed}"]
-    for cell, w, h, fixed in zip(design.names, design.widths.tolist(), design.heights.tolist(), design.fixed.tolist()):
-        marker = "\tterminal" if fixed else ""
-        nodes_lines.append(f"\t{cell}\t{_fmt(w)}\t{_fmt(h)}{marker}")
+    # one % format per file, as in write_placement
+    nodes = [None] * (4 * design.num_cells)
+    nodes[0::4] = design.names
+    nodes[1::4] = design.widths.tolist()
+    nodes[2::4] = design.heights.tolist()
+    nodes[3::4] = np.where(design.fixed, "\tterminal", "").tolist()
     with open(os.path.join(out_dir, f"{name}.nodes"), "w") as f:
-        f.write("\n".join(nodes_lines) + "\n")
+        f.write(f"UCLA nodes 1.0\n\nNumNodes : {design.num_cells}\nNumTerminals : {design.num_fixed}\n")
+        f.write("\t%s\t%g\t%g%s\n" * design.num_cells % tuple(nodes))
 
-    names = design.names
-    pins = zip(design.pin_cell.tolist(), design.pin_dx.tolist(), design.pin_dy.tolist())
-    pin_lines = [f"\t{names[c]} I : {_fmt(dx)} {_fmt(dy)}" for c, dx, dy in pins]
-    nets_lines = ["UCLA nets 1.0", "", f"NumNets : {design.num_nets}", f"NumPins : {len(pin_lines)}"]
-    starts = design.net_start.tolist()
-    for net, a, b in zip(design.net_names, starts, starts[1:]):
-        nets_lines.append(f"NetDegree : {b - a} {net}")
-        nets_lines.extend(pin_lines[a:b])
+    # each net's NetDegree line (2 fields), then its pin lines (3 fields each)
+    degree = np.diff(design.net_start)
+    fields = np.empty(2 * design.num_nets + 3 * design.pin_cell.size, dtype=object)
+    head = 2 * np.arange(design.num_nets) + 3 * design.net_start[:-1]
+    fields[head], fields[head + 1] = degree, design.net_names
+    is_pin = np.ones(fields.size, dtype=bool)
+    is_pin[head] = is_pin[head + 1] = False
+    pins = np.array(design.names, dtype=object)[design.pin_cell], design.pin_dx, design.pin_dy
+    fields[is_pin] = np.column_stack(pins).ravel()
+    lines = "".join(["NetDegree : %d %s\n" + "\t%s I : %g %g\n" * k for k in degree.tolist()])
     with open(os.path.join(out_dir, f"{name}.nets"), "w") as f:
-        f.write("\n".join(nets_lines) + "\n")
+        f.write(f"UCLA nets 1.0\n\nNumNets : {design.num_nets}\nNumPins : {design.pin_cell.size}\n")
+        f.write(lines % tuple(fields.tolist()))
 
     write_placement(design, placement, os.path.join(out_dir, f"{name}.pl"))
 

@@ -61,6 +61,8 @@ class PlacerConfig:
             raise ValueError("step must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.stop_overflow < 1.0:
             raise ValueError("stop_overflow must be in (0, 1)")
 
@@ -234,9 +236,9 @@ def run_placer(
 ) -> tuple[np.ndarray, PlacerTrace]:
     """Projected gradient descent until overflow <= stop_overflow or budget ends.
 
-    Update: g <- clamp(g - step * (grad_wl + lambda * grad_density)), with
-    lambda growing multiplicatively each iteration. Fixed rows of g0 are never
-    touched. Raises DivergenceError when the objective stops being finite.
+    Update: g <- clamp(g - step * (grad_wl + lambda * grad_density)), lambda growing
+    multiplicatively; the clamp to ``design.bounds`` places fixed cells at their
+    fixed positions. Raises DivergenceError when the objective stops being finite.
     """
     config = config or PlacerConfig()
     grid, gamma = _placer_defaults(design, config)
@@ -246,9 +248,7 @@ def run_placer(
         raise ValueError(f"g0 shape {g.shape} does not match design with {design.num_cells} cells")
     if not np.all(np.isfinite(g)):
         raise DivergenceError("objective not finite at iteration 0")
-    region = design.region
-    movable = ~design.fixed
-    region.clip(g, movable)
+    np.clip(g, *design.bounds, out=g)
 
     trace = PlacerTrace()
     lam = config.lambda0 if config.lambda0 is not None else balanced_lambda0(design, config)
@@ -258,19 +258,20 @@ def run_placer(
     # gradient at a speed proportional to its magnitude relative to the RMS,
     # capped at one bin per iteration — the density weight grows without
     # bound, so any constant step would eventually overshoot.
-    max_move = MAX_MOVE_BINS * min(region.width / grid.nx, region.height / grid.ny)
+    max_move = MAX_MOVE_BINS * min(design.region.width / grid.nx, design.region.height / grid.ny)
     for it in range(config.max_iters + 1):
         if it > 0:
             step = config.step
             if step is None:
-                mag = np.hypot(grad[movable, 0], grad[movable, 1])
-                if mag.size == 0 or not np.any(mag > 0):
+                # fixed rows of grad are zero, so they neither stop the loop nor move
+                mag = np.hypot(grad[:, 0], grad[:, 1])
+                if not np.any(mag > 0):
                     log.info("zero gradient at iteration %d; stopping", it)
                     break
-                ref = float(np.sqrt(np.mean(mag**2)))
-                step = np.minimum(max_move / ref, max_move / np.maximum(mag, 1e-300))[:, None]
-            g[movable] -= step * grad[movable]
-            region.clip(g, movable)
+                ref = float(np.sqrt(np.mean(mag[~design.fixed] ** 2)))
+                step = (max_move / np.maximum(mag, ref))[:, None]
+            g -= step * grad
+            np.clip(g, *design.bounds, out=g)
             lam *= config.lambda_growth
         wl_val, wl_grad = smooth_wirelength_grad(design, g, gamma)
         d_val, d_grad, dens = electrostatic_grad(design, g, grid)

@@ -488,6 +488,18 @@ class TestUnusableOptions:
         assert code == 2
         assert "--k" in err
 
+    @pytest.mark.parametrize("command", ["gift", "place", "benchgen"])
+    def test_negative_seed_exit_2_before_reading(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "gen"
+        args = ["--out-dir", str(out_dir)] if command == "benchgen" else [str(tmp_path / "missing.aux")]
+        code, stdout, err = run_cli(capsys, command, *args, "--seed", "-1")
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "seed" in err
+        assert "missing.aux" not in err
+        assert stdout == ""
+        assert not out_dir.exists()
+
     def test_help_shows_library_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["place", "--help"])
@@ -623,6 +635,44 @@ class TestReportRejects:
         code, err = self.report(capsys, tmp_path, path, ["--replay"])
         assert code == 2
         assert f"options lack {key!r}" in err
+
+    def place_manifest(self, capsys, bench, tmp_path, **options):
+        """A place run's manifest with some recorded options replaced."""
+        code, _, _ = run_cli(capsys, "place", bench, "--out", str(tmp_path / "p.pl"), "--max-iters", "1")
+        assert code == 0
+        path = tmp_path / "p.pl.manifest.json"
+        doc = json.loads(path.read_text())
+        doc["options"].update(options)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("replay", [[], ["--replay"]], ids=["print", "replay"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("seed", "abc"),
+            ("max_iters", None),
+            ("gamma", "x"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("stop_overflow", False),
+            ("lambda_growth", [1.03]),
+            ("init", None),
+            ("out", 3),
+            ("aux", None),
+        ],
+    )
+    def test_mistyped_option_exit_2(self, bench, tmp_path, capsys, key, value, replay):
+        path = self.place_manifest(capsys, bench, tmp_path, **{key: value})
+        code, err = self.report(capsys, tmp_path, path, replay)
+        assert code == 2
+        assert f"not a run manifest: option {key!r} is {json.dumps(value)}" in err
+
+    def test_int_for_float_and_null_defaults_replay(self, bench, tmp_path, capsys):
+        path = self.place_manifest(capsys, bench, tmp_path, lambda_growth=1, gamma=None, step=None, max_clique_pins=None)
+        code, _, err = run_cli(capsys, "report", str(path), "--replay", "--out-dir", str(tmp_path / "replay"))
+        assert code == 0, err
+        assert (tmp_path / "replay" / "p.pl").exists()
 
     @pytest.mark.parametrize("replay", [[], ["--replay"]], ids=["print", "replay"])
     def test_missing_manifest_exit_1(self, tmp_path, capsys, replay):

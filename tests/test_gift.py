@@ -155,6 +155,12 @@ class TestGiftPlace:
         mask = design.fixed_mask()
         assert np.array_equal(g[mask], design.fixed_xy[mask])
 
+    def test_pad_outside_the_region_stays_at_its_fixed_position(self):
+        design = make_design(5, [[0, 1, 2], [2, 3, 4], [0, 4]], Region(0.0, 0.0, 10.0, 10.0), pads={4: (-4.0, 13.5)})
+        g = gift_place(design, build_clique_graph(design), GiftConfig(seed=3, jitter_scale=30.0))
+        assert g[4].tolist() == [-4.0, 13.5]
+        assert np.all((g[:4] >= 0.0) & (g[:4] <= 10.0))
+
     def test_end_to_end_determinism(self):
         design = generate(cells=150, seed=6)
         adj = build_clique_graph(design)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from pathlib import Path
 
@@ -331,12 +332,18 @@ class TestDesignAccessors:
                 Design(**design_fields(pin_cell=np.array([0, 1, 1, cell])))
 
 
-class TestRegionClip:
-    @pytest.mark.parametrize("rows", [np.array([True, True, True, False]), np.array([0, 1, 2])], ids=["mask", "ids"])
-    def test_clamps_given_rows_in_place_and_leaves_the_others(self, rows):
-        g = np.array([[-3.0, 7.0], [4.0, 2.0], [12.0, -1.0], [-5.0, 9.0]])
-        Region(0.0, 1.0, 10.0, 5.0).clip(g, rows)
-        np.testing.assert_array_equal(g, [[0.0, 5.0], [4.0, 2.0], [10.0, 1.0], [-5.0, 9.0]])
+class TestDesignBounds:
+    def test_clamps_movable_cells_into_the_region_and_pins_fixed_ones(self):
+        # the pad's fixed center lies outside the region: its box is that point all the same
+        pad = np.array([[np.nan, np.nan], [np.nan, np.nan], [12.5, -3.0]])
+        design = Design(**design_fields(fixed_xy=pad, region=Region(0.0, 1.0, 10.0, 5.0)))
+        lo, hi = design.bounds
+        np.testing.assert_array_equal(lo, [[0.0, 1.0], [0.0, 1.0], [12.5, -3.0]])
+        np.testing.assert_array_equal(hi, [[10.0, 5.0], [10.0, 5.0], [12.5, -3.0]])
+        assert design.bounds is design.bounds
+        g = np.array([[-3.0, 7.0], [4.0, 2.0], [-5.0, 9.0]])
+        assert np.clip(g, *design.bounds, out=g) is g
+        np.testing.assert_array_equal(g, [[0.0, 5.0], [4.0, 2.0], [12.5, -3.0]])
 
 
 def design_fields(**override) -> dict:
@@ -533,3 +540,56 @@ def test_write_parse_round_trip_is_exact(tmp_path_factory, design):
     for key in ("names", "net_names", "widths", "heights", "fixed", "net_start", "pin_cell", "pin_dx", "pin_dy"):
         assert np.array_equal(getattr(again, key), getattr(design, key)), key
     assert np.array_equal(again.fixed_xy, design.fixed_xy, equal_nan=True)
+
+
+def per_line_text(design) -> tuple[str, str]:
+    """The .nodes and .nets text of ``design`` formatted one f-string per line."""
+    nodes = ["UCLA nodes 1.0", "", f"NumNodes : {design.num_cells}", f"NumTerminals : {design.num_fixed}"]
+    for cell, w, h, fixed in zip(design.names, design.widths.tolist(), design.heights.tolist(), design.fixed.tolist()):
+        nodes.append(f"\t{cell}\t{w:g}\t{h:g}" + ("\tterminal" if fixed else ""))
+    nets = ["UCLA nets 1.0", "", f"NumNets : {design.num_nets}", f"NumPins : {design.pin_cell.size}"]
+    starts = design.net_start.tolist()
+    for j, net in enumerate(design.net_names):
+        nets.append(f"NetDegree : {starts[j + 1] - starts[j]} {net}")
+        for i in range(starts[j], starts[j + 1]):
+            nets.append(f"\t{design.names[design.pin_cell[i]]} I : {design.pin_dx[i]:g} {design.pin_dy[i]:g}")
+    return "\n".join(nodes) + "\n", "\n".join(nets) + "\n"
+
+
+SIZES = st.sampled_from([1.5e-7, 1e16, 2.5, 1e-300]) | st.floats(min_value=5e-324, allow_infinity=False)
+OFFSETS = st.sampled_from([-0.0, 1.5e-7, 1e16, -2.5]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def designs_with_any_numbers(draw) -> Design:
+    """``small_designs`` with sizes and pin offsets drawn from all finite floats."""
+    design = draw(small_designs())
+    n, pins = design.num_cells, design.pin_cell.size
+    return dataclasses.replace(
+        design,
+        widths=draw(st.lists(SIZES, min_size=n, max_size=n)),
+        heights=draw(st.lists(SIZES, min_size=n, max_size=n)),
+        pin_dx=draw(st.lists(OFFSETS, min_size=pins, max_size=pins)),
+        pin_dy=draw(st.lists(OFFSETS, min_size=pins, max_size=pins)),
+    )
+
+
+NO_PADS = dataclasses.replace(
+    EVERY_FEATURE,
+    widths=[1.5e-7, 1e16, 2.5],
+    fixed=[False] * 3,
+    fixed_xy=np.full((3, 2), np.nan),
+    pin_dx=[-0.0, 1.5e-7, 1e16, -2.5, 0.0, -1e16],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(EVERY_FEATURE)
+@example(NO_PADS)
+@given(designs_with_any_numbers())
+def test_write_design_matches_the_per_line_form(tmp_path_factory, design):
+    out = tmp_path_factory.mktemp("lines")
+    write_design(design, str(out), "d")
+    nodes, nets = per_line_text(design)
+    assert (out / "d.nodes").read_bytes() == nodes.encode()
+    assert (out / "d.nets").read_bytes() == nets.encode()

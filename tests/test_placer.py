@@ -415,6 +415,37 @@ class TestRunPlacer:
         assert trace.iterations == 10
         assert not np.array_equal(g, g0)
 
+    @pytest.mark.parametrize("step", [None, 0.02], ids=["saturated", "fixed-step"])
+    def test_places_fixed_rows_of_g0_at_their_fixed_positions(self, step):
+        design = generate(cells=60, seed=4)
+        fixed = design.fixed_mask()
+        g0 = self.spread_start(design, seed=4)
+        g0[fixed] += (3.0, -2.0)
+        for max_iters in (0, 5):
+            g, _ = run_placer(design, g0, PlacerConfig(step=step, max_iters=max_iters, stop_overflow=1e-9))
+            np.testing.assert_array_equal(g[fixed], design.fixed_xy[fixed])
+
+    def test_pad_outside_the_region_stays_at_its_fixed_position(self):
+        design = make_design(
+            5, [[0, 1, 2], [2, 3, 4], [0, 4]], Region(0.0, 0.0, 10.0, 10.0), sizes=(2.0, 2.0), pads={4: (-4.0, 13.5)}
+        )
+        g0 = np.tile(design.region.center, (5, 1))
+        g, trace = run_placer(design, g0, PlacerConfig(max_iters=10, stop_overflow=1e-9))
+        assert trace.iterations == 10
+        assert g[4].tolist() == [-4.0, 13.5]
+        assert np.all((g[:4] >= 0.0) & (g[:4] <= 10.0))
+
+    @pytest.mark.parametrize("step", [None, 0.02], ids=["saturated", "fixed-step"])
+    def test_matches_the_masked_step_bit_for_bit(self, step):
+        design = generate(cells=60, seed=3)
+        g0 = self.spread_start(design, seed=3)
+        g0[~design.fixed_mask()] += design.region.width / 3
+        config = PlacerConfig(step=step, max_iters=10, stop_overflow=1e-9)
+        g, trace = run_placer(design, g0, config)
+        ref_g, ref_records = masked_step_reference(design, g0, config)
+        assert g.tobytes() == ref_g.tobytes()
+        assert [(r.iteration, r.wl, r.hpwl, r.overflow, r.lam) for r in trace.records] == ref_records
+
     def test_rejects_wrong_shape(self, tri_design):
         with pytest.raises(ValueError):
             run_placer(tri_design, np.zeros((5, 2)), PlacerConfig())
@@ -477,6 +508,34 @@ class TestRunPlacer:
         header = p1.read_text().splitlines()[0]
         assert header == "iter,wl,hpwl,overflow,lambda"
         assert len(p1.read_text().splitlines()) == len(trace.records) + 1
+
+
+def masked_step_reference(design, g0, config):
+    """run_placer's loop as written with movable-row masks and a region clamp; fixed rows of g0 are kept."""
+    grid, gamma = placer._placer_defaults(design, config)
+    r = design.region
+    movable = ~design.fixed
+    box = (r.xmin, r.ymin), (r.xmax, r.ymax)
+    g = np.array(g0, dtype=float)
+    g[movable] = np.clip(g[movable], *box)
+    lam = config.lambda0 if config.lambda0 is not None else placer.balanced_lambda0(design, config)
+    max_move = placer.MAX_MOVE_BINS * min(r.width / grid.nx, r.height / grid.ny)
+    records = []
+    for it in range(config.max_iters + 1):
+        if it > 0:
+            step = config.step
+            if step is None:
+                mag = np.hypot(grad[movable, 0], grad[movable, 1])
+                ref = float(np.sqrt(np.mean(mag**2)))
+                step = np.minimum(max_move / ref, max_move / np.maximum(mag, 1e-300))[:, None]
+            g[movable] -= step * grad[movable]
+            g[movable] = np.clip(g[movable], *box)
+            lam *= config.lambda_growth
+        wl_val, wl_grad = smooth_wirelength_grad(design, g, gamma)
+        _, d_grad, dens = electrostatic_grad(design, g, grid)
+        grad = wl_grad + lam * d_grad
+        records.append((it, wl_val, hpwl(design, g), overflow(dens), lam))
+    return g, records
 
 
 def with_macro(design, width, height):
