@@ -60,7 +60,6 @@ from .placer import (
     PlacerTrace,
     TraceRecord,
     balanced_lambda0,
-    default_placer_bins,
     electrostatic_grad,
     run_placer,
     smooth_wirelength_grad,

@@ -19,6 +19,7 @@ from .netlist import Design, Region, Row
 log = logging.getLogger(__name__)
 
 DEFAULT_FANOUT: dict[int, float] = {2: 0.35, 3: 0.25, 4: 0.15, 5: 0.10, 6: 0.08, 7: 0.05, 8: 0.02}
+MAX_SIDE = 2**16  # most region rows (and sites per row) generate builds
 
 
 def generate(
@@ -51,7 +52,10 @@ def generate(
     if any(d < 2 for d in fanout):
         raise ValueError("fanout degrees must be >= 2")
 
-    side = math.ceil(math.sqrt(cells / utilization))
+    side = math.sqrt(cells / utilization)
+    if side > MAX_SIDE:  # also an infinite side, which ceil cannot take
+        raise ValueError(f"utilization {utilization} needs more than {MAX_SIDE} rows for {cells} cells")
+    side = math.ceil(side)
     half = side / 2.0
     region = Region(
         xmin=-half, ymin=-half, xmax=half, ymax=half,

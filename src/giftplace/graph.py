@@ -23,6 +23,7 @@ import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
+    GiftPlaceError,
     IsolatedNodeError,
     NonSymmetricError,
     TooLargeForDenseError,
@@ -32,6 +33,7 @@ from .netlist import Design
 log = logging.getLogger(__name__)
 
 DENSE_LIMIT = 2000  # max n for dense conversions / eigendecompositions
+MAX_CLIQUE_ENTRIES = 2**26  # bound on sum M(M-1) over expanded nets; the product peaks at ~30 B per entry
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,9 @@ def build_clique_graph(design: Design, max_clique_pins: int | None = None) -> Sp
     ``max_clique_pins`` (if set) are skipped, and their count is logged. The
     result is the strict upper triangle of B W B^T plus its transpose; B keeps
     its net indices sorted, so each pair's weight is summed in net order.
+
+    Raises GiftPlaceError, before any matrix is built, when the expanded nets
+    could make more than MAX_CLIQUE_ENTRIES entries.
     """
     net_start, pin_cell = design.net_start, design.pin_cell
     degree = np.diff(net_start)
@@ -140,6 +145,13 @@ def build_clique_graph(design: Design, max_clique_pins: int | None = None) -> Sp
         if over.any():
             log.info("clique expansion skipped %d nets with more than %d pins", over.sum(), max_clique_pins)
         expand &= ~over
+    kept = degree[expand]
+    entries = int(np.dot(kept, kept - 1))
+    if entries > MAX_CLIQUE_ENTRIES:
+        raise GiftPlaceError(
+            f"clique expansion bound {entries} entries exceeds {MAX_CLIQUE_ENTRIES} (largest net: "
+            f"{kept.max()} pins); skip large nets with --max-clique-pins"
+        )
     pins = np.repeat(expand, degree)
     nets = np.repeat(np.arange(degree.size), degree)[pins]
     incidence = sp.csr_matrix((np.ones(nets.size), (pin_cell[pins], nets)), shape=(design.num_cells, degree.size))

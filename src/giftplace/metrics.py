@@ -20,12 +20,12 @@ from .netlist import Design
 
 log = logging.getLogger(__name__)
 
-MAX_BINS = 2048  # per-axis bin count ceiling, 4x the placer's own default cap
+MAX_BINS = 2048  # per-axis bin count ceiling, 4x the cap of default_bins
 
 
 @dataclass
 class GridConfig:
-    """Bin-grid request; nx/ny default per design (see default_bins)."""
+    """Bin-grid request; density_map fills an unset nx/ny from default_bins."""
 
     nx: int | None = None
     ny: int | None = None
@@ -39,13 +39,22 @@ class GridConfig:
 
 
 def default_bins(design: Design) -> tuple[int, int]:
-    """128x128, or bins of ~8x the average cell dimension — whichever is coarser."""
-    w, h = design.widths, design.heights
-    aw = float(w.mean()) if w.size else 1.0
-    ah = float(h.mean()) if h.size else 1.0
-    nx = max(1, min(128, int(design.region.width / (8.0 * aw))))
-    ny = max(1, min(128, int(design.region.height / (8.0 * ah))))
-    return nx, ny
+    """Bins the size of the average movable cell (of every cell if none moves), 4 to 512 per axis.
+
+    The placer stops on overflow over these bins, and ``metrics`` measures it
+    on them. Bins no larger than the cells guarantee every cell straddles bin
+    boundaries, so the overlap gradient never vanishes over an interval; and
+    because the placer's per-iteration displacement cap is one bin width, bins
+    as large as the cells maximize transport speed.
+    """
+    cells = ~design.fixed
+    if not cells.any():
+        cells = design.fixed
+    counts = []
+    for extent, sizes in ((design.region.width, design.widths), (design.region.height, design.heights)):
+        avg = float(sizes[cells].mean()) if cells.any() else 1.0
+        counts.append(int(np.clip(round(extent / max(avg, 1e-9)), 4, 512)))
+    return counts[0], counts[1]
 
 
 @dataclass
@@ -185,6 +194,22 @@ def _bin_overlaps(design: Design, g: np.ndarray, nx: int, ny: int, bin_w: float,
     by, ly, dly = y.overlap(cells, k % cols)
     groups.append((cells, bx * ny + by, lx, ly, dlx, dly))
     return groups
+
+
+def _field_weighted_grad(design: Design, dens: DensityGrid, bin_field: np.ndarray) -> np.ndarray:
+    """sum_b field_b * d(overlap area of cell i with bin b)/d(x_i, y_i); fixed cells get zero rows.
+
+    The overlaps are the ones ``density_map`` kept on ``dens``.
+    """
+    n = design.num_cells
+    gx, gy = np.zeros(n), np.zeros(n)
+    for cells, bins, lx, ly, dlx, dly in dens.overlaps:
+        f = np.take(bin_field, bins)
+        gx += np.bincount(cells, f * dlx * ly, minlength=n)
+        gy += np.bincount(cells, f * lx * dly, minlength=n)
+    grad = np.column_stack([gx, gy])
+    grad[design.fixed] = 0.0
+    return grad
 
 
 def overflow(grid: DensityGrid) -> float:

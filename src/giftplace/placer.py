@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .gift import GiftConfig, initial_signal
-from .metrics import DensityGrid, GridConfig, density_map, hpwl, overflow
+from .metrics import DensityGrid, GridConfig, _field_weighted_grad, density_map, hpwl, overflow
 from .netlist import Design
 
 log = logging.getLogger(__name__)
@@ -43,7 +43,7 @@ class PlacerConfig:
     step: float | None = None           # fixed step; default: per-cell saturated steps
     max_iters: int = 1000
     stop_overflow: float = 0.15
-    grid: GridConfig | None = None      # default: bins sized to the average movable cell
+    grid: GridConfig | None = None      # unset bin counts: metrics.default_bins
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -128,22 +128,6 @@ def smooth_wirelength_grad(design: Design, g: np.ndarray, gamma: float) -> tuple
     return value, grad
 
 
-def _field_weighted_grad(design: Design, dens: DensityGrid, bin_field: np.ndarray) -> np.ndarray:
-    """sum_b field_b * d(overlap area of cell i with bin b)/d(x_i, y_i); fixed cells get zero rows.
-
-    The overlaps are the ones ``density_map`` kept on ``dens``.
-    """
-    n = design.num_cells
-    gx, gy = np.zeros(n), np.zeros(n)
-    for cells, bins, lx, ly, dlx, dly in dens.overlaps:
-        f = np.take(bin_field, bins)
-        gx += np.bincount(cells, f * dlx * ly, minlength=n)
-        gy += np.bincount(cells, f * lx * dly, minlength=n)
-    grad = np.column_stack([gx, gy])
-    grad[design.fixed] = 0.0
-    return grad
-
-
 def _poisson_potential(q: np.ndarray, bin_w: float, bin_h: float) -> np.ndarray:
     """Solve the 5-point Neumann Poisson problem lap(phi) = -q on the bin grid.
 
@@ -183,31 +167,8 @@ def electrostatic_grad(
     return value, _field_weighted_grad(design, dens, phi), dens
 
 
-def default_placer_bins(design: Design) -> GridConfig:
-    """Bins matching the average movable cell dimension.
-
-    Bins no larger than the cells guarantee every cell straddles bin
-    boundaries, so the overlap gradient never vanishes over an interval; and
-    because the per-iteration displacement cap is one bin width, bins as
-    large as the cells maximize transport speed.
-    """
-    w, h = design.widths, design.heights
-    mov = ~design.fixed
-    aw = float(w[mov].mean()) if mov.any() else float(w.mean()) if w.size else 1.0
-    ah = float(h[mov].mean()) if mov.any() else float(h.mean()) if h.size else 1.0
-    nx = int(np.clip(round(design.region.width / max(aw, 1e-9)), 4, 512))
-    ny = int(np.clip(round(design.region.height / max(ah, 1e-9)), 4, 512))
-    return GridConfig(nx=nx, ny=ny)
-
-
-def _placer_defaults(design: Design, config: PlacerConfig) -> tuple[GridConfig, float]:
-    """The bin grid (unset counts from default_placer_bins) and the LSE gamma."""
-    grid = config.grid or GridConfig()
-    if grid.nx is None or grid.ny is None:
-        bins = default_placer_bins(design)
-        grid = GridConfig(nx=grid.nx or bins.nx, ny=grid.ny or bins.ny, rho_t=grid.rho_t)
-    gamma = config.gamma if config.gamma is not None else 0.01 * design.region.width
-    return grid, gamma
+def _gamma(design: Design, config: PlacerConfig) -> float:
+    return config.gamma if config.gamma is not None else 0.01 * design.region.width
 
 
 def balanced_lambda0(design: Design, config: PlacerConfig) -> float:
@@ -220,10 +181,9 @@ def balanced_lambda0(design: Design, config: PlacerConfig) -> float:
     incomparable across them — and it is degenerate at a coincident stack,
     where the wirelength gradient nearly vanishes.
     """
-    grid, gamma = _placer_defaults(design, config)
     cloud = initial_signal(design, GiftConfig(seed=config.seed))
-    _, wl_grad = smooth_wirelength_grad(design, cloud, gamma)
-    _, d_grad, _ = electrostatic_grad(design, cloud, grid)
+    _, wl_grad = smooth_wirelength_grad(design, cloud, _gamma(design, config))
+    _, d_grad, _ = electrostatic_grad(design, cloud, config.grid)
     wl_norm = float(np.abs(wl_grad).sum())
     d_norm = float(np.abs(d_grad).sum())
     if wl_norm <= 0.0 or d_norm <= 0.0:
@@ -241,7 +201,7 @@ def run_placer(
     fixed positions. Raises DivergenceError when the objective stops being finite.
     """
     config = config or PlacerConfig()
-    grid, gamma = _placer_defaults(design, config)
+    gamma = _gamma(design, config)
 
     g = np.array(g0, dtype=float)
     if g.shape != (design.num_cells, 2):
@@ -258,7 +218,6 @@ def run_placer(
     # gradient at a speed proportional to its magnitude relative to the RMS,
     # capped at one bin per iteration — the density weight grows without
     # bound, so any constant step would eventually overshoot.
-    max_move = MAX_MOVE_BINS * min(design.region.width / grid.nx, design.region.height / grid.ny)
     for it in range(config.max_iters + 1):
         if it > 0:
             step = config.step
@@ -269,12 +228,13 @@ def run_placer(
                     log.info("zero gradient at iteration %d; stopping", it)
                     break
                 ref = float(np.sqrt(np.mean(mag[~design.fixed] ** 2)))
+                max_move = MAX_MOVE_BINS * min(dens.bin_w, dens.bin_h)
                 step = (max_move / np.maximum(mag, ref))[:, None]
             g -= step * grad
             np.clip(g, *design.bounds, out=g)
             lam *= config.lambda_growth
         wl_val, wl_grad = smooth_wirelength_grad(design, g, gamma)
-        d_val, d_grad, dens = electrostatic_grad(design, g, grid)
+        d_val, d_grad, dens = electrostatic_grad(design, g, config.grid)
         obj = wl_val + lam * d_val
         grad = wl_grad + lam * d_grad
         if not (np.isfinite(obj) and np.all(np.isfinite(grad))):

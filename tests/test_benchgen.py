@@ -108,6 +108,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(cells=10, utilization=0.0)
 
+    def test_region_over_max_side_rejected(self):
+        # 4 cells at these utilizations need a region of 65537 and 65536 rows
+        with pytest.raises(ValueError, match="utilization .* needs more than 65536 rows"):
+            generate(cells=4, utilization=4 / 65536.5**2)
+        assert len(generate(cells=4, utilization=4 / 65535.5**2).region.rows) == 65536
+
     def test_bad_fanout_rejected(self):
         with pytest.raises(ValueError):
             generate(cells=10, fanout={1: 1.0})

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from giftplace import parse_design, read_placement, write_placement
+from giftplace import graph, parse_design, read_placement, write_placement
 from giftplace.cli import main
 
 
@@ -304,6 +304,21 @@ class TestMetrics:
         assert code == 0
         rep = json.loads(stdout)
         assert {"hpwl", "quadratic_wl", "overflow", "max_bin_density"} <= set(rep)
+
+    @pytest.mark.parametrize(
+        "init,bins", [("center", []), ("gift", []), ("center", ["--bins", "7x5"])], ids=["center", "gift", "bins"]
+    )
+    def test_overflow_of_a_place_output_is_the_one_place_printed(self, bench, tmp_path, capsys, init, bins):
+        """metrics measures density on the grid the placer stops on, by default or from --bins."""
+        out = tmp_path / "p.pl"
+        code, stdout, _ = run_cli(
+            capsys, "place", bench, "--init", init, *bins, "--max-iters", "60", "--out", str(out)
+        )
+        assert code == 0
+        placed = json.loads(stdout)["overflow"]
+        code, stdout, _ = run_cli(capsys, "metrics", bench, "--pl", str(out), *bins)
+        assert code == 0
+        assert json.loads(stdout)["overflow"] == pytest.approx(placed, abs=1e-6)
 
     @pytest.mark.parametrize("via_pl_option", [True, False], ids=["movable-in-pl-option", "fixed-pad-in-design"])
     def test_non_finite_metric_exit_2_writes_nothing(self, bench, tmp_path, capsys, via_pl_option):
@@ -703,6 +718,8 @@ class TestUnusableGeneratorInputs:
             (["--fanout", "2:-1,3:2"], "fanout"),
             (["--fanout", "2"], "--fanout"),
             (["--fanout", "two:1"], "--fanout"),
+            (["--utilization", "1e-8"], "utilization"),
+            (["--utilization", "5e-324"], "utilization"),
         ],
     )
     def test_exit_2(self, tmp_path, capsys, flags, named):
@@ -748,6 +765,21 @@ class TestCliqueCap:
     def test_two_accepted(self, bench, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "gift", bench, "--max-clique-pins", "2", "--out", str(tmp_path / "g.pl"))
         assert code == 0
+
+    def test_net_over_the_entry_bound_exit_2_before_any_matrix(self, tmp_path, capsys, monkeypatch):
+        gen = tmp_path / "gen"
+        flags = ["--cells", "8193", "--fanout", "8193:1", "--long-range-fraction", "0.0001"]
+        code, _, _ = run_cli(capsys, "benchgen", *flags, "--out-dir", str(gen))
+        assert code == 0
+        # without scipy.sparse a missing guard fails at once instead of building a 2 GB product
+        monkeypatch.setattr(graph, "sp", None)
+        out = tmp_path / "g.pl"
+        code, stdout, err = run_cli(capsys, "gift", str(gen / "synth.aux"), "--out", str(out))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "largest net: 8193 pins" in err and "--max-clique-pins" in err
+        assert stdout == ""
+        assert not out.exists()
 
 
 def test_importing_the_cli_leaves_scipy_fft_unloaded():

@@ -19,6 +19,7 @@ from giftplace import (
     DimensionMismatchError,
     FilterTerm,
     GiftConfig,
+    GiftPlaceError,
     IsolatedNodeError,
     NonSymmetricError,
     Region,
@@ -32,6 +33,7 @@ from giftplace import (
     laplacian,
     normalized_augmented_adjacency,
 )
+from giftplace import graph
 from tests.conftest import make_design, random_connected_graph
 
 
@@ -216,6 +218,14 @@ class TestIncidenceProductBuild:
             tracemalloc.stop()
         assert got.nnz == 1000 * 999
         assert peak <= 5.5 * (got.data.nbytes + got.indices.nbytes + got.indptr.nbytes)
+
+    def test_net_over_the_entry_bound_refused_before_any_matrix(self, monkeypatch):
+        # 8193 * 8192 is just over 2**26; without scipy.sparse a missing guard
+        # fails at once instead of building a 2 GB product
+        design = design_with_nets(8193, [list(range(8193))])
+        monkeypatch.setattr(graph, "sp", None)
+        with pytest.raises(GiftPlaceError, match=r"67117056 entries exceeds 67108864 \(largest net: 8193 pins\)"):
+            build_clique_graph(design)
 
 
 class TestCliqueGraph:

@@ -196,12 +196,30 @@ class TestDensityMap:
         # only the in-region quarter of the cell counts
         assert grid.rho.sum() == pytest.approx(0.25)
 
-    def test_default_bins_rule(self):
-        # region 64 wide, unit cells: bins of ~8 units -> 8x8, capped at 128
-        design = grid_design(region=(0.0, 0.0, 64.0, 64.0))
-        assert default_bins(design) == (8, 8)
-        small = grid_design(region=(0.0, 0.0, 2048.0, 2048.0))
-        assert default_bins(small) == (128, 128)
+    @pytest.mark.parametrize(
+        "cell,region,bins",
+        [
+            ((1.0, 1.0), (0.0, 0.0, 64.0, 48.0), (64, 48)),
+            ((2.0, 0.5), (0.0, 0.0, 64.0, 48.0), (32, 96)),
+            ((1.0, 1.0), (0.0, 0.0, 2.0, 4096.0), (4, 512)),
+        ],
+    )
+    def test_default_bins_are_the_average_movable_cell_within_4_to_512(self, cell, region, bins):
+        assert default_bins(grid_design(cell_w=cell[0], cell_h=cell[1], region=region)) == bins
+
+    def test_default_bins_average_fixed_cells_only_when_none_moves(self):
+        region = Region(0.0, 0.0, 64.0, 64.0)
+        macro = make_design(2, [], region, sizes=[(1.0, 1.0), (30.0, 20.0)], pads={1: (32.0, 32.0)})
+        assert default_bins(macro) == (64, 64)
+        pad = make_design(1, [], region, sizes=(2.0, 4.0), pads={0: (1.0, 2.0)})
+        assert default_bins(pad) == (32, 16)
+
+    @pytest.mark.parametrize("bins,want", [({}, (64, 48)), ({"nx": 7}, (7, 48)), ({"ny": 5}, (64, 5))])
+    def test_density_map_fills_unset_counts_from_default_bins(self, bins, want):
+        design = grid_design(region=(0.0, 0.0, 64.0, 48.0))
+        grid = density_map(design, np.array([[3.0, 3.0]]), GridConfig(**bins))
+        assert (grid.nx, grid.ny) == want
+        assert (grid.bin_w, grid.bin_h) == (64.0 / want[0], 48.0 / want[1])
 
     @pytest.mark.parametrize("bins", [{"nx": 0}, {"ny": 0}, {"nx": -2, "ny": 4}])
     def test_grid_rejects_empty_bin_counts(self, bins):

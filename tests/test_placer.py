@@ -22,7 +22,7 @@ from giftplace import (
     GridConfig,
     PlacerConfig,
     Region,
-    default_placer_bins,
+    default_bins,
     density_map,
     electrostatic_grad,
     generate,
@@ -285,11 +285,11 @@ class TestPlacerConfig:
         [(None, None), (GridConfig(rho_t=0.999), None), (GridConfig(nx=7, rho_t=0.5), 7)],
         ids=["unset", "rho_t-only", "nx-only"],
     )
-    def test_unset_bins_come_from_default_placer_bins(self, monkeypatch, grid, nx):
-        # the placer and the lambda calibration must both see the placer's
-        # bins, not the coarse metrics default, whatever else the grid sets
+    def test_unset_bins_come_from_default_bins(self, monkeypatch, grid, nx):
+        # the placer and the lambda calibration must both see default_bins'
+        # counts for whatever the grid leaves unset, and the rest of the grid
         design = generate(cells=200, seed=1)
-        default = default_placer_bins(design)
+        default_nx, default_ny = default_bins(design)
         seen = []
         real = placer.electrostatic_grad
 
@@ -303,15 +303,15 @@ class TestPlacerConfig:
         run_placer(design, g0, PlacerConfig(max_iters=0, grid=grid))
         rho_t = grid.rho_t if grid else 1.0
         assert len(seen) == 2  # balanced_lambda0, then iteration 0
-        assert set(seen) == {(nx or default.nx, default.ny, rho_t)}
+        assert set(seen) == {(nx or default_nx, default_ny, rho_t)}
 
     def test_default_bins_no_coarser_than_cells(self):
         design = generate(cells=200, seed=1)
-        grid = default_placer_bins(design)
+        nx, ny = default_bins(design)
         w, h = design.widths, design.heights
         movable = ~design.fixed_mask()
-        assert design.region.width / grid.nx <= float(w[movable].mean()) + 1e-9
-        assert design.region.height / grid.ny <= float(h[movable].mean()) + 1e-9
+        assert design.region.width / nx <= float(w[movable].mean()) + 1e-9
+        assert design.region.height / ny <= float(h[movable].mean()) + 1e-9
 
 
 class TestBalancedLambda:
@@ -323,7 +323,7 @@ class TestBalancedLambda:
         lam0 = balanced_lambda0(design, config)
         assert np.isfinite(lam0) and lam0 > 0.0
         cloud = initial_signal(design, GiftConfig(seed=11))
-        grid = default_placer_bins(design)
+        grid = GridConfig(*default_bins(design))
         gamma = 0.01 * design.region.width
         _, wl_grad = smooth_wirelength_grad(design, cloud, gamma)
         _, d_grad, _ = electrostatic_grad(design, cloud, grid)
@@ -512,14 +512,16 @@ class TestRunPlacer:
 
 def masked_step_reference(design, g0, config):
     """run_placer's loop as written with movable-row masks and a region clamp; fixed rows of g0 are kept."""
-    grid, gamma = placer._placer_defaults(design, config)
+    gamma = placer._gamma(design, config)
+    grid = config.grid or GridConfig()
+    nx, ny = default_bins(design)
     r = design.region
     movable = ~design.fixed
     box = (r.xmin, r.ymin), (r.xmax, r.ymax)
     g = np.array(g0, dtype=float)
     g[movable] = np.clip(g[movable], *box)
     lam = config.lambda0 if config.lambda0 is not None else placer.balanced_lambda0(design, config)
-    max_move = placer.MAX_MOVE_BINS * min(r.width / grid.nx, r.height / grid.ny)
+    max_move = placer.MAX_MOVE_BINS * min(r.width / (grid.nx or nx), r.height / (grid.ny or ny))
     records = []
     for it in range(config.max_iters + 1):
         if it > 0:
@@ -532,7 +534,7 @@ def masked_step_reference(design, g0, config):
             g[movable] = np.clip(g[movable], *box)
             lam *= config.lambda_growth
         wl_val, wl_grad = smooth_wirelength_grad(design, g, gamma)
-        _, d_grad, dens = electrostatic_grad(design, g, grid)
+        _, d_grad, dens = electrostatic_grad(design, g, config.grid)
         grad = wl_grad + lam * d_grad
         records.append((it, wl_val, hpwl(design, g), overflow(dens), lam))
     return g, records
@@ -623,7 +625,7 @@ class TestOverlapKernel:
         design, g, nx, ny = self.mixed_design(rng)
         dens = density_map(design, g, GridConfig(nx=nx, ny=ny))
         bin_field = rng.normal(size=(nx, ny))
-        grad = placer._field_weighted_grad(design, dens, bin_field)
+        grad = metrics._field_weighted_grad(design, dens, bin_field)
         rho_want, grad_want = overlap_oracle(design, g, nx, ny, bin_field)
         assert np.any(grad_want[:, 0] != 0.0) and np.any(grad_want[:, 1] != 0.0)
         np.testing.assert_allclose(dens.rho, rho_want, rtol=1e-12, atol=1e-12 * rho_want.max())
@@ -631,7 +633,7 @@ class TestOverlapKernel:
 
     def test_field_gradient_from_kept_overlaps_matches_a_fresh_pass(self):
         base = generate(cells=150, seed=3)
-        grid = default_placer_bins(base)
+        grid = GridConfig(*default_bins(base))
         bw, bh = design_bin(base, grid)
         design = with_macro(base, 6.3 * bw, 4.7 * bh)  # takes the wide path
         g = random_positions(design, np.random.default_rng(9))
@@ -640,8 +642,8 @@ class TestOverlapKernel:
             dens, overlaps=metrics._bin_overlaps(design, g, dens.nx, dens.ny, dens.bin_w, dens.bin_h)
         )
         bin_field = np.random.default_rng(10).normal(size=(dens.nx, dens.ny))
-        kept = placer._field_weighted_grad(design, dens, bin_field)
-        np.testing.assert_array_equal(kept, placer._field_weighted_grad(design, fresh, bin_field))
+        kept = metrics._field_weighted_grad(design, dens, bin_field)
+        np.testing.assert_array_equal(kept, metrics._field_weighted_grad(design, fresh, bin_field))
         assert np.any(kept[-1] != 0.0)
         # the kept overlaps are left out of comparison and repr
         assert fresh == dens and "overlaps" not in repr(dens)
@@ -649,7 +651,7 @@ class TestOverlapKernel:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_macro_matches_finite_differences(self, seed):
         base = generate(cells=150, seed=seed)
-        grid = default_placer_bins(base)
+        grid = GridConfig(*default_bins(base))
         bw, bh = design_bin(base, grid)
         design = with_macro(base, 6.3 * bw, 4.7 * bh)
         g = random_positions(design, np.random.default_rng(700 + seed))
@@ -663,7 +665,7 @@ class TestOverlapKernel:
         # a force computed by one pass per (widest span) offset pair takes
         # about 100x longer once a single 64x64-bin cell is movable
         base = generate(cells=5000, seed=1)
-        grid = default_placer_bins(base)
+        grid = GridConfig(*default_bins(base))
         bw, bh = design_bin(base, grid)
         design = with_macro(base, 64 * bw, 64 * bh)
         g_base = random_positions(base, np.random.default_rng(1))
