@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import io
 import json
 import logging
 import os
@@ -41,7 +42,7 @@ from .graph import (
     normalized_augmented_adjacency,
 )
 from .metrics import GridConfig, report as metrics_report
-from .netlist import aux_files, parse_design, read_placement, write_design, write_placement
+from .netlist import aux_files, decode, parse_design, read_placement, write_design, write_placement
 from .placer import PlacerConfig, run_placer
 from .spectral import eigendecompose, eigenvector_placement, filter_response
 
@@ -493,23 +494,24 @@ def _load_config(path: str, command: str) -> dict:
         raise MissingFileError(path)
     values: dict = {}
     options = OPTIONS.get(command, {})
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise MalformedLineError(path, lineno, line, "expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in options:
-                log.warning("%s: unknown config key %r ignored", path, key)
-                continue
-            kind = options[key][0]
-            try:
-                values[key] = kind(val.strip())
-            except ValueError:
-                raise MalformedLineError(path, lineno, line, f"{key} expects {kind.__name__}")
+    with open(path, "rb") as f:
+        text = decode(path, f.read())
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise MalformedLineError(path, lineno, line, "expected key=value")
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in options:
+            log.warning("%s: unknown config key %r ignored", path, key)
+            continue
+        kind = options[key][0]
+        try:
+            values[key] = kind(val.strip())
+        except ValueError:
+            raise MalformedLineError(path, lineno, line, f"{key} expects {kind.__name__}")
     return values
 
 

@@ -10,10 +10,14 @@ lower-left corners. The conversion happens here and only here.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
+import locale
 import logging
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -230,109 +234,194 @@ class Design:
 # parsing
 
 
-def _data_lines(path: str):
-    """Yield (lineno, stripped line) skipping comments, blanks, UCLA headers.
-
-    A header is a line whose first token is ``UCLA``; a cell named ``UCLAcell``
-    is data.
-    """
-    with open(path, "r") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("UCLA") and (len(line) == 4 or line[4].isspace()):
-                continue
-            yield lineno, line
+def decode(path: str, data: bytes) -> str:
+    """``data`` decoded as ``open`` decodes a file; a byte it cannot decode raises
+    MalformedLineError at the line holding it."""
+    try:
+        return data.decode(locale.getpreferredencoding(False))
+    except UnicodeDecodeError as exc:
+        at, head = exc.start, data[:exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        start = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+        end = min((i for i in (data.find(b"\n", at), data.find(b"\r", at)) if i >= 0), default=len(data))
+        line = data[start:end].decode(exc.encoding, "replace")
+        raise MalformedLineError(path, lineno, line, f"byte 0x{data[at]:02x} is not valid {exc.encoding}") from None
 
 
-# The fast path reads files in the regular layout that ``write_design`` emits:
-# ASCII whose only whitespace is space, tab and newline (so ``bytes`` and
-# ``str`` agree on token boundaries), no comments, banner and header lines
-# first, and a fixed token count per body line. It reads such a file in
-# line-aligned chunks of about CHUNK_BYTES, checks every token position in
-# bulk and converts numbers to exactly what the line parser's ``float``/``int``
-# give. On any irregularity it returns None and the line parser reads the file
-# instead; the line parser is the only source of errors and warnings. Chunks,
-# not the whole file, are split, so that few token strings are alive at once.
+def _malformed(path: str, lineno: int, reason: str) -> MalformedLineError:
+    """MalformedLineError at line ``lineno`` of ``path``, quoting the line as read in text mode, less its comment."""
+    with open(path) as f:
+        line = next(itertools.islice(f, lineno - 1, None))
+    return MalformedLineError(path, lineno, line.split("#", 1)[0].strip(), reason)
+
+
+# The lexical rules of every Bookshelf file, applied once to its bytes: ``\r\n`` and a
+# lone ``\r`` end a line, as in a text-mode read; ``#`` starts a comment that runs to
+# the end of the line; every ``str.isspace()`` character separates tokens; blank lines
+# and lines whose first token is ``UCLA`` are dropped. A non-ASCII file is decoded as
+# ``open`` decodes it, its non-ASCII whitespace becomes spaces, and it is tokenized as
+# UTF-8. Files are cut into line-aligned chunks of about CHUNK_BYTES, so that few token
+# strings are alive at once.
 CHUNK_BYTES = 1 << 19
+_SEPARATORS = bytes(c < 128 and chr(c).isspace() for c in range(256))  # translate() table: 1 for ASCII whitespace
+_NON_ASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")
+_COMMENT = re.compile(rb"#[^\n]*")
 
 
-def _read_regular(path: str, keys: tuple[str, ...]) -> tuple[bytes, dict[str, int], int] | None:
-    """(file bytes, header counts, offset of the first body line), or None.
-
-    The leading lines may be banners (first token ``UCLA``), blank, or
-    ``Key : count`` for a key in ``keys``; the first other line starts the body.
-    """
+def _lex(path: str):
+    """Yield the lines of a Bookshelf file as ``_Chunk``s, in file order."""
     with open(path, "rb") as f:
         data = f.read()
-    byte = np.frombuffer(data, dtype=np.uint8)
-    if not data.isascii() or b"#" in data or np.count_nonzero(byte < 32) != np.count_nonzero((byte == 9) | (byte == 10)):
-        return None
-    declared: dict[str, int] = {}
-    pos = 0
+    if not data.isascii():
+        data = _NON_ASCII_SPACE.sub(" ", decode(path, data)).encode()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"#" in data:
+        data = _COMMENT.sub(b"", data)
+    pos = lines = 0
     while pos < len(data):
-        end = data.find(b"\n", pos)
-        end = len(data) if end < 0 else end
-        tokens = data[pos:end].decode("ascii").split()
-        if tokens and tokens[0] != "UCLA":
-            if tokens[0] not in keys:
-                break
-            if len(tokens) != 3 or tokens[1] != ":":
-                return None
-            try:
-                declared[tokens[0]] = int(tokens[2])
-            except ValueError:
-                return None
-        pos = end + 1
-    return data, declared, pos
+        end = data.find(b"\n", pos + CHUNK_BYTES)
+        end = len(data) if end < 0 else end + 1
+        chunk = _Chunk(data[pos:end] if data.endswith(b"\n", pos, end) else data[pos:end] + b"\n", lines)
+        lines += chunk.lines
+        pos = end
+        yield chunk
 
 
 class _Chunk:
-    """Line-aligned text of a regular file, split into tokens.
+    """Whole lines of a file, split into tokens.
 
-    ``first[i]`` and ``counts[i]`` are the index of the first token and the
-    token count of the i-th nonblank line; ``colons`` are the indices of the
-    ``:`` tokens, or None if a ``:`` is part of a longer token.
+    Row i is the i-th kept line: file line ``lineno[i]``, whose ``counts[i]``
+    tokens start at token index ``first[i]``.
     """
 
-    def __init__(self, text: bytes) -> None:
-        byte = np.frombuffer(text, dtype=np.uint8)  # text ends with a newline
+    def __init__(self, text: bytes, line0: int) -> None:
+        self.text = text  # ends with a newline
+        self.byte = byte = np.frombuffer(text, dtype=np.uint8)
+        newlines = np.flatnonzero(byte == ord("\n"))
         space = byte <= ord(" ")
-        starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
-        before = np.searchsorted(starts, np.flatnonzero(byte == ord("\n")))  # tokens up to each line end
+        if np.count_nonzero(byte < ord(" ")) != newlines.size + np.count_nonzero(byte == ord("\t")):
+            space = np.frombuffer(text.translate(_SEPARATORS), dtype=bool)  # control bytes beyond tab and newline
+        edges = np.flatnonzero(np.diff(space, prepend=True))  # token starts and ends, in turn
+        self.starts, self.length = edges[0::2], edges[1::2] - edges[0::2]
+        self.lead = byte[self.starts]
+        self.tokens = np.fromiter(text.decode().split(), dtype=object, count=self.starts.size)
+        self.lines = newlines.size
+        before = np.searchsorted(self.starts, newlines)  # tokens up to each line end
         counts = np.diff(before, prepend=0)
-        self.first, self.counts = (before - counts)[counts > 0], counts[counts > 0]
-        lead, single = byte[starts], space[starts + 1]
-        self.colons = np.flatnonzero(lead == ord(":"))
-        if not (single[self.colons].all() and self.colons.size == np.count_nonzero(byte == ord(":"))):
-            self.colons = None
-        # a one-digit token's value is its digit; other numbers go through float()/int()
-        digit = lead.astype(np.int8) - ord("0")
-        self._digit = np.where(single & (digit >= 0) & (digit <= 9), digit, -1)
-        self.tokens = np.fromiter(text.decode("ascii").split(), dtype=object, count=starts.size)
+        rows = np.flatnonzero(counts)
+        self.first, self.counts, self.lineno = before[rows] - counts[rows], counts[rows], rows + line0 + 1
+        keep = self.heads("UCLA") == 0
+        self.first, self.counts, self.lineno = self.first[keep], self.counts[keep], self.lineno[keep]
+
+    def _spell(self, at: np.ndarray, word: str) -> np.ndarray:
+        """Mask over token starts ``at`` whose first byte is ``word``'s: the rest of it follows."""
+        ok = np.ones(at.size, dtype=bool)
+        for k, b in enumerate(word.encode()[1:], 1):
+            ok &= self.byte[at + k] == b
+        return ok
+
+    def match(self, word: str, prefix: bool = False) -> np.ndarray:
+        """Mask over tokens: the token is ``word``, or starts with it if ``prefix``."""
+        hit = (self.length >= len(word) if prefix else self.length == len(word)) & (self.lead == ord(word[0]))
+        if len(word) > 1:
+            hit[hit] = self._spell(self.starts[hit], word)
+        return hit
+
+    def heads(self, *words: str) -> np.ndarray:
+        """Per row: 1 + the index in ``words`` of the row's first token, 0 for any other token."""
+        lead = self.lead[self.first]
+        out = np.zeros(self.first.size, dtype=np.int64)
+        for n, word in enumerate(words, 1):
+            rows = np.flatnonzero(lead == ord(word[0]))
+            rows = rows[self.length[self.first[rows]] == len(word)]
+            out[rows[self._spell(self.starts[self.first[rows]], word)]] = n
+        return out
+
+    def lines_with(self, hit: np.ndarray, skip: int) -> np.ndarray:
+        """Mask over rows: a token from the ``skip``-th of the line on is marked in ``hit``."""
+        tok = np.flatnonzero(hit)
+        row = np.maximum(np.searchsorted(self.first, tok, "right") - 1, 0)
+        out = np.zeros(self.first.size, dtype=bool)
+        if out.size:
+            out[row[(tok >= self.first[row] + skip) & (tok < self.first[row] + self.counts[row])]] = True
+        return out
 
     def pick(self, idx: np.ndarray) -> list[str]:
         return self.tokens[idx].tolist()
 
-    def numbers(self, idx: np.ndarray, kind: type) -> np.ndarray:
-        """``kind`` (float or int) of the tokens at ``idx``; raises ValueError
-        on a token that is not such a number and OverflowError on an int
-        beyond int64."""
-        digit = self._digit[idx]
+    def row(self, i: int) -> list[str]:
+        return self.tokens[self.first[i]:self.first[i] + self.counts[i]].tolist()
+
+    def numbers(self, idx: np.ndarray, kind: type) -> tuple[np.ndarray, np.ndarray]:
+        """``kind`` (float or int) of the tokens at ``idx``, and a mask of the first that is no such number."""
+        # a one-digit token's value is its digit; other numbers go through float()/int()
+        digit = self.lead[idx] - np.uint8(ord("0"))
         values = digit.astype(np.int64 if kind is int else float)
-        rest = np.flatnonzero(digit < 0)
-        values[rest] = np.fromiter(map(kind, self.pick(idx[rest])), dtype=values.dtype, count=rest.size)
-        return values
+        rest = np.flatnonzero((digit > 9) | (self.length[idx] > 1))
+        converted, bad = _convert(self.pick(idx[rest]), kind)
+        values = values.astype(converted.dtype, copy=False)
+        values[rest] = converted
+        failed = np.zeros(idx.size, dtype=bool)
+        failed[rest[bad]] = True
+        return values, failed
 
 
-def _regular_chunks(data: bytes, pos: int, cut: bytes):
-    """Yield ``data[pos:]`` as Chunks that end just before an occurrence of ``cut``."""
-    while pos < len(data):
-        end = data.find(cut, pos + CHUNK_BYTES)
-        end = len(data) if end < 0 else end + 1
-        yield _Chunk(data[pos:end] if data.endswith(b"\n", pos, end) else data[pos:end] + b"\n")
-        pos = end
+def _convert(strings: list[str], kind: type) -> tuple[np.ndarray, np.ndarray]:
+    """``kind`` (float or int) of ``strings``, and the index of the first that is no
+    such number as an array of 0 or 1 items. Values from there on are 0; an int
+    beyond int64 makes the array one of Python ints."""
+    try:
+        return np.fromiter(map(kind, strings), dtype=np.int64 if kind is int else float, count=len(strings)), np.empty(0, int)
+    except (ValueError, OverflowError):
+        good: list = []
+        with contextlib.suppress(ValueError):
+            good.extend(map(kind, strings))
+        values = np.array(good + [0] * (len(strings) - len(good)), dtype=object if kind is int else float)
+        return values, np.arange(len(good), len(strings))[:1]
+
+
+class _FirstError:
+    """The error of a chunk's earliest failing row, and of that row's first failing check.
+
+    Each kind of line is checked in the line parser's order, so the order of the
+    ``check`` calls for one kind of line is the order of its checks.
+    """
+
+    def __init__(self, path: str, chunk: _Chunk) -> None:
+        self.path, self.lineno = path, chunk.lineno
+        self.row, self._rank, self._checks, self._make = chunk.lineno.size, 0, 0, None
+
+    def check(self, rows: np.ndarray, failed: np.ndarray, error) -> None:
+        """``failed`` marks the failing entries of ``rows``; ``error`` is the reason or
+        makes the exception from the line number and the entry."""
+        self._checks += 1
+        i = int(np.argmax(failed)) if failed.size else 0
+        if failed.size and failed[i]:
+            self.fail(int(rows[i]), error, i, self._checks)
+
+    def fail(self, row: int, error, entry: int = 0, rank: int = 0) -> None:
+        if (row, rank) < (self.row, self._rank):
+            self.row, self._rank, lineno = row, rank, int(self.lineno[row])
+            self._make = functools.partial(_malformed, self.path, lineno, error) if isinstance(error, str) else (
+                functools.partial(error, lineno, entry))
+
+    def raise_first(self) -> None:
+        if self._make is not None:
+            raise self._make()
+
+
+def _headers(chunk: _Chunk, head: np.ndarray, declared: dict[str, int], errors: _FirstError) -> None:
+    """Read the ``Key : count`` lines marked in ``head`` into ``declared``, in file order."""
+    for row in np.flatnonzero(head).tolist():
+        key, *rest = chunk.row(row)
+        _, colon, value = " ".join(rest).partition(":")
+        if not colon:
+            return errors.fail(row, "header missing ':'")
+        try:
+            declared[key] = int(value)
+        except ValueError:
+            return errors.fail(row, "header count is not an integer")
 
 
 def _join(parts: list[np.ndarray], dtype: type) -> np.ndarray:
@@ -340,278 +429,190 @@ def _join(parts: list[np.ndarray], dtype: type) -> np.ndarray:
 
 
 def _ids(name_to_id: dict[str, int], names: list[str]) -> np.ndarray:
-    """Cell ids of ``names``; raises KeyError on an undeclared name."""
-    return np.fromiter(map(name_to_id.__getitem__, names), dtype=np.int64, count=len(names))
-
-
-def _nodes_regular(path: str):
-    """``_parse_nodes`` of a regular file: every body line is ``name w h [terminal]``."""
-    regular = _read_regular(path, ("NumNodes", "NumTerminals"))
-    if regular is None:
-        return None
-    data, declared, pos = regular
-    names: list[str] = []
-    widths, heights, fixed = [], [], []
-    for chunk in _regular_chunks(data, pos, b"\n"):
-        first, marked = chunk.first, chunk.counts == 4
-        if not (marked | (chunk.counts == 3)).all():
-            return None
-        names += chunk.pick(first)
-        try:
-            widths.append(chunk.numbers(first + 1, float))
-            heights.append(chunk.numbers(first + 2, float))
-        except ValueError:
-            return None
-        flags = np.zeros(first.size, dtype=bool)
-        flags[marked] = [t.startswith("terminal") for t in chunk.pick(first[marked] + 3)]
-        fixed.append(flags)
-    widths, heights = _join(widths, float), _join(heights, float)
-    name_to_id = dict(zip(names, range(len(names))))
-    if (
-        len(name_to_id) != len(names)
-        or not name_to_id.keys().isdisjoint(("UCLA", "NumNodes", "NumTerminals"))
-        or not ((widths > 0) & (widths < math.inf) & (heights > 0) & (heights < math.inf)).all()
-        or declared.get("NumNodes", len(names)) != len(names)
-    ):
-        return None
-    return names, widths, heights, _join(fixed, bool), name_to_id, declared.get("NumTerminals")
-
-
-def _nets_regular(path: str, name_to_id: dict[str, int]):
-    """``_parse_nets`` of a regular file: ``NetDegree : k name`` lines, each
-    followed by k ``cell dir : dx dy`` lines."""
-    if not name_to_id.keys().isdisjoint(("UCLA", "NumNets", "NumPins", "NetDegree", ":")):
-        return None
-    regular = _read_regular(path, ("NumNets", "NumPins"))
-    if regular is None:
-        return None
-    data, declared, pos = regular
-    net_names: list[str] = []
-    degrees, cells, dxs, dys = [], [], [], []
-    for chunk in _regular_chunks(data, pos, b"\nNetDegree"):
-        heads, pins = chunk.counts == 4, chunk.counts == 5
-        if not (heads | pins).all() or not heads[0]:
-            return None
-        # the only ':' tokens are the second of a NetDegree line and the third of a pin line
-        if chunk.colons is None or not np.array_equal(chunk.colons, chunk.first + np.where(heads, 1, 2)):
-            return None
-        hf, pf = chunk.first[heads], chunk.first[pins]
-        if chunk.pick(hf).count("NetDegree") != hf.size:
-            return None
-        try:
-            degree = chunk.numbers(hf + 2, int)
-            cells.append(_ids(name_to_id, chunk.pick(pf)))
-            dxs.append(chunk.numbers(pf + 3, float))
-            dys.append(chunk.numbers(pf + 4, float))
-        except (ValueError, OverflowError, KeyError):
-            return None
-        # each degree must count the pin lines up to the next NetDegree line
-        if not np.array_equal(degree, np.diff(np.flatnonzero(heads), append=heads.size) - 1):
-            return None
-        degrees.append(degree)
-        net_names += chunk.pick(hf + 3)
-    pin_dx, pin_dy = _join(dxs, float), _join(dys, float)
-    if (
-        not (np.isfinite(pin_dx).all() and np.isfinite(pin_dy).all())
-        or declared.get("NumNets", len(net_names)) != len(net_names)
-        or declared.get("NumPins", pin_dx.size) != pin_dx.size
-    ):
-        return None
-    net_start = np.concatenate(([0], np.cumsum(_join(degrees, np.int64))))
-    return net_names, net_start, _join(cells, np.int64), pin_dx, pin_dy
-
-
-def _pl_regular(path: str, name_to_id: dict[str, int]):
-    """``_parse_pl`` of a regular file: every line is ``name x y : orient [/FIXED]``,
-    and each declared name is placed at most once."""
-    if "UCLA" in name_to_id:
-        return None
-    regular = _read_regular(path, ())
-    if regular is None:
-        return None
-    data, _, pos = regular
-    ids, xs, ys, marks = [], [], [], []
-    for chunk in _regular_chunks(data, pos, b"\n"):
-        first, marked = chunk.first, chunk.counts == 6
-        if not (marked | (chunk.counts == 5)).all() or chunk.colons is None or not np.array_equal(chunk.colons, first + 3):
-            return None
-        orients = chunk.pick(first + 4)
-        if "/FIXED" in orients or "/FIXED_NI" in orients or chunk.pick(first[marked] + 5).count("/FIXED") != marked.sum():
-            return None
-        try:
-            ids.append(_ids(name_to_id, chunk.pick(first)))
-            xs.append(chunk.numbers(first + 1, float))
-            ys.append(chunk.numbers(first + 2, float))
-        except (ValueError, KeyError):
-            return None
-        marks.append(marked)
-    ids, xy = _join(ids, np.int64), np.column_stack((_join(xs, float), _join(ys, float)))
-    n = len(name_to_id)
-    if not np.isfinite(xy).all() or np.bincount(ids, minlength=n).max(initial=0) > 1:
-        return None
-    corners = np.full((n, 2), math.nan)
-    corners[ids] = xy
-    fixed = np.zeros(n, dtype=bool)
-    fixed[ids] = _join(marks, bool)
-    return corners, fixed
-
-
-def _header_value(line: str) -> str | None:
-    """Value of a 'Key : value' header line, or None if no colon."""
-    if ":" not in line:
-        return None
-    return line.split(":", 1)[1].strip()
-
-
-def _header_count(path: str, lineno: int, line: str) -> int:
-    value = _header_value(line)
-    if value is None:
-        raise MalformedLineError(path, lineno, line, "header missing ':'")
+    """Cell ids of ``names``, -1 for an undeclared name."""
     try:
-        return int(value)
-    except ValueError:
-        raise MalformedLineError(path, lineno, line, "header count is not an integer")
+        return np.fromiter(map(name_to_id.__getitem__, names), dtype=np.int64, count=len(names))
+    except KeyError:
+        return np.fromiter(map(name_to_id.get, names, itertools.repeat(-1)), dtype=np.int64, count=len(names))
 
 
 def _parse_nodes(path: str):
-    """(names, widths, heights, fixed flags, name -> id, NumTerminals or None)."""
-    regular = _nodes_regular(path)
-    if regular is not None:
-        return regular
+    """(names, widths, heights, fixed flags, name -> id, NumTerminals or None).
+
+    A node line is ``name width height [tokens...]``; a later token starting with
+    ``terminal`` marks the node fixed.
+    """
     names: list[str] = []
-    widths: list[float] = []
-    heights: list[float] = []
-    fixed: list[bool] = []
+    widths, heights, fixed = [], [], []
     name_to_id: dict[str, int] = {}
-    num_nodes: int | None = None
-    num_terminals: int | None = None
-    for lineno, line in _data_lines(path):
-        tokens = line.split()
-        if tokens[0] == "NumNodes":
-            num_nodes = _header_count(path, lineno, line)
-            continue
-        if tokens[0] == "NumTerminals":
-            num_terminals = _header_count(path, lineno, line)
-            continue
-        if len(tokens) < 3:
-            raise MalformedLineError(path, lineno, line, "expected 'name width height [terminal]'")
-        name = tokens[0]
-        try:
-            width = float(tokens[1])
-            height = float(tokens[2])
-        except ValueError:
-            raise MalformedLineError(path, lineno, line, "width/height are not numbers")
-        if not (0 < width < math.inf and 0 < height < math.inf):
-            raise MalformedLineError(path, lineno, line, "width/height must be positive and finite")
-        if name in name_to_id:
-            raise DuplicateCellError(path, lineno, name)
-        name_to_id[name] = len(names)
-        names.append(name)
-        widths.append(width)
-        heights.append(height)
-        fixed.append(any(t.startswith("terminal") for t in tokens[3:]))
+    declared: dict[str, int] = {}
+    for chunk in _lex(path):
+        errors = _FirstError(path, chunk)
+        head = chunk.heads("NumNodes", "NumTerminals") > 0
+        _headers(chunk, head, declared, errors)
+        rows = np.flatnonzero(~head)
+        first, counts = chunk.first[rows], chunk.counts[rows]
+        errors.check(rows, counts < 3, "expected 'name width height [terminal]'")
+        sized = rows[counts >= 3]
+        w, bad_w = chunk.numbers(chunk.first[sized] + 1, float)
+        h, bad_h = chunk.numbers(chunk.first[sized] + 2, float)
+        errors.check(sized, bad_w | bad_h, "width/height are not numbers")
+        errors.check(sized, ~((w > 0) & (w < math.inf) & (h > 0) & (h < math.inf)), "width/height must be positive and finite")
+        chunk_names = chunk.pick(first)
+        name_to_id.update(zip(chunk_names, range(len(names), len(names) + rows.size)))
+        if len(name_to_id) != len(names) + rows.size:  # a name repeats; the error below ends the parse
+            first_seen = dict(zip(reversed(names + chunk_names), range(len(names) + rows.size - 1, -1, -1)))
+            seen = np.fromiter(map(first_seen.__getitem__, chunk_names), dtype=np.int64, count=rows.size) < len(names) + np.arange(rows.size)
+            errors.check(rows, seen, lambda lineno, i: DuplicateCellError(path, lineno, chunk_names[i]))
+        errors.raise_first()
+        names += chunk_names
+        widths.append(w)
+        heights.append(h)
+        fixed.append(chunk.lines_with(chunk.match("terminal", prefix=True), 3)[rows])
+    num_nodes = declared.get("NumNodes")
     if num_nodes is not None and num_nodes != len(names):
         raise MalformedLineError(path, 0, f"NumNodes : {num_nodes}", f"header declares {num_nodes} nodes, body has {len(names)}")
-    return names, widths, heights, fixed, name_to_id, num_terminals
+    return names, _join(widths, float), _join(heights, float), _join(fixed, bool), name_to_id, declared.get("NumTerminals")
 
 
 def _parse_nets(path: str, name_to_id: dict[str, int]):
-    """(net names, net_start, pin_cell, pin_dx, pin_dy), flat."""
-    regular = _nets_regular(path, name_to_id)
-    if regular is not None:
-        return regular
+    """(net names, net_start, pin_cell, pin_dx, pin_dy), flat.
+
+    ``NetDegree : k [name]`` opens a net of the k pin lines that follow; an unnamed
+    net j is ``net{j}``. A pin line is ``cell [dir]``, or has a ``:`` token
+    followed by exactly the two offsets ``dx dy``.
+    """
     net_names: list[str] = []
-    net_start: list[int] = []
-    pin_cell: list[int] = []
-    pin_dx: list[float] = []
-    pin_dy: list[float] = []
-    declared: dict[str, int] = {}  # NumNets/NumPins header counts
-    pending: int = 0  # pin lines still expected for the current net
-    for lineno, line in _data_lines(path):
-        tokens = line.split()
-        first = tokens[0]
-        if first in ("NumNets", "NumPins"):
-            declared[first] = _header_count(path, lineno, line)
-            continue
-        if first == "NetDegree":
-            if pending:
-                raise MalformedLineError(path, lineno, line, f"previous net is missing {pending} pin line(s)")
-            value = _header_value(line)
-            if value is None:
-                raise MalformedLineError(path, lineno, line, "NetDegree missing ':'")
-            parts = value.split()
-            try:
-                pending = int(parts[0])
-            except (IndexError, ValueError):
-                raise MalformedLineError(path, lineno, line, "NetDegree count is not an integer")
-            if pending < 0:
-                raise MalformedLineError(path, lineno, line, "NetDegree count must be >= 0")
-            net_names.append(parts[1] if len(parts) > 1 else f"net{len(net_names)}")
-            net_start.append(len(pin_cell))
-            continue
-        # a pin line
-        if pending == 0:
-            raise MalformedLineError(path, lineno, line, "pin line outside a NetDegree block")
-        cell = name_to_id.get(first)
-        if cell is None:
-            raise DanglingPinError(path, lineno, first)
-        dx = dy = 0.0
-        if ":" in tokens:
-            offs = tokens[tokens.index(":") + 1:]
-            if len(offs) != 2:
-                raise MalformedLineError(path, lineno, line, "expected 'name dir [: dx dy]'")
-            try:
-                dx = float(offs[0])
-                dy = float(offs[1])
-            except ValueError:
-                raise MalformedLineError(path, lineno, line, "pin offsets are not numbers")
-            if not (math.isfinite(dx) and math.isfinite(dy)):
-                raise MalformedLineError(path, lineno, line, "pin offsets must be finite")
-        elif len(tokens) > 2 or any(":" in t for t in tokens[1:]):
-            # offsets without a free-standing ':' would otherwise read as 0 0
-            raise MalformedLineError(path, lineno, line, "expected 'name dir [: dx dy]'")
-        pin_cell.append(cell)
-        pin_dx.append(dx)
-        pin_dy.append(dy)
-        pending -= 1
+    degrees, cells, dxs, dys = [], [], [], []
+    declared: dict[str, int] = {}
+    pending = 0  # pin lines still expected for the current net
+    for chunk in _lex(path):
+        errors = _FirstError(path, chunk)
+        kind = chunk.heads("NumNets", "NumPins", "NetDegree")
+        _headers(chunk, (kind == 1) | (kind == 2), declared, errors)
+        opens, pins = kind == 3, kind == 0
+        net_rows, pin_rows = np.flatnonzero(opens), np.flatnonzero(pins)
+
+        # NetDegree lines: the count and the name are the tokens after the line's first ':'
+        f, c = chunk.first[net_rows], chunk.counts[net_rows]
+        colon = chunk.match(":")
+        plain = c >= 3
+        plain[plain] = colon[f[plain] + 1]
+        named = plain & (c >= 4)
+        names = chunk.tokens[f + 3 * named]  # unnamed nets are named below
+        k_plain, bad_plain = chunk.numbers(f[plain] + 2, int)
+        # a glued or missing ':', or no count: the line is split in Python, as header lines are
+        odd = np.flatnonzero(~plain)
+        split = [" ".join(chunk.row(r)[1:]).partition(":") for r in net_rows[odd].tolist()]
+        parts = [value.split()[:2] or [""] for _, _, value in split]
+        k_odd, bad_odd = _convert([p[0] for p in parts], int)
+        k = np.zeros(net_rows.size, dtype=np.result_type(k_plain, k_odd))
+        k[plain], k[odd] = k_plain, k_odd
+        bad, no_colon = np.zeros((2, net_rows.size), dtype=bool)
+        bad[plain], bad[odd[bad_odd]] = bad_plain, True
+        no_colon[odd] = [not sep for _, sep, _ in split]
+        named[odd] = [len(p) == 2 for p in parts]
+        names[odd] = [p[-1] for p in parts]
+        unnamed = np.flatnonzero(~named)
+        names[unnamed] = [f"net{j}" for j in (unnamed + len(net_names)).tolist()]
+
+        # the pin lines of each net: net q of the chunk (0 is the one still open from
+        # before) holds the pin lines from before[q] on, and expects expect[q] of them
+        before = np.concatenate(([0], (np.cumsum(pins) - pins)[net_rows]))
+        expect = np.concatenate((np.array([pending]), k))
+        got = np.diff(before, append=pin_rows.size)
+        errors.check(net_rows, expect[:-1] - got[:-1] > 0, lambda lineno, i: _malformed(
+            path, lineno, f"previous net is missing {int(expect[i]) - int(got[i])} pin line(s)"))
+        errors.check(net_rows, no_colon, "NetDegree missing ':'")
+        errors.check(net_rows, bad, "NetDegree count is not an integer")
+        errors.check(net_rows, k < 0, "NetDegree count must be >= 0")
+
+        # net q's first pin line beyond expect[q] is outside a NetDegree block
+        room = np.maximum(expect, 0)  # a negative count fails at its own line
+        extra = np.minimum(before + room, pin_rows.size - 1).astype(np.int64)
+        errors.check(pin_rows[extra] if pin_rows.size else extra, got > room, "pin line outside a NetDegree block")
+        f, c = chunk.first[pin_rows], chunk.counts[pin_rows]
+        pin_names = chunk.pick(f)
+        ids = _ids(name_to_id, pin_names)
+        errors.check(pin_rows, ids < 0, lambda lineno, i: DanglingPinError(path, lineno, pin_names[i]))
+        colon_at = np.append(np.flatnonzero(colon), colon.size)
+        j = colon_at[np.searchsorted(colon_at, f)]  # the line's first ':' token, if before f + c
+        has = j < f + c
+        bare = ~has & (c == 2)  # 'cell dir' lines: dir must hold no ':'
+        if bare.any():
+            colon[np.searchsorted(chunk.starts, np.flatnonzero(chunk.byte == ord(":")), "right") - 1] = True
+            bare[bare] = colon[f[bare] + 1]
+        errors.check(pin_rows, np.where(has, f + c != j + 3, (c > 2) | bare), "expected 'name dir [: dx dy]'")
+        at = np.flatnonzero(has & (f + c == j + 3))
+        dx_at, bad_x = chunk.numbers(j[at] + 1, float)
+        dy_at, bad_y = chunk.numbers(j[at] + 2, float)
+        errors.check(pin_rows[at], bad_x | bad_y, "pin offsets are not numbers")
+        errors.check(pin_rows[at], ~(np.isfinite(dx_at) & np.isfinite(dy_at)), "pin offsets must be finite")
+        errors.raise_first()
+
+        dx, dy = np.zeros(pin_rows.size), np.zeros(pin_rows.size)
+        dx[at], dy[at] = dx_at, dy_at
+        net_names += names.tolist()
+        degrees.append(k)
+        cells.append(ids)
+        dxs.append(dx)
+        dys.append(dy)
+        pending = int(expect[-1]) - int(got[-1])
     if pending:
         raise MalformedLineError(path, 0, "", f"last net is missing {pending} pin line(s)")
-    for key, what, body in (("NumNets", "nets", len(net_names)), ("NumPins", "pins", len(pin_cell))):
+    pin_cell = _join(cells, np.int64)
+    for key, what, body in (("NumNets", "nets", len(net_names)), ("NumPins", "pins", pin_cell.size)):
         if key in declared and declared[key] != body:
             raise MalformedLineError(path, 0, f"{key} : {declared[key]}", f"header declares {declared[key]} {what}, body has {body}")
-    net_start.append(len(pin_cell))
-    return net_names, net_start, pin_cell, pin_dx, pin_dy
+    net_start = np.concatenate(([0], np.cumsum(_join(degrees, np.int64))))
+    return net_names, net_start, pin_cell, _join(dxs, float), _join(dys, float)
 
 
 def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     """(N x 2 lower-left corners, N /FIXED flags), indexed by cell id.
 
-    Corners are NaN for cells that no line places. A cell on several lines
-    keeps its last line; a name missing from ``name_to_id`` is skipped.
+    A line is ``name x y [tokens...]``; a later ``/FIXED`` or ``/FIXED_NI`` token
+    fixes the cell. Corners are NaN for cells that no line places. A cell on
+    several lines keeps its last line; a name missing from ``name_to_id`` is
+    skipped with a warning.
     """
-    regular = _pl_regular(path, name_to_id)
-    if regular is not None:
-        return regular
     n = len(name_to_id)
-    xs, ys, fixed = [math.nan] * n, [math.nan] * n, [False] * n
-    for lineno, line in _data_lines(path):
-        tokens = line.split()
-        if len(tokens) < 3:
-            raise MalformedLineError(path, lineno, line, "expected 'name x y [: orient] [/FIXED]'")
-        try:
-            x = float(tokens[1])
-            y = float(tokens[2])
-        except ValueError:
-            raise MalformedLineError(path, lineno, line, "coordinates are not numbers")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise MalformedLineError(path, lineno, line, "coordinates must be finite")
-        i = name_to_id.get(tokens[0])
-        if i is None:
-            log.warning("%s: placement for undeclared cell %r skipped", path, tokens[0])
-            continue
-        xs[i], ys[i] = x, y
-        fixed[i] = any(t == "/FIXED" or t == "/FIXED_NI" for t in tokens[3:])
-    return np.column_stack((xs, ys)), np.array(fixed, dtype=bool)
+    corners, fixed = np.full((n, 2), math.nan), np.zeros(n, dtype=bool)
+    for chunk in _lex(path):
+        errors = _FirstError(path, chunk)
+        rows = np.arange(chunk.first.size)
+        errors.check(rows, chunk.counts < 3, "expected 'name x y [: orient] [/FIXED]'")
+        placed = rows[chunk.counts >= 3]
+        x, bad_x = chunk.numbers(chunk.first[placed] + 1, float)
+        y, bad_y = chunk.numbers(chunk.first[placed] + 2, float)
+        errors.check(placed, bad_x | bad_y, "coordinates are not numbers")
+        errors.check(placed, ~(np.isfinite(x) & np.isfinite(y)), "coordinates must be finite")
+        names = chunk.pick(chunk.first)
+        ids = _ids(name_to_id, names)
+        for i in np.flatnonzero(ids[:errors.row] < 0).tolist():
+            log.warning("%s: placement for undeclared cell %r skipped", path, names[i])
+        errors.raise_first()
+        marked = chunk.lines_with(chunk.match("/FIXED") | chunk.match("/FIXED_NI"), 3)
+        # the last line of each name wins: keep the rows whose position is their cell's latest
+        last = np.full(n, -1)
+        np.maximum.at(last, ids[ids >= 0], rows[ids >= 0])
+        win = rows[(ids >= 0) & (last[np.maximum(ids, 0)] == rows)]
+        corners[ids[win]] = np.column_stack((x, y))[win]
+        fixed[ids[win]] = marked[win]
+    return corners, fixed
+
+
+def _data_lines(path: str):
+    """Yield (line number, tokens joined by single spaces) of each kept line."""
+    for chunk in _lex(path):
+        for i, lineno in enumerate(chunk.lineno.tolist()):
+            yield lineno, " ".join(chunk.row(i))
+
+
+def _header_value(line: str) -> str | None:
+    """Value of a 'Key : value' header line, or None if no colon."""
+    _, colon, value = line.partition(":")
+    return value.strip() if colon else None
 
 
 def _parse_scl(path: str) -> list[Row]:
@@ -658,9 +659,9 @@ def _parse_scl(path: str) -> list[Row]:
                 if "NumSites" in parts:
                     cur["num_sites"] = float(parts[parts.index("NumSites") + 1])
         except (ValueError, IndexError):
-            raise MalformedLineError(path, lineno, line, "malformed row attribute")
+            raise _malformed(path, lineno, "malformed row attribute")
         if not all(map(math.isfinite, cur.values())):
-            raise MalformedLineError(path, lineno, line, "row attributes must be finite")
+            raise _malformed(path, lineno, "row attributes must be finite")
     return rows
 
 
@@ -685,7 +686,7 @@ def aux_files(aux_path: str) -> dict[str, str]:
     for lineno, line in _data_lines(aux_path):
         value = _header_value(line)
         if value is None:
-            raise MalformedLineError(aux_path, lineno, line, "expected 'Tag : file ...'")
+            raise _malformed(aux_path, lineno, "expected 'Tag : file ...'")
         listed.extend(value.split())
     by_ext: dict[str, str] = {}
     for fname in listed:

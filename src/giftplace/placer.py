@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .gift import GiftConfig, initial_signal
-from .metrics import DensityGrid, GridConfig, _field_weighted_grad, density_map, hpwl, overflow
+from .metrics import DensityGrid, GridConfig, _field_weighted_grad, default_bins, density_map, hpwl, overflow
 from .netlist import Design
 
 log = logging.getLogger(__name__)
@@ -244,4 +244,10 @@ def run_placer(
         if ovf <= config.stop_overflow:
             trace.converged = True
             break
+    if not trace.converged:
+        nx, ny = default_bins(design)
+        coarse = dens.nx < nx or dens.ny < ny
+        log.warning("placer stopped after %d iterations at overflow %.4g, above the target %.4g%s", trace.iterations,
+                    trace.records[-1].overflow, config.stop_overflow, f"; the {dens.nx}x{dens.ny} bins are coarser than "
+                    f"the default {nx}x{ny}, so cells inside one bin feel no density force" if coarse else "")
     return g, trace

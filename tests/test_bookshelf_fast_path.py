@@ -1,8 +1,8 @@
-"""The chunked reader of regular Bookshelf files against the line parser.
+"""The chunked Bookshelf reader against the line-by-line reference parser.
 
-Files that ``write_design`` emits take the chunked path; any other file must
-parse exactly as the line parser parses it: the same ``Design`` arrays and
-warnings, or the same exception, message and line.
+Every .nodes, .nets and .pl file, valid or not, must parse exactly as the
+reference in ``bookshelf_reference.py`` parses it: the same ``Design`` arrays
+and warnings, or the same exception, message and line.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from giftplace import Design, Region, Row, generate, netlist, parse_design, read_placement, write_design
+
+import bookshelf_reference as reference
 
 FILES = (".nodes", ".nets", ".pl")
 ARRAYS = ("widths", "heights", "fixed", "fixed_xy", "net_start", "pin_cell", "pin_dx", "pin_dy")
@@ -58,7 +60,8 @@ LINES = ["", "# note", "UCLA nets 1.0", "NetDegree : 1 extra", "NetDegree : 0 em
          "c2 1 1", "UCLAcell 1 1", "NetDegree 1 1", "ghost 1 2 : N", "c1 5 5 : N /FIXED", "c0 1 1 : N",
          "c3 2.5 -1 : FS", "\tc4\t1\t1\tterminal"]
 MUTATIONS = ["drop-token", "dup-token", "alter-token", "drop-line", "dup-line", "insert-line", "alter-line",
-             "join-lines", "split-line", "comment", "crlf", "space-run"]
+             "join-lines", "split-line", "comment", "crlf", "space-run", "header-comment", "lone-cr",
+             "\xa0", "\x85", "\u3000"]
 
 
 def _mutate(text: str, kind: str, rnd) -> str:
@@ -66,6 +69,9 @@ def _mutate(text: str, kind: str, rnd) -> str:
     if kind == "crlf":
         return text.replace("\n", "\r\n")
     lines = text.split("\n")
+    if kind == "header-comment":  # as in ISPD contest files, after the banner
+        lines.insert(1, "# Created : Sun Oct 18 2026")
+        return "\n".join(lines)
     i = rnd.randrange(len(lines))
     tokens = lines[i].split()
     j = rnd.randrange(len(tokens)) if tokens else 0
@@ -93,6 +99,12 @@ def _mutate(text: str, kind: str, rnd) -> str:
         lines[i] += " # c : 1"
     elif kind == "space-run":
         lines[i] = "  " + lines[i].replace(" ", " \t ")
+    elif kind == "lone-cr" and i + 1 < len(lines):
+        lines[i:i + 2] = [lines[i] + "\r" + lines[i + 1]]
+    elif kind in ("\xa0", "\x85", "\u3000"):  # a non-ASCII separator in place of one space or tab
+        gaps = [m.start() for m in re.finditer(r"[ \t]", lines[i])]
+        at = rnd.choice(gaps) if gaps else 0
+        lines[i] = lines[i][:at] + kind + lines[i][at + bool(gaps):]
     return "\n".join(lines)
 
 
@@ -120,10 +132,10 @@ def _outcome(fn, *args):
 
 
 def _by_line(fn, *args):
-    """``fn(*args)`` with the chunked reader switched off."""
-    with mock.patch.object(netlist, "_nodes_regular", lambda path: None), \
-            mock.patch.object(netlist, "_nets_regular", lambda path, ids: None), \
-            mock.patch.object(netlist, "_pl_regular", lambda path, ids: None):
+    """``fn(*args)`` with the reference line parser reading .nodes, .nets and .pl."""
+    with mock.patch.object(netlist, "_parse_nodes", reference._parse_nodes), \
+            mock.patch.object(netlist, "_parse_nets", reference._parse_nets), \
+            mock.patch.object(netlist, "_parse_pl", reference._parse_pl):
         return _outcome(fn, *args)
 
 
@@ -155,32 +167,30 @@ def _written(tmp_dir: str, base: int, name: str | None = None, cell: int = 0) ->
 @pytest.mark.parametrize("chunk", [24, 200, netlist.CHUNK_BYTES], ids=["chunk-24", "chunk-200", "chunk-default"])
 @pytest.mark.parametrize("base", range(3))
 def test_written_designs_take_the_chunked_path(tmp_path, base, chunk):
-    """With the line loop broken for .nodes/.nets/.pl, written designs still parse, unchanged."""
+    """Written designs parse at every chunk size exactly as the reference parses them."""
     paths = _written(str(tmp_path), base)
     by_line = _by_line(parse_design, paths[".aux"])
     by_line_pl = _by_line(read_placement, by_line[0], paths[".pl"])
-    lines = netlist._data_lines
-
-    def no_body_lines(path):
-        if path.endswith(FILES):
-            raise AssertionError(f"line parser read {path}")
-        return lines(path)
-
-    with mock.patch.object(netlist, "CHUNK_BYTES", chunk), mock.patch.object(netlist, "_data_lines", no_body_lines):
+    with mock.patch.object(netlist, "CHUNK_BYTES", chunk):
         chunked = _outcome(parse_design, paths[".aux"])
         _assert_same(chunked, by_line)
         _assert_same(_outcome(read_placement, chunked[0], paths[".pl"]), by_line_pl)
 
 
-def test_irregular_file_falls_back_to_the_line_parser(tmp_path):
-    paths = _written(str(tmp_path), 0)
-    with open(paths[".nets"]) as f:
-        text = f.read()
-    with open(paths[".nets"], "w") as f:
-        f.write("# a comment\n" + text)
-    with mock.patch.object(netlist, "_data_lines", side_effect=AssertionError("line parser used")):
-        with pytest.raises(AssertionError, match="line parser used"):
-            netlist._parse_nets(paths[".nets"], {name: i for i, name in enumerate(BASES[0].names)})
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_ispd_style_headers_parse_to_the_plain_arrays(tmp_path, newline):
+    """``# Created``/``# User`` comments and a blank line after each banner, as in
+    ISPD contest files, with LF or CRLF line ends: bit-identical arrays."""
+    plain = _written(str(tmp_path / "plain"), 1)
+    contest = _written(str(tmp_path / "contest"), 1)
+    for ext in FILES:
+        with open(contest[ext]) as f:
+            banner, rest = f.read().split("\n\n", 1)
+        text = f"{banner}\n# Created : Sun Oct 18 2026\n# User : someone@example.com (Some One)\n\n{rest}"
+        with open(contest[ext], "w", newline="") as f:
+            f.write(text.replace("\n", newline))
+    _assert_same(_outcome(parse_design, contest[".aux"]), _outcome(parse_design, plain[".aux"]))
+    _assert_same(_by_line(parse_design, contest[".aux"]), _outcome(parse_design, plain[".aux"]))
 
 
 # Edits the random mutations below reach rarely: (file, pattern, replacement) on base 0

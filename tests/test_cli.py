@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +183,70 @@ class TestSclRows:
         assert "GiftPlaceError: region must be finite with positive extent" in err
         assert stdout == ""
         assert not out.exists()
+
+
+class TestUndecodableByte:
+    """A byte the input encoding cannot decode exits 1 with one line naming its file and line."""
+
+    @pytest.mark.parametrize("ext", [".aux", ".nodes", ".nets", ".pl", ".scl"])
+    def test_design_file_exit_1(self, bench, tmp_path, capsys, ext):
+        path = bench[: -len(".aux")] + ext
+        with open(path, "rb") as f:
+            lines = f.read().split(b"\n")
+        lines.insert(1, b"# caf\xe9")
+        lines[-1] += b"\xff"
+        with open(path, "wb") as f:
+            f.write(b"\n".join(lines))
+        out = tmp_path / "out.pl"
+        code, stdout, err = run_cli(capsys, "gift", bench, "--out", str(out))
+        assert code == 1
+        assert err.startswith(f"giftplace: error: {path}:2: byte 0xe9 is not valid ")
+        assert err.count("\n") == 1
+        assert stdout == "" and not out.exists()
+
+    def test_config_file_exit_1(self, bench, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"seed = 3\r\n# caf\xe9\r\nsigma = 1\n")
+        code, stdout, err = run_cli(capsys, "gift", bench, "--config", str(config), "--out", str(tmp_path / "g.pl"))
+        assert code == 1
+        assert err.startswith(f"giftplace: error: {config}:2: byte 0xe9 is not valid ")
+        assert err.count("\n") == 1
+        assert stdout == ""
+
+
+def run_cli_process(*args: str) -> subprocess.CompletedProcess:
+    """The console script in a process of its own, so that its log reaches its stderr."""
+    import giftplace
+
+    src = str(Path(giftplace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "giftplace.cli", *args], capture_output=True, text=True, env=env)
+
+
+class TestUnconvergedPlace:
+    """A place run that stops above its target overflow says so on stderr; its JSON and exit code stay."""
+
+    def test_unconverged_run_warns(self, bench, tmp_path):
+        run = run_cli_process("place", bench, "--init", "center", "--max-iters", "3", "--out", str(tmp_path / "p.pl"))
+        assert run.returncode == 0
+        assert json.loads(run.stdout)["converged"] is False
+        assert run.stderr.count("\n") == 1
+        assert re.fullmatch(r"WARNING giftplace\.placer: placer stopped after 3 iterations at overflow \S+, "
+                            r"above the target 0\.15\n", run.stderr)
+
+    def test_coarse_bins_are_named(self, bench, tmp_path):
+        run = run_cli_process("place", bench, "--init", "center", "--max-iters", "3", "--bins", "4x4",
+                              "--out", str(tmp_path / "p.pl"))
+        assert run.returncode == 0
+        assert json.loads(run.stdout)["converged"] is False
+        assert run.stderr.count("\n") == 1
+        assert "; the 4x4 bins are coarser than the default 10x10, so cells inside one bin feel no density force" in run.stderr
+
+    def test_converging_run_is_silent(self, bench, tmp_path):
+        run = run_cli_process("place", bench, "--init", "gift", "--out", str(tmp_path / "p.pl"))
+        assert run.returncode == 0
+        assert json.loads(run.stdout)["converged"] is True
+        assert run.stderr == ""
 
 
 class TestPlace:
@@ -784,9 +850,6 @@ class TestCliqueCap:
 
 def test_importing_the_cli_leaves_scipy_fft_unloaded():
     """Only the placer's Poisson solve needs scipy.fft; gift, spectrum, metrics and benchgen never load it."""
-    import subprocess
-    import sys
-
     import giftplace
 
     src = str(Path(giftplace.__file__).resolve().parents[1])
