@@ -240,12 +240,9 @@ def decode(path: str, data: bytes) -> str:
     try:
         return data.decode(locale.getpreferredencoding(False))
     except UnicodeDecodeError as exc:
-        at, head = exc.start, data[:exc.start]
-        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        start = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
-        end = min((i for i in (data.find(b"\n", at), data.find(b"\r", at)) if i >= 0), default=len(data))
-        line = data[start:end].decode(exc.encoding, "replace")
-        raise MalformedLineError(path, lineno, line, f"byte 0x{data[at]:02x} is not valid {exc.encoding}") from None
+        lineno = len((data[:exc.start] + b".").splitlines())
+        line = data.splitlines()[lineno - 1].decode(exc.encoding, "replace")
+        raise MalformedLineError(path, lineno, line, f"byte 0x{data[exc.start]:02x} is not valid {exc.encoding}") from None
 
 
 def _malformed(path: str, lineno: int, reason: str) -> MalformedLineError:
@@ -312,7 +309,8 @@ class _Chunk:
         rows = np.flatnonzero(counts)
         self.first, self.counts, self.lineno = before[rows] - counts[rows], counts[rows], rows + line0 + 1
         keep = self.heads("UCLA") == 0
-        self.first, self.counts, self.lineno = self.first[keep], self.counts[keep], self.lineno[keep]
+        if not keep.all():
+            self.first, self.counts, self.lineno = self.first[keep], self.counts[keep], self.lineno[keep]
 
     def _spell(self, at: np.ndarray, word: str) -> np.ndarray:
         """Mask over token starts ``at`` whose first byte is ``word``'s: the rest of it follows."""
@@ -535,15 +533,20 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
         pin_names = chunk.pick(f)
         ids = _ids(name_to_id, pin_names)
         errors.check(pin_rows, ids < 0, lambda lineno, i: DanglingPinError(path, lineno, pin_names[i]))
-        colon_at = np.append(np.flatnonzero(colon), colon.size)
-        j = colon_at[np.searchsorted(colon_at, f)]  # the line's first ':' token, if before f + c
+        # the line's first ':' token, if before f + c: one of its first three in any usual form
+        near = np.append(colon, [False, False])
+        j = np.where(near[f], f, np.where(near[f + 1], f + 1, np.where(near[f + 2], f + 2, -1)))
+        if (j < 0).any():
+            colon_at = np.append(np.flatnonzero(colon), colon.size)
+            j[j < 0] = colon_at[np.searchsorted(colon_at, f[j < 0])]
         has = j < f + c
         bare = ~has & (c == 2)  # 'cell dir' lines: dir must hold no ':'
         if bare.any():
             colon[np.searchsorted(chunk.starts, np.flatnonzero(chunk.byte == ord(":")), "right") - 1] = True
             bare[bare] = colon[f[bare] + 1]
-        errors.check(pin_rows, np.where(has, f + c != j + 3, (c > 2) | bare), "expected 'name dir [: dx dy]'")
-        at = np.flatnonzero(has & (f + c == j + 3))
+        offsets = has & (f + c == j + 3)
+        errors.check(pin_rows, ~offsets & (has | (c > 2) | bare), "expected 'name dir [: dx dy]'")
+        at = np.flatnonzero(offsets)
         dx_at, bad_x = chunk.numbers(j[at] + 1, float)
         dy_at, bad_y = chunk.numbers(j[at] + 2, float)
         errors.check(pin_rows[at], bad_x | bad_y, "pin offsets are not numbers")
@@ -717,7 +720,7 @@ def parse_design(aux_path: str) -> Design:
     corners, pl_fixed = _parse_pl(by_ext[".pl"], name_to_id)
     sizes = np.column_stack((widths, heights))
 
-    fixed = np.array(fixed, dtype=bool) | pl_fixed
+    fixed = np.asarray(fixed, dtype=bool) | pl_fixed
     fixed_xy = np.where(fixed[:, None], corners + sizes / 2.0, np.nan)
     unplaced = np.flatnonzero(fixed & np.isnan(fixed_xy[:, 0]))
     if unplaced.size:
@@ -736,19 +739,8 @@ def parse_design(aux_path: str) -> Design:
         region = _region_from_placement(corners, sizes)
         log.warning("%s: no usable .scl; region set to placement bounding box", aux_path)
 
-    return Design(
-        names=names,
-        widths=np.array(widths, dtype=float),
-        heights=np.array(heights, dtype=float),
-        fixed=fixed,
-        fixed_xy=fixed_xy,
-        net_names=net_names,
-        net_start=np.array(net_start, dtype=np.int64),
-        pin_cell=np.array(pin_cell, dtype=np.int64),
-        pin_dx=np.array(pin_dx, dtype=float),
-        pin_dy=np.array(pin_dy, dtype=float),
-        region=region,
-    )
+    return Design(names=names, widths=widths, heights=heights, fixed=fixed, fixed_xy=fixed_xy, net_names=net_names,
+                  net_start=net_start, pin_cell=pin_cell, pin_dx=pin_dx, pin_dy=pin_dy, region=region)
 
 
 def _region_from_placement(corners: np.ndarray, sizes: np.ndarray) -> Region:
