@@ -327,13 +327,14 @@ class _Chunk:
         return hit
 
     def heads(self, *words: str) -> np.ndarray:
-        """Per row: 1 + the index in ``words`` of the row's first token, 0 for any other token."""
-        lead = self.lead[self.first]
+        """Per row: 1 + the index in ``words`` of the row's first token, 0 for any other token.
+        The words share their first letter."""
+        rows = np.flatnonzero(self.lead[self.first] == ord(words[0][0]))
+        size = self.length[self.first[rows]]
         out = np.zeros(self.first.size, dtype=np.int64)
         for n, word in enumerate(words, 1):
-            rows = np.flatnonzero(lead == ord(word[0]))
-            rows = rows[self.length[self.first[rows]] == len(word)]
-            out[rows[self._spell(self.starts[self.first[rows]], word)]] = n
+            hit = rows[size == len(word)]
+            out[hit[self._spell(self.starts[self.first[hit]], word)]] = n
         return out
 
     def lines_with(self, hit: np.ndarray, skip: int) -> np.ndarray:
@@ -497,7 +498,7 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
         plain = c >= 3
         plain[plain] = colon[f[plain] + 1]
         named = plain & (c >= 4)
-        names = chunk.tokens[f + 3 * named]  # unnamed nets are named below
+        names = chunk.pick(f + 3 * named)  # the other nets are named below
         k_plain, bad_plain = chunk.numbers(f[plain] + 2, int)
         # a glued or missing ':', or no count: the line is split in Python, as header lines are
         odd = np.flatnonzero(~plain)
@@ -509,14 +510,14 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
         bad, no_colon = np.zeros((2, net_rows.size), dtype=bool)
         bad[plain], bad[odd[bad_odd]] = bad_plain, True
         no_colon[odd] = [not sep for _, sep, _ in split]
-        named[odd] = [len(p) == 2 for p in parts]
-        names[odd] = [p[-1] for p in parts]
-        unnamed = np.flatnonzero(~named)
-        names[unnamed] = [f"net{j}" for j in (unnamed + len(net_names)).tolist()]
+        for i, p in zip(odd.tolist(), parts):
+            named[i], names[i] = len(p) == 2, p[-1]
+        for i in np.flatnonzero(~named).tolist():
+            names[i] = f"net{len(net_names) + i}"
 
         # the pin lines of each net: net q of the chunk (0 is the one still open from
         # before) holds the pin lines from before[q] on, and expects expect[q] of them
-        before = np.concatenate(([0], (np.cumsum(pins) - pins)[net_rows]))
+        before = np.concatenate(([0], np.searchsorted(pin_rows, net_rows)))
         expect = np.concatenate((np.array([pending]), k))
         got = np.diff(before, append=pin_rows.size)
         errors.check(net_rows, expect[:-1] - got[:-1] > 0, lambda lineno, i: _malformed(
@@ -555,7 +556,7 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
 
         dx, dy = np.zeros(pin_rows.size), np.zeros(pin_rows.size)
         dx[at], dy[at] = dx_at, dy_at
-        net_names += names.tolist()
+        net_names += names
         degrees.append(k)
         cells.append(ids)
         dxs.append(dx)
@@ -608,8 +609,9 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
 def _data_lines(path: str):
     """Yield (line number, tokens joined by single spaces) of each kept line."""
     for chunk in _lex(path):
-        for i, lineno in enumerate(chunk.lineno.tolist()):
-            yield lineno, " ".join(chunk.row(i))
+        tokens = chunk.tokens.tolist()
+        for lineno, f, c in zip(chunk.lineno.tolist(), chunk.first.tolist(), chunk.counts.tolist()):
+            yield lineno, " ".join(tokens[f:f + c])
 
 
 def _header_value(line: str) -> str | None:
