@@ -309,8 +309,7 @@ class _Chunk:
         rows = np.flatnonzero(counts)
         self.first, self.counts, self.lineno = before[rows] - counts[rows], counts[rows], rows + line0 + 1
         keep = self.heads("UCLA") == 0
-        if not keep.all():
-            self.first, self.counts, self.lineno = self.first[keep], self.counts[keep], self.lineno[keep]
+        self.first, self.counts, self.lineno = self.first[keep], self.counts[keep], self.lineno[keep]
 
     def _spell(self, at: np.ndarray, word: str) -> np.ndarray:
         """Mask over token starts ``at`` whose first byte is ``word``'s: the rest of it follows."""
@@ -327,14 +326,12 @@ class _Chunk:
         return hit
 
     def heads(self, *words: str) -> np.ndarray:
-        """Per row: 1 + the index in ``words`` of the row's first token, 0 for any other token.
-        The words share their first letter."""
-        rows = np.flatnonzero(self.lead[self.first] == ord(words[0][0]))
-        size = self.length[self.first[rows]]
+        """Per row: 1 + the index in ``words`` of the row's first token, 0 for any other token."""
+        lead, size = self.lead[self.first], self.length[self.first]
         out = np.zeros(self.first.size, dtype=np.int64)
         for n, word in enumerate(words, 1):
-            hit = rows[size == len(word)]
-            out[hit[self._spell(self.starts[self.first[hit]], word)]] = n
+            rows = np.flatnonzero((lead == ord(word[0])) & (size == len(word)))
+            out[rows[self._spell(self.starts[self.first[rows]], word)]] = n
         return out
 
     def lines_with(self, hit: np.ndarray, skip: int) -> np.ndarray:
@@ -514,6 +511,7 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
             named[i], names[i] = len(p) == 2, p[-1]
         for i in np.flatnonzero(~named).tolist():
             names[i] = f"net{len(net_names) + i}"
+        net_names += names  # an error below ends the parse
 
         # the pin lines of each net: net q of the chunk (0 is the one still open from
         # before) holds the pin lines from before[q] on, and expects expect[q] of them
@@ -534,7 +532,7 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
         pin_names = chunk.pick(f)
         ids = _ids(name_to_id, pin_names)
         errors.check(pin_rows, ids < 0, lambda lineno, i: DanglingPinError(path, lineno, pin_names[i]))
-        # the line's first ':' token, if before f + c: one of its first three in any usual form
+        # the line's first ':' token, if before f + c: in the usual forms one of its first three
         near = np.append(colon, [False, False])
         j = np.where(near[f], f, np.where(near[f + 1], f + 1, np.where(near[f + 2], f + 2, -1)))
         if (j < 0).any():
@@ -556,7 +554,6 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
 
         dx, dy = np.zeros(pin_rows.size), np.zeros(pin_rows.size)
         dx[at], dy[at] = dx_at, dy_at
-        net_names += names
         degrees.append(k)
         cells.append(ids)
         dxs.append(dx)
