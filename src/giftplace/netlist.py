@@ -574,10 +574,10 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
 
     A line is ``name x y [tokens...]``; a later ``/FIXED`` or ``/FIXED_NI`` token
     fixes the cell. Corners are NaN for cells that no line places. A cell on
-    several lines keeps its last line; a name missing from ``name_to_id`` is
-    skipped with a warning.
+    several lines keeps its last line; a name missing from ``name_to_id``, which
+    holds the cells in id order, is skipped with a warning.
     """
-    n = len(name_to_id)
+    n, order = len(name_to_id), list(name_to_id)
     corners, fixed = np.full((n, 2), math.nan), np.zeros(n, dtype=bool)
     for chunk in _lex(path):
         errors = _FirstError(path, chunk)
@@ -589,7 +589,9 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
         errors.check(placed, bad_x | bad_y, "coordinates are not numbers")
         errors.check(placed, ~(np.isfinite(x) & np.isfinite(y)), "coordinates must be finite")
         names = chunk.pick(chunk.first)
-        ids = _ids(name_to_id, names)
+        # a .pl usually lists the cells in id order, and then their ids need no lookup
+        start = name_to_id.get(names[0], 0) if names else 0
+        ids = np.arange(start, start + len(names)) if names == order[start:start + len(names)] else _ids(name_to_id, names)
         for i in np.flatnonzero(ids[:errors.row] < 0).tolist():
             log.warning("%s: placement for undeclared cell %r skipped", path, names[i])
         errors.raise_first()
