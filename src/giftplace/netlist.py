@@ -380,8 +380,8 @@ def _convert(strings: list[str], kind: type) -> tuple[np.ndarray, np.ndarray]:
 class _FirstError:
     """The error of a chunk's earliest failing row, and of that row's first failing check.
 
-    Each kind of line is checked in the line parser's order, so the order of the
-    ``check`` calls for one kind of line is the order of its checks.
+    The checks of one kind of line have a fixed order, that of the ``check``
+    calls made for it, and an error quotes its line as a text-mode read gives it.
     """
 
     def __init__(self, path: str, chunk: _Chunk) -> None:

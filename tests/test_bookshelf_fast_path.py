@@ -50,7 +50,7 @@ def _offsets_design() -> Design:
 
 BASES = [generate(cells=12, seed=1), generate(cells=16, seed=2, fanout={2: 0.5, 3: 0.3, 11: 0.2}), _offsets_design()]
 PLACEMENTS = [np.random.default_rng(i).uniform(-3.0, 3.0, (d.num_cells, 2)) for i, d in enumerate(BASES)]
-# cell names the line parser reads as banners or headers, or that look like them
+# cell names the reference reads as banners or headers, or that look like them
 NAMES = ["UCLA", "UCLAcell", "NetDegree", "NumNodes", "NumTerminals", "NumNets", "NumPins", ":", "/FIXED", "c0:1"]
 TOKENS = ["0", "7", "12", "-1", "+2", "03", "1_0", "1e3", "0.5", "-0", "nan", "inf", "x", ":", ":0.5", "0.5:",
           "I", "NetDegree", "NumPins", "NumNets", "NumNodes", "UCLA", "UCLAx", "/FIXED", "/FIXED_NI", "terminal",
@@ -124,7 +124,7 @@ def _outcome(fn, *args):
     logger.addHandler(records)
     try:
         value = fn(*args)
-    except Exception as exc:  # the line parser's own exceptions are compared too
+    except Exception as exc:  # the reference's own exceptions are compared too
         value = (type(exc), str(exc), getattr(exc, "lineno", None))
     finally:
         logger.removeHandler(records)
