@@ -246,8 +246,7 @@ def run_placer(
             break
     if not trace.converged:
         nx, ny = default_bins(design)
-        coarse = dens.nx < nx or dens.ny < ny
+        coarse = f"; the {dens.nx}x{dens.ny} bins are coarser than the default {nx}x{ny}, so cells inside one bin feel no density force"
         log.warning("placer stopped after %d iterations at overflow %.4g, above the target %.4g%s", trace.iterations,
-                    trace.records[-1].overflow, config.stop_overflow, f"; the {dens.nx}x{dens.ny} bins are coarser than "
-                    f"the default {nx}x{ny}, so cells inside one bin feel no density force" if coarse else "")
+                    trace.records[-1].overflow, config.stop_overflow, coarse if dens.nx < nx or dens.ny < ny else "")
     return g, trace

@@ -850,6 +850,9 @@ class TestCliqueCap:
 
 def test_importing_the_cli_leaves_scipy_fft_unloaded():
     """Only the placer's Poisson solve needs scipy.fft; gift, spectrum, metrics and benchgen never load it."""
+    import subprocess
+    import sys
+
     import giftplace
 
     src = str(Path(giftplace.__file__).resolve().parents[1])
