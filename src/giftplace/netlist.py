@@ -302,7 +302,7 @@ class _Chunk:
         edges = np.flatnonzero(np.diff(space, prepend=True))  # token starts and ends, in turn
         self.starts, self.length = edges[0::2], edges[1::2] - edges[0::2]
         self.lead = byte[self.starts]
-        self.tokens = np.fromiter(text.decode().split(), dtype=object, count=self.starts.size)
+        self.tokens = text.decode().split()
         self.lines = newlines.size
         before = np.searchsorted(self.starts, newlines)  # tokens up to each line end
         counts = np.diff(before, prepend=0)
@@ -344,10 +344,11 @@ class _Chunk:
         return out
 
     def pick(self, idx: np.ndarray) -> list[str]:
-        return self.tokens[idx].tolist()
+        tokens = self.tokens
+        return [tokens[i] for i in idx.tolist()]
 
     def row(self, i: int) -> list[str]:
-        return self.tokens[self.first[i]:self.first[i] + self.counts[i]].tolist()
+        return self.tokens[self.first[i]:self.first[i] + self.counts[i]]
 
     def numbers(self, idx: np.ndarray, kind: type) -> tuple[np.ndarray, np.ndarray]:
         """``kind`` (float or int) of the tokens at ``idx``, and a mask of the first that is no such number."""
@@ -608,9 +609,8 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
 def _data_lines(path: str):
     """Yield (line number, tokens joined by single spaces) of each kept line."""
     for chunk in _lex(path):
-        tokens = chunk.tokens.tolist()
         for lineno, f, c in zip(chunk.lineno.tolist(), chunk.first.tolist(), chunk.counts.tolist()):
-            yield lineno, " ".join(tokens[f:f + c])
+            yield lineno, " ".join(chunk.tokens[f:f + c])
 
 
 def _header_value(line: str) -> str | None:
