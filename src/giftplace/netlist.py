@@ -279,10 +279,9 @@ def _lex(path: str):
     while pos < len(data):
         end = data.find(b"\n", pos + CHUNK_BYTES)
         end = len(data) if end < 0 else end + 1
-        chunk = _Chunk(data[pos:end] if data.endswith(b"\n", pos, end) else data[pos:end] + b"\n", lines)
-        lines += chunk.lines
-        pos = end
-        yield chunk
+        text = data[pos:end] if data.endswith(b"\n", pos, end) else data[pos:end] + b"\n"
+        pos, line0, lines = end, lines, lines + text.count(b"\n")
+        yield _Chunk(text, line0)  # held by no name here, so that a reader can let it go
 
 
 class _Chunk:
@@ -300,10 +299,9 @@ class _Chunk:
         if np.count_nonzero(byte < ord(" ")) != newlines.size + np.count_nonzero(byte == ord("\t")):
             space = np.frombuffer(text.translate(_SEPARATORS), dtype=bool)  # control bytes beyond tab and newline
         edges = np.flatnonzero(np.diff(space, prepend=True))  # token starts and ends, in turn
-        self.starts, self.length = edges[0::2], edges[1::2] - edges[0::2]
+        self.starts, self.length = edges[0::2].copy(), edges[1::2] - edges[0::2]
         self.lead = byte[self.starts]
         self.tokens = text.decode().split()
-        self.lines = newlines.size
         before = np.searchsorted(self.starts, newlines)  # tokens up to each line end
         counts = np.diff(before, prepend=0)
         rows = np.flatnonzero(counts)
@@ -466,6 +464,7 @@ def _parse_nodes(path: str):
         widths.append(w)
         heights.append(h)
         fixed.append(chunk.lines_with(chunk.match("terminal", prefix=True), 3)[rows])
+        del chunk  # gone before the next chunk is cut
     num_nodes = declared.get("NumNodes")
     if num_nodes is not None and num_nodes != len(names):
         raise MalformedLineError(path, 0, f"NumNodes : {num_nodes}", f"header declares {num_nodes} nodes, body has {len(names)}")
@@ -484,82 +483,13 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
     declared: dict[str, int] = {}
     pending = 0  # pin lines still expected for the current net
     for chunk in _lex(path):
-        errors = _FirstError(path, chunk)
-        kind = chunk.heads("NumNets", "NumPins", "NetDegree")
-        _headers(chunk, (kind == 1) | (kind == 2), declared, errors)
-        opens, pins = kind == 3, kind == 0
-        net_rows, pin_rows = np.flatnonzero(opens), np.flatnonzero(pins)
-
-        # NetDegree lines: the count and the name are the tokens after the line's first ':'
-        f, c = chunk.first[net_rows], chunk.counts[net_rows]
-        colon = chunk.match(":")
-        plain = c >= 3
-        plain[plain] = colon[f[plain] + 1]
-        named = plain & (c >= 4)
-        names = chunk.pick(f + 3 * named)  # the other nets are named below
-        k_plain, bad_plain = chunk.numbers(f[plain] + 2, int)
-        # a glued or missing ':', or no count: the line is split in Python, as header lines are
-        odd = np.flatnonzero(~plain)
-        split = [" ".join(chunk.row(r)[1:]).partition(":") for r in net_rows[odd].tolist()]
-        parts = [value.split()[:2] or [""] for _, _, value in split]
-        k_odd, bad_odd = _convert([p[0] for p in parts], int)
-        k = np.zeros(net_rows.size, dtype=np.result_type(k_plain, k_odd))
-        k[plain], k[odd] = k_plain, k_odd
-        bad, no_colon = np.zeros((2, net_rows.size), dtype=bool)
-        bad[plain], bad[odd[bad_odd]] = bad_plain, True
-        no_colon[odd] = [not sep for _, sep, _ in split]
-        for i, p in zip(odd.tolist(), parts):
-            named[i], names[i] = len(p) == 2, p[-1]
-        for i in np.flatnonzero(~named).tolist():
-            names[i] = f"net{len(net_names) + i}"
-        net_names += names  # an error below ends the parse
-
-        # the pin lines of each net: net q of the chunk (0 is the one still open from
-        # before) holds the pin lines from before[q] on, and expects expect[q] of them
-        before = np.concatenate(([0], np.searchsorted(pin_rows, net_rows)))
-        expect = np.concatenate((np.array([pending]), k))
-        got = np.diff(before, append=pin_rows.size)
-        errors.check(net_rows, expect[:-1] - got[:-1] > 0, lambda lineno, i: _malformed(
-            path, lineno, f"previous net is missing {int(expect[i]) - int(got[i])} pin line(s)"))
-        errors.check(net_rows, no_colon, "NetDegree missing ':'")
-        errors.check(net_rows, bad, "NetDegree count is not an integer")
-        errors.check(net_rows, k < 0, "NetDegree count must be >= 0")
-
-        # net q's first pin line beyond expect[q] is outside a NetDegree block
-        room = np.maximum(expect, 0)  # a negative count fails at its own line
-        extra = np.minimum(before + room, pin_rows.size - 1).astype(np.int64)
-        errors.check(pin_rows[extra] if pin_rows.size else extra, got > room, "pin line outside a NetDegree block")
-        f, c = chunk.first[pin_rows], chunk.counts[pin_rows]
-        pin_names = chunk.pick(f)
-        ids = _ids(name_to_id, pin_names)
-        errors.check(pin_rows, ids < 0, lambda lineno, i: DanglingPinError(path, lineno, pin_names[i]))
-        # the line's first ':' token, if before f + c: in the usual forms one of its first three
-        near = np.append(colon, [False, False])
-        j = np.where(near[f], f, np.where(near[f + 1], f + 1, np.where(near[f + 2], f + 2, -1)))
-        if (j < 0).any():
-            colon_at = np.append(np.flatnonzero(colon), colon.size)
-            j[j < 0] = colon_at[np.searchsorted(colon_at, f[j < 0])]
-        has = j < f + c
-        bare = ~has & (c == 2)  # 'cell dir' lines: dir must hold no ':'
-        if bare.any():
-            colon[np.searchsorted(chunk.starts, np.flatnonzero(chunk.byte == ord(":")), "right") - 1] = True
-            bare[bare] = colon[f[bare] + 1]
-        offsets = has & (f + c == j + 3)
-        errors.check(pin_rows, ~offsets & (has | (c > 2) | bare), "expected 'name dir [: dx dy]'")
-        at = np.flatnonzero(offsets)
-        dx_at, bad_x = chunk.numbers(j[at] + 1, float)
-        dy_at, bad_y = chunk.numbers(j[at] + 2, float)
-        errors.check(pin_rows[at], bad_x | bad_y, "pin offsets are not numbers")
-        errors.check(pin_rows[at], ~(np.isfinite(dx_at) & np.isfinite(dy_at)), "pin offsets must be finite")
-        errors.raise_first()
-
-        dx, dy = np.zeros(pin_rows.size), np.zeros(pin_rows.size)
-        dx[at], dy[at] = dx_at, dy_at
+        names, k, ids, dx, dy, pending = _net_rows(path, chunk, name_to_id, declared, pending, len(net_names))
+        del chunk  # gone before the next chunk is cut
+        net_names += names
         degrees.append(k)
         cells.append(ids)
         dxs.append(dx)
         dys.append(dy)
-        pending = int(expect[-1]) - int(got[-1])
     if pending:
         raise MalformedLineError(path, 0, "", f"last net is missing {pending} pin line(s)")
     pin_cell = _join(cells, np.int64)
@@ -568,6 +498,83 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
             raise MalformedLineError(path, 0, f"{key} : {declared[key]}", f"header declares {declared[key]} {what}, body has {body}")
     net_start = np.concatenate(([0], np.cumsum(_join(degrees, np.int64))))
     return net_names, net_start, pin_cell, _join(dxs, float), _join(dys, float)
+
+
+def _net_rows(path: str, chunk: _Chunk, name_to_id: dict[str, int], declared: dict[str, int], pending: int,
+              nets_before: int):
+    """(net names, pin counts, pin cells, pin dx, pin dy) of one chunk of a .nets file, and the
+    pin lines its last net still expects; ``pending`` are those of the net open before it."""
+    errors = _FirstError(path, chunk)
+    kind = chunk.heads("NumNets", "NumPins", "NetDegree")
+    _headers(chunk, (kind == 1) | (kind == 2), declared, errors)
+    opens, pins = kind == 3, kind == 0
+    net_rows, pin_rows = np.flatnonzero(opens), np.flatnonzero(pins)
+
+    # NetDegree lines: the count and the name are the tokens after the line's first ':'
+    f, c = chunk.first[net_rows], chunk.counts[net_rows]
+    colon = chunk.match(":")
+    plain = c >= 3
+    plain[plain] = colon[f[plain] + 1]
+    named = plain & (c >= 4)
+    names = chunk.pick(f + 3 * named)  # the other nets are named below
+    k_plain, bad_plain = chunk.numbers(f[plain] + 2, int)
+    # a glued or missing ':', or no count: the line is split in Python, as header lines are
+    odd = np.flatnonzero(~plain)
+    split = [" ".join(chunk.row(r)[1:]).partition(":") for r in net_rows[odd].tolist()]
+    parts = [value.split()[:2] or [""] for _, _, value in split]
+    k_odd, bad_odd = _convert([p[0] for p in parts], int)
+    k = np.zeros(net_rows.size, dtype=np.result_type(k_plain, k_odd))
+    k[plain], k[odd] = k_plain, k_odd
+    bad, no_colon = np.zeros((2, net_rows.size), dtype=bool)
+    bad[plain], bad[odd[bad_odd]] = bad_plain, True
+    no_colon[odd] = [not sep for _, sep, _ in split]
+    for i, p in zip(odd.tolist(), parts):
+        named[i], names[i] = len(p) == 2, p[-1]
+    for i in np.flatnonzero(~named).tolist():
+        names[i] = f"net{nets_before + i}"
+
+    # the pin lines of each net: net q of the chunk (0 is the one still open from
+    # before) holds the pin lines from before[q] on, and expects expect[q] of them
+    before = np.concatenate(([0], np.searchsorted(pin_rows, net_rows)))
+    expect = np.concatenate((np.array([pending]), k))
+    got = np.diff(before, append=pin_rows.size)
+    errors.check(net_rows, expect[:-1] - got[:-1] > 0, lambda lineno, i: _malformed(
+        path, lineno, f"previous net is missing {int(expect[i]) - int(got[i])} pin line(s)"))
+    errors.check(net_rows, no_colon, "NetDegree missing ':'")
+    errors.check(net_rows, bad, "NetDegree count is not an integer")
+    errors.check(net_rows, k < 0, "NetDegree count must be >= 0")
+
+    # net q's first pin line beyond expect[q] is outside a NetDegree block
+    room = np.maximum(expect, 0)  # a negative count fails at its own line
+    extra = np.minimum(before + room, pin_rows.size - 1).astype(np.int64)
+    errors.check(pin_rows[extra] if pin_rows.size else extra, got > room, "pin line outside a NetDegree block")
+    f, c = chunk.first[pin_rows], chunk.counts[pin_rows]
+    pin_names = chunk.pick(f)
+    ids = _ids(name_to_id, pin_names)
+    errors.check(pin_rows, ids < 0, lambda lineno, i: DanglingPinError(path, lineno, pin_names[i]))
+    # the line's first ':' token, if before f + c: in the usual forms one of its first three
+    near = np.append(colon, [False, False])
+    j = np.where(near[f], f, np.where(near[f + 1], f + 1, np.where(near[f + 2], f + 2, -1)))
+    if (j < 0).any():
+        colon_at = np.append(np.flatnonzero(colon), colon.size)
+        j[j < 0] = colon_at[np.searchsorted(colon_at, f[j < 0])]
+    has = j < f + c
+    bare = ~has & (c == 2)  # 'cell dir' lines: dir must hold no ':'
+    if bare.any():
+        colon[np.searchsorted(chunk.starts, np.flatnonzero(chunk.byte == ord(":")), "right") - 1] = True
+        bare[bare] = colon[f[bare] + 1]
+    offsets = has & (f + c == j + 3)
+    errors.check(pin_rows, ~offsets & (has | (c > 2) | bare), "expected 'name dir [: dx dy]'")
+    at = np.flatnonzero(offsets)
+    dx_at, bad_x = chunk.numbers(j[at] + 1, float)
+    dy_at, bad_y = chunk.numbers(j[at] + 2, float)
+    errors.check(pin_rows[at], bad_x | bad_y, "pin offsets are not numbers")
+    errors.check(pin_rows[at], ~(np.isfinite(dx_at) & np.isfinite(dy_at)), "pin offsets must be finite")
+    errors.raise_first()
+
+    dx, dy = np.zeros(pin_rows.size), np.zeros(pin_rows.size)
+    dx[at], dy[at] = dx_at, dy_at
+    return names, k, ids, dx, dy, int(expect[-1]) - int(got[-1])
 
 
 def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -603,6 +610,7 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
         win = rows[(ids >= 0) & (last[np.maximum(ids, 0)] == rows)]
         corners[ids[win]] = np.column_stack((x, y))[win]
         fixed[ids[win]] = marked[win]
+        del chunk  # gone before the next chunk is cut
     return corners, fixed
 
 
