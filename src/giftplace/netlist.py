@@ -552,12 +552,8 @@ def _net_rows(path: str, chunk: _Chunk, name_to_id: dict[str, int], declared: di
     pin_names = chunk.pick(f)
     ids = _ids(name_to_id, pin_names)
     errors.check(pin_rows, ids < 0, lambda lineno, i: DanglingPinError(path, lineno, pin_names[i]))
-    # the line's first ':' token, if before f + c: in the usual forms one of its first three
-    near = np.append(colon, [False, False])
-    j = np.where(near[f], f, np.where(near[f + 1], f + 1, np.where(near[f + 2], f + 2, -1)))
-    if (j < 0).any():
-        colon_at = np.append(np.flatnonzero(colon), colon.size)
-        j[j < 0] = colon_at[np.searchsorted(colon_at, f[j < 0])]
+    colon_at = np.append(np.flatnonzero(colon), colon.size)
+    j = colon_at[np.searchsorted(colon_at, f)]  # the line's first ':' token, if before f + c
     has = j < f + c
     bare = ~has & (c == 2)  # 'cell dir' lines: dir must hold no ':'
     if bare.any():
