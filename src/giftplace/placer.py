@@ -141,9 +141,7 @@ def _poisson_potential(q: np.ndarray, bin_w: float, bin_h: float) -> np.ndarray:
     wy = (2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny)) / bin_h**2
     denom = wx[:, None] + wy[None, :]
     q_hat = dctn(q, type=2, norm="ortho")
-    phi_hat = np.zeros_like(q_hat)
-    nonzero = denom > 0
-    phi_hat[nonzero] = q_hat[nonzero] / denom[nonzero]
+    phi_hat = np.divide(q_hat, denom, out=np.zeros_like(q_hat), where=denom > 0)
     return idctn(phi_hat, type=2, norm="ortho")
 
 
@@ -200,6 +198,8 @@ def run_placer(
     multiplicatively; the clamp to ``design.bounds`` places fixed cells at their
     fixed positions. Raises DivergenceError when the objective stops being finite.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imported here: only the placer pays for it
+
     config = config or PlacerConfig()
     gamma = _gamma(design, config)
 
@@ -218,32 +218,40 @@ def run_placer(
     # gradient at a speed proportional to its magnitude relative to the RMS,
     # capped at one bin per iteration — the density weight grows without
     # bound, so any constant step would eventually overshoot.
-    for it in range(config.max_iters + 1):
-        if it > 0:
-            step = config.step
-            if step is None:
-                # fixed rows of grad are zero, so they neither stop the loop nor move
-                mag = np.hypot(grad[:, 0], grad[:, 1])
-                if not np.any(mag > 0):
-                    log.info("zero gradient at iteration %d; stopping", it)
-                    break
-                ref = float(np.sqrt(np.mean(mag[~design.fixed] ** 2)))
-                max_move = MAX_MOVE_BINS * min(dens.bin_w, dens.bin_h)
-                step = (max_move / np.maximum(mag, ref))[:, None]
-            g -= step * grad
-            np.clip(g, *design.bounds, out=g)
-            lam *= config.lambda_growth
-        wl_val, wl_grad = smooth_wirelength_grad(design, g, gamma)
-        d_val, d_grad, dens = electrostatic_grad(design, g, config.grid)
-        obj = wl_val + lam * d_val
-        grad = wl_grad + lam * d_grad
-        if not (np.isfinite(obj) and np.all(np.isfinite(grad))):
-            raise DivergenceError(f"objective not finite at iteration {it}")
-        ovf = overflow(dens)
-        trace.records.append(TraceRecord(it, wl_val, hpwl(design, g), ovf, lam))
-        if ovf <= config.stop_overflow:
-            trace.converged = True
-            break
+    design.pin_layout  # built before the worker shares it: cached_property takes no lock on Python 3.12+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for it in range(config.max_iters + 1):
+            if it > 0:
+                step = config.step
+                if step is None:
+                    # fixed rows of grad are zero, so they neither stop the loop nor move
+                    mag = np.hypot(grad[:, 0], grad[:, 1])
+                    if not np.any(mag > 0):
+                        log.info("zero gradient at iteration %d; stopping", it)
+                        break
+                    ref = float(np.sqrt(np.mean(mag[~design.fixed] ** 2)))
+                    max_move = MAX_MOVE_BINS * min(dens.bin_w, dens.bin_h)
+                    step = (max_move / np.maximum(mag, ref))[:, None]
+                g -= step * grad
+                np.clip(g, *design.bounds, out=g)
+                lam *= config.lambda_growth
+            # the wirelength pass runs on the worker while this thread takes the density, overflow and HPWL
+            # of the same g; the join comes first, so g stays unchanged until both have read it, and when
+            # both kernels raise, the wirelength kernel's error surfaces, as it would in sequence
+            wirelength = pool.submit(smooth_wirelength_grad, design, g, gamma)
+            try:
+                d_val, d_grad, dens = electrostatic_grad(design, g, config.grid)
+                ovf, wire = overflow(dens), hpwl(design, g)
+            finally:
+                wl_val, wl_grad = wirelength.result()
+            obj = wl_val + lam * d_val
+            grad = wl_grad + lam * d_grad
+            if not (np.isfinite(obj) and np.all(np.isfinite(grad))):
+                raise DivergenceError(f"objective not finite at iteration {it}")
+            trace.records.append(TraceRecord(it, wl_val, wire, ovf, lam))
+            if ovf <= config.stop_overflow:
+                trace.converged = True
+                break
     if not trace.converged:
         nx, ny = default_bins(design)
         coarse = f"; the {dens.nx}x{dens.ny} bins are coarser than the default {nx}x{ny}, so cells inside one bin feel no density force"

@@ -9,6 +9,7 @@ behavior.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 
 import numpy as np
@@ -477,8 +478,55 @@ class TestRunPlacer:
 
         monkeypatch.setattr(placer, "smooth_wirelength_grad", poisoned)
         config = PlacerConfig(lambda0=1.0, stop_overflow=stop_overflow, max_iters=max_iters)
+        before = threading.active_count()
         with pytest.raises(DivergenceError, match=f"iteration {bad_call - 1}"):
             run_placer(design, g0, config)
+        assert threading.active_count() == before  # the wirelength worker is joined on the way out
+
+    def test_leaves_no_thread_running(self):
+        design = generate(cells=60, seed=6)
+        before = threading.active_count()
+        _, trace = run_placer(design, self.spread_start(design, seed=6), PlacerConfig(max_iters=800))
+        assert trace.converged
+        assert threading.active_count() == before
+
+    def test_runs_the_two_kernels_at_once(self, monkeypatch):
+        # the wirelength kernel returns only once the density kernel has started on the same g
+        design = generate(cells=16, seed=8)
+        started, seen = threading.Event(), []
+        wirelength, density = placer.smooth_wirelength_grad, placer.electrostatic_grad
+
+        def waiting(design, g, gamma):
+            seen.append(started.wait(timeout=10))
+            started.clear()
+            return wirelength(design, g, gamma)
+
+        def starting(design, g, grid):
+            started.set()
+            return density(design, g, grid)
+
+        monkeypatch.setattr(placer, "smooth_wirelength_grad", waiting)
+        monkeypatch.setattr(placer, "electrostatic_grad", starting)
+        _, trace = run_placer(design, self.spread_start(design, seed=8), PlacerConfig(lambda0=1.0, max_iters=2))
+        assert seen == [True] * len(trace.records)
+
+    @pytest.mark.parametrize("both", [True, False], ids=["both-raise", "density-raises"])
+    def test_error_surfaces_as_in_sequence(self, monkeypatch, both):
+        # with both kernels raising, the wirelength kernel's error surfaces, as when it ran first
+        def fails(error):
+            def kernel(*args):
+                raise error
+
+            return kernel
+
+        monkeypatch.setattr(placer, "electrostatic_grad", fails(ArithmeticError))
+        if both:
+            monkeypatch.setattr(placer, "smooth_wirelength_grad", fails(LookupError))
+        design = generate(cells=16, seed=8)
+        before = threading.active_count()
+        with pytest.raises(LookupError if both else ArithmeticError):
+            run_placer(design, self.spread_start(design, seed=8), PlacerConfig(lambda0=1.0))
+        assert threading.active_count() == before
 
     def test_one_hpwl_call_per_trace_record(self, monkeypatch):
         # the benchmark counts these calls and reads the last record as the result's HPWL
