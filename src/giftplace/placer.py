@@ -197,6 +197,8 @@ def run_placer(
     Update: g <- clamp(g - step * (grad_wl + lambda * grad_density)), lambda growing
     multiplicatively; the clamp to ``design.bounds`` places fixed cells at their
     fixed positions. Raises DivergenceError when the objective stops being finite.
+    Each iteration's wirelength term runs on one worker thread, joined before the
+    call returns, beside the density term; the results are those of running them in turn.
     """
     from concurrent.futures import ThreadPoolExecutor  # imported here: only the placer pays for it
 
@@ -241,14 +243,14 @@ def run_placer(
             wirelength = pool.submit(smooth_wirelength_grad, design, g, gamma)
             try:
                 d_val, d_grad, dens = electrostatic_grad(design, g, config.grid)
-                ovf, wire = overflow(dens), hpwl(design, g)
+                ovf, exact_wl = overflow(dens), hpwl(design, g)
             finally:
                 wl_val, wl_grad = wirelength.result()
             obj = wl_val + lam * d_val
             grad = wl_grad + lam * d_grad
             if not (np.isfinite(obj) and np.all(np.isfinite(grad))):
                 raise DivergenceError(f"objective not finite at iteration {it}")
-            trace.records.append(TraceRecord(it, wl_val, wire, ovf, lam))
+            trace.records.append(TraceRecord(it, wl_val, exact_wl, ovf, lam))
             if ovf <= config.stop_overflow:
                 trace.converged = True
                 break
