@@ -20,7 +20,7 @@ from .netlist import Design
 
 log = logging.getLogger(__name__)
 
-MAX_BINS = 2048  # per-axis bin count ceiling, 4x the cap of default_bins
+MAX_BINS = 2048  # per-axis bin count ceiling, for requested and default grids alike
 
 
 @dataclass
@@ -38,8 +38,14 @@ class GridConfig:
             raise ValueError(f"bin counts must be >= 1 and <= {MAX_BINS}, got {self.nx}x{self.ny}")
 
 
+def _average_cell(design: Design) -> tuple[float, float]:
+    """Width and height of the average movable cell (of every cell if none moves; 1 x 1 without cells)."""
+    cells = ~design.fixed if design.num_movable else design.fixed
+    return (float(design.widths[cells].mean()), float(design.heights[cells].mean())) if cells.any() else (1.0, 1.0)
+
+
 def default_bins(design: Design) -> tuple[int, int]:
-    """Bins the size of the average movable cell (of every cell if none moves), 4 to 512 per axis.
+    """Bins the size of the average movable cell (of every cell if none moves), 4 to ``MAX_BINS`` per axis.
 
     The placer stops on overflow over these bins, and ``metrics`` measures it
     on them. Bins no larger than the cells guarantee every cell straddles bin
@@ -47,14 +53,8 @@ def default_bins(design: Design) -> tuple[int, int]:
     because the placer's per-iteration displacement cap is one bin width, bins
     as large as the cells maximize transport speed.
     """
-    cells = ~design.fixed
-    if not cells.any():
-        cells = design.fixed
-    counts = []
-    for extent, sizes in ((design.region.width, design.widths), (design.region.height, design.heights)):
-        avg = float(sizes[cells].mean()) if cells.any() else 1.0
-        counts.append(int(np.clip(round(extent / max(avg, 1e-9)), 4, 512)))
-    return counts[0], counts[1]
+    sizes = zip((design.region.width, design.region.height), _average_cell(design))
+    return tuple(int(np.clip(round(extent / max(avg, 1e-9)), 4, MAX_BINS)) for extent, avg in sizes)
 
 
 @dataclass
@@ -110,9 +110,8 @@ def hpwl(design: Design, g: np.ndarray) -> float:
     layout = design.pin_layout
     n, total = layout.pairs, 0.0
     for p in layout.positions(g):
-        tail = p[2 * n:]
-        spans = np.maximum.reduceat(tail, layout.starts) - np.minimum.reduceat(tail, layout.starts)
-        total += float(np.abs(p[:n] - p[n:2 * n]).sum()) + float(spans.sum())
+        spans = np.concatenate([np.zeros(0)] + [blk.max(0) - blk.min(0) for blk, _ in layout.slabs(p)])
+        total += float(np.abs(p[:n] - p[n:2 * n]).sum()) + float(spans[layout.nets].sum())
     return total
 
 
@@ -134,28 +133,32 @@ def density_map(design: Design, g: np.ndarray, grid: GridConfig | None = None) -
     return DensityGrid(nx=nx, ny=ny, bin_w=bin_w, bin_h=bin_h, rho=rho, rho_t=cfg.rho_t, overlaps=overlaps)
 
 
-class _Axis:
-    """One axis of every cell's region-clipped interval and the bins it spans."""
+class _Axes:
+    """Every cell's region-clipped interval and the bins it spans, on both axes at once, as (2, N) arrays."""
 
-    def __init__(self, center: np.ndarray, size: np.ndarray, start: float, end: float, width: float, count: int):
-        self.lo = np.clip(center - size / 2.0, start, end)
-        self.hi = np.clip(center + size / 2.0, start, end)
-        self.first = np.clip(np.floor((self.lo - start) / width).astype(np.int64), 0, count - 1)
-        last = np.clip(np.ceil((self.hi - start) / width).astype(np.int64) - 1, 0, count - 1)
+    def __init__(self, design: Design, g: np.ndarray, nx: int, ny: int, bin_w: float, bin_h: float):
+        r = design.region
+        self.start, self.end = np.array([[r.xmin], [r.ymin]]), np.array([[r.xmax], [r.ymax]])
+        self.width, count = np.array([[bin_w], [bin_h]]), np.array([[nx], [ny]])
+        half = np.stack([design.widths, design.heights]) / 2.0
+        self.lo = np.clip(g.T - half, self.start, self.end)
+        self.hi = np.clip(g.T + half, self.start, self.end)
+        self.first = np.clip(np.floor((self.lo - self.start) / self.width).astype(np.int64), 0, count - 1)
+        last = np.clip(np.ceil((self.hi - self.start) / self.width).astype(np.int64) - 1, 0, count - 1)
         self.span = np.maximum(last, self.first) - self.first
-        self.start, self.end, self.width = start, end, width
 
-    def overlap(self, cells: np.ndarray, off: int | np.ndarray):
-        """Bin, overlap length and its derivative at bin offset ``off`` from each cell's first bin.
+    def overlap(self, off: int | np.ndarray, cells: slice | np.ndarray = slice(None), keep: bool | np.ndarray = True):
+        """Bin, overlap length and its derivative at bin offset ``off`` from each cell's first bin, per axis.
 
         Offsets past a cell's span give zero length and derivative: the bin
-        beyond the last one can still clip a floating-point sliver.
+        beyond the last one can still clip a floating-point sliver. So do the
+        cells that ``keep`` leaves out.
         """
-        lo, hi, span = self.lo[cells], self.hi[cells], self.span[cells]
-        b = self.first[cells] + np.minimum(off, span)
+        lo, hi, span = self.lo[:, cells], self.hi[:, cells], self.span[:, cells]
+        b = self.first[:, cells] + np.minimum(off, span)
         bs = self.start + b * self.width
         be = self.start + (b + 1) * self.width
-        ell = np.where(off <= span, np.maximum(np.minimum(hi, be) - np.maximum(lo, bs), 0.0), 0.0)
+        ell = np.where((off <= span) & keep, np.maximum(np.minimum(hi, be) - np.maximum(lo, bs), 0.0), 0.0)
         # an edge moves the overlap at rate 1 while strictly inside the bin;
         # an edge held by the region clip sits on the region boundary and is frozen
         d_ell = ((hi < be) & (hi < self.end)).astype(float) - ((lo > bs) & (lo > self.start)).astype(float)
@@ -168,31 +171,26 @@ def _bin_overlaps(design: Design, g: np.ndarray, nx: int, ny: int, bin_w: float,
     In a group, the area of cell ``cells[k]`` in bin ``bins[k]`` (flat index
     ``bx * ny + by``) is ``lx[k] * ly[k]``; ``dlx``/``dly`` are the
     derivatives of the lengths in the cell's x and y. Cells within two bins on
-    both axes come as four corner-offset groups, the wider ones as one group of
-    their flattened per-cell outer products, so the work is the number of
-    overlapped bins.
+    both axes come as four corner-offset groups over every cell in order, with
+    ``cells`` None and zero lengths for the wider cells; those come as
+    one group of their flattened per-cell outer products, so the work is the
+    number of cells plus the bins the wide cells overlap.
     """
-    region = design.region
-    g = np.asarray(g, dtype=float)
-    x = _Axis(g[:, 0], design.widths, region.xmin, region.xmax, bin_w, nx)
-    y = _Axis(g[:, 1], design.heights, region.ymin, region.ymax, bin_h, ny)
-    valid = (x.hi > x.lo) & (y.hi > y.lo)
-    narrow = (x.span <= 1) & (y.span <= 1)
+    axes = _Axes(design, np.asarray(g, dtype=float), nx, ny, bin_w, bin_h)
+    valid = np.all(axes.hi > axes.lo, axis=0)
+    narrow = np.all(axes.span <= 1, axis=0)
 
-    cells = np.flatnonzero(valid & narrow)
-    xs = [x.overlap(cells, off) for off in (0, 1)]
-    ys = [y.overlap(cells, off) for off in (0, 1)]
-    groups = [(cells, bx * ny + by, lx, ly, dlx, dly) for bx, lx, dlx in xs for by, ly, dly in ys]
+    offsets = [axes.overlap(off, keep=narrow) for off in (0, 1)]  # a cell clipped to nothing has zero length anyway
+    groups = [(None, bx[0] * ny + by[1], lx[0], ly[1], dlx[0], dly[1]) for bx, lx, dlx in offsets for by, ly, dly in offsets]
 
     wide = np.flatnonzero(valid & ~narrow)
-    cols = y.span[wide] + 1
-    counts = (x.span[wide] + 1) * cols
+    cols = axes.span[1, wide] + 1
+    counts = (axes.span[0, wide] + 1) * cols
     cells = np.repeat(wide, counts)
     k = np.arange(cells.size) - np.repeat(np.cumsum(counts) - counts, counts)  # index in the cell's outer product
     cols = np.repeat(cols, counts)
-    bx, lx, dlx = x.overlap(cells, k // cols)
-    by, ly, dly = y.overlap(cells, k % cols)
-    groups.append((cells, bx * ny + by, lx, ly, dlx, dly))
+    b, ell, d_ell = axes.overlap(np.stack([k // cols, k % cols]), cells)
+    groups.append((cells, b[0] * ny + b[1], ell[0], ell[1], d_ell[0], d_ell[1]))
     return groups
 
 
@@ -205,8 +203,10 @@ def _field_weighted_grad(design: Design, dens: DensityGrid, bin_field: np.ndarra
     gx, gy = np.zeros(n), np.zeros(n)
     for cells, bins, lx, ly, dlx, dly in dens.overlaps:
         f = np.take(bin_field, bins)
-        gx += np.bincount(cells, f * dlx * ly, minlength=n)
-        gy += np.bincount(cells, f * lx * dly, minlength=n)
+        wx, wy = f * dlx * ly, f * lx * dly
+        # a narrow group has one entry per cell, in cell order
+        gx += wx if cells is None else np.bincount(cells, wx, minlength=n)
+        gy += wy if cells is None else np.bincount(cells, wy, minlength=n)
     grad = np.column_stack([gx, gy])
     grad[design.fixed] = 0.0
     return grad

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DanglingPinError,
@@ -54,28 +53,40 @@ class Net(NamedTuple):
 
 
 class PinLayout(NamedTuple):
-    """The pins of every net with 2 or more pins, ordered for the wirelength kernels.
+    """The pins of every net with 2 or more pins, laid out in slots for the wirelength kernels.
 
-    Pins ``j`` and ``pairs + j`` are the two pins of the j-th 2-pin net. The
-    pins from ``2 * pairs`` on (the tail) are those of the larger nets in net
-    order; larger net j owns tail pins ``starts[j]`` up to ``starts[j + 1]``.
+    Slots ``j`` and ``pairs + j`` hold the two pins of the j-th 2-pin net. The
+    slots from ``2 * pairs`` on hold the larger nets in degree blocks: block
+    ``(w, m, mask)`` is a slot-major (w, m) slab of the m nets, in net order,
+    whose degree rounds up to the power of two w. A net's pad slots repeat its
+    first pin, and ``mask`` (None in a block without pads) is 0 on them.
+    ``nets`` and ``pins`` put per-net values and per-pin weights back in net
+    and pin order before they are summed, so the blocks change no float.
     """
 
-    cell: np.ndarray        # (P,) cell id of each pin
-    offset: np.ndarray      # (2, P) pin dx and dy from the cell center
+    cell: np.ndarray        # (S,) cell id of each slot
+    offset: np.ndarray      # (2, S) pin dx and dy from the cell center
     pairs: int              # number of 2-pin nets
-    starts: np.ndarray      # first tail pin of each larger net
-    net_of_pin: np.ndarray  # larger net of each tail pin
-    net_sum: sp.csr_matrix  # larger nets x tail pins of ones: sums each net's pins
+    blocks: tuple           # (width, nets, pad mask or None) of each degree block, widths ascending
+    nets: np.ndarray        # block-order index of each larger net, in net order
+    pins: np.ndarray        # slot of each pin of the larger nets, in net order
+    pin_cell: np.ndarray    # cell id of each pin: the 2-pin nets' first pins, their second, then the larger nets'
 
     def positions(self, g: np.ndarray):
-        """Yield the pins' x, then their y: the centers ``g`` of their cells plus the offsets.
+        """Yield the slots' x, then their y: the centers ``g`` of their pins' cells plus the offsets.
 
         One axis at a time keeps the temporaries small enough to reuse memory.
         """
         g = np.asarray(g, dtype=float)
         for axis in (0, 1):
             yield np.take(g[:, axis], self.cell) + self.offset[axis]
+
+    def slabs(self, p: np.ndarray):
+        """Yield each degree block of the slot values ``p`` as a (width, nets) view, with its pad mask."""
+        start = 2 * self.pairs
+        for width, nets, mask in self.blocks:
+            yield p[start:start + width * nets].reshape(width, nets), mask
+            start += width * nets
 
 
 @dataclass
@@ -169,20 +180,30 @@ class Design:
 
     @functools.cached_property
     def pin_layout(self) -> PinLayout:
-        """The pins of the nets with 2 or more pins, ordered for the wirelength kernels."""
-        degree = np.diff(self.net_start)
-        two = self.net_start[:-1][degree == 2]
-        big = degree[degree > 2]
-        order = np.concatenate([two, two + 1, np.flatnonzero(np.repeat(degree > 2, degree))])
-        starts = np.concatenate([[0], np.cumsum(big)])
-        net_sum = sp.csr_matrix((np.ones(starts[-1]), np.arange(starts[-1]), starts), shape=(big.size, starts[-1]))
+        """The pins of the nets with 2 or more pins, laid out in slots for the wirelength kernels."""
+        first, degree = self.net_start[:-1], np.diff(self.net_start)
+        two, big = first[degree == 2], np.flatnonzero(degree > 2)
+        width = 1 << np.frexp(degree[big] - 1)[1]  # the least power of two >= each degree
+        slot_pin, real, blocks = [two, two + 1], [np.ones(2 * two.size, bool)], []
+        for w in np.unique(width).tolist():
+            nets = big[width == w]
+            row = np.arange(w)[:, None]
+            pad = row >= degree[nets]
+            slot_pin.append((first[nets] + np.where(pad, 0, row)).ravel())
+            real.append(~pad.ravel())
+            blocks.append((w, nets.size, (~pad).astype(float) if pad.any() else None))
+        slot_pin, real = np.concatenate(slot_pin), np.concatenate(real)
+        slot = np.empty_like(self.pin_cell)
+        slot[slot_pin[real]] = np.flatnonzero(real)
+        tail = np.flatnonzero(np.repeat(degree > 2, degree))
         return PinLayout(
-            cell=self.pin_cell[order],
-            offset=np.stack([self.pin_dx[order], self.pin_dy[order]]),
+            cell=self.pin_cell[slot_pin],
+            offset=np.stack([self.pin_dx[slot_pin], self.pin_dy[slot_pin]]),
             pairs=two.size,
-            starts=starts[:-1],
-            net_of_pin=np.repeat(np.arange(big.size), big),
-            net_sum=net_sum,
+            blocks=tuple(blocks),
+            nets=np.argsort(np.argsort(width, kind="stable")),
+            pins=slot[tail],
+            pin_cell=self.pin_cell[np.concatenate([two, two + 1, tail])],
         )
 
     @functools.cached_property

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .gift import GiftConfig, initial_signal
-from .metrics import DensityGrid, GridConfig, _field_weighted_grad, default_bins, density_map, hpwl, overflow
+from .metrics import DensityGrid, GridConfig, _average_cell, _field_weighted_grad, density_map, hpwl, overflow
 from .netlist import Design
 
 log = logging.getLogger(__name__)
@@ -103,26 +103,29 @@ def smooth_wirelength_grad(design: Design, g: np.ndarray, gamma: float) -> tuple
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     layout = design.pin_layout
-    n, net, value, grad = layout.pairs, layout.net_of_pin, 0.0, []
+    n, value, grad = layout.pairs, 0.0, []
     for p in layout.positions(g):
         # a 2-pin net at a, b: |a-b| + 2*gamma*log(1 + e^{-|a-b|/gamma}), weight tanh((a-b)/2gamma) on a
         d = p[:n] - p[n:2 * n]
         span = np.abs(d)
         value += float(span.sum() + 2.0 * gamma * np.log1p(np.exp(-span / gamma)).sum())
-        # nets of 3 or more pins, in the tail: no reduceat segment is empty, and no such net gives empty arrays
-        tail = p[2 * n:]
-        hi = np.maximum.reduceat(tail, layout.starts)
-        lo = np.minimum.reduceat(tail, layout.starts)
-        # max-shifted exponentials keep everything in (0, 1]
-        ea = np.exp((tail - hi[net]) / gamma)
-        eb = np.exp((lo[net] - tail) / gamma)
-        sa, sb = layout.net_sum @ ea, layout.net_sum @ eb
-        value += float(np.sum(hi - lo + gamma * (np.log(sa) + np.log(sb))))
-        # p's positions are used up: it takes each pin's weight, in place of one more large array
+        # nets of 3 or more pins, one degree block at a time; their values are summed in net order
+        nets = [np.zeros(0)]
+        for blk, mask in layout.slabs(p):
+            hi, lo = blk.max(0), blk.min(0)
+            # max-shifted exponentials keep everything in (0, 1]; the mask zeroes the pad slots'
+            ea, eb = np.exp((blk - hi) / gamma), np.exp((lo - blk) / gamma)
+            if mask is not None:
+                ea *= mask
+                eb *= mask
+            sa, sb = ea.sum(0), eb.sum(0)
+            nets.append(hi - lo + gamma * (np.log(sa) + np.log(sb)))
+            # p's positions are used up: it takes each slot's weight, in place of one more large array
+            np.subtract(ea / sa, eb / sb, out=blk)
+        value += float(np.sum(np.concatenate(nets)[layout.nets]))
         np.tanh(d / (2.0 * gamma), out=p[:n])
         np.negative(p[:n], out=p[n:2 * n])
-        np.subtract(ea / sa[net], eb / sb[net], out=tail)
-        grad.append(np.bincount(layout.cell, p, minlength=design.num_cells))
+        grad.append(np.bincount(layout.pin_cell, np.concatenate([p[:2 * n], p[layout.pins]]), minlength=design.num_cells))
     grad = np.column_stack(grad)
     grad[design.fixed] = 0.0
     return value, grad
@@ -255,8 +258,9 @@ def run_placer(
                 trace.converged = True
                 break
     if not trace.converged:
-        nx, ny = default_bins(design)
-        coarse = f"; the {dens.nx}x{dens.ny} bins are coarser than the default {nx}x{ny}, so cells inside one bin feel no density force"
+        cell_w, cell_h = _average_cell(design)
+        coarse = (f"; the {dens.nx}x{dens.ny} bins of {dens.bin_w:.4g} x {dens.bin_h:.4g} are larger than the average movable "
+                  f"cell of {cell_w:.4g} x {cell_h:.4g}, so cells inside one bin feel no density force")
         log.warning("placer stopped after %d iterations at overflow %.4g, above the target %.4g%s", trace.iterations,
-                    trace.records[-1].overflow, config.stop_overflow, coarse if dens.nx < nx or dens.ny < ny else "")
+                    trace.records[-1].overflow, config.stop_overflow, coarse if dens.bin_w > cell_w or dens.bin_h > cell_h else "")
     return g, trace

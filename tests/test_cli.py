@@ -240,7 +240,8 @@ class TestUnconvergedPlace:
         assert run.returncode == 0
         assert json.loads(run.stdout)["converged"] is False
         assert run.stderr.count("\n") == 1
-        assert "; the 4x4 bins are coarser than the default 10x10, so cells inside one bin feel no density force" in run.stderr
+        assert ("; the 4x4 bins of 2.5 x 2.5 are larger than the average movable cell of 1 x 1, "
+                "so cells inside one bin feel no density force\n") in run.stderr
 
     def test_converging_run_is_silent(self, bench, tmp_path):
         run = run_cli_process("place", bench, "--init", "gift", "--out", str(tmp_path / "p.pl"))

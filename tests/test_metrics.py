@@ -32,6 +32,7 @@ from giftplace import (
     rayleigh_smoothness,
 )
 from giftplace import report as metrics_report
+from giftplace.metrics import MAX_BINS
 from tests.conftest import make_design, random_connected_graph
 
 
@@ -201,11 +202,22 @@ class TestDensityMap:
         [
             ((1.0, 1.0), (0.0, 0.0, 64.0, 48.0), (64, 48)),
             ((2.0, 0.5), (0.0, 0.0, 64.0, 48.0), (32, 96)),
-            ((1.0, 1.0), (0.0, 0.0, 2.0, 4096.0), (4, 512)),
         ],
     )
     def test_default_bins_are_the_average_movable_cell_within_4_to_512(self, cell, region, bins):
         assert default_bins(grid_design(cell_w=cell[0], cell_h=cell[1], region=region)) == bins
+
+    @pytest.mark.parametrize(
+        "region,bins",
+        [
+            ((0.0, 0.0, 535.0, 600.0), (535, 600)),
+            ((0.0, 0.0, 2048.0, 700.5), (2048, 700)),
+            ((0.0, 0.0, 2.0, 4096.0), (4, MAX_BINS)),
+        ],
+    )
+    def test_default_bins_keep_unit_cells_past_512_up_to_max_bins(self, region, bins):
+        # bins stay one cell wide past the old cap of 512, so a 200k-cell region is not coarser than its cells
+        assert default_bins(grid_design(region=region)) == bins
 
     def test_default_bins_average_fixed_cells_only_when_none_moves(self):
         region = Region(0.0, 0.0, 64.0, 64.0)

@@ -9,6 +9,7 @@ behavior.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import threading
 import time
 
@@ -175,7 +176,8 @@ def reference_wirelength(design, g, gamma):
 def wirelength_cases(draw):
     """A design whose nets mix the given degrees, on cells that may repeat within a net, and a placement."""
     n = draw(st.integers(1, 8))
-    degrees = draw(st.sampled_from([(0, 1, 2, 3, 5), (2,), (3,), (0, 1, 3, 4), (1, 2, 6)]))
+    # degrees on both sides of the power-of-two block widths; a single large degree leaves its block unpadded
+    degrees = draw(st.sampled_from([(0, 1, 2, 3, 5), (2,), (3,), (0, 1, 3, 4), (1, 2, 6), (3, 4, 5, 8, 9, 17), (2, 8), (16,)]))
     offset = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
     pin = st.tuples(st.integers(0, n - 1), offset, offset)
     net = st.sampled_from(degrees).flatmap(lambda k: st.lists(pin, min_size=k, max_size=k))
@@ -185,6 +187,31 @@ def wirelength_cases(draw):
     fixed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     design = make_design(n, nets, Region(-60.0, -60.0, 60.0, 60.0), pads={i: tuple(g[i]) for i in range(n) if fixed[i]})
     return design, g, draw(st.floats(0.05, 5.0))
+
+
+@pytest.mark.parametrize(
+    "degrees,padded",
+    [((4, 4, 16, 16, 16, 8), [False, False, False]), ((2, 3, 17, 5, 9, 2, 64), [True, True, True, True, False]),
+     ((2, 2, 2), []), ((), [])],
+    ids=["unpadded-blocks", "padded-blocks", "two-pin-only", "no-nets"],
+)
+def test_degree_blocks_match_the_per_net_reference(degrees, padded):
+    rng = np.random.default_rng(len(degrees))
+    n = 12
+    nets = [[(int(c), float(dx), float(dy)) for c, dx, dy in zip(rng.integers(0, n, k), rng.normal(size=k), rng.normal(size=k))]
+            for k in degrees]
+    design = make_design(n, nets, Region(-60.0, -60.0, 60.0, 60.0), pads={0: (3.0, -4.0)})
+    g = rng.uniform(-50.0, 50.0, (n, 2))
+    g[0] = (3.0, -4.0)
+    assert [mask is not None for _, _, mask in design.pin_layout.blocks] == padded
+    value, grad = smooth_wirelength_grad(design, g, 0.8)
+    ref_value, ref_grad, ref_hpwl = reference_wirelength(design, g, 0.8)
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+    assert hpwl(design, g) == pytest.approx(ref_hpwl, rel=1e-12, abs=1e-12)
+    if not degrees:
+        assert value == 0.0 and hpwl(design, g) == 0.0
+        np.testing.assert_array_equal(grad, 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -403,6 +430,25 @@ class TestRunPlacer:
         _, trace = run_placer(design, g0, config)
         assert not trace.converged
         assert trace.iterations == 3
+
+    @pytest.mark.parametrize(
+        "grid,coarse",
+        [(None, False), (GridConfig(nx=20, ny=20), False), (GridConfig(nx=5, ny=20), True), (GridConfig(nx=20, ny=9), True)],
+        ids=["default", "finer", "coarse-x", "coarse-y"],
+    )
+    def test_unconverged_warning_names_bins_larger_than_the_cells(self, caplog, grid, coarse):
+        # the movable unit cells of this design lie on a 10 x 10 region, whose default bins are 1 x 1
+        design = generate(cells=60, seed=6)
+        with caplog.at_level(logging.WARNING, logger="giftplace.placer"):
+            _, trace = run_placer(design, np.tile(design.region.center, (design.num_cells, 1)), PlacerConfig(max_iters=2, grid=grid))
+        assert not trace.converged
+        [record] = caplog.records
+        assert record.getMessage().startswith("placer stopped after 2 iterations at overflow ")
+        assert ("bins of" in record.getMessage()) == coarse
+        if coarse:
+            nx, ny = grid.nx, grid.ny
+            assert record.getMessage().endswith(f"; the {nx}x{ny} bins of {10 / nx:.4g} x {10 / ny:.4g} are larger than the "
+                                                "average movable cell of 1 x 1, so cells inside one bin feel no density force")
 
     @pytest.mark.parametrize("step", [None, 0.02], ids=["saturated", "fixed-step"])
     def test_leaves_g0_unchanged(self, step):
@@ -678,6 +724,25 @@ class TestOverlapKernel:
         assert np.any(grad_want[:, 0] != 0.0) and np.any(grad_want[:, 1] != 0.0)
         np.testing.assert_allclose(dens.rho, rho_want, rtol=1e-12, atol=1e-12 * rho_want.max())
         np.testing.assert_allclose(grad, grad_want, rtol=1e-12, atol=1e-12 * np.abs(grad_want).max())
+
+    def test_narrow_cells_on_bin_edges_match_per_bin_oracle(self):
+        # unit bins on an 8 x 8 region: edges exactly on bin boundaries, where a span turns from 0 to 1, and
+        # cells outside the region or fixed, which the whole-array narrow groups hold as zero-length entries
+        region = Region(0.0, 0.0, 8.0, 8.0)
+        centers = [(2.5, 3.5), (2.75, 3.25), (3.25, 3.75), (2.5, 4.0), (3.0, 3.0), (0.25, 7.75), (7.5, 0.5), (4.0, 4.5),
+                   (-1.0, 3.0), (9.0, 9.0), (4.0, -0.5), (5.5, 5.5), (0.5, 8.25), (6.0, 2.0)]
+        sizes = [(1.0, 1.0), (0.5, 0.5), (0.5, 0.5), (1.0, 1.0), (1.0, 0.5), (0.5, 0.5), (1.0, 1.0), (2.0, 1.0),
+                 (1.0, 1.0), (0.5, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 0.5), (1.5, 1.25)]
+        g = np.array(centers)
+        design = make_design(len(g), [[0, 1]], region, sizes=sizes, pads={4: centers[4], 11: centers[11]})
+        dens = density_map(design, g, GridConfig(nx=8, ny=8))
+        assert all(cells is None for cells, *_ in dens.overlaps[:4]) and dens.overlaps[4][0].size == 0
+        bin_field = np.random.default_rng(4).normal(size=(8, 8))
+        rho_want, grad_want = overlap_oracle(design, g, 8, 8, bin_field)
+        assert np.count_nonzero(grad_want) >= 4
+        np.testing.assert_allclose(dens.rho, rho_want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(metrics._field_weighted_grad(design, dens, bin_field), grad_want, rtol=1e-12, atol=1e-12)
+        assert dens.rho.sum() == 9.125  # every area but those of cells 8, 9, 10 and 12, which lie outside
 
     def test_field_gradient_from_kept_overlaps_matches_a_fresh_pass(self):
         base = generate(cells=150, seed=3)
