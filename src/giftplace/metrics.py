@@ -104,11 +104,10 @@ def rayleigh_smoothness(laplacian: SparseSymMatrix, column: np.ndarray, center: 
 
 def hpwl(design: Design, g: np.ndarray) -> float:
     """Half-perimeter wirelength over pin positions (cell center + pin offset)."""
-    layout = design.pin_layout
-    n, total = layout.pairs, 0.0
+    layout, total = design.pin_layout, 0.0
     for p in layout.positions(g):
-        spans = np.concatenate([np.zeros(0)] + [blk.max(0) - blk.min(0) for blk, _ in layout.slabs(p)])
-        total += float(np.abs(p[:n] - p[n:2 * n]).sum()) + float(spans[layout.nets].sum())
+        for blk, _ in layout.slabs(p):
+            total += float((np.abs(blk[0] - blk[1]) if len(blk) == 2 else blk.max(0) - blk.min(0)).sum())
     return total
 
 

@@ -55,22 +55,16 @@ class Net(NamedTuple):
 class PinLayout(NamedTuple):
     """The pins of every net with 2 or more pins, laid out in slots for the wirelength kernels.
 
-    Slots ``j`` and ``pairs + j`` hold the two pins of the j-th 2-pin net. The
-    slots from ``2 * pairs`` on hold the larger nets in degree blocks: block
-    ``(w, m, mask)`` is a slot-major (w, m) slab of the m nets, in net order,
-    whose degree rounds up to the power of two w. A net's pad slots repeat its
-    first pin, and ``mask`` (None in a block without pads) is 0 on them.
-    ``nets`` and ``pins`` put per-net values and per-pin weights back in net
-    and pin order before they are summed, so the blocks change no float.
+    The slots hold the nets in degree blocks: block ``(w, m, mask)`` is a
+    slot-major (w, m) slab of the m nets, in net order, whose degree rounds up
+    to the power of two w; the 2-pin nets make the first block, of width 2. A
+    net's pad slots repeat its first pin, and ``mask`` (None in a block without
+    pads) is 0 on them.
     """
 
     cell: np.ndarray        # (S,) cell id of each slot
     offset: np.ndarray      # (2, S) pin dx and dy from the cell center
-    pairs: int              # number of 2-pin nets
     blocks: tuple           # (width, nets, pad mask or None) of each degree block, widths ascending
-    nets: np.ndarray        # block-order index of each larger net, in net order
-    pins: np.ndarray        # slot of each pin of the larger nets, in net order
-    pin_cell: np.ndarray    # cell id of each pin: the 2-pin nets' first pins, their second, then the larger nets'
 
     def positions(self, g: np.ndarray):
         """Yield the slots' x, then their y: the centers ``g`` of their pins' cells plus the offsets.
@@ -83,7 +77,7 @@ class PinLayout(NamedTuple):
 
     def slabs(self, p: np.ndarray):
         """Yield each degree block of the slot values ``p`` as a (width, nets) view, with its pad mask."""
-        start = 2 * self.pairs
+        start = 0
         for width, nets, mask in self.blocks:
             yield p[start:start + width * nets].reshape(width, nets), mask
             start += width * nets
@@ -182,28 +176,20 @@ class Design:
     def pin_layout(self) -> PinLayout:
         """The pins of the nets with 2 or more pins, laid out in slots for the wirelength kernels."""
         first, degree = self.net_start[:-1], np.diff(self.net_start)
-        two, big = first[degree == 2], np.flatnonzero(degree > 2)
-        width = 1 << np.frexp(degree[big] - 1)[1]  # the least power of two >= each degree
-        slot_pin, real, blocks = [two, two + 1], [np.ones(2 * two.size, bool)], []
+        nets = np.flatnonzero(degree >= 2)
+        width = 1 << np.frexp(degree[nets] - 1)[1]  # the least power of two >= each degree
+        slot_pin, blocks = [np.zeros(0, np.int64)], []
         for w in np.unique(width).tolist():
-            nets = big[width == w]
+            block = nets[width == w]
             row = np.arange(w)[:, None]
-            pad = row >= degree[nets]
-            slot_pin.append((first[nets] + np.where(pad, 0, row)).ravel())
-            real.append(~pad.ravel())
-            blocks.append((w, nets.size, (~pad).astype(float) if pad.any() else None))
-        slot_pin, real = np.concatenate(slot_pin), np.concatenate(real)
-        slot = np.empty_like(self.pin_cell)
-        slot[slot_pin[real]] = np.flatnonzero(real)
-        tail = np.flatnonzero(np.repeat(degree > 2, degree))
+            pad = row >= degree[block]
+            slot_pin.append((first[block] + np.where(pad, 0, row)).ravel())
+            blocks.append((w, block.size, (~pad).astype(float) if pad.any() else None))
+        slot_pin = np.concatenate(slot_pin)
         return PinLayout(
             cell=self.pin_cell[slot_pin],
             offset=np.stack([self.pin_dx[slot_pin], self.pin_dy[slot_pin]]),
-            pairs=two.size,
             blocks=tuple(blocks),
-            nets=np.argsort(np.argsort(width, kind="stable")),
-            pins=slot[tail],
-            pin_cell=self.pin_cell[np.concatenate([two, two + 1, tail])],
         )
 
     @functools.cached_property
@@ -800,11 +786,6 @@ def read_placement(design: Design, pl_path: str) -> np.ndarray:
 # writing
 
 
-def _fmt(v: float) -> str:
-    """Compact number formatting for dimensions/offsets."""
-    return f"{v:g}"
-
-
 def write_placement(design: Design, placement: np.ndarray, path: str) -> None:
     """Write a .pl file; coordinates are converted to lower-left corners.
 
@@ -867,17 +848,12 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
     write_placement(design, placement, os.path.join(out_dir, f"{name}.pl"))
 
     files = [f"{name}.nodes", f"{name}.nets", f"{name}.pl"]
-    if design.region.rows:
-        scl_lines = ["UCLA scl 1.0", "", f"NumRows : {len(design.region.rows)}"]
-        for row in design.region.rows:
-            scl_lines.append("CoreRow Horizontal")
-            scl_lines.append(f"\tCoordinate : {_fmt(row.y)}")
-            scl_lines.append(f"\tHeight : {_fmt(row.height)}")
-            scl_lines.append(f"\tSitewidth : {_fmt(row.site_width)}")
-            scl_lines.append(f"\tSubrowOrigin : {_fmt(row.x)} NumSites : {row.num_sites}")
-            scl_lines.append("End")
+    rows = design.region.rows
+    if rows:
+        row = "CoreRow Horizontal\n\tCoordinate : %g\n\tHeight : %g\n\tSitewidth : %g\n\tSubrowOrigin : %g NumSites : %s\nEnd\n"
+        values = [value for r in rows for value in (r.y, r.height, r.site_width, r.x, r.num_sites)]
         with open(os.path.join(out_dir, f"{name}.scl"), "w") as f:
-            f.write("\n".join(scl_lines) + "\n")
+            f.write(f"UCLA scl 1.0\n\nNumRows : {len(rows)}\n" + row * len(rows) % tuple(values))
         files.append(f"{name}.scl")
 
     aux_path = os.path.join(out_dir, f"{name}.aux")

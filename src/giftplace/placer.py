@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, GiftPlaceError
 from .gift import GiftConfig, initial_signal
 from .metrics import DensityGrid, GridConfig, _average_cell, _field_weighted_grad, density_map, hpwl, overflow
 from .netlist import Design
@@ -103,29 +104,28 @@ def smooth_wirelength_grad(design: Design, g: np.ndarray, gamma: float) -> tuple
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     layout = design.pin_layout
-    n, value, grad = layout.pairs, 0.0, []
+    value, grad = 0.0, []
     for p in layout.positions(g):
-        # a 2-pin net at a, b: |a-b| + 2*gamma*log(1 + e^{-|a-b|/gamma}), weight tanh((a-b)/2gamma) on a
-        d = p[:n] - p[n:2 * n]
-        span = np.abs(d)
-        value += float(span.sum() + 2.0 * gamma * np.log1p(np.exp(-span / gamma)).sum())
-        # nets of 3 or more pins, one degree block at a time; their values are summed in net order
-        nets = [np.zeros(0)]
+        # one degree block at a time; p's positions are used up: each slot takes its weight in place
         for blk, mask in layout.slabs(p):
+            if len(blk) == 2:
+                # a 2-pin net at a, b: |a-b| + 2*gamma*log(1 + e^{-|a-b|/gamma}), weight tanh((a-b)/2gamma) on a
+                d = blk[0] - blk[1]
+                span = np.abs(d)
+                value += float(span.sum() + 2.0 * gamma * np.log1p(np.exp(-span / gamma)).sum())
+                np.tanh(d / (2.0 * gamma), out=blk[0])
+                np.negative(blk[0], out=blk[1])
+                continue
             hi, lo = blk.max(0), blk.min(0)
-            # max-shifted exponentials keep everything in (0, 1]; the mask zeroes the pad slots'
+            # max-shifted exponentials keep everything in (0, 1]; the mask zeroes the pad slots', and so their weights
             ea, eb = np.exp((blk - hi) / gamma), np.exp((lo - blk) / gamma)
             if mask is not None:
                 ea *= mask
                 eb *= mask
             sa, sb = ea.sum(0), eb.sum(0)
-            nets.append(hi - lo + gamma * (np.log(sa) + np.log(sb)))
-            # p's positions are used up: it takes each slot's weight, in place of one more large array
+            value += float(np.sum(hi - lo + gamma * (np.log(sa) + np.log(sb))))
             np.subtract(ea / sa, eb / sb, out=blk)
-        value += float(np.sum(np.concatenate(nets)[layout.nets]))
-        np.tanh(d / (2.0 * gamma), out=p[:n])
-        np.negative(p[:n], out=p[n:2 * n])
-        grad.append(np.bincount(layout.pin_cell, np.concatenate([p[:2 * n], p[layout.pins]]), minlength=design.num_cells))
+        grad.append(np.bincount(layout.cell, p, minlength=design.num_cells))
     grad = np.column_stack(grad)
     grad[design.fixed] = 0.0
     return value, grad
@@ -199,12 +199,11 @@ def run_placer(
 
     Update: g <- clamp(g - step * (grad_wl + lambda * grad_density)), lambda growing
     multiplicatively; the clamp to ``design.bounds`` places fixed cells at their
-    fixed positions. Raises DivergenceError when the objective stops being finite.
+    fixed positions. Raises DivergenceError when the objective stops being finite, and
+    GiftPlaceError when the saturated step finds no force on any movable cell.
     Each iteration's wirelength term runs on one worker thread, joined before the
     call returns, beside the density term; the results are those of running them in turn.
     """
-    from concurrent.futures import ThreadPoolExecutor  # imported here: only the placer pays for it
-
     config = config or PlacerConfig()
     gamma = _gamma(design, config)
 
@@ -233,6 +232,10 @@ def run_placer(
                     # fixed rows of grad are zero, so they neither stop the loop nor move
                     mag = np.hypot(grad[:, 0], grad[:, 1])
                     if not np.any(mag > 0):
+                        if design.num_movable:
+                            raise GiftPlaceError(f"zero gradient at iteration {it}: no force moves the {design.num_movable} "
+                                                 "movable cells from their start; start from a placement that breaks "
+                                                 "the symmetry, such as --init gift")
                         stalled = f"; zero gradient at iteration {it}, so no cell could move"
                         break
                     ref = float(np.sqrt(np.mean(mag[~design.fixed] ** 2)))

@@ -214,13 +214,17 @@ class TestUndecodableByte:
         assert stdout == ""
 
 
-def run_cli_process(*args: str) -> subprocess.CompletedProcess:
-    """The console script in a process of its own, so that its log reaches its stderr."""
+def child_env() -> dict[str, str]:
+    """This environment, with a PYTHONPATH under which a fresh interpreter imports this giftplace."""
     import giftplace
 
     src = str(Path(giftplace.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "giftplace.cli", *args], capture_output=True, text=True, env=env)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_cli_process(*args: str) -> subprocess.CompletedProcess:
+    """The console script in a process of its own, so that its log reaches its stderr."""
+    return subprocess.run([sys.executable, "-m", "giftplace.cli", *args], capture_output=True, text=True, env=child_env())
 
 
 class TestUnconvergedPlace:
@@ -248,6 +252,21 @@ class TestUnconvergedPlace:
         assert run.returncode == 0
         assert json.loads(run.stdout)["converged"] is True
         assert run.stderr == ""
+
+
+def test_place_refuses_a_pile_no_force_can_move(tmp_path, capsys):
+    # without IO pads nothing pulls the pile at the center apart; the run exits 2 and writes nothing
+    gen = tmp_path / "gen"
+    code, _, _ = run_cli(capsys, "benchgen", "--cells", "100", "--io", "0", "--seed", "1", "--out-dir", str(gen))
+    assert code == 0
+    out = tmp_path / "p.pl"
+    code, stdout, err = run_cli(capsys, "place", str(gen / "synth.aux"), "--init", "center", "--seed", "1", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert err.startswith("giftplace: error: GiftPlaceError: zero gradient at iteration 1: ")
+    assert "--init gift" in err
+    assert sorted(os.listdir(tmp_path)) == ["gen"]
 
 
 class TestPlace:
@@ -847,15 +866,23 @@ class TestCliqueCap:
         assert out.exists()
 
 
-def test_importing_the_cli_leaves_scipy_fft_unloaded():
+def probe_words(tmp_path, code: str) -> list[str]:
+    """The stdout words of ``code`` run in a fresh interpreter, in ``tmp_path``."""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True, cwd=tmp_path)
+    return run.stdout.split()
+
+
+def test_importing_the_cli_leaves_scipy_fft_unloaded(tmp_path):
     """Only the placer's Poisson solve needs scipy.fft; gift, spectrum, metrics and benchgen never load it."""
-    import subprocess
-    import sys
-
-    import giftplace
-
-    src = str(Path(giftplace.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import sys, giftplace.cli; print('scipy.fft' in sys.modules, 'scipy.sparse' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert probe_words(tmp_path, probe) == ["False", "True"]
+
+
+def test_gift_leaves_scipy_fft_unloaded(tmp_path):
+    probe = ("import contextlib, io, sys, giftplace.cli as cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [cli.main(['benchgen', '--cells', '50', '--seed', '1', '--out-dir', 'd']),\n"
+             "             cli.main(['gift', 'd/synth.aux', '--seed', '1', '--out', 'g.pl'])]\n"
+             "print(*codes, 'scipy.fft' in sys.modules)")
+    assert probe_words(tmp_path, probe) == ["0", "0", "False"]
+    assert (tmp_path / "g.pl").exists()

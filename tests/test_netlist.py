@@ -542,8 +542,8 @@ def test_write_parse_round_trip_is_exact(tmp_path_factory, design):
     assert np.array_equal(again.fixed_xy, design.fixed_xy, equal_nan=True)
 
 
-def per_line_text(design) -> tuple[str, str]:
-    """The .nodes and .nets text of ``design`` formatted one f-string per line."""
+def per_line_text(design) -> tuple[str, str, str | None]:
+    """The .nodes, .nets and .scl text of ``design`` formatted one f-string per line; no .scl without rows."""
     nodes = ["UCLA nodes 1.0", "", f"NumNodes : {design.num_cells}", f"NumTerminals : {design.num_fixed}"]
     for cell, w, h, fixed in zip(design.names, design.widths.tolist(), design.heights.tolist(), design.fixed.tolist()):
         nodes.append(f"\t{cell}\t{w:g}\t{h:g}" + ("\tterminal" if fixed else ""))
@@ -553,7 +553,15 @@ def per_line_text(design) -> tuple[str, str]:
         nets.append(f"NetDegree : {starts[j + 1] - starts[j]} {net}")
         for i in range(starts[j], starts[j + 1]):
             nets.append(f"\t{design.names[design.pin_cell[i]]} I : {design.pin_dx[i]:g} {design.pin_dy[i]:g}")
-    return "\n".join(nodes) + "\n", "\n".join(nets) + "\n"
+    scl = ["UCLA scl 1.0", "", f"NumRows : {len(design.region.rows)}"]
+    for row in design.region.rows:
+        scl.append("CoreRow Horizontal")
+        scl.append(f"\tCoordinate : {row.y:g}")
+        scl.append(f"\tHeight : {row.height:g}")
+        scl.append(f"\tSitewidth : {row.site_width:g}")
+        scl.append(f"\tSubrowOrigin : {row.x:g} NumSites : {row.num_sites}")
+        scl.append("End")
+    return "\n".join(nodes) + "\n", "\n".join(nets) + "\n", "\n".join(scl) + "\n" if design.region.rows else None
 
 
 SIZES = st.sampled_from([1.5e-7, 1e16, 2.5, 1e-300]) | st.floats(min_value=5e-324, allow_infinity=False)
@@ -562,11 +570,13 @@ OFFSETS = st.sampled_from([-0.0, 1.5e-7, 1e16, -2.5]) | st.floats(allow_nan=Fals
 
 @st.composite
 def designs_with_any_numbers(draw) -> Design:
-    """``small_designs`` with sizes and pin offsets drawn from all finite floats."""
+    """``small_designs`` with sizes, pin offsets and rows drawn from all finite floats; there may be no row."""
     design = draw(small_designs())
     n, pins = design.num_cells, design.pin_cell.size
+    row = st.builds(Row, y=OFFSETS, height=SIZES, x=OFFSETS, num_sites=st.integers(0, 10**9), site_width=SIZES)
     return dataclasses.replace(
         design,
+        region=dataclasses.replace(ROUND_TRIP_REGION, rows=draw(st.lists(row, max_size=3))),
         widths=draw(st.lists(SIZES, min_size=n, max_size=n)),
         heights=draw(st.lists(SIZES, min_size=n, max_size=n)),
         pin_dx=draw(st.lists(OFFSETS, min_size=pins, max_size=pins)),
@@ -590,6 +600,10 @@ NO_PADS = dataclasses.replace(
 def test_write_design_matches_the_per_line_form(tmp_path_factory, design):
     out = tmp_path_factory.mktemp("lines")
     write_design(design, str(out), "d")
-    nodes, nets = per_line_text(design)
+    nodes, nets, scl = per_line_text(design)
     assert (out / "d.nodes").read_bytes() == nodes.encode()
     assert (out / "d.nets").read_bytes() == nets.encode()
+    if scl is None:
+        assert not (out / "d.scl").exists()
+    else:
+        assert (out / "d.scl").read_bytes() == scl.encode()

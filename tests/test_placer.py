@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from giftplace import (
     Design,
     DivergenceError,
+    GiftPlaceError,
     GridConfig,
     PlacerConfig,
     Region,
@@ -191,8 +192,8 @@ def wirelength_cases(draw):
 
 @pytest.mark.parametrize(
     "degrees,padded",
-    [((4, 4, 16, 16, 16, 8), [False, False, False]), ((2, 3, 17, 5, 9, 2, 64), [True, True, True, True, False]),
-     ((2, 2, 2), []), ((), [])],
+    [((4, 4, 16, 16, 16, 8), [False, False, False]), ((2, 3, 17, 5, 9, 2, 64), [False, True, True, True, True, False]),
+     ((2, 2, 2), [False]), ((), [])],
     ids=["unpadded-blocks", "padded-blocks", "two-pin-only", "no-nets"],
 )
 def test_degree_blocks_match_the_per_net_reference(degrees, padded):
@@ -212,6 +213,43 @@ def test_degree_blocks_match_the_per_net_reference(degrees, padded):
     if not degrees:
         assert value == 0.0 and hpwl(design, g) == 0.0
         np.testing.assert_array_equal(grad, 0.0)
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [(0, 1, 2, 3, 5, 2, 17, 4, 1, 64, 9, 3), (2, 2, 2), (0, 1, 1, 0)],
+    ids=["mixed", "two-pin-only", "no-net-of-two-pins"],
+)
+def test_pin_layout_holds_each_pin_once_and_pads_with_the_first(degrees):
+    rng = np.random.default_rng(sum(degrees))
+    n = 9
+    nets = [[(int(c), float(dx), float(dy)) for c, dx, dy in zip(rng.integers(0, n, k), rng.normal(size=k), rng.normal(size=k))]
+            for k in degrees]
+    design = make_design(n, nets, Region(-60.0, -60.0, 60.0, 60.0))
+    layout = design.pin_layout
+    first, degree = design.net_start[:-1], np.diff(design.net_start)
+    pins = np.column_stack([design.pin_cell, design.pin_dx, design.pin_dy])
+    slots = np.column_stack([layout.cell, *layout.offset])
+    widths = [w for w, _, _ in layout.blocks]
+    assert widths == sorted(set(widths))
+    start, placed = 0, []
+    for w, m, mask in layout.blocks:
+        # a block holds, in net order, the nets whose degree rounds up to its width
+        block = [j for j, k in enumerate(degree.tolist()) if k >= 2 and w // 2 < k <= w]
+        assert len(block) == m
+        slab = slots[start:start + w * m].reshape(w, m, 3)
+        real = np.arange(w)[:, None] < degree[block]
+        assert (mask is None) == bool(real.all())
+        np.testing.assert_array_equal(real if mask is None else mask, real)
+        for col, j in enumerate(block):
+            k = degree[j]
+            np.testing.assert_array_equal(slab[:k, col], pins[first[j]:first[j] + k])
+            np.testing.assert_array_equal(slab[k:, col], np.tile(pins[first[j]], (w - k, 1)))
+        placed += block
+        start += w * m
+    assert start == layout.cell.size == layout.offset.shape[1]
+    # every net of 2 or more pins gets its slots once; 0- and 1-pin nets get none
+    assert sorted(placed) == np.flatnonzero(degree >= 2).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -450,15 +488,22 @@ class TestRunPlacer:
             assert record.getMessage().endswith(f"; the {nx}x{ny} bins of {10 / nx:.4g} x {10 / ny:.4g} are larger than the "
                                                 "average movable cell of 1 x 1, so cells inside one bin feel no density force")
 
-    def test_unconverged_warning_names_a_vanished_gradient(self, caplog):
+    def test_refuses_a_pile_no_force_can_move(self):
         # without IO pads nothing pulls the pile at the center apart: the first gradient is zero
         design = generate(cells=100, io_count=0, seed=1)
+        with pytest.raises(GiftPlaceError, match=r"^zero gradient at iteration 1: .* such as --init gift$"):
+            run_placer(design, np.tile(design.region.center, (design.num_cells, 1)), PlacerConfig(seed=1))
+
+    def test_unconverged_warning_names_a_vanished_gradient_without_movable_cells(self, caplog):
+        # four fixed cells stacked in one bin: no cell can move, so the run stops with a warning
+        design = make_design(4, [[0, 1], [2, 3, 0]], Region(0.0, 0.0, 10.0, 10.0), pads={i: (5.5, 5.5) for i in range(4)})
         with caplog.at_level(logging.INFO, logger="giftplace.placer"):
-            _, trace = run_placer(design, np.tile(design.region.center, (design.num_cells, 1)), PlacerConfig(seed=1))
+            g, trace = run_placer(design, np.zeros((4, 2)), PlacerConfig(seed=1))
         assert not trace.converged and trace.iterations == 0
+        np.testing.assert_array_equal(g, np.full((4, 2), 5.5))
         [record] = caplog.records
         assert record.levelno == logging.WARNING
-        assert record.getMessage() == ("placer stopped after 0 iterations at overflow 0.96, above the target 0.15; "
+        assert record.getMessage() == ("placer stopped after 0 iterations at overflow 0.75, above the target 0.15; "
                                        "zero gradient at iteration 1, so no cell could move")
 
     def test_converges_on_a_default_grid_over_512_bins_wide(self):
