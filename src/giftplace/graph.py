@@ -5,6 +5,7 @@ pin-count incidence matrix and W = diag(2/M) over nets of M pins: the clique
 expansion written through the star expansion (Agarwal et al., ICML 2006). Every
 operator is held as factors S (B W B^T + C) S, C and S diagonal, so a product
 costs O(pins) however large the nets, and the cells x cells matrix is never built.
+A product is two ``np.bincount`` sums; only ``to_dense`` and ``from_csr`` import scipy.
 
 The central object for filtering is the augmented normalized adjacency
 
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
@@ -53,26 +53,43 @@ class FilterTerm:
             raise ValueError(f"alpha must be finite, got {self.alpha}")
 
 
-def _self_loops(incidence: sp.csr_matrix, weights: np.ndarray) -> np.ndarray:
+def _incidence(cells: np.ndarray, nets: np.ndarray, n: int, e: int) -> tuple:
+    """B's CSR (values, indices, indptr) in scipy's dtypes, each entry's cell and net, and the counts unless all are 1.
+
+    Entries run in (cell, net) order, repeated pins merged into counts, so adding terms by cell or by net in entry
+    order sums as scipy's csr_matvec and csc_matvec do: the products are bit-identical to scipy's.
+    """
+    keys, counts = np.unique(np.multiply(cells, e, dtype=np.int64) + nets, return_counts=True)
+    rows, nets = np.divmod(keys, e)
+    index = np.int32 if max(cells.size, n, e) < 2**31 else np.int64
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(index)
+    return counts.astype(float), nets.astype(index), indptr, rows, nets, counts if keys.size < cells.size else None
+
+
+def _sum(keys: np.ndarray, terms: np.ndarray, counts: np.ndarray | None, size: int) -> np.ndarray:
+    """``terms * counts`` added into ``size`` bins in array order; float even with no terms, where bincount gives ints."""
+    return np.bincount(keys, terms if counts is None else terms * counts, minlength=size).astype(float, copy=False)
+
+
+def _self_loops(incidence: tuple, weights: np.ndarray) -> np.ndarray:
     """diag(B W B^T), each row summed in net order as the sparse product sums it."""
-    rows = np.repeat(np.arange(incidence.shape[0]), np.diff(incidence.indptr))
-    terms = incidence.data * weights[incidence.indices] * incidence.data
-    return np.bincount(rows, terms, minlength=incidence.shape[0])
+    values, _, indptr, rows, nets, counts = incidence
+    return _sum(rows, values * weights[nets], counts, indptr.size - 1)
 
 
 class SparseSymMatrix:
     """The symmetric operator S (B W B^T + C) S, held as its factors; immutable by convention.
 
-    B = ``incidence`` is a cells x nets CSR of pin counts, W = diag(weights),
-    C = diag(diag) and S = diag(scale). ``values``, ``indices``, ``indptr`` and
-    ``nnz`` are B's, the arrays every product reads.
+    B = ``incidence`` is the cells x nets pin counts as numpy CSR arrays, no
+    scipy matrix (see ``_incidence``), W = diag(weights), C = diag(diag) and
+    S = diag(scale). ``values``, ``indices``, ``indptr`` and ``nnz`` are B's.
     """
 
-    def __init__(self, incidence: sp.csr_matrix, weights: np.ndarray, diag: np.ndarray, scale: np.ndarray | None = None):
+    def __init__(self, incidence: tuple, weights: np.ndarray, diag: np.ndarray, scale: np.ndarray | None = None):
         self.incidence, self.weights, self.diag = incidence, weights, diag
-        self.scale = np.ones(incidence.shape[0]) if scale is None else scale
-        self.n, self.nnz = incidence.shape[0], incidence.nnz
-        self.values, self.indices, self.indptr = incidence.data, incidence.indices, incidence.indptr
+        self.values, self.indices, self.indptr, self.rows, self.nets, self.counts = incidence
+        self.n, self.nnz = self.indptr.size - 1, self.values.size
+        self.scale = np.ones(self.n) if scale is None else scale
 
     @classmethod
     def from_csr(cls, matrix) -> SparseSymMatrix:
@@ -81,6 +98,7 @@ class SparseSymMatrix:
         Duplicates are summed and explicit zeros dropped; a matrix that is not
         square or not symmetric raises NonSymmetricError.
         """
+        import scipy.sparse as sp  # here, not at module load: an explicit matrix is never on the filter path
         csr = sp.csr_matrix(matrix, dtype=float, copy=True)
         csr.sum_duplicates()
         if csr.shape[0] != csr.shape[1]:
@@ -90,11 +108,8 @@ class SparseSymMatrix:
             raise NonSymmetricError("matrix is not symmetric")
         upper = sp.triu(csr, k=1, format="coo")
         upper.eliminate_zeros()
-        edges = np.arange(upper.nnz)
-        incidence = sp.csr_matrix(
-            (np.ones(2 * upper.nnz), (np.concatenate([upper.row, upper.col]), np.concatenate([edges, edges]))),
-            shape=(csr.shape[0], upper.nnz),
-        )
+        pins = np.concatenate([upper.row, upper.col]), np.tile(np.arange(upper.nnz), 2)
+        incidence = _incidence(*pins, csr.shape[0], upper.nnz)
         return cls(incidence, upper.data, csr.diagonal() - _self_loops(incidence, upper.data))
 
     @cached_property
@@ -106,7 +121,8 @@ class SparseSymMatrix:
         if g.ndim > 1:  # a column at a time: numpy broadcasts an (n, 1) scale over (n, 2) rows slowly
             return np.column_stack([self._apply(col) for col in g.T])
         sg = g * self.scale
-        out = self.incidence @ (self.weights * (self.incidence.T @ sg))
+        net_sums = self.weights * _sum(self.nets, sg[self.rows], self.counts, self.weights.size)
+        out = _sum(self.rows, net_sums[self.nets], self.counts, self.n)
         out += self.diag * sg
         out *= self.scale
         return out
@@ -121,13 +137,14 @@ class SparseSymMatrix:
         """The n x n matrix, from the sparse product B W B^T; mirrored from its upper triangle, so exactly symmetric."""
         if self.n > limit:
             raise TooLargeForDenseError(self.n, limit)
-        b, s = self.incidence, self.scale
+        import scipy.sparse as sp  # here, not at module load: only the <= DENSE_LIMIT spectral paths densify
+        b, s = sp.csr_matrix((self.values, self.indices, self.indptr), shape=(self.n, self.weights.size)), self.scale
         weighted = sp.csr_matrix((b.data * self.weights[b.indices], b.indices, b.indptr), shape=b.shape)
         dense = np.triu((weighted @ b.T).toarray(), 1)
         dense *= s[:, None]
         dense *= s
         dense += dense.T
-        np.fill_diagonal(dense, (_self_loops(b, self.weights) + self.diag) * s * s)
+        np.fill_diagonal(dense, (_self_loops(self.incidence, self.weights) + self.diag) * s * s)
         return dense
 
     def __repr__(self) -> str:
@@ -152,9 +169,7 @@ def build_clique_graph(design: Design, max_clique_pins: int | None = None) -> Sp
         expand &= ~over
     kept = degree[expand]
     nets = np.repeat(np.arange(kept.size), kept)
-    incidence = sp.csr_matrix(
-        (np.ones(nets.size), (pin_cell[np.repeat(expand, degree)], nets)), shape=(design.num_cells, kept.size)
-    )
+    incidence = _incidence(pin_cell[np.repeat(expand, degree)], nets, design.num_cells, kept.size)
     weights = 2.0 / kept
     return SparseSymMatrix(incidence, weights, -_self_loops(incidence, weights))
 

@@ -872,17 +872,22 @@ def probe_words(tmp_path, code: str) -> list[str]:
     return run.stdout.split()
 
 
+SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
 def test_importing_the_cli_leaves_scipy_fft_unloaded(tmp_path):
-    """Only the placer's Poisson solve needs scipy.fft; gift, spectrum, metrics and benchgen never load it."""
-    probe = "import sys, giftplace.cli; print('scipy.fft' in sys.modules, 'scipy.sparse' in sys.modules)"
-    assert probe_words(tmp_path, probe) == ["False", "True"]
+    """Only the placer's Poisson solve and the dense spectral paths need scipy; importing the CLI loads no scipy module."""
+    probe = f"import sys, giftplace.cli; print({SCIPY_LOADED})"
+    assert probe_words(tmp_path, probe) == ["False"]
 
 
 def test_gift_leaves_scipy_fft_unloaded(tmp_path):
+    """benchgen, gift and metrics filter and measure with numpy alone: no scipy module loads."""
     probe = ("import contextlib, io, sys, giftplace.cli as cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    codes = [cli.main(['benchgen', '--cells', '50', '--seed', '1', '--out-dir', 'd']),\n"
-             "             cli.main(['gift', 'd/synth.aux', '--seed', '1', '--out', 'g.pl'])]\n"
-             "print(*codes, 'scipy.fft' in sys.modules)")
-    assert probe_words(tmp_path, probe) == ["0", "0", "False"]
+             "             cli.main(['gift', 'd/synth.aux', '--seed', '1', '--out', 'g.pl']),\n"
+             "             cli.main(['metrics', 'd/synth.aux', '--pl', 'g.pl'])]\n"
+             f"print(*codes, {SCIPY_LOADED})")
+    assert probe_words(tmp_path, probe) == ["0", "0", "0", "False"]
     assert (tmp_path / "g.pl").exists()

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from giftplace import (
@@ -275,6 +275,44 @@ def test_factored_operators_match_dense_reference(case, sigma):
     np.testing.assert_allclose(op.matmul(g), want @ g, **close)
     np.testing.assert_allclose(identity_minus(op).to_dense(), np.eye(n) - want, **close)
     np.testing.assert_allclose(identity_minus(op).matmul(g), g - want @ g, **close)
+
+
+def scipy_incidence(design: Design, cap: int | None) -> tuple[sp.csr_matrix, np.ndarray]:
+    """B as scipy builds it from the kept nets' (cell, net) pins, repeats summed, and the weights 2/M."""
+    m = np.diff(design.net_start)
+    kept = (m >= 2) & (m <= (cap if cap is not None else m.max(initial=0)))
+    nets = np.repeat(np.arange(kept.sum()), m[kept])
+    cells = design.pin_cell[np.repeat(kept, m)]
+    return sp.csr_matrix((np.ones(nets.size), (cells, nets)), shape=(design.num_cells, kept.sum())), 2.0 / m[kept]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraphs(), st.sampled_from([2.0, 4.0]))
+@example((3, [[0], [], [1]], None, np.ones((3, 2))), 2.0)  # no kept net
+@example((3, [[0, 1, 2], [2, 0]], 2, np.ones((3, 2))), 2.0)  # the cap skips a net
+@example((3, [[0, 0, 1], [2, 2, 2], [1, 2, 1]], None, np.arange(6.0).reshape(3, 2)), 4.0)  # repeated cells
+def test_incidence_and_products_are_scipys_bit_for_bit(case, sigma):
+    """B's arrays and dtypes, B (w * (B^T x)), degrees and each operator's matmul, against scipy's sparse products."""
+    n, nets, cap, g = case
+    design = design_with_nets(n, nets)
+    adj = build_clique_graph(design, cap)
+    b, w = scipy_incidence(design, cap)
+    for got, want in ((adj.values, b.data), (adj.indices, b.indices), (adj.indptr, b.indptr), (adj.weights, w)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert adj.nnz == b.nnz
+    want_degrees = b @ (w * (b.T @ np.ones(n))) + adj.diag
+    assert adj.degrees.dtype == np.float64
+    assert np.array_equal(adj.degrees, want_degrees)
+    for op in (adj, laplacian(adj), normalized_augmented_adjacency(adj, sigma)):
+        bare = SparseSymMatrix(op.incidence, op.weights, np.zeros(n))
+        for col in g.T:
+            assert np.array_equal(bare.matmul(col), b @ (op.weights * (b.T @ col)))
+        sg = g * op.scale[:, None]
+        want = (b @ (op.weights[:, None] * (b.T @ sg)) + op.diag[:, None] * sg) * op.scale[:, None]
+        got = op.matmul(g)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
 
 
 class TestCliqueGraph:
