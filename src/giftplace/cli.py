@@ -57,10 +57,8 @@ EXIT_DIVERGED = 4
 PARSE_ERRORS = (MissingFileError, MalformedLineError, DuplicateCellError, DanglingPinError)
 
 _GENERATE = inspect.signature(generate).parameters
-_COMMON = {
-    "seed": (int, 0, "random seed"),
-    "manifest": (str, None, "run manifest path"),
-}
+_MANIFEST = {"manifest": (str, None, "run manifest path")}
+_SEEDED = {"seed": (int, 0, "random seed"), **_MANIFEST}
 _TERMS = (str, None, "filter terms sigma:k:alpha,... (default: the paper's three terms)")
 _JITTER = (float, GiftConfig.jitter_scale, "initial jitter scale (default: a quarter of the smaller region side)")
 _BINS = (str, None, "density bins, N or NXxNY (default: sized per design)")
@@ -75,7 +73,7 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         "terms": _TERMS,
         "jitter": _JITTER,
         "max_clique_pins": _MAX_CLIQUE_PINS,
-        **_COMMON,
+        **_SEEDED,
     },
     "place": {
         "init": (str, "center", "center|gift|eigen|file:PATH"),
@@ -92,14 +90,14 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         "terms": _TERMS,
         "jitter": _JITTER,
         "max_clique_pins": _MAX_CLIQUE_PINS,
-        **_COMMON,
+        **_SEEDED,
     },
     "spectrum": {
         "sigma": (str, "0,1,2,3", "comma list of self-loop weights"),
         "k": (str, "1,2,4", "comma list of filter powers"),
         "out_dir": (str, ".", "directory for CSV outputs"),
         "max_clique_pins": _MAX_CLIQUE_PINS,
-        **_COMMON,
+        **_MANIFEST,
     },
     "metrics": {
         "pl": (str, None, "placement to evaluate (default: the design's .pl)"),
@@ -107,7 +105,7 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         "bins": _BINS,
         "rho_t": _RHO_T,
         "max_clique_pins": _MAX_CLIQUE_PINS,
-        **_COMMON,
+        **_MANIFEST,
     },
     "benchgen": {
         "cells": (int, 100, "movable cell count (>= 4)"),
@@ -119,7 +117,7 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         "utilization": (float, _GENERATE["utilization"].default, "movable area over region area"),
         "out_dir": (str, ".", "output directory"),
         "name": (str, "synth", "benchmark file stem"),
-        **_COMMON,
+        **_SEEDED,
     },
 }
 
@@ -200,23 +198,13 @@ def _grid_config(opts: dict) -> GridConfig:
     return GridConfig(nx=nx, ny=ny, rho_t=opts["rho_t"])
 
 
-def _json_safe(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
-
-
 def _write_manifest(path: str, command: str, opts: dict, outputs: dict, timings: list) -> None:
     doc = {
         "tool": "giftplace",
         "version": __version__,
         "command": command,
-        "options": _json_safe(opts),
-        "outputs": _json_safe(outputs),
+        "options": opts,
+        "outputs": outputs,
         "timings": [{"phase": p, "seconds": s} for p, s in timings],
     }
     with open(path, "w") as f:
@@ -264,10 +252,12 @@ def run_place(opts: dict) -> int:
     )
     gconfig = _gift_config(opts)
     cap = _clique_cap(opts)
+    init = opts["init"]
+    if init not in ("center", "gift", "eigen") and not init.startswith("file:"):
+        raise ValueError(f"unknown --init {init!r} (expected center|gift|eigen|file:PATH)")
     design, t_parse = _timed(parse_design, opts["aux"])
     timings = [("parse", t_parse)]
 
-    init = opts["init"]
     if init == "center":
         g0 = np.tile(design.region.center, (design.num_cells, 1))
     elif init == "gift":
@@ -282,10 +272,8 @@ def run_place(opts: dict) -> int:
         basis, t_eigen = _timed(eigendecompose, identity_minus(normalized_augmented_adjacency(adj, 0.0)))
         timings.append(("eigen", t_eigen))
         g0 = eigenvector_placement(basis, design.region)
-    elif init.startswith("file:"):
-        g0 = read_placement(design, init[len("file:"):])
     else:
-        raise ValueError(f"unknown --init {init!r} (expected center|gift|eigen|file:PATH)")
+        g0 = read_placement(design, init[len("file:"):])
 
     (g_final, trace), t_place = _timed(run_placer, design, g0, pconfig)
     timings.append(("place", t_place))
@@ -364,7 +352,7 @@ def run_metrics(opts: dict) -> int:
     )
     opts.update(manifest=manifest)
     outputs = {}
-    text = json.dumps(_json_safe(rep), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
     if opts.get("out"):
         with open(opts["out"], "w") as f:
             f.write(text)
@@ -460,12 +448,13 @@ HANDLERS = {
 # argument parsing
 
 
-def _add_options(p: argparse.ArgumentParser, options: dict[str, tuple]) -> None:
+def _add_options(p: argparse.ArgumentParser, options: dict[str, tuple], config: bool = True) -> None:
     for key, (kind, default, text) in options.items():
         if default is not None:
             text = f"{text} (default {default})"
         p.add_argument("--" + key.replace("_", "-"), type=kind, default=argparse.SUPPRESS, help=text)
-    p.add_argument("--config", default=argparse.SUPPRESS, help="key=value config file; flags override")
+    if config:
+        p.add_argument("--config", default=argparse.SUPPRESS, help="key=value config file; flags override")
     p.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
 
 
@@ -485,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summarize a run manifest, or replay it")
     p.add_argument("manifest_path", help="manifest JSON from a previous run")
     p.add_argument("--replay", action="store_true", help="re-execute the recorded run")
-    _add_options(p, {"out_dir": (str, None, "output directory for the replay"), **_COMMON})
+    _add_options(p, {"out_dir": (str, None, "output directory for the replay")}, config=False)
     return parser
 
 
@@ -494,7 +483,7 @@ def _load_config(path: str, command: str) -> dict:
     if not os.path.isfile(path):
         raise MissingFileError(path)
     values: dict = {}
-    options = OPTIONS.get(command, {})
+    options = OPTIONS[command]
     with open(path, "rb") as f:
         text = decode(path, f.read())
     for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
@@ -518,7 +507,9 @@ def _load_config(path: str, command: str) -> dict:
 
 def _resolve(command: str, ns: argparse.Namespace) -> dict:
     provided = {k: v for k, v in vars(ns).items() if k not in ("command", "verbose")}
-    opts = {key: default for key, (_, default, _) in OPTIONS.get(command, {}).items()}
+    if command == "report":  # its options are the manifest's
+        return provided
+    opts = {key: default for key, (_, default, _) in OPTIONS[command].items()}
     config_path = provided.pop("config", None)
     if config_path:
         opts.update(_load_config(config_path, command))

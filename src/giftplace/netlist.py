@@ -617,25 +617,13 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
     return corners, fixed
 
 
-def _data_lines(path: str):
-    """Yield (line number, tokens joined by single spaces) of each kept line."""
-    for chunk in _lex(path):
-        for lineno, f, c in zip(chunk.lineno.tolist(), chunk.first.tolist(), chunk.counts.tolist()):
-            yield lineno, " ".join(chunk.tokens[f:f + c])
-
-
-def _header_value(line: str) -> str | None:
-    """Value of a 'Key : value' header line, or None if no colon."""
-    _, colon, value = line.partition(":")
-    return value.strip() if colon else None
-
-
 def _parse_scl(path: str) -> list[Row]:
+    """The complete ``CoreRow`` blocks; a value follows its line's first ':'."""
     rows: list[Row] = []
     in_row = False
     cur: dict[str, float] = {}
-    for lineno, line in _data_lines(path):
-        first = line.split(None, 1)[0]
+    for lineno, tokens in ((n, chunk.row(i)) for chunk in _lex(path) for i, n in enumerate(chunk.lineno.tolist())):
+        first = tokens[0]
         if first == "CoreRow":
             in_row = True
             cur = {"site_width": 1.0}
@@ -645,20 +633,14 @@ def _parse_scl(path: str) -> list[Row]:
         if first == "End":
             in_row = False
             if {"y", "height", "x", "num_sites"} <= cur.keys():
-                rows.append(
-                    Row(
-                        y=cur["y"],
-                        height=cur["height"],
-                        x=cur["x"],
-                        num_sites=int(cur["num_sites"]),
-                        site_width=cur["site_width"],
-                    )
-                )
+                rows.append(Row(y=cur["y"], height=cur["height"], x=cur["x"], num_sites=int(cur["num_sites"]),
+                                site_width=cur["site_width"]))
             else:
                 log.warning("%s:%d: incomplete CoreRow block skipped", path, lineno)
             continue
-        value = _header_value(line)
-        if value is None:
+        line = " ".join(tokens)
+        _, colon, value = line.partition(":")
+        if not colon:
             continue
         try:
             if first == "Coordinate":
@@ -677,6 +659,9 @@ def _parse_scl(path: str) -> list[Row]:
             raise _malformed(path, lineno, "malformed row attribute")
         if not all(map(math.isfinite, cur.values())):
             raise _malformed(path, lineno, "row attributes must be finite")
+        sites = cur.get("num_sites", 0.0)
+        if sites < 0 or sites % 1:
+            raise _malformed(path, lineno, "NumSites must be a whole number >= 0")
     return rows
 
 
@@ -691,22 +676,25 @@ def _region_from_rows(rows: list[Row]) -> Region:
 def aux_files(aux_path: str) -> dict[str, str]:
     """Resolve the .aux manifest to {extension: absolute path}.
 
-    Requires .nodes/.nets/.pl entries; .scl is optional; other entries are
-    skipped with a warning. Listed-but-missing files raise MissingFileError.
+    Requires .nodes/.nets/.pl entries; .scl is optional; a second entry of one of
+    these kinds raises MalformedLineError; other entries are skipped with a
+    warning. Listed-but-missing files raise MissingFileError.
     """
     if not os.path.isfile(aux_path):
         raise MissingFileError(aux_path)
     base = os.path.dirname(os.path.abspath(aux_path))
-    listed: list[str] = []
-    for lineno, line in _data_lines(aux_path):
-        value = _header_value(line)
-        if value is None:
+    listed: list[tuple[int, str]] = []
+    for lineno, tokens in ((n, chunk.row(i)) for chunk in _lex(aux_path) for i, n in enumerate(chunk.lineno.tolist())):
+        _, colon, value = " ".join(tokens).partition(":")
+        if not colon:
             raise _malformed(aux_path, lineno, "expected 'Tag : file ...'")
-        listed.extend(value.split())
+        listed += [(lineno, fname) for fname in value.split()]
     by_ext: dict[str, str] = {}
-    for fname in listed:
+    for lineno, fname in listed:
         ext = os.path.splitext(fname)[1]
         path = os.path.join(base, fname)
+        if ext in by_ext:
+            raise _malformed(aux_path, lineno, f"second {ext} entry {fname!r}; exactly one is allowed")
         if ext in (".nodes", ".nets", ".pl", ".scl"):
             if not os.path.isfile(path):
                 raise MissingFileError(path)

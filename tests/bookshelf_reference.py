@@ -3,7 +3,10 @@
 It is kept as the reference the chunked reader is tested against: the same
 arrays and warnings, or the same exception, message and line number. The
 functions are those of ``giftplace.netlist`` at the time, unchanged; only the
-calls into the chunked reader's predecessor are left out.
+calls into the chunked reader's predecessor are left out. ``_parse_scl`` is the
+``.scl`` reader from before it took its tokens from the chunked lexer; it quotes
+its errors' lines itself, as ``netlist._malformed`` does, and truncates a
+fractional ``NumSites``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 import numpy as np
 
 from giftplace.errors import DanglingPinError, DuplicateCellError, MalformedLineError
+from giftplace.netlist import Row
 
 log = logging.getLogger("giftplace.netlist")
 
@@ -181,3 +185,53 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
         xs[i], ys[i] = x, y
         fixed[i] = any(t == "/FIXED" or t == "/FIXED_NI" for t in tokens[3:])
     return np.column_stack((xs, ys)), np.array(fixed, dtype=bool)
+
+
+def _parse_scl(path: str) -> list[Row]:
+    rows: list[Row] = []
+    in_row = False
+    cur: dict[str, float] = {}
+    for lineno, line in _data_lines(path):
+        first = line.split(None, 1)[0]
+        if first == "CoreRow":
+            in_row = True
+            cur = {"site_width": 1.0}
+            continue
+        if not in_row:
+            continue  # NumRows and anything else outside a block
+        if first == "End":
+            in_row = False
+            if {"y", "height", "x", "num_sites"} <= cur.keys():
+                rows.append(
+                    Row(
+                        y=cur["y"],
+                        height=cur["height"],
+                        x=cur["x"],
+                        num_sites=int(cur["num_sites"]),
+                        site_width=cur["site_width"],
+                    )
+                )
+            else:
+                log.warning("%s:%d: incomplete CoreRow block skipped", path, lineno)
+            continue
+        value = _header_value(line)
+        if value is None:
+            continue
+        try:
+            if first == "Coordinate":
+                cur["y"] = float(value)
+            elif first == "Height":
+                cur["height"] = float(value)
+            elif first == "Sitewidth":
+                cur["site_width"] = float(value)
+            elif first == "SubrowOrigin":
+                # SubrowOrigin : x NumSites : s
+                parts = line.replace(":", " ").split()
+                cur["x"] = float(parts[1])
+                if "NumSites" in parts:
+                    cur["num_sites"] = float(parts[parts.index("NumSites") + 1])
+        except (ValueError, IndexError):
+            raise MalformedLineError(path, lineno, line, "malformed row attribute")
+        if not all(map(math.isfinite, cur.values())):
+            raise MalformedLineError(path, lineno, line, "row attributes must be finite")
+    return rows

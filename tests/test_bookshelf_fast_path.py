@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import os
 import re
 from unittest import mock
@@ -64,8 +65,8 @@ MUTATIONS = ["drop-token", "dup-token", "alter-token", "drop-line", "dup-line", 
              "\xa0", "\x85", "\u3000"]
 
 
-def _mutate(text: str, kind: str, rnd) -> str:
-    """One edit of a file's text at a place drawn from ``rnd``."""
+def _mutate(text: str, kind: str, rnd, token_pool: list[str] = TOKENS, line_pool: list[str] = LINES) -> str:
+    """One edit of a file's text at a place drawn from ``rnd``; new tokens and lines come from the pools."""
     if kind == "crlf":
         return text.replace("\n", "\r\n")
     lines = text.split("\n")
@@ -81,7 +82,7 @@ def _mutate(text: str, kind: str, rnd) -> str:
         elif kind == "dup-token":
             tokens.insert(j, tokens[j])
         elif kind == "alter-token":
-            tokens[j] = rnd.choice(TOKENS)
+            tokens[j] = rnd.choice(token_pool)
         else:
             tokens.insert(j, "\n")
         lines[i] = " ".join(tokens).replace(" \n ", "\n").replace("\n ", "\n")
@@ -90,9 +91,9 @@ def _mutate(text: str, kind: str, rnd) -> str:
     elif kind == "dup-line":
         lines.insert(i, lines[i])
     elif kind == "insert-line":
-        lines.insert(i, rnd.choice(LINES))
+        lines.insert(i, rnd.choice(line_pool))
     elif kind == "alter-line":
-        lines[i] = rnd.choice(LINES)
+        lines[i] = rnd.choice(line_pool)
     elif kind == "join-lines" and i + 1 < len(lines):
         lines[i:i + 2] = [lines[i] + " " + lines[i + 1]]
     elif kind == "comment":
@@ -260,3 +261,51 @@ def test_mutated_files_parse_as_the_line_parser_parses_them(tmp_path_factory, ba
         if ext == ".pl" and name is None:
             design = BASES[base]
             _assert_same(_outcome(read_placement, design, paths[".pl"]), _by_line(read_placement, design, paths[".pl"]))
+
+
+# .scl tokens and lines: whole, fractional and negative site counts, glued and misplaced colons
+SCL_TOKENS = ["0", "1", "10", "10.0", "1e1", "-3", "-4.5", "9.9", "-0", "nan", "inf", "x", ":", ":5", "5:", "NumSites",
+              "CoreRow", "End", "Coordinate", "Height", "SubrowOrigin", "UCLA"]
+SCL_LINES = ["", "# note", "UCLA scl 1.0", "NumRows : 3", "CoreRow Horizontal", "End", "Coordinate : 2", "Coordinate:2",
+             "Coordinate 5 : 1", "Height : 1", "Height : nan", "Sitewidth : 0.5", "Sitewidth : inf", "Siteorient : N",
+             "SubrowOrigin : -4.5 NumSites : 9", "SubrowOrigin:3 NumSites:7", "SubrowOrigin : 1 NumSites",
+             "SubrowOrigin : 1", "SubrowOrigin : 2 NumSites : 9.9", "SubrowOrigin : 0 NumSites : -2",
+             "SubrowOrigin : 0 NumSites : inf", "SubrowOrigin : nan NumSites : 0.5"]
+# edits that reach the row values more often than the generic ones do
+SCL_MUTATIONS = MUTATIONS + ["alter-token"] * 8 + ["alter-line", "insert-line"] * 4
+
+
+def _lineno(warning: str) -> int:
+    return int(re.search(r":(\d+): ", warning).group(1))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, len(BASES) - 1), kinds=st.lists(st.sampled_from(SCL_MUTATIONS), max_size=4),
+       chunk=st.sampled_from([24, 200, 1 << 19]), rnd=st.randoms(use_true_random=False))
+def test_mutated_scl_parses_as_the_line_parser_parses_it(tmp_path_factory, base, kinds, chunk, rnd):
+    """The same rows and warnings, or the same exception, message and line, as the reference, except
+    that a fractional or negative ``NumSites``, which the reference truncates, is an error at its line."""
+    tmp_dir = str(tmp_path_factory.mktemp("scl"))
+    _written(tmp_dir, base)
+    path = os.path.join(tmp_dir, "d.scl")
+    with open(path, newline="") as f:
+        text = f.read()
+    for kind in kinds:
+        text = _mutate(text, kind, rnd, SCL_TOKENS, SCL_LINES)
+    with open(path, "w", newline="") as f:
+        f.write(text)
+    with mock.patch.object(netlist, "CHUNK_BYTES", chunk):
+        chunked = _outcome(netlist._parse_scl, path)
+    by_line = _outcome(reference._parse_scl, path)
+    value, warnings = chunked
+    if not (isinstance(value, tuple) and "NumSites must be a whole number >= 0" in value[1]):
+        return _assert_same(chunked, by_line)
+    # the reference read that line without an error, and warned alike before it
+    lineno = value[2]
+    with open(path) as f:
+        parts = list(f)[lineno - 1].split("#", 1)[0].replace(":", " ").split()
+    sites = float(parts[parts.index("NumSites") + 1])
+    assert math.isfinite(sites) and (sites < 0 or sites != int(sites))
+    ref_value, ref_warnings = by_line
+    assert isinstance(ref_value, list) or ref_value[2] > lineno
+    assert warnings == [w for w in ref_warnings if _lineno(w) < lineno]

@@ -89,6 +89,17 @@ class TestGift:
         assert code == 1
         assert "broken.nodes" in err
 
+    def test_aux_naming_two_nodes_files_exit_1(self, bench, tmp_path, capsys):
+        aux = Path(bench)
+        (aux.parent / "other.nodes").write_bytes(aux.with_suffix(".nodes").read_bytes())
+        aux.write_text("RowBasedPlacement : other.nodes synth.nodes synth.nets synth.pl synth.scl\n")
+        out = tmp_path / "g.pl"
+        code, stdout, err = run_cli(capsys, "gift", bench, "--out", str(out))
+        assert code == 1
+        assert err.count("\n") == 1
+        assert f"{bench}:1: second .nodes entry 'synth.nodes'" in err
+        assert stdout == "" and not out.exists()
+
 
 def poison_c0(aux: str, ext: str, column: int, value: str) -> int:
     """Overwrite one number on cell c0's line of the design's ``ext`` file; return the line number."""
@@ -535,6 +546,7 @@ class TestUnusableOptions:
             ("place", ["--jitter", "-1"]),
             ("place", ["--bins", "x"]),
             ("metrics", ["--bins", "x"]),
+            ("place", ["--init", "foo"]),
         ],
     )
     def test_filter_and_grid_options_checked_before_parsing(self, tmp_path, capsys, command, flags):
@@ -609,6 +621,35 @@ class TestUnusableOptions:
             assert default in text
 
 
+class TestRemovedOptions:
+    """Options that no code read are gone: --seed of metrics and spectrum, and report's
+    --seed, --manifest and --config. Each now exits 2 at argument parsing."""
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("metrics", "--seed"), ("spectrum", "--seed"), ("report", "--seed"), ("report", "--manifest"), ("report", "--config")],
+    )
+    def test_exit_2(self, bench, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "run.manifest.json" if command == "report" else bench, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,options",
+        [
+            ("metrics", "--bins --config --manifest --max-clique-pins --out --pl --rho-t --verbose"),
+            ("spectrum", "--config --k --manifest --max-clique-pins --out-dir --sigma --verbose"),
+            ("report", "--out-dir --replay --verbose"),
+        ],
+        ids=["metrics", "spectrum", "report"],
+    )
+    def test_help_lists_the_options_read(self, capsys, command, options):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert " ".join(sorted(set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"})) == options
+
+
 class TestManifestPhases:
     """The timed phases a manifest records, per command and start."""
 
@@ -676,6 +717,52 @@ class TestReportReplay:
         assert (replay_dir / "p.pl.trace.csv").read_bytes() == (
             tmp_path / "p.pl.trace.csv"
         ).read_bytes()
+
+    def test_replay_verbose(self, bench, tmp_path, capsys):
+        out = tmp_path / "g.pl"
+        code, _, _ = run_cli(capsys, "gift", bench, "--out", str(out), "--seed", "4")
+        assert code == 0
+        replay_dir = tmp_path / "replay"
+        code, _, _ = run_cli(capsys, "report", str(tmp_path / "g.pl.manifest.json"), "--replay", "-v", "--out-dir", str(replay_dir))
+        assert code == 0
+        assert (replay_dir / "g.pl").read_bytes() == out.read_bytes()
+
+    @staticmethod
+    def record_seed(manifest: Path) -> None:
+        """Record a ``seed`` option, as every metrics and spectrum manifest once did."""
+        doc = json.loads(manifest.read_text())
+        doc["options"]["seed"] = 3
+        manifest.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("seed", [False, True], ids=["as-written", "recording-seed"])
+    def test_metrics_replay_byte_identical(self, bench, tmp_path, capsys, seed):
+        out = tmp_path / "m.json"
+        code, stdout, _ = run_cli(capsys, "metrics", bench, "--out", str(out))
+        assert code == 0
+        manifest = tmp_path / "m.json.manifest.json"
+        if seed:
+            self.record_seed(manifest)
+        replay_dir = tmp_path / "replay"
+        code, replayed, _ = run_cli(capsys, "report", str(manifest), "--replay", "--out-dir", str(replay_dir))
+        assert code == 0
+        assert replayed == stdout
+        assert (replay_dir / "m.json").read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("seed", [False, True], ids=["as-written", "recording-seed"])
+    def test_spectrum_replay_byte_identical(self, bench, tmp_path, capsys, seed):
+        out = tmp_path / "spec"
+        code, stdout, _ = run_cli(capsys, "spectrum", bench, "--sigma", "0,2", "--k", "1,3", "--out-dir", str(out))
+        assert code == 0
+        if seed:
+            self.record_seed(out / "spectrum.manifest.json")
+        replay_dir = tmp_path / "replay"
+        code, replayed, _ = run_cli(capsys, "report", str(out / "spectrum.manifest.json"), "--replay", "--out-dir", str(replay_dir))
+        assert code == 0
+        assert replayed == stdout
+        written = sorted(p.name for p in out.glob("*.csv"))
+        assert len(written) == 6 and sorted(p.name for p in replay_dir.glob("*.csv")) == written
+        for name in written:
+            assert (replay_dir / name).read_bytes() == (out / name).read_bytes()
 
     def test_benchgen_replay_byte_identical(self, tmp_path, capsys):
         first = tmp_path / "first"

@@ -195,6 +195,24 @@ class TestParseErrors:
         with pytest.raises(MissingFileError):
             aux_files(str(aux))
 
+    @pytest.mark.parametrize(
+        "text,lineno,entry",
+        [
+            ("RowBasedPlacement : other.nodes tiny.nodes tiny.nets tiny.pl\n", 1, "tiny.nodes"),
+            ("RowBasedPlacement : tiny.nodes tiny.nets tiny.pl tiny.scl\nMore : tiny.pl\n", 2, "tiny.pl"),
+            ("RowBasedPlacement : tiny.nodes tiny.nets tiny.pl tiny.scl tiny.scl\n", 1, "tiny.scl"),
+        ],
+        ids=["nodes", "pl-on-a-second-line", "scl"],
+    )
+    def test_aux_naming_a_kind_twice(self, tmp_path, text, lineno, entry):
+        write_corpus(tmp_path)
+        (tmp_path / "other.nodes").write_text(NODES)
+        (tmp_path / "tiny.aux").write_text(text)
+        with pytest.raises(MalformedLineError) as exc:
+            aux_files(str(tmp_path / "tiny.aux"))
+        assert exc.value.lineno == lineno
+        assert exc.value.reason.startswith(f"second {entry[4:]} entry {entry!r}")
+
     def test_duplicate_cell(self, tmp_path):
         nodes = NODES + "  a 1 1\n"
         with pytest.raises(DuplicateCellError):
@@ -268,12 +286,23 @@ class TestParseErrors:
             ("  Sitewidth : 1", "  Sitewidth : -inf", 6),
             ("SubrowOrigin : 0 NumSites", "SubrowOrigin : nan NumSites", 7),
             ("NumSites : 10", "NumSites : inf", 7),
+            # a site count that int() would truncate, or a negative one
+            ("SubrowOrigin : 0 NumSites : 10", "SubrowOrigin : -4.5 NumSites : 9.9", 7),
+            ("NumSites : 10", "NumSites : -3", 7),
+            ("NumSites : 10", "NumSites : -0.5", 7),
         ],
     )
     def test_nonfinite_row_attribute(self, tmp_path, line, bad, lineno):
         with pytest.raises(MalformedLineError) as exc:
             parse_design(write_corpus(tmp_path, scl=SCL.replace(line, bad, 1)))
         assert exc.value.lineno == lineno
+        nonfinite = "nan" in bad or "inf" in bad
+        assert exc.value.reason == ("row attributes must be finite" if nonfinite else "NumSites must be a whole number >= 0")
+
+    @pytest.mark.parametrize("sites", ["10.0", "1e1", "+10", "010"])
+    def test_whole_site_count_in_any_spelling(self, tmp_path, sites):
+        rows = parse_design(write_corpus(tmp_path, scl=SCL.replace("NumSites : 10", f"NumSites : {sites}"))).region.rows
+        assert [r.num_sites for r in rows] == [10, 10]
 
     def test_error_carries_location(self, tmp_path):
         nets = NETS.replace("  b I\n", "  ghost I\n")
