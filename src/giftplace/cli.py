@@ -38,7 +38,6 @@ from .graph import (
     FilterTerm,
     build_clique_graph,
     identity_minus,
-    laplacian,
     normalized_augmented_adjacency,
 )
 from .metrics import GridConfig, report as metrics_report
@@ -212,6 +211,11 @@ def _write_manifest(path: str, command: str, opts: dict, outputs: dict, timings:
         f.write("\n")
 
 
+def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
+    """One row per entry of the equal-length ``columns``, each value to 10 significant digits."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.10g", delimiter=",", header=header, comments="")
+
+
 def _timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
     result = fn(*args, **kwargs)
@@ -319,16 +323,12 @@ def run_spectrum(opts: dict) -> int:
         counts, edges = np.histogram(basis.lambdas, bins=50, range=(0.0, 2.0))
         centers = 0.5 * (edges[:-1] + edges[1:])
         hist_path = os.path.join(out_dir, f"eig_hist_sigma{sigma:g}.csv")
-        with open(hist_path, "w") as f:
-            f.write("lambda,count\n")
-            for c, cnt in zip(centers, counts):
-                f.write(f"{c:.10g},{int(cnt)}\n")
+        _write_csv(hist_path, "lambda,count", centers, counts)
         outputs[f"hist_sigma{sigma:g}"] = hist_path
         summary[f"lambda_max_sigma{sigma:g}"] = float(basis.lambdas[-1])
         for k in ks:
-            resp = filter_response(sigma, k, basis.lambdas)
             resp_path = os.path.join(out_dir, f"response_sigma{sigma:g}_k{k}.csv")
-            resp.write_csv(resp_path)
+            _write_csv(resp_path, "lambda,h", basis.lambdas, filter_response(k, basis.lambdas))
             outputs[f"response_sigma{sigma:g}_k{k}"] = resp_path
     timings = [("parse", t_parse), ("graph", t_graph), ("spectrum", time.perf_counter() - t0)]
     _write_manifest(manifest, "spectrum", opts, outputs, timings)
@@ -343,8 +343,7 @@ def run_metrics(opts: dict) -> int:
     pl_path = opts.get("pl") or aux_files(opts["aux"])[".pl"]
     g = read_placement(design, pl_path)
     adj, t_graph = _timed(build_clique_graph, design, cap)
-    lap = laplacian(adj)
-    rep = metrics_report(design, adj, lap, g, grid)
+    rep = metrics_report(design, adj, g, grid)
 
     manifest = opts["manifest"] or (
         opts["out"] + ".manifest.json" if opts.get("out")
@@ -397,8 +396,12 @@ def _manifest_problem(doc) -> str | None:
         return f"options lack {missing!r}"
     # a value has its option's type (an int also fits a float, a bool fits none), or is null where the default is
     table = {**OPTIONS[command], "aux": (str, "", "")}
+    if command in ("metrics", "spectrum"):  # recorded by their manifests before they lost --seed; a replay drops it
+        table["seed"] = _SEEDED["seed"]
     for key, value in options.items():
-        if key not in table or (value is None and table[key][1] is None):
+        if key not in table:
+            return f"unknown option {key!r}"
+        if value is None and table[key][1] is None:
             continue
         kind = table[key][0]
         if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
@@ -425,7 +428,7 @@ def run_report(opts: dict) -> int:
     if not out_dir:
         raise ValueError("--replay requires --out-dir")
     os.makedirs(out_dir, exist_ok=True)
-    new_opts = dict(doc["options"])
+    new_opts = {k: v for k, v in doc["options"].items() if k in OPTIONS[doc["command"]] or k == "aux"}
     for key in OUTPUT_KEYS:
         if key == "out_dir" and key in new_opts:
             new_opts[key] = out_dir

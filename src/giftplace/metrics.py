@@ -222,22 +222,17 @@ def max_bin_density(grid: DensityGrid) -> float:
     return float(grid.rho.max()) / grid.bin_area if grid.rho.size else 0.0
 
 
-def report(
-    design: Design,
-    adj: SparseSymMatrix,
-    laplacian: SparseSymMatrix,
-    g: np.ndarray,
-    grid: GridConfig | None = None,
-) -> dict:
-    """Summary metrics as a JSON-ready dict.
+def report(design: Design, adj: SparseSymMatrix, g: np.ndarray, grid: GridConfig | None = None) -> dict:
+    """Summary metrics as a JSON-ready dict; the Rayleigh quotients use the Laplacian of ``adj``.
 
     Raises GiftPlaceError naming the first metric that is not finite, as
     coordinates far outside any region make them.
     """
+    lap = laplacian(adj)
 
     def _rayleigh(col: np.ndarray) -> float | None:
         try:
-            return rayleigh_smoothness(laplacian, col)
+            return rayleigh_smoothness(lap, col)
         except ZeroSignalError:
             return None
 

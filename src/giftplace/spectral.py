@@ -31,20 +31,6 @@ class SpectralBasis:
         return self.lambdas.shape[0]
 
 
-@dataclass
-class FilterResponse:
-    """Sampled response curve h(lambda) with a label for plotting."""
-
-    samples: list[tuple[float, float]]
-    label: str
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write("lambda,h\n")
-            for lam, h in self.samples:
-                f.write(f"{lam:.10g},{h:.10g}\n")
-
-
 def eigendecompose(mat: SparseSymMatrix, limit: int = DENSE_LIMIT) -> SpectralBasis:
     """Full dense eigensystem, eigenvalues ascending."""
     lambdas, u = np.linalg.eigh(mat.to_dense(limit))
@@ -71,28 +57,17 @@ def eigenvector_placement(basis: SpectralBasis, region: Region | None = None) ->
     g = np.column_stack([basis.U[:, 1], basis.U[:, 2]])
     if region is None:
         return g
-    return _rescale_to(g, region)
+    lo, hi = np.array([region.xmin, region.ymin]), np.array([region.xmax, region.ymax])
+    gmin, span = g.min(axis=0), np.ptp(g, axis=0)
+    spread = span > 0  # an axis of one value goes to the region's middle
+    return np.where(spread, lo + (g - gmin) * (hi - lo) / np.where(spread, span, 1.0), 0.5 * (lo + hi))
 
 
-def _rescale_to(g: np.ndarray, region: Region) -> np.ndarray:
-    out = np.empty_like(g)
-    for axis, (lo, hi) in enumerate(((region.xmin, region.xmax), (region.ymin, region.ymax))):
-        col = g[:, axis]
-        span = col.max() - col.min()
-        if span <= 0:
-            out[:, axis] = 0.5 * (lo + hi)
-        else:
-            out[:, axis] = lo + (col - col.min()) * (hi - lo) / span
-    return out
-
-
-def filter_response(sigma: float, k: int, lambdas: np.ndarray) -> FilterResponse:
-    """Response (1 - lambda)^k at each supplied eigenvalue of I - A_sigma."""
+def filter_response(k: int, lambdas: np.ndarray) -> np.ndarray:
+    """Response h = (1 - lambda)^k of the k-th filter power at each supplied eigenvalue of I - A_sigma."""
     if k < 1:
         raise ValueError(f"power k must be >= 1, got {k}")
-    lams = np.asarray(lambdas, dtype=float)
-    samples = [(float(lam), float((1.0 - lam) ** k)) for lam in lams]
-    return FilterResponse(samples=samples, label=f"sigma={sigma:g},k={k}")
+    return (1.0 - np.asarray(lambdas, dtype=float)) ** k
 
 
 def taylor_gap(lam: float) -> float:

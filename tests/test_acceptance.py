@@ -85,7 +85,7 @@ def paired_runs():
         design = generate(cells=5000, seed=seed)
         adj = build_clique_graph(design)
         g_gift = gift_place(design, adj, GiftConfig(seed=seed))
-        movable = ~design.fixed_mask()
+        movable = ~design.fixed
         g_center = np.array(design.fixed_xy)
         g_center[movable] = [design.region.center[0], design.region.center[1]]
         config = PlacerConfig(stop_overflow=0.15, seed=seed)
@@ -169,9 +169,7 @@ def test_higher_filter_powers_attenuate_more(corpus_spectra):
                 identity_minus(normalized_augmented_adjacency(adj, sigma))
             ).lambdas
             lams = lams[(lams >= 0.0) & (lams <= 1.0)]
-            h1 = np.array([h for _, h in filter_response(sigma, 1, lams).samples])
-            h2 = np.array([h for _, h in filter_response(sigma, 2, lams).samples])
-            h4 = np.array([h for _, h in filter_response(sigma, 4, lams).samples])
+            h1, h2, h4 = (filter_response(k, lams) for k in (1, 2, 4))
             ok = ok and bool(np.all(h4 <= h2) and np.all(h2 <= h1))
             checked += lams.size
     verdict(
@@ -209,7 +207,7 @@ def test_placer_gradients_match_finite_differences():
             rng.uniform(region.xmin + 1.0, region.xmax - 1.0, design.num_cells),
             rng.uniform(region.ymin + 1.0, region.ymax - 1.0, design.num_cells),
         ])
-        fixed = design.fixed_mask()
+        fixed = design.fixed
         g[fixed] = design.fixed_xy[fixed]
         movable = np.flatnonzero(~fixed)
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from giftplace import parse_design, read_placement, write_placement
-from giftplace.cli import main
+from giftplace.cli import _write_csv, main
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -307,7 +307,7 @@ class TestPlace:
         design = parse_design(bench)
         rng = np.random.default_rng(5)
         g = np.array(design.fixed_xy)
-        movable = ~design.fixed_mask()
+        movable = ~design.fixed
         g[movable, 0] = rng.uniform(design.region.xmin + 1, design.region.xmax - 1, movable.sum())
         g[movable, 1] = rng.uniform(design.region.ymin + 1, design.region.ymax - 1, movable.sum())
         custom = tmp_path / "custom.pl"
@@ -375,6 +375,18 @@ class TestSpectrum:
         summary = json.loads(stdout)
         lam_max = [summary[f"lambda_max_sigma{s}"] for s in (0, 1, 2, 3)]
         assert all(b <= a + 1e-12 for a, b in zip(lam_max, lam_max[1:]))
+
+    def test_csv_rows_match_the_fstring_format(self, tmp_path):
+        """_write_csv writes what ``f"{x:.10g}"`` per value, and ``int`` per histogram count, would."""
+        values = np.array([-0.0, 1e-300, 0.1 + 0.2, 1e16, 123456789012.0, np.nan, np.inf, -np.inf, 0.5, 2.0 / 3.0])
+        counts = np.array([0, 1, 7, 50, 2000, 123456, 0, 9999999999, 3, 40])
+        path = tmp_path / "out.csv"
+        _write_csv(str(path), "lambda,h", values, values[::-1])
+        rows = "".join(f"{x:.10g},{h:.10g}\n" for x, h in zip(values, values[::-1]))
+        assert path.read_bytes() == ("lambda,h\n" + rows).encode()
+        _write_csv(str(path), "lambda,count", values, counts)
+        rows = "".join(f"{x:.10g},{int(c)}\n" for x, c in zip(values, counts))
+        assert path.read_bytes() == ("lambda,count\n" + rows).encode()
 
     def test_empty_design_exit_1(self, tmp_path, capsys):
         (tmp_path / "e.nodes").write_text("UCLA nodes 1.0\nNumNodes : 0\nNumTerminals : 0\n")
@@ -747,6 +759,7 @@ class TestReportReplay:
         assert code == 0
         assert replayed == stdout
         assert (replay_dir / "m.json").read_bytes() == out.read_bytes()
+        assert "seed" not in json.loads((replay_dir / "m.json.manifest.json").read_text())["options"]
 
     @pytest.mark.parametrize("seed", [False, True], ids=["as-written", "recording-seed"])
     def test_spectrum_replay_byte_identical(self, bench, tmp_path, capsys, seed):
@@ -763,6 +776,7 @@ class TestReportReplay:
         assert len(written) == 6 and sorted(p.name for p in replay_dir.glob("*.csv")) == written
         for name in written:
             assert (replay_dir / name).read_bytes() == (out / name).read_bytes()
+        assert "seed" not in json.loads((replay_dir / "spectrum.manifest.json").read_text())["options"]
 
     def test_benchgen_replay_byte_identical(self, tmp_path, capsys):
         first = tmp_path / "first"
@@ -823,6 +837,19 @@ class TestReportRejects:
         code, err = self.report(capsys, tmp_path, path, ["--replay"])
         assert code == 2
         assert f"options lack {key!r}" in err
+
+    @pytest.mark.parametrize("replay", [[], ["--replay"]], ids=["print", "replay"])
+    @pytest.mark.parametrize("command,key", [("metrics", "binz"), ("gift", "bins")])
+    def test_unknown_option_exit_2(self, bench, tmp_path, capsys, command, key, replay):
+        code, _, _ = run_cli(capsys, command, bench, "--out", str(tmp_path / "out"))
+        assert code == 0
+        path = tmp_path / "out.manifest.json"
+        doc = json.loads(path.read_text())
+        doc["options"][key] = "3"
+        path.write_text(json.dumps(doc))
+        code, err = self.report(capsys, tmp_path, path, replay)
+        assert code == 2
+        assert f"not a run manifest: unknown option {key!r}" in err
 
     def place_manifest(self, capsys, bench, tmp_path, **options):
         """A place run's manifest with some recorded options replaced."""

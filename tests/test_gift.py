@@ -142,7 +142,7 @@ class TestGiftPlace:
         design = generate(cells=200, seed=4)
         adj = build_clique_graph(design)
         g = gift_place(design, adj)
-        movable = ~design.fixed_mask()
+        movable = ~design.fixed
         r = design.region
         assert g[movable, 0].min() >= r.xmin and g[movable, 0].max() <= r.xmax
         assert g[movable, 1].min() >= r.ymin and g[movable, 1].max() <= r.ymax
@@ -151,7 +151,7 @@ class TestGiftPlace:
         design = generate(cells=100, seed=2)
         adj = build_clique_graph(design)
         g = gift_place(design, adj)
-        mask = design.fixed_mask()
+        mask = design.fixed
         assert np.array_equal(g[mask], design.fixed_xy[mask])
 
     def test_pad_outside_the_region_stays_at_its_fixed_position(self):

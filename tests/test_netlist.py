@@ -468,7 +468,7 @@ class TestRoundTrip:
     def test_write_parse_placement(self, tmp_path, anchored_design):
         rng = np.random.default_rng(7)
         g = rng.uniform(1.0, 11.0, size=(4, 2))
-        mask = anchored_design.fixed_mask()
+        mask = anchored_design.fixed
         g[mask] = anchored_design.fixed_xy[mask]
         path = str(tmp_path / "out.pl")
         write_placement(anchored_design, g, path)
@@ -493,7 +493,7 @@ class TestRoundTrip:
     def test_fixed_marker_round_trips(self, tmp_path, anchored_design):
         path = str(tmp_path / "f.pl")
         g = np.full((4, 2), 2.0)
-        mask = anchored_design.fixed_mask()
+        mask = anchored_design.fixed
         g[mask] = anchored_design.fixed_xy[mask]
         write_placement(anchored_design, g, path)
         text = Path(path).read_text()

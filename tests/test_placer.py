@@ -48,7 +48,7 @@ def random_positions(design, rng):
             rng.uniform(region.ymin + 1.0, region.ymax - 1.0, design.num_cells),
         ]
     )
-    fixed = design.fixed_mask()
+    fixed = design.fixed
     g[fixed] = design.fixed_xy[fixed]
     return g
 
@@ -100,7 +100,7 @@ class TestWirelengthGradient:
         design = generate(cells=20, seed=seed)
         rng = np.random.default_rng(100 + seed)
         g = random_positions(design, rng)
-        movable = ~design.fixed_mask()
+        movable = ~design.fixed
         _, grad = smooth_wirelength_grad(design, g, 1.0)
         fd = fd_gradient(
             lambda gg: smooth_wirelength_grad(design, gg, 1.0)[0], g, movable, 1e-6
@@ -110,7 +110,7 @@ class TestWirelengthGradient:
     def test_matches_finite_differences_with_pin_offsets(self):
         design = offset_pin_design()
         g = random_positions(design, np.random.default_rng(7))
-        movable = ~design.fixed_mask()
+        movable = ~design.fixed
         _, grad = smooth_wirelength_grad(design, g, 1.0)
         fd = fd_gradient(
             lambda gg: smooth_wirelength_grad(design, gg, 1.0)[0], g, movable, 1e-6
@@ -128,8 +128,8 @@ class TestWirelengthGradient:
     def test_fixed_rows_zeroed(self, anchored_design):
         g = np.array([[1.0, 2.0], [4.0, 2.0], [8.0, 2.0], [11.0, 2.0]])
         _, grad = smooth_wirelength_grad(anchored_design, g, 0.5)
-        np.testing.assert_array_equal(grad[anchored_design.fixed_mask()], 0.0)
-        assert np.any(grad[~anchored_design.fixed_mask()] != 0.0)
+        np.testing.assert_array_equal(grad[anchored_design.fixed], 0.0)
+        assert np.any(grad[~anchored_design.fixed] != 0.0)
 
     @pytest.mark.parametrize("nets", [[[], [0, 1]], []], ids=["empty-net", "no-nets"])
     def test_empty_net_and_no_nets(self, nets):
@@ -279,7 +279,7 @@ class TestElectrostaticGradient:
         value, _, _ = electrostatic_grad(design, g, grid)
         assert value >= 0.0
         stacked = np.array(design.fixed_xy)
-        movable = ~design.fixed_mask()
+        movable = ~design.fixed
         stacked[movable] = [design.region.center[0], design.region.center[1]]
         value_stacked, _, _ = electrostatic_grad(design, stacked, grid)
         assert value_stacked > value
@@ -290,7 +290,7 @@ class TestElectrostaticGradient:
         rng = np.random.default_rng(300 + seed)
         g = random_positions(design, rng)
         grid = GridConfig(nx=5, ny=5)
-        movable = ~design.fixed_mask()
+        movable = ~design.fixed
         _, grad, _ = electrostatic_grad(design, g, grid)
         fd = fd_gradient(
             lambda gg: electrostatic_grad(design, gg, grid)[0], g, movable, 1e-6
@@ -375,7 +375,7 @@ class TestPlacerConfig:
         design = generate(cells=200, seed=1)
         nx, ny = default_bins(design)
         w, h = design.widths, design.heights
-        movable = ~design.fixed_mask()
+        movable = ~design.fixed
         assert design.region.width / nx <= float(w[movable].mean()) + 1e-9
         assert design.region.height / ny <= float(h[movable].mean()) + 1e-9
 
@@ -433,7 +433,7 @@ class TestRunPlacer:
     def test_fixed_cells_never_move(self):
         design = generate(cells=60, seed=4)
         g0 = self.spread_start(design, seed=4)
-        fixed = design.fixed_mask()
+        fixed = design.fixed
         g, _ = run_placer(design, g0, PlacerConfig(max_iters=30))
         np.testing.assert_array_equal(g[fixed], design.fixed_xy[fixed])
 
@@ -459,7 +459,7 @@ class TestRunPlacer:
     def test_budget_exhaustion_flagged(self):
         design = generate(cells=100, seed=7)
         g0 = np.array(design.fixed_xy)
-        movable = ~design.fixed_mask()
+        movable = ~design.fixed
         g0[movable] = [
             0.5 * (design.region.xmin + design.region.xmax),
             0.5 * (design.region.ymin + design.region.ymax),
@@ -521,7 +521,7 @@ class TestRunPlacer:
         # the loop steps its own copy in place; start outside the region so the first clamp moves cells too
         design = generate(cells=60, seed=3)
         g0 = self.spread_start(design, seed=3)
-        g0[~design.fixed_mask()] += design.region.width / 2
+        g0[~design.fixed] += design.region.width / 2
         before = g0.copy()
         g, trace = run_placer(design, g0, PlacerConfig(step=step, max_iters=10, stop_overflow=1e-9))
         np.testing.assert_array_equal(g0, before)
@@ -531,7 +531,7 @@ class TestRunPlacer:
     @pytest.mark.parametrize("step", [None, 0.02], ids=["saturated", "fixed-step"])
     def test_places_fixed_rows_of_g0_at_their_fixed_positions(self, step):
         design = generate(cells=60, seed=4)
-        fixed = design.fixed_mask()
+        fixed = design.fixed
         g0 = self.spread_start(design, seed=4)
         g0[fixed] += (3.0, -2.0)
         for max_iters in (0, 5):
@@ -552,7 +552,7 @@ class TestRunPlacer:
     def test_matches_the_masked_step_bit_for_bit(self, step):
         design = generate(cells=60, seed=3)
         g0 = self.spread_start(design, seed=3)
-        g0[~design.fixed_mask()] += design.region.width / 3
+        g0[~design.fixed] += design.region.width / 3
         config = PlacerConfig(step=step, max_iters=10, stop_overflow=1e-9)
         g, trace = run_placer(design, g0, config)
         ref_g, ref_records = masked_step_reference(design, g0, config)

@@ -103,6 +103,12 @@ class TestEigenvectorPlacement:
         assert g[:, 0].min() == pytest.approx(2.0) and g[:, 0].max() == pytest.approx(12.0)
         assert g[:, 1].min() == pytest.approx(3.0) and g[:, 1].max() == pytest.approx(9.0)
 
+    def test_constant_axis_goes_to_region_middle(self):
+        u = np.eye(4)
+        u[:, 1] = 0.5  # the x column holds one value; the run's warning filter makes any division warning fail
+        g = eigenvector_placement(SpectralBasis(np.array([0.0, 0.5, 1.0, 1.5]), u), Region(0.0, 0.0, 10.0, 4.0))
+        np.testing.assert_array_equal(g, [[5.0, 0.0], [5.0, 0.0], [5.0, 4.0], [5.0, 0.0]])
+
     def test_disconnected_graph_warns(self):
         # three disjoint edges = three components
         adj = from_coo(6, [0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], np.ones(6))
@@ -118,30 +124,23 @@ class TestEigenvectorPlacement:
 
 class TestFilterResponse:
     def test_endpoints(self):
-        resp = filter_response(2.0, 3, np.array([0.0, 1.0]))
-        assert resp.samples[0] == (0.0, 1.0)
-        assert resp.samples[1] == (1.0, 0.0)
+        h = filter_response(3, np.array([0.0, 1.0]))
+        assert h.dtype == np.float64
+        np.testing.assert_array_equal(h, [1.0, 0.0])
 
     def test_halfway(self):
-        resp = filter_response(4.0, 2, np.array([0.5]))
-        assert resp.samples[0][1] == pytest.approx(0.25)
+        assert filter_response(2, np.array([0.5]))[0] == pytest.approx(0.25)
 
-    def test_label_and_csv(self, tmp_path):
-        resp = filter_response(4.0, 2, np.array([0.0, 0.5, 1.0]))
-        assert resp.label == "sigma=4,k=2"
-        path = tmp_path / "resp.csv"
-        resp.write_csv(str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "lambda,h"
-        assert len(lines) == 4
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_power_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="power k"):
+            filter_response(k, np.array([0.5]))
 
     def test_power_ordering_on_unit_interval(self, graph_rng):
         adj = random_connected_graph(40, graph_rng)
         basis = eigendecompose(identity_minus(normalized_augmented_adjacency(adj, 4.0)))
         lams = basis.lambdas[(basis.lambdas >= 0.0) & (basis.lambdas <= 1.0)]
-        h1 = np.array([h for _, h in filter_response(4.0, 1, lams).samples])
-        h2 = np.array([h for _, h in filter_response(4.0, 2, lams).samples])
-        h4 = np.array([h for _, h in filter_response(4.0, 4, lams).samples])
+        h1, h2, h4 = (filter_response(k, lams) for k in (1, 2, 4))
         assert np.all(h4 <= h2 + 1e-12)
         assert np.all(h2 <= h1 + 1e-12)
 
