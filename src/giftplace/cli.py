@@ -216,6 +216,14 @@ def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
     np.savetxt(path, np.column_stack(columns), fmt="%.10g", delimiter=",", header=header, comments="")
 
 
+def _check_out_dirs(*paths: str, made: str | None = None) -> None:
+    """Raise FileNotFoundError for the first missing directory of ``paths`` other than ``made``, which
+    the run creates; called before the design is read, so that a run that cannot write does no work."""
+    for folder in (os.path.dirname(path) or "." for path in paths):
+        if not os.path.isdir(folder) and not (made and os.path.abspath(folder) == os.path.abspath(made)):
+            raise FileNotFoundError(f"output directory {folder} does not exist")
+
+
 def _timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
     result = fn(*args, **kwargs)
@@ -229,13 +237,14 @@ def _timed(fn, *args, **kwargs):
 def run_gift(opts: dict) -> int:
     gconfig = _gift_config(opts)
     cap = _clique_cap(opts)
+    out = opts["out"] or os.path.splitext(opts["aux"])[0] + ".gift.pl"
+    manifest = opts["manifest"] or out + ".manifest.json"
+    _check_out_dirs(out, manifest)
+    opts.update(out=out, manifest=manifest)
     design, t_parse = _timed(parse_design, opts["aux"])
     adj, t_graph = _timed(build_clique_graph, design, cap)
     placement, t_filter = _timed(gift_place, design, adj, gconfig)
 
-    out = opts["out"] or os.path.splitext(opts["aux"])[0] + ".gift.pl"
-    manifest = opts["manifest"] or out + ".manifest.json"
-    opts.update(out=out, manifest=manifest)
     write_placement(design, placement, out)
     timings = [("parse", t_parse), ("graph", t_graph), ("filter", t_filter)]
     _write_manifest(manifest, "gift", opts, {"pl": out}, timings)
@@ -244,21 +253,18 @@ def run_gift(opts: dict) -> int:
 
 
 def run_place(opts: dict) -> int:
-    pconfig = PlacerConfig(
-        gamma=opts["gamma"],
-        lambda0=opts["lambda0"],
-        lambda_growth=opts["lambda_growth"],
-        step=opts["step"],
-        max_iters=opts["max_iters"],
-        stop_overflow=opts["stop_overflow"],
-        grid=_grid_config(opts),
-        seed=opts["seed"],
-    )
+    pconfig = PlacerConfig(grid=_grid_config(opts), seed=opts["seed"], **{
+        key: opts[key] for key in ("gamma", "lambda0", "lambda_growth", "step", "max_iters", "stop_overflow")})
     gconfig = _gift_config(opts)
     cap = _clique_cap(opts)
     init = opts["init"]
     if init not in ("center", "gift", "eigen") and not init.startswith("file:"):
         raise ValueError(f"unknown --init {init!r} (expected center|gift|eigen|file:PATH)")
+    out = opts["out"] or os.path.splitext(opts["aux"])[0] + ".place.pl"
+    trace_path = opts["trace"] or out + ".trace.csv"
+    manifest = opts["manifest"] or out + ".manifest.json"
+    _check_out_dirs(out, trace_path, manifest)
+    opts.update(out=out, trace=trace_path, manifest=manifest)
     design, t_parse = _timed(parse_design, opts["aux"])
     timings = [("parse", t_parse)]
 
@@ -282,10 +288,6 @@ def run_place(opts: dict) -> int:
     (g_final, trace), t_place = _timed(run_placer, design, g0, pconfig)
     timings.append(("place", t_place))
 
-    out = opts["out"] or os.path.splitext(opts["aux"])[0] + ".place.pl"
-    trace_path = opts["trace"] or out + ".trace.csv"
-    manifest = opts["manifest"] or out + ".manifest.json"
-    opts.update(out=out, trace=trace_path, manifest=manifest)
     write_placement(design, g_final, out)
     trace.write_csv(trace_path)
     _write_manifest(manifest, "place", opts, {"pl": out, "trace": trace_path}, timings)
@@ -304,23 +306,25 @@ def run_spectrum(opts: dict) -> int:
     sigmas = _comma_list(opts, "sigma", float, lambda s: 0.0 <= s < np.inf, "finite numbers >= 0")
     ks = _comma_list(opts, "k", int, lambda k: k >= 1, "integers >= 1")
     cap = _clique_cap(opts)
+    out_dir = opts["out_dir"]
+    manifest = opts["manifest"] or os.path.join(out_dir, "spectrum.manifest.json")
+    _check_out_dirs(manifest, made=out_dir)
+    opts.update(manifest=manifest)
     design, t_parse = _timed(parse_design, opts["aux"])
     if design.num_cells == 0:
         _diag("design has no cells; nothing to analyze")
         return EXIT_INPUT
     adj, t_graph = _timed(build_clique_graph, design, cap)
 
-    out_dir = opts["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    manifest = opts["manifest"] or os.path.join(out_dir, "spectrum.manifest.json")
-    opts.update(manifest=manifest)
     outputs: dict[str, str] = {}
     summary = {}
     t0 = time.perf_counter()
     for sigma in sigmas:
         lt = identity_minus(normalized_augmented_adjacency(adj, sigma))
         basis = eigendecompose(lt)
-        counts, edges = np.histogram(basis.lambdas, bins=50, range=(0.0, 2.0))
+        # the spectrum lies in [0, 2]: a value outside it is rounding, and is counted at the edge
+        counts, edges = np.histogram(np.clip(basis.lambdas, 0.0, 2.0), bins=50, range=(0.0, 2.0))
         centers = 0.5 * (edges[:-1] + edges[1:])
         hist_path = os.path.join(out_dir, f"eig_hist_sigma{sigma:g}.csv")
         _write_csv(hist_path, "lambda,count", centers, counts)
@@ -339,29 +343,31 @@ def run_spectrum(opts: dict) -> int:
 def run_metrics(opts: dict) -> int:
     grid = _grid_config(opts)
     cap = _clique_cap(opts)
+    out = opts.get("out")
+    manifest = opts["manifest"] or (out or os.path.splitext(opts["aux"])[0] + ".metrics") + ".manifest.json"
+    _check_out_dirs(manifest, out or manifest)
+    opts.update(manifest=manifest)
     design, t_parse = _timed(parse_design, opts["aux"])
     pl_path = opts.get("pl") or aux_files(opts["aux"])[".pl"]
     g = read_placement(design, pl_path)
     adj, t_graph = _timed(build_clique_graph, design, cap)
     rep = metrics_report(design, adj, g, grid)
 
-    manifest = opts["manifest"] or (
-        opts["out"] + ".manifest.json" if opts.get("out")
-        else os.path.splitext(opts["aux"])[0] + ".metrics.manifest.json"
-    )
-    opts.update(manifest=manifest)
     outputs = {}
     text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
-    if opts.get("out"):
-        with open(opts["out"], "w") as f:
+    if out:
+        with open(out, "w") as f:
             f.write(text)
-        outputs["metrics"] = opts["out"]
+        outputs["metrics"] = out
     _write_manifest(manifest, "metrics", opts, outputs, [("parse", t_parse), ("graph", t_graph)])
     print(text, end="")
     return EXIT_OK
 
 
 def run_benchgen(opts: dict) -> int:
+    manifest = opts["manifest"] or os.path.join(opts["out_dir"], f"{opts['name']}.manifest.json")
+    _check_out_dirs(manifest, made=opts["out_dir"])
+    opts.update(manifest=manifest)
     design, t_gen = _timed(
         generate,
         cells=opts["cells"],
@@ -374,8 +380,6 @@ def run_benchgen(opts: dict) -> int:
         seed=opts["seed"],
     )
     aux = write_design(design, opts["out_dir"], opts["name"])
-    manifest = opts["manifest"] or os.path.join(opts["out_dir"], f"{opts['name']}.manifest.json")
-    opts.update(manifest=manifest)
     _write_manifest(manifest, "benchgen", opts, {"aux": aux}, [("generate", t_gen)])
     print(json.dumps({"aux": aux, "cells": design.num_cells, "nets": design.num_nets}))
     return EXIT_OK

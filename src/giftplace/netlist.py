@@ -264,8 +264,8 @@ def _malformed(path: str, lineno: int, reason: str) -> MalformedLineError:
 # the end of the line; every ``str.isspace()`` character separates tokens; blank lines
 # and lines whose first token is ``UCLA`` are dropped. A non-ASCII file is decoded as
 # ``open`` decodes it, its non-ASCII whitespace becomes spaces, and it is tokenized as
-# UTF-8. Files are cut into line-aligned chunks of about CHUNK_BYTES, so that few token
-# strings are alive at once.
+# UTF-8. Files are cut into line-aligned chunks of about CHUNK_BYTES, which bound the token
+# arrays; a string is cut from a chunk's bytes only for a token read as one.
 CHUNK_BYTES = 1 << 19
 _SEPARATORS = bytes(c < 128 and chr(c).isspace() for c in range(256))  # translate() table: 1 for ASCII whitespace
 _NON_ASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")
@@ -291,15 +291,19 @@ def _lex(path: str):
         yield _Chunk(text, line0)  # held by no name here, so that a reader can let it go
 
 
+def _spans(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The ranges ``start[i]:start[i] + size[i]``, concatenated."""
+    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
 class _Chunk:
-    """Whole lines of a file, split into tokens.
+    """Whole lines of a file, split into tokens: token t is ``length[t]`` bytes from byte ``starts[t]``.
 
     Row i is the i-th kept line: file line ``lineno[i]``, whose ``counts[i]``
     tokens start at token index ``first[i]``.
     """
 
     def __init__(self, text: bytes, line0: int) -> None:
-        self.text = text  # ends with a newline
         self.byte = byte = np.frombuffer(text, dtype=np.uint8)
         newlines = np.flatnonzero(byte == ord("\n"))
         space = byte <= ord(" ")
@@ -308,7 +312,6 @@ class _Chunk:
         edges = np.flatnonzero(np.diff(space, prepend=True))  # token starts and ends, in turn
         self.starts, self.length = edges[0::2].copy(), edges[1::2] - edges[0::2]
         self.lead = byte[self.starts]
-        self.tokens = text.decode().split()
         before = np.searchsorted(self.starts, newlines)  # tokens up to each line end
         counts = np.diff(before, prepend=0)
         rows = np.flatnonzero(counts)
@@ -349,11 +352,14 @@ class _Chunk:
         return out
 
     def pick(self, idx: np.ndarray) -> list[str]:
-        tokens = self.tokens
-        return [tokens[i] for i in idx.tolist()]
+        """The tokens at ``idx`` as strings, cut from the chunk's bytes each with the separator after it."""
+        return self.byte[_spans(self.starts[idx], self.length[idx] + 1)].tobytes().decode().split()
 
-    def row(self, i: int) -> list[str]:
-        return self.tokens[self.first[i]:self.first[i] + self.counts[i]]
+    def rows(self, rows=slice(None)) -> list[list[str]]:
+        """The token lists of ``rows`` (default: every row), from one ``pick``."""
+        counts = self.counts[rows]
+        tokens, ends = self.pick(_spans(self.first[rows], counts)), np.cumsum(counts).tolist()
+        return [tokens[a:b] for a, b in zip([0, *ends], ends)]
 
     def numbers(self, idx: np.ndarray, kind: type) -> tuple[np.ndarray, np.ndarray]:
         """``kind`` (float or int) of the tokens at ``idx``, and a mask of the first that is no such number."""
@@ -415,8 +421,8 @@ class _FirstError:
 
 def _headers(chunk: _Chunk, head: np.ndarray, declared: dict[str, int], errors: _FirstError) -> None:
     """Read the ``Key : count`` lines marked in ``head`` into ``declared``, in file order."""
-    for row in np.flatnonzero(head).tolist():
-        key, *rest = chunk.row(row)
+    rows = np.flatnonzero(head)
+    for row, (key, *rest) in zip(rows.tolist(), chunk.rows(rows)):
         _, colon, value = " ".join(rest).partition(":")
         if not colon:
             return errors.fail(row, "header missing ':'")
@@ -432,10 +438,7 @@ def _join(parts: list[np.ndarray], dtype: type) -> np.ndarray:
 
 def _ids(name_to_id: dict[str, int], names: list[str]) -> np.ndarray:
     """Cell ids of ``names``, -1 for an undeclared name."""
-    try:
-        return np.fromiter(map(name_to_id.__getitem__, names), dtype=np.int64, count=len(names))
-    except KeyError:
-        return np.fromiter(map(name_to_id.get, names, itertools.repeat(-1)), dtype=np.int64, count=len(names))
+    return np.fromiter(map(name_to_id.get, names, itertools.repeat(-1)), dtype=np.int64, count=len(names))
 
 
 def _parse_nodes(path: str):
@@ -527,7 +530,7 @@ def _net_rows(path: str, chunk: _Chunk, name_to_id: dict[str, int], declared: di
     k_plain, bad_plain = chunk.numbers(f[plain] + 2, int)
     # a glued or missing ':', or no count: the line is split in Python, as header lines are
     odd = np.flatnonzero(~plain)
-    split = [" ".join(chunk.row(r)[1:]).partition(":") for r in net_rows[odd].tolist()]
+    split = [" ".join(tokens[1:]).partition(":") for tokens in chunk.rows(net_rows[odd])]
     parts = [value.split()[:2] or [""] for _, _, value in split]
     k_odd, bad_odd = _convert([p[0] for p in parts], int)
     k = np.zeros(net_rows.size, dtype=np.result_type(k_plain, k_odd))
@@ -585,10 +588,10 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
 
     A line is ``name x y [tokens...]``; a later ``/FIXED`` or ``/FIXED_NI`` token
     fixes the cell. Corners are NaN for cells that no line places. A cell on
-    several lines keeps its last line; a name missing from ``name_to_id``, which
-    holds the cells in id order, is skipped with a warning.
+    several lines keeps its last line; a name missing from ``name_to_id`` is
+    skipped with a warning.
     """
-    n, order = len(name_to_id), list(name_to_id)
+    n = len(name_to_id)
     corners, fixed = np.full((n, 2), math.nan), np.zeros(n, dtype=bool)
     for chunk in _lex(path):
         errors = _FirstError(path, chunk)
@@ -600,9 +603,7 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
         errors.check(placed, bad_x | bad_y, "coordinates are not numbers")
         errors.check(placed, ~(np.isfinite(x) & np.isfinite(y)), "coordinates must be finite")
         names = chunk.pick(chunk.first)
-        # a .pl usually lists the cells in id order, and then their ids need no lookup
-        start = name_to_id.get(names[0], 0) if names else 0
-        ids = np.arange(start, start + len(names)) if names == order[start:start + len(names)] else _ids(name_to_id, names)
+        ids = _ids(name_to_id, names)
         for i in np.flatnonzero(ids[:errors.row] < 0).tolist():
             log.warning("%s: placement for undeclared cell %r skipped", path, names[i])
         errors.raise_first()
@@ -622,7 +623,7 @@ def _parse_scl(path: str) -> list[Row]:
     rows: list[Row] = []
     in_row = False
     cur: dict[str, float] = {}
-    for lineno, tokens in ((n, chunk.row(i)) for chunk in _lex(path) for i, n in enumerate(chunk.lineno.tolist())):
+    for lineno, tokens in ((n, t) for chunk in _lex(path) for n, t in zip(chunk.lineno.tolist(), chunk.rows())):
         first = tokens[0]
         if first == "CoreRow":
             in_row = True
@@ -665,14 +666,6 @@ def _parse_scl(path: str) -> list[Row]:
     return rows
 
 
-def _region_from_rows(rows: list[Row]) -> Region:
-    xmin = min(r.x for r in rows)
-    xmax = max(r.x + r.num_sites * r.site_width for r in rows)
-    ymin = min(r.y for r in rows)
-    ymax = max(r.y + r.height for r in rows)
-    return Region(xmin=xmin, ymin=ymin, xmax=xmax, ymax=ymax, rows=rows)
-
-
 def aux_files(aux_path: str) -> dict[str, str]:
     """Resolve the .aux manifest to {extension: absolute path}.
 
@@ -684,7 +677,7 @@ def aux_files(aux_path: str) -> dict[str, str]:
         raise MissingFileError(aux_path)
     base = os.path.dirname(os.path.abspath(aux_path))
     listed: list[tuple[int, str]] = []
-    for lineno, tokens in ((n, chunk.row(i)) for chunk in _lex(aux_path) for i, n in enumerate(chunk.lineno.tolist())):
+    for lineno, tokens in ((n, t) for chunk in _lex(aux_path) for n, t in zip(chunk.lineno.tolist(), chunk.rows())):
         _, colon, value = " ".join(tokens).partition(":")
         if not colon:
             raise _malformed(aux_path, lineno, "expected 'Tag : file ...'")
@@ -734,7 +727,8 @@ def parse_design(aux_path: str) -> Design:
 
     rows = _parse_scl(by_ext[".scl"]) if ".scl" in by_ext else []
     if rows:
-        region = _region_from_rows(rows)
+        region = Region(xmin=min(r.x for r in rows), ymin=min(r.y for r in rows), rows=rows,
+                        xmax=max(r.x + r.num_sites * r.site_width for r in rows), ymax=max(r.y + r.height for r in rows))
     else:
         region = _region_from_placement(corners, sizes)
         log.warning("%s: no usable .scl; region set to placement bounding box", aux_path)

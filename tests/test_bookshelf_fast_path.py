@@ -49,10 +49,21 @@ def _offsets_design() -> Design:
     )
 
 
-BASES = [generate(cells=12, seed=1), generate(cells=16, seed=2, fanout={2: 0.5, 3: 0.3, 11: 0.2}), _offsets_design()]
+def _byte_names_design() -> Design:
+    """Names a cut from a chunk's bytes must get whole, two of them sharing their first 8 bytes: of the
+    kinds ``NAMES`` holds below, but none of those, so that a renamed cell repeats no name."""
+    design = generate(cells=12, seed=3)
+    names = ["nœud", "ノード1", "another_name_longer_than_8", "shared08_x", "shared08_y"]
+    return dataclasses.replace(design, names=names + design.names[len(names):])
+
+
+BASES = [generate(cells=12, seed=1), generate(cells=16, seed=2, fanout={2: 0.5, 3: 0.3, 11: 0.2}), _offsets_design(),
+         _byte_names_design()]
 PLACEMENTS = [np.random.default_rng(i).uniform(-3.0, 3.0, (d.num_cells, 2)) for i, d in enumerate(BASES)]
-# cell names the reference reads as banners or headers, or that look like them
-NAMES = ["UCLA", "UCLAcell", "NetDegree", "NumNodes", "NumTerminals", "NumNets", "NumPins", ":", "/FIXED", "c0:1"]
+# cell names the reference reads as banners or headers, or that look like them, and names a cut from
+# a chunk's bytes must get whole: multi-byte UTF-8, longer than 8 bytes, sharing their first 8 bytes
+NAMES = ["UCLA", "UCLAcell", "NetDegree", "NumNodes", "NumTerminals", "NumNets", "NumPins", ":", "/FIXED", "c0:1",
+         "cé", "セル0", "a_cell_name_longer_than_8_bytes", "prefix08_a", "prefix08_b"]
 TOKENS = ["0", "7", "12", "-1", "+2", "03", "1_0", "1e3", "0.5", "-0", "nan", "inf", "x", ":", ":0.5", "0.5:",
           "I", "NetDegree", "NumPins", "NumNets", "NumNodes", "UCLA", "UCLAx", "/FIXED", "/FIXED_NI", "terminal",
           "terminal_NI", "N", "c0", "c1", "n0", "p0"]
@@ -166,7 +177,7 @@ def _written(tmp_dir: str, base: int, name: str | None = None, cell: int = 0) ->
 
 
 @pytest.mark.parametrize("chunk", [24, 200, netlist.CHUNK_BYTES], ids=["chunk-24", "chunk-200", "chunk-default"])
-@pytest.mark.parametrize("base", range(3))
+@pytest.mark.parametrize("base", range(len(BASES)))
 def test_written_designs_take_the_chunked_path(tmp_path, base, chunk):
     """Written designs parse at every chunk size exactly as the reference parses them."""
     paths = _written(str(tmp_path), base)

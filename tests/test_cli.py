@@ -354,10 +354,55 @@ class TestPlace:
         assert code == 2
         assert "TooLargeForDense" in err
 
+    def test_diverging_run_exit_4_writes_nothing(self, bench, tmp_path, capsys):
+        out = tmp_path / "p.pl"
+        code, stdout, err = run_cli(capsys, "place", bench, "--lambda0", "1e308", "--out", str(out))
+        assert code == 4
+        assert err.count("\n") == 1
+        assert "DivergenceError: objective not finite at iteration 0" in err
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "bench"]
+
     def test_unknown_init_exit_2(self, bench, capsys):
         code, _, err = run_cli(capsys, "place", bench, "--init", "sideways")
         assert code == 2
         assert "sideways" in err
+
+
+class TestOutputDirectories:
+    """An output in a directory that does not exist ends the run before its work: exit 3, nothing written."""
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("gift", ["--manifest", "missing/m.json"]),
+            ("gift", ["--out", "missing/g.pl"]),
+            ("place", ["--trace", "missing/t.csv"]),
+            ("place", ["--manifest", "missing/m.json"]),
+            ("metrics", ["--out", "missing/m.json"]),
+            ("metrics", ["--manifest", "missing/m.json"]),
+            ("spectrum", ["--out-dir", "spec", "--manifest", "missing/m.json"]),
+            ("benchgen", ["--out-dir", "gen", "--manifest", "missing/m.json"]),
+        ],
+    )
+    def test_exit_3_before_any_work(self, bench, tmp_path, capsys, monkeypatch, command, flags):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(Path(bench).parent.iterdir())
+        code, stdout, err = run_cli(capsys, command, *([] if command == "benchgen" else [bench]), *flags)
+        assert code == 3
+        assert err.count("\n") == 1
+        assert "output directory missing does not exist" in err
+        assert stdout == ""
+        assert sorted(Path(bench).parent.iterdir()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bench"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "benchgen"])
+    def test_manifest_in_the_out_dir_made(self, bench, tmp_path, capsys, command):
+        out_dir = tmp_path / "new"
+        args = [] if command == "benchgen" else [bench]
+        code, _, _ = run_cli(capsys, command, *args, "--out-dir", str(out_dir), "--manifest", str(out_dir / "m.json"))
+        assert code == 0
+        assert json.loads((out_dir / "m.json").read_text())["command"] == command
 
 
 class TestSpectrum:
@@ -375,6 +420,17 @@ class TestSpectrum:
         summary = json.loads(stdout)
         lam_max = [summary[f"lambda_max_sigma{s}"] for s in (0, 1, 2, 3)]
         assert all(b <= a + 1e-12 for a, b in zip(lam_max, lam_max[1:]))
+
+    def test_histograms_count_every_cell(self, tmp_path, capsys):
+        """An eigenvalue that eigh returns a rounding error below 0 is counted in the first bin."""
+        code, _, _ = run_cli(capsys, "benchgen", "--cells", "300", "--seed", "1", "--out-dir", str(tmp_path))
+        assert code == 0
+        cells = parse_design(str(tmp_path / "synth.aux")).num_cells
+        code, _, _ = run_cli(capsys, "spectrum", str(tmp_path / "synth.aux"), "--out-dir", str(tmp_path / "spec"))
+        assert code == 0
+        for sigma in (0, 1, 2, 3):
+            counts = np.loadtxt(tmp_path / "spec" / f"eig_hist_sigma{sigma}.csv", delimiter=",", skiprows=1)[:, 1]
+            assert counts.sum() == cells
 
     def test_csv_rows_match_the_fstring_format(self, tmp_path):
         """_write_csv writes what ``f"{x:.10g}"`` per value, and ``int`` per histogram count, would."""
@@ -483,6 +539,14 @@ class TestConfigFile:
         assert f"run.cfg:3: {reason}" in err
         assert stdout == ""
         assert not out.exists()
+
+    def test_unknown_key_warns(self, bench, tmp_path, capsys, caplog):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nbinz = 4\n")
+        code, _, _ = run_cli(capsys, "gift", bench, "--config", str(cfg), "--out", str(tmp_path / "g.pl"))
+        assert code == 0
+        assert "unknown config key 'binz' ignored" in caplog.text
+        assert json.loads((tmp_path / "g.pl.manifest.json").read_text())["options"]["seed"] == 3
 
     def test_config_and_flags_resolve_alike(self, tmp_path, capsys):
         values = {"cells": "30", "rows": "5", "io": "6", "long_range_fraction": "0.25", "utilization": "0.5", "seed": "4"}
@@ -695,6 +759,13 @@ class TestDiagnostics:
         assert "\x1b[" not in err
 
 
+    def test_missing_placement_exit_1(self, bench, tmp_path, capsys):
+        code, stdout, err = run_cli(capsys, "metrics", bench, "--pl", str(tmp_path / "missing.pl"))
+        assert code == 1
+        assert "missing input file" in err and "missing.pl" in err
+        assert stdout == ""
+
+
 class TestReportReplay:
     def replay(self, capsys, manifest: str, out_dir: str) -> int:
         code, _, _ = run_cli(capsys, "report", manifest, "--replay", "--out-dir", out_dir)
@@ -825,6 +896,14 @@ class TestReportRejects:
         assert code == 2
         assert "bad.json" in err
         assert problem in err
+
+    def test_replay_without_out_dir_exit_2(self, bench, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "gift", bench, "--out", str(tmp_path / "g.pl"))
+        assert code == 0
+        code, stdout, err = run_cli(capsys, "report", str(tmp_path / "g.pl.manifest.json"), "--replay")
+        assert code == 2
+        assert "--replay requires --out-dir" in err
+        assert stdout == ""
 
     @pytest.mark.parametrize("key", ["aux", "terms", "seed"])
     def test_manifest_lacking_an_option_exit_2(self, bench, tmp_path, capsys, key):

@@ -53,6 +53,10 @@ class TestInitialSignal:
         with pytest.raises(ValueError, match="jitter_scale must be finite and >= 0"):
             GiftConfig(jitter_scale=scale)
 
+    def test_no_terms_rejected(self):
+        with pytest.raises(ValueError, match="filter needs at least one term"):
+            GiftConfig(terms=())
+
     def test_seed_determinism(self, tri_design):
         a = initial_signal(tri_design, GiftConfig(seed=11))
         b = initial_signal(tri_design, GiftConfig(seed=11))

@@ -77,6 +77,11 @@ class TestQuadraticWirelength:
         with pytest.raises(DimensionMismatchError):
             quadratic_wirelength(adj, np.zeros((6, 2)))
 
+    def test_edgeless_graph_zero(self):
+        adj = from_coo(3, [], [], [])
+        assert adj.nnz == 0
+        assert quadratic_wirelength(adj, np.arange(6.0).reshape(3, 2)) == 0.0
+
 
 class TestRayleigh:
     def test_eigenvector_identity(self, graph_rng):
@@ -86,6 +91,11 @@ class TestRayleigh:
         for i in (1, 10, 29):
             r = rayleigh_smoothness(lt, basis.U[:, i], center=False)
             assert abs(r - basis.lambdas[i]) <= 1e-8
+
+    def test_dimension_check(self, graph_rng):
+        adj = random_connected_graph(10, graph_rng)
+        with pytest.raises(DimensionMismatchError, match="signal has 9 rows, Laplacian has 10"):
+            rayleigh_smoothness(laplacian(adj), np.arange(9.0))
 
     def test_constant_signal_rejected(self, graph_rng):
         adj = random_connected_graph(10, graph_rng)
@@ -242,6 +252,11 @@ class TestDensityMap:
         with pytest.raises(ValueError, match="bin counts must be .*<= 2048"):
             GridConfig(**bins)
 
+    @pytest.mark.parametrize("rho_t", [0.0, -0.5, 1.5, float("nan")])
+    def test_grid_rejects_target_density_outside_0_1(self, rho_t):
+        with pytest.raises(ValueError, match=r"rho_t must be in \(0, 1\]"):
+            GridConfig(rho_t=rho_t)
+
     def test_grid_accepts_bin_counts_at_cap(self):
         assert (GridConfig(nx=2048, ny=1).nx, GridConfig(nx=1, ny=2048).ny) == (2048, 2048)
 
@@ -252,6 +267,9 @@ class TestOverflow:
             nx=rho.shape[0], ny=rho.shape[1], bin_w=bin_w, bin_h=bin_h,
             rho=rho, rho_t=rho_t,
         )
+
+    def test_empty_grid_zero(self):
+        assert overflow(self.make_grid(np.zeros((4, 4)))) == 0.0
 
     def test_under_target_zero(self):
         grid = self.make_grid(np.full((4, 4), 0.5))

@@ -311,6 +311,33 @@ class TestParseErrors:
         assert "ghost" in str(exc.value)
         assert ".nets" in str(exc.value)
 
+    def test_aux_line_without_colon(self, tmp_path):
+        write_corpus(tmp_path)
+        (tmp_path / "tiny.aux").write_text("RowBasedPlacement : tiny.nodes tiny.nets\ntiny.pl tiny.scl\n")
+        with pytest.raises(MalformedLineError) as exc:
+            aux_files(str(tmp_path / "tiny.aux"))
+        assert exc.value.lineno == 2
+        assert exc.value.reason == "expected 'Tag : file ...'"
+
+    def test_unsupported_aux_entry_skipped_with_warning(self, tmp_path, caplog):
+        write_corpus(tmp_path)
+        (tmp_path / "tiny.aux").write_text("RowBasedPlacement : tiny.nodes tiny.nets tiny.wts tiny.pl\n")
+        with caplog.at_level(logging.WARNING):
+            by_ext = aux_files(str(tmp_path / "tiny.aux"))
+        assert sorted(by_ext) == [".nets", ".nodes", ".pl"]
+        assert "unsupported file tiny.wts skipped" in caplog.text
+
+    def test_fixed_cell_without_placement(self, tmp_path):
+        with pytest.raises(MalformedLineError, match="fixed cell has no placement") as exc:
+            parse_design(write_corpus(tmp_path, pl=PL.replace("pad 9 9 : N /FIXED\n", "")))
+        assert exc.value.lineno == 0
+        assert "pad" in str(exc.value)
+
+    def test_read_placement_of_missing_file(self, tmp_path):
+        design = parse_design(write_corpus(tmp_path))
+        with pytest.raises(MissingFileError, match="missing.pl"):
+            read_placement(design, str(tmp_path / "missing.pl"))
+
 
 class TestPinLines:
     """A pin line is 'name dir [: dx dy]'; offsets never drop to 0 0 without a word."""
