@@ -64,7 +64,6 @@ from .placer import (
     smooth_wirelength_grad,
 )
 from .spectral import (
-    SpectralBasis,
     eigendecompose,
     eigenvector_placement,
     filter_response,

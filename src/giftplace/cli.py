@@ -160,9 +160,12 @@ def _parse_fanout(spec: str | None) -> dict[int, float] | None:
     for part in spec.split(","):
         try:
             d, w = part.split(":")
-            profile[int(d)] = float(w)
+            degree, weight = int(d), float(w)
         except ValueError:
             raise ValueError(f"bad --fanout entry {part!r}, expected DEGREE:WEIGHT") from None
+        if degree in profile:
+            raise ValueError(f"--fanout repeats degree {degree}")
+        profile[degree] = weight
     return profile
 
 
@@ -216,10 +219,18 @@ def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
     np.savetxt(path, np.column_stack(columns), fmt="%.10g", delimiter=",", header=header, comments="")
 
 
-def _check_out_dirs(*paths: str, made: str | None = None) -> None:
-    """Raise FileNotFoundError for the first missing directory of ``paths`` other than ``made``, which
-    the run creates; called before the design is read, so that a run that cannot write does no work."""
-    for folder in (os.path.dirname(path) or "." for path in paths):
+def _check_outputs(made: str | None = None, **paths: str | None) -> None:
+    """Check the output ``paths``, keyed by option, before the design is read, so that a run that cannot write
+    them does no work: ValueError when two are one file, and FileNotFoundError for the first in a missing
+    directory other than ``made``, which the run creates. A None path is skipped."""
+    seen: dict[str, str] = {}
+    for key, path in paths.items():
+        if path is None:
+            continue
+        other = seen.setdefault(os.path.realpath(path), key)
+        if other != key:
+            raise ValueError(f"--{other} and --{key} are the same file {path}")
+        folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder) and not (made and os.path.abspath(folder) == os.path.abspath(made)):
             raise FileNotFoundError(f"output directory {folder} does not exist")
 
@@ -239,7 +250,7 @@ def run_gift(opts: dict) -> int:
     cap = _clique_cap(opts)
     out = opts["out"] or os.path.splitext(opts["aux"])[0] + ".gift.pl"
     manifest = opts["manifest"] or out + ".manifest.json"
-    _check_out_dirs(out, manifest)
+    _check_outputs(out=out, manifest=manifest)
     opts.update(out=out, manifest=manifest)
     design, t_parse = _timed(parse_design, opts["aux"])
     adj, t_graph = _timed(build_clique_graph, design, cap)
@@ -263,7 +274,7 @@ def run_place(opts: dict) -> int:
     out = opts["out"] or os.path.splitext(opts["aux"])[0] + ".place.pl"
     trace_path = opts["trace"] or out + ".trace.csv"
     manifest = opts["manifest"] or out + ".manifest.json"
-    _check_out_dirs(out, trace_path, manifest)
+    _check_outputs(out=out, trace=trace_path, manifest=manifest)
     opts.update(out=out, trace=trace_path, manifest=manifest)
     design, t_parse = _timed(parse_design, opts["aux"])
     timings = [("parse", t_parse)]
@@ -279,9 +290,9 @@ def run_place(opts: dict) -> int:
     elif init == "eigen":
         adj, t_graph = _timed(build_clique_graph, design, cap)
         timings.append(("graph", t_graph))
-        basis, t_eigen = _timed(eigendecompose, identity_minus(normalized_augmented_adjacency(adj, 0.0)))
+        (lambdas, u), t_eigen = _timed(eigendecompose, identity_minus(normalized_augmented_adjacency(adj, 0.0)))
         timings.append(("eigen", t_eigen))
-        g0 = eigenvector_placement(basis, design.region)
+        g0 = eigenvector_placement(lambdas, u, design.region)
     else:
         g0 = read_placement(design, init[len("file:"):])
 
@@ -289,7 +300,7 @@ def run_place(opts: dict) -> int:
     timings.append(("place", t_place))
 
     write_placement(design, g_final, out)
-    trace.write_csv(trace_path)
+    _write_csv(trace_path, "iter,wl,hpwl,overflow,lambda", *np.transpose(trace.records))
     _write_manifest(manifest, "place", opts, {"pl": out, "trace": trace_path}, timings)
     last = trace.records[-1]
     print(json.dumps({
@@ -308,7 +319,7 @@ def run_spectrum(opts: dict) -> int:
     cap = _clique_cap(opts)
     out_dir = opts["out_dir"]
     manifest = opts["manifest"] or os.path.join(out_dir, "spectrum.manifest.json")
-    _check_out_dirs(manifest, made=out_dir)
+    _check_outputs(made=out_dir, manifest=manifest)
     opts.update(manifest=manifest)
     design, t_parse = _timed(parse_design, opts["aux"])
     if design.num_cells == 0:
@@ -322,17 +333,17 @@ def run_spectrum(opts: dict) -> int:
     t0 = time.perf_counter()
     for sigma in sigmas:
         lt = identity_minus(normalized_augmented_adjacency(adj, sigma))
-        basis = eigendecompose(lt)
+        lambdas, _ = eigendecompose(lt)
         # the spectrum lies in [0, 2]: a value outside it is rounding, and is counted at the edge
-        counts, edges = np.histogram(np.clip(basis.lambdas, 0.0, 2.0), bins=50, range=(0.0, 2.0))
+        counts, edges = np.histogram(np.clip(lambdas, 0.0, 2.0), bins=50, range=(0.0, 2.0))
         centers = 0.5 * (edges[:-1] + edges[1:])
         hist_path = os.path.join(out_dir, f"eig_hist_sigma{sigma:g}.csv")
         _write_csv(hist_path, "lambda,count", centers, counts)
         outputs[f"hist_sigma{sigma:g}"] = hist_path
-        summary[f"lambda_max_sigma{sigma:g}"] = float(basis.lambdas[-1])
+        summary[f"lambda_max_sigma{sigma:g}"] = float(lambdas[-1])
         for k in ks:
             resp_path = os.path.join(out_dir, f"response_sigma{sigma:g}_k{k}.csv")
-            _write_csv(resp_path, "lambda,h", basis.lambdas, filter_response(k, basis.lambdas))
+            _write_csv(resp_path, "lambda,h", lambdas, filter_response(k, lambdas))
             outputs[f"response_sigma{sigma:g}_k{k}"] = resp_path
     timings = [("parse", t_parse), ("graph", t_graph), ("spectrum", time.perf_counter() - t0)]
     _write_manifest(manifest, "spectrum", opts, outputs, timings)
@@ -345,7 +356,7 @@ def run_metrics(opts: dict) -> int:
     cap = _clique_cap(opts)
     out = opts.get("out")
     manifest = opts["manifest"] or (out or os.path.splitext(opts["aux"])[0] + ".metrics") + ".manifest.json"
-    _check_out_dirs(manifest, out or manifest)
+    _check_outputs(out=out, manifest=manifest)
     opts.update(manifest=manifest)
     design, t_parse = _timed(parse_design, opts["aux"])
     pl_path = opts.get("pl") or aux_files(opts["aux"])[".pl"]
@@ -366,7 +377,7 @@ def run_metrics(opts: dict) -> int:
 
 def run_benchgen(opts: dict) -> int:
     manifest = opts["manifest"] or os.path.join(opts["out_dir"], f"{opts['name']}.manifest.json")
-    _check_out_dirs(manifest, made=opts["out_dir"])
+    _check_outputs(made=opts["out_dir"], manifest=manifest)
     opts.update(manifest=manifest)
     design, t_gen = _timed(
         generate,

@@ -663,6 +663,8 @@ def _parse_scl(path: str) -> list[Row]:
         sites = cur.get("num_sites", 0.0)
         if sites < 0 or sites % 1:
             raise _malformed(path, lineno, "NumSites must be a whole number >= 0")
+        if cur.get("height", 1.0) <= 0 or cur["site_width"] <= 0:
+            raise _malformed(path, lineno, "row height and site width must be > 0")
     return rows
 
 

@@ -22,6 +22,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +69,7 @@ class PlacerConfig:
             raise ValueError("stop_overflow must be in (0, 1)")
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     iteration: int
     wl: float
     hpwl: float
@@ -85,13 +85,6 @@ class PlacerTrace:
     @property
     def iterations(self) -> int:
         return self.records[-1].iteration if self.records else 0
-
-    def write_csv(self, path: str) -> None:
-        """Dump the trace; the file holds no timing, so it is byte-reproducible."""
-        with open(path, "w") as f:
-            f.write("iter,wl,hpwl,overflow,lambda\n")
-            for r in self.records:
-                f.write(f"{r.iteration},{r.wl:.10g},{r.hpwl:.10g},{r.overflow:.10g},{r.lam:.10g}\n")
 
 
 def smooth_wirelength_grad(design: Design, g: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:

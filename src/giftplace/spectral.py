@@ -8,7 +8,6 @@ so all entry points are guarded to modest n.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +18,13 @@ from .netlist import Region
 DEGENERACY_TOL = 1e-9
 
 
-@dataclass
-class SpectralBasis:
-    """Ascending eigenvalues and orthonormal eigenvectors (columns of U)."""
-
-    lambdas: np.ndarray
-    U: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.lambdas.shape[0]
-
-
-def eigendecompose(mat: SparseSymMatrix, limit: int = DENSE_LIMIT) -> SpectralBasis:
-    """Full dense eigensystem, eigenvalues ascending."""
+def eigendecompose(mat: SparseSymMatrix, limit: int = DENSE_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+    """Full dense eigensystem ``(lambdas, U)``: eigenvalues ascending, orthonormal eigenvectors as U's columns."""
     lambdas, u = np.linalg.eigh(mat.to_dense(limit))
-    return SpectralBasis(lambdas=lambdas, U=u)
+    return lambdas, u
 
 
-def eigenvector_placement(basis: SpectralBasis, region: Region | None = None) -> np.ndarray:
+def eigenvector_placement(lambdas: np.ndarray, U: np.ndarray, region: Region | None = None) -> np.ndarray:
     """Baseline placement from the 2nd and 3rd smallest eigenvectors.
 
     x = u2, y = u3, each affinely rescaled into the region when one is given.
@@ -45,16 +32,16 @@ def eigenvector_placement(basis: SpectralBasis, region: Region | None = None) ->
     the graph has 3+ connected components and the columns carry no ordering
     information.
     """
-    if basis.n < 3:
-        raise ValueError(f"need at least 3 nodes, got {basis.n}")
-    if basis.lambdas[2] <= DEGENERACY_TOL:
+    if lambdas.size < 3:
+        raise ValueError(f"need at least 3 nodes, got {lambdas.size}")
+    if lambdas[2] <= DEGENERACY_TOL:
         warnings.warn(
             "second/third eigenvalues are numerically zero (disconnected graph); "
             "eigenvector placement is degenerate",
             DegenerateSpectrumWarning,
             stacklevel=2,
         )
-    g = np.column_stack([basis.U[:, 1], basis.U[:, 2]])
+    g = np.column_stack([U[:, 1], U[:, 2]])
     if region is None:
         return g
     lo, hi = np.array([region.xmin, region.ymin]), np.array([region.xmax, region.ymax])

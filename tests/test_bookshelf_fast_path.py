@@ -281,7 +281,7 @@ SCL_LINES = ["", "# note", "UCLA scl 1.0", "NumRows : 3", "CoreRow Horizontal", 
              "Coordinate 5 : 1", "Height : 1", "Height : nan", "Sitewidth : 0.5", "Sitewidth : inf", "Siteorient : N",
              "SubrowOrigin : -4.5 NumSites : 9", "SubrowOrigin:3 NumSites:7", "SubrowOrigin : 1 NumSites",
              "SubrowOrigin : 1", "SubrowOrigin : 2 NumSites : 9.9", "SubrowOrigin : 0 NumSites : -2",
-             "SubrowOrigin : 0 NumSites : inf", "SubrowOrigin : nan NumSites : 0.5"]
+             "SubrowOrigin : 0 NumSites : inf", "SubrowOrigin : nan NumSites : 0.5", "Height : 0", "Sitewidth : -1"]
 # edits that reach the row values more often than the generic ones do
 SCL_MUTATIONS = MUTATIONS + ["alter-token"] * 8 + ["alter-line", "insert-line"] * 4
 
@@ -295,7 +295,8 @@ def _lineno(warning: str) -> int:
        chunk=st.sampled_from([24, 200, 1 << 19]), rnd=st.randoms(use_true_random=False))
 def test_mutated_scl_parses_as_the_line_parser_parses_it(tmp_path_factory, base, kinds, chunk, rnd):
     """The same rows and warnings, or the same exception, message and line, as the reference, except
-    that a fractional or negative ``NumSites``, which the reference truncates, is an error at its line."""
+    that a fractional or negative ``NumSites``, which the reference truncates, and a ``Height`` or
+    ``Sitewidth`` of at most 0, which it keeps, are errors at their line."""
     tmp_dir = str(tmp_path_factory.mktemp("scl"))
     _written(tmp_dir, base)
     path = os.path.join(tmp_dir, "d.scl")
@@ -309,14 +310,19 @@ def test_mutated_scl_parses_as_the_line_parser_parses_it(tmp_path_factory, base,
         chunked = _outcome(netlist._parse_scl, path)
     by_line = _outcome(reference._parse_scl, path)
     value, warnings = chunked
-    if not (isinstance(value, tuple) and "NumSites must be a whole number >= 0" in value[1]):
+    reason = value[1] if isinstance(value, tuple) else ""
+    if not ("NumSites must be a whole number >= 0" in reason or "row height and site width must be > 0" in reason):
         return _assert_same(chunked, by_line)
     # the reference read that line without an error, and warned alike before it
     lineno = value[2]
     with open(path) as f:
-        parts = list(f)[lineno - 1].split("#", 1)[0].replace(":", " ").split()
-    sites = float(parts[parts.index("NumSites") + 1])
-    assert math.isfinite(sites) and (sites < 0 or sites != int(sites))
+        line = list(f)[lineno - 1].split("#", 1)[0]
+    if "NumSites" in reason:
+        parts = line.replace(":", " ").split()
+        sites = float(parts[parts.index("NumSites") + 1])
+        assert math.isfinite(sites) and (sites < 0 or sites != int(sites))
+    else:
+        assert line.split()[0] in ("Height", "Sitewidth") and float(line.partition(":")[2]) <= 0
     ref_value, ref_warnings = by_line
     assert isinstance(ref_value, list) or ref_value[2] > lineno
     assert warnings == [w for w in ref_warnings if _lineno(w) < lineno]

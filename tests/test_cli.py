@@ -405,6 +405,45 @@ class TestOutputDirectories:
         assert json.loads((out_dir / "m.json").read_text())["command"] == command
 
 
+class TestSharedOutputPaths:
+    """Two outputs of one run that name the same file end it before its work: exit 2, nothing written."""
+
+    @pytest.mark.parametrize(
+        "command,flags,named",
+        [
+            ("place", ["--out", "x", "--trace", "x"], "--out and --trace"),
+            ("place", ["--trace", "x", "--manifest", "./x"], "--trace and --manifest"),
+            ("gift", ["--out", "x", "--manifest", "x"], "--out and --manifest"),
+            ("metrics", ["--out", "x", "--manifest", "x"], "--out and --manifest"),
+        ],
+    )
+    def test_exit_2_before_any_work(self, bench, tmp_path, capsys, monkeypatch, command, flags, named):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(Path(bench).parent.iterdir())
+        code, stdout, err = run_cli(capsys, command, bench, *flags)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert f"{named} are the same file" in err
+        assert stdout == ""
+        assert sorted(Path(bench).parent.iterdir()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bench"]
+
+    def test_replay_onto_one_basename(self, bench, tmp_path, capsys):
+        # a replay writes every output into --out-dir under its basename, so these two would become one file
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+        code, _, _ = run_cli(capsys, "place", bench, "--init", "gift", "--max-iters", "5",
+                             "--out", str(tmp_path / "a" / "p.pl"), "--trace", str(tmp_path / "b" / "p.pl"))
+        assert code == 0
+        replay_dir = tmp_path / "replay"
+        code, stdout, err = run_cli(capsys, "report", str(tmp_path / "a" / "p.pl.manifest.json"), "--replay",
+                                    "--out-dir", str(replay_dir))
+        assert code == 2
+        assert "--out and --trace are the same file" in err
+        assert stdout == ""
+        assert list(replay_dir.iterdir()) == []
+
+
 class TestSpectrum:
     def test_histograms_and_responses(self, bench, tmp_path, capsys):
         out = tmp_path / "spec"
@@ -999,6 +1038,7 @@ class TestUnusableGeneratorInputs:
             (["--fanout", "two:1"], "--fanout"),
             (["--utilization", "1e-8"], "utilization"),
             (["--utilization", "5e-324"], "utilization"),
+            (["--fanout", "2:0.3,3:0.3,2:0.4"], "--fanout repeats degree 2"),
         ],
     )
     def test_exit_2(self, tmp_path, capsys, flags, named):

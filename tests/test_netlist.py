@@ -290,14 +290,23 @@ class TestParseErrors:
             ("SubrowOrigin : 0 NumSites : 10", "SubrowOrigin : -4.5 NumSites : 9.9", 7),
             ("NumSites : 10", "NumSites : -3", 7),
             ("NumSites : 10", "NumSites : -0.5", 7),
+            # a row of no height or site width, which the region would leave out
+            ("  Height : 5", "  Height : -3", 5),
+            ("  Height : 5", "  Height : 0", 5),
+            ("  Sitewidth : 1", "  Sitewidth : -1", 6),
+            ("  Sitewidth : 1", "  Sitewidth : 0", 6),
         ],
     )
     def test_nonfinite_row_attribute(self, tmp_path, line, bad, lineno):
         with pytest.raises(MalformedLineError) as exc:
             parse_design(write_corpus(tmp_path, scl=SCL.replace(line, bad, 1)))
         assert exc.value.lineno == lineno
-        nonfinite = "nan" in bad or "inf" in bad
-        assert exc.value.reason == ("row attributes must be finite" if nonfinite else "NumSites must be a whole number >= 0")
+        if "nan" in bad or "inf" in bad:
+            assert exc.value.reason == "row attributes must be finite"
+        elif "NumSites" in bad:
+            assert exc.value.reason == "NumSites must be a whole number >= 0"
+        else:
+            assert exc.value.reason == "row height and site width must be > 0"
 
     @pytest.mark.parametrize("sites", ["10.0", "1e1", "+10", "010"])
     def test_whole_site_count_in_any_spelling(self, tmp_path, sites):

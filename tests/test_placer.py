@@ -33,8 +33,10 @@ from giftplace import (
     overflow,
     run_placer,
     smooth_wirelength_grad,
+    write_design,
+    write_placement,
 )
-from giftplace import metrics, placer
+from giftplace import cli, metrics, placer
 
 from conftest import make_design
 
@@ -656,18 +658,27 @@ class TestRunPlacer:
         assert len(calls) == len(trace.records) == trace.iterations + 1
         assert trace.records[-1].hpwl == metrics.hpwl(design, g)
 
-    def test_trace_csv_reproducible_without_seconds(self, tmp_path):
+    def test_trace_csv_reproducible_without_seconds(self, tmp_path, monkeypatch):
+        # place writes the trace it gets from run_placer; the file must hold the bytes of the per-row form below
         design = generate(cells=30, seed=9)
-        g0 = self.spread_start(design, seed=9)
-        _, trace = run_placer(design, g0, PlacerConfig(max_iters=15))
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        trace.write_csv(str(p1))
-        trace.write_csv(str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-        header = p1.read_text().splitlines()[0]
-        assert header == "iter,wl,hpwl,overflow,lambda"
-        assert len(p1.read_text().splitlines()) == len(trace.records) + 1
+        aux = write_design(design, str(tmp_path), "d")
+        start = tmp_path / "start.pl"
+        write_placement(design, self.spread_start(design, seed=9), str(start))
+        traces = []
+
+        def kept(*args):
+            result = run_placer(*args)
+            traces.append(result[1])
+            return result
+
+        monkeypatch.setattr(cli, "run_placer", kept)
+        for name in ("a", "b"):
+            assert cli.main(["place", aux, "--init", f"file:{start}", "--max-iters", "15", "--out", str(tmp_path / name)]) == 0
+        assert traces[0].records == traces[1].records and len(traces[0].records) > 10
+        expected = "iter,wl,hpwl,overflow,lambda\n" + "".join(
+            f"{r.iteration},{r.wl:.10g},{r.hpwl:.10g},{r.overflow:.10g},{r.lam:.10g}\n" for r in traces[0].records)
+        assert (tmp_path / "a.trace.csv").read_bytes() == expected.encode()
+        assert (tmp_path / "b.trace.csv").read_bytes() == expected.encode()
 
 
 def masked_step_reference(design, g0, config):
