@@ -41,7 +41,7 @@ from .graph import (
     normalized_augmented_adjacency,
 )
 from .metrics import GridConfig, report as metrics_report
-from .netlist import aux_files, decode, parse_design, read_placement, write_design, write_placement
+from .netlist import aux_entries, aux_files, decode, design_files, parse_design, read_placement, write_design, write_placement
 from .placer import PlacerConfig, run_placer
 from .spectral import eigendecompose, eigenvector_placement, filter_response
 
@@ -128,10 +128,6 @@ COMMAND_HELP = {
     "benchgen": "generate a synthetic Bookshelf design",
 }
 
-# option keys holding output paths, re-rooted on replay
-OUTPUT_KEYS = ("out", "trace", "out_dir", "manifest")
-
-
 def _diag(message: str) -> None:
     use_color = sys.stderr.isatty() and not os.environ.get("NO_COLOR")
     prefix = "\x1b[31merror:\x1b[0m" if use_color else "error:"
@@ -200,16 +196,16 @@ def _grid_config(opts: dict) -> GridConfig:
     return GridConfig(nx=nx, ny=ny, rho_t=opts["rho_t"])
 
 
-def _write_manifest(path: str, command: str, opts: dict, outputs: dict, timings: list) -> None:
+def _write_manifest(files: dict[str, str], command: str, opts: dict, timings: list) -> None:
     doc = {
         "tool": "giftplace",
         "version": __version__,
         "command": command,
         "options": opts,
-        "outputs": outputs,
+        "outputs": {key: path for key, path in files.items() if key != "manifest"},
         "timings": [{"phase": p, "seconds": s} for p, s in timings],
     }
-    with open(path, "w") as f:
+    with open(files["manifest"], "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -219,20 +215,51 @@ def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
     np.savetxt(path, np.column_stack(columns), fmt="%.10g", delimiter=",", header=header, comments="")
 
 
-def _check_outputs(made: str | None = None, **paths: str | None) -> None:
-    """Check the output ``paths``, keyed by option, before the design is read, so that a run that cannot write
-    them does no work: ValueError when two are one file, and FileNotFoundError for the first in a missing
-    directory other than ``made``, which the run creates. A None path is skipped."""
-    seen: dict[str, str] = {}
-    for key, path in paths.items():
-        if path is None:
-            continue
-        other = seen.setdefault(os.path.realpath(path), key)
-        if other != key:
-            raise ValueError(f"--{other} and --{key} are the same file {path}")
+def _spectrum_lists(opts: dict) -> tuple[list[float], list[int]]:
+    """--sigma and --k, each a comma list checked value by value."""
+    return (_comma_list(opts, "sigma", float, lambda s: 0.0 <= s < np.inf, "finite numbers >= 0"),
+            _comma_list(opts, "k", int, lambda k: k >= 1, "integers >= 1"))
+
+
+def _outputs(command: str, opts: dict, made: str | None = None) -> dict[str, str]:
+    """Every file the run writes, keyed by option or by its name in the manifest's ``outputs``; unset output options
+    get their default names. Checked before any work: ValueError when two are one file or one is an input (the .aux
+    and its files, --pl, --init file:), and FileNotFoundError for one in a missing directory other than the one the
+    run creates: --out-dir, or ``made`` on replay."""
+    base = os.path.splitext(opts.get("aux", ""))[0]
+    if command in ("gift", "place"):
+        base = opts["out"] or f"{base}.{command}.pl"
+        files = {"out": base, "trace": opts["trace"] or base + ".trace.csv"} if command == "place" else {"out": base}
+    elif command == "metrics":
+        files = {"out": opts["out"]} if opts["out"] else {}
+        base = opts["out"] or base + ".metrics"
+    elif command == "spectrum":
+        sigmas, ks = _spectrum_lists(opts)
+        files = {f"hist_sigma{s:g}": os.path.join(opts["out_dir"], f"eig_hist_sigma{s:g}.csv") for s in sigmas}
+        files.update({f"response_sigma{s:g}_k{k}": os.path.join(opts["out_dir"], f"response_sigma{s:g}_k{k}.csv")
+                      for s in sigmas for k in ks})
+        base = os.path.join(opts["out_dir"], "spectrum")
+    else:
+        files = design_files(opts["out_dir"], opts["name"])
+        base = os.path.join(opts["out_dir"], opts["name"])
+    files["manifest"] = opts["manifest"] or base + ".manifest.json"
+    opts.update((key, path) for key, path in files.items() if key in opts)
+
+    listed = [opts["aux"], *(path for _, _, path in aux_entries(opts["aux"]))] if "aux" in opts else []
+    seen = {os.path.realpath(path): os.path.basename(path) for path in listed}
+    for name, path in (("--pl", opts.get("pl")), ("--init", opts.get("init", "").partition("file:")[2])):
+        if path:
+            seen[os.path.realpath(path)] = name
+    made = made or opts.get("out_dir")
+    for key, path in files.items():
+        name, real = f"--{key}" if key in opts else os.path.basename(path), os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{seen[real]} and {name} are the same file {path}")
+        seen[real] = name
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder) and not (made and os.path.abspath(folder) == os.path.abspath(made)):
             raise FileNotFoundError(f"output directory {folder} does not exist")
+    return files
 
 
 def _timed(fn, *args, **kwargs):
@@ -242,28 +269,26 @@ def _timed(fn, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# command handlers (each takes the fully resolved options dict)
+# command handlers (each takes the fully resolved options dict and, on replay, the --out-dir it creates)
 
 
-def run_gift(opts: dict) -> int:
+def run_gift(opts: dict, made: str | None = None) -> int:
     gconfig = _gift_config(opts)
     cap = _clique_cap(opts)
-    out = opts["out"] or os.path.splitext(opts["aux"])[0] + ".gift.pl"
-    manifest = opts["manifest"] or out + ".manifest.json"
-    _check_outputs(out=out, manifest=manifest)
-    opts.update(out=out, manifest=manifest)
+    files = _outputs("gift", opts, made)
     design, t_parse = _timed(parse_design, opts["aux"])
     adj, t_graph = _timed(build_clique_graph, design, cap)
     placement, t_filter = _timed(gift_place, design, adj, gconfig)
 
-    write_placement(design, placement, out)
+    os.makedirs(made or ".", exist_ok=True)  # a replay's --out-dir, made once the run has its results
+    write_placement(design, placement, files["out"])
     timings = [("parse", t_parse), ("graph", t_graph), ("filter", t_filter)]
-    _write_manifest(manifest, "gift", opts, {"pl": out}, timings)
-    print(json.dumps({"out": out, "timings": [{"phase": p, "seconds": s} for p, s in timings]}))
+    _write_manifest(files, "gift", opts, timings)
+    print(json.dumps({"out": files["out"], "timings": [{"phase": p, "seconds": s} for p, s in timings]}))
     return EXIT_OK
 
 
-def run_place(opts: dict) -> int:
+def run_place(opts: dict, made: str | None = None) -> int:
     pconfig = PlacerConfig(grid=_grid_config(opts), seed=opts["seed"], **{
         key: opts[key] for key in ("gamma", "lambda0", "lambda_growth", "step", "max_iters", "stop_overflow")})
     gconfig = _gift_config(opts)
@@ -271,11 +296,7 @@ def run_place(opts: dict) -> int:
     init = opts["init"]
     if init not in ("center", "gift", "eigen") and not init.startswith("file:"):
         raise ValueError(f"unknown --init {init!r} (expected center|gift|eigen|file:PATH)")
-    out = opts["out"] or os.path.splitext(opts["aux"])[0] + ".place.pl"
-    trace_path = opts["trace"] or out + ".trace.csv"
-    manifest = opts["manifest"] or out + ".manifest.json"
-    _check_outputs(out=out, trace=trace_path, manifest=manifest)
-    opts.update(out=out, trace=trace_path, manifest=manifest)
+    files = _outputs("place", opts, made)
     design, t_parse = _timed(parse_design, opts["aux"])
     timings = [("parse", t_parse)]
 
@@ -299,12 +320,13 @@ def run_place(opts: dict) -> int:
     (g_final, trace), t_place = _timed(run_placer, design, g0, pconfig)
     timings.append(("place", t_place))
 
-    write_placement(design, g_final, out)
-    _write_csv(trace_path, "iter,wl,hpwl,overflow,lambda", *np.transpose(trace.records))
-    _write_manifest(manifest, "place", opts, {"pl": out, "trace": trace_path}, timings)
+    os.makedirs(made or ".", exist_ok=True)  # a replay's --out-dir, made once the run has its results
+    write_placement(design, g_final, files["out"])
+    _write_csv(files["trace"], "iter,wl,hpwl,overflow,lambda", *np.transpose(trace.records))
+    _write_manifest(files, "place", opts, timings)
     last = trace.records[-1]
     print(json.dumps({
-        "out": out,
+        "out": files["out"],
         "iterations": trace.iterations,
         "converged": trace.converged,
         "hpwl": last.hpwl,
@@ -313,85 +335,61 @@ def run_place(opts: dict) -> int:
     return EXIT_OK
 
 
-def run_spectrum(opts: dict) -> int:
-    sigmas = _comma_list(opts, "sigma", float, lambda s: 0.0 <= s < np.inf, "finite numbers >= 0")
-    ks = _comma_list(opts, "k", int, lambda k: k >= 1, "integers >= 1")
+def run_spectrum(opts: dict, made: str | None = None) -> int:
     cap = _clique_cap(opts)
-    out_dir = opts["out_dir"]
-    manifest = opts["manifest"] or os.path.join(out_dir, "spectrum.manifest.json")
-    _check_outputs(made=out_dir, manifest=manifest)
-    opts.update(manifest=manifest)
+    files = _outputs("spectrum", opts, made)
+    sigmas, ks = _spectrum_lists(opts)
     design, t_parse = _timed(parse_design, opts["aux"])
     if design.num_cells == 0:
         _diag("design has no cells; nothing to analyze")
         return EXIT_INPUT
     adj, t_graph = _timed(build_clique_graph, design, cap)
 
-    os.makedirs(out_dir, exist_ok=True)
-    outputs: dict[str, str] = {}
     summary = {}
     t0 = time.perf_counter()
     for sigma in sigmas:
         lt = identity_minus(normalized_augmented_adjacency(adj, sigma))
         lambdas, _ = eigendecompose(lt)
+        os.makedirs(opts["out_dir"], exist_ok=True)  # made once there is a result to write, as on replay
         # the spectrum lies in [0, 2]: a value outside it is rounding, and is counted at the edge
         counts, edges = np.histogram(np.clip(lambdas, 0.0, 2.0), bins=50, range=(0.0, 2.0))
         centers = 0.5 * (edges[:-1] + edges[1:])
-        hist_path = os.path.join(out_dir, f"eig_hist_sigma{sigma:g}.csv")
-        _write_csv(hist_path, "lambda,count", centers, counts)
-        outputs[f"hist_sigma{sigma:g}"] = hist_path
+        _write_csv(files[f"hist_sigma{sigma:g}"], "lambda,count", centers, counts)
         summary[f"lambda_max_sigma{sigma:g}"] = float(lambdas[-1])
         for k in ks:
-            resp_path = os.path.join(out_dir, f"response_sigma{sigma:g}_k{k}.csv")
-            _write_csv(resp_path, "lambda,h", lambdas, filter_response(k, lambdas))
-            outputs[f"response_sigma{sigma:g}_k{k}"] = resp_path
+            _write_csv(files[f"response_sigma{sigma:g}_k{k}"], "lambda,h", lambdas, filter_response(k, lambdas))
     timings = [("parse", t_parse), ("graph", t_graph), ("spectrum", time.perf_counter() - t0)]
-    _write_manifest(manifest, "spectrum", opts, outputs, timings)
+    _write_manifest(files, "spectrum", opts, timings)
     print(json.dumps(summary))
     return EXIT_OK
 
 
-def run_metrics(opts: dict) -> int:
+def run_metrics(opts: dict, made: str | None = None) -> int:
     grid = _grid_config(opts)
     cap = _clique_cap(opts)
-    out = opts.get("out")
-    manifest = opts["manifest"] or (out or os.path.splitext(opts["aux"])[0] + ".metrics") + ".manifest.json"
-    _check_outputs(out=out, manifest=manifest)
-    opts.update(manifest=manifest)
+    files = _outputs("metrics", opts, made)
     design, t_parse = _timed(parse_design, opts["aux"])
-    pl_path = opts.get("pl") or aux_files(opts["aux"])[".pl"]
-    g = read_placement(design, pl_path)
+    g = read_placement(design, opts["pl"] or aux_files(opts["aux"])[".pl"])
     adj, t_graph = _timed(build_clique_graph, design, cap)
     rep = metrics_report(design, adj, g, grid)
 
-    outputs = {}
     text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as f:
+    os.makedirs(made or ".", exist_ok=True)  # a replay's --out-dir, made once the run has its results
+    if "out" in files:
+        with open(files["out"], "w") as f:
             f.write(text)
-        outputs["metrics"] = out
-    _write_manifest(manifest, "metrics", opts, outputs, [("parse", t_parse), ("graph", t_graph)])
+    _write_manifest(files, "metrics", opts, [("parse", t_parse), ("graph", t_graph)])
     print(text, end="")
     return EXIT_OK
 
 
-def run_benchgen(opts: dict) -> int:
-    manifest = opts["manifest"] or os.path.join(opts["out_dir"], f"{opts['name']}.manifest.json")
-    _check_outputs(made=opts["out_dir"], manifest=manifest)
-    opts.update(manifest=manifest)
-    design, t_gen = _timed(
-        generate,
-        cells=opts["cells"],
-        rows=opts.get("rows"),
-        cols=opts.get("cols"),
-        fanout=_parse_fanout(opts.get("fanout")),
-        io_count=opts.get("io"),
-        long_range_fraction=opts["long_range_fraction"],
-        utilization=opts["utilization"],
-        seed=opts["seed"],
-    )
+def run_benchgen(opts: dict, made: str | None = None) -> int:
+    files = _outputs("benchgen", opts, made)
+    design, t_gen = _timed(generate, cells=opts["cells"], rows=opts["rows"], cols=opts["cols"],
+                           fanout=_parse_fanout(opts["fanout"]), io_count=opts["io"], seed=opts["seed"],
+                           long_range_fraction=opts["long_range_fraction"], utilization=opts["utilization"])
     aux = write_design(design, opts["out_dir"], opts["name"])
-    _write_manifest(manifest, "benchgen", opts, {"aux": aux}, [("generate", t_gen)])
+    _write_manifest(files, "benchgen", opts, [("generate", t_gen)])
     print(json.dumps({"aux": aux, "cells": design.num_cells, "nets": design.num_nets}))
     return EXIT_OK
 
@@ -442,14 +440,13 @@ def run_report(opts: dict) -> int:
     out_dir = opts.get("out_dir")
     if not out_dir:
         raise ValueError("--replay requires --out-dir")
-    os.makedirs(out_dir, exist_ok=True)
     new_opts = {k: v for k, v in doc["options"].items() if k in OPTIONS[doc["command"]] or k == "aux"}
-    for key in OUTPUT_KEYS:
-        if key == "out_dir" and key in new_opts:
-            new_opts[key] = out_dir
-        elif new_opts.get(key):
+    for key in ("out", "trace", "manifest"):  # the options that name an output, re-rooted by basename
+        if new_opts.get(key):
             new_opts[key] = os.path.join(out_dir, os.path.basename(new_opts[key]))
-    return HANDLERS[doc["command"]](new_opts)
+    if "out_dir" in new_opts:
+        new_opts["out_dir"] = out_dir
+    return HANDLERS[doc["command"]](new_opts, out_dir)
 
 
 HANDLERS = {

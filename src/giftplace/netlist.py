@@ -668,6 +668,21 @@ def _parse_scl(path: str) -> list[Row]:
     return rows
 
 
+def aux_entries(aux_path: str) -> list[tuple[int, str, str]]:
+    """(line number, name as listed, absolute path) of every file the .aux lists, in order; MissingFileError when
+    there is no .aux, and MalformedLineError for a line without 'Tag :'."""
+    if not os.path.isfile(aux_path):
+        raise MissingFileError(aux_path)
+    base = os.path.dirname(os.path.abspath(aux_path))
+    listed: list[tuple[int, str, str]] = []
+    for lineno, tokens in ((n, t) for chunk in _lex(aux_path) for n, t in zip(chunk.lineno.tolist(), chunk.rows())):
+        _, colon, value = " ".join(tokens).partition(":")
+        if not colon:
+            raise _malformed(aux_path, lineno, "expected 'Tag : file ...'")
+        listed += [(lineno, fname, os.path.join(base, fname)) for fname in value.split()]
+    return listed
+
+
 def aux_files(aux_path: str) -> dict[str, str]:
     """Resolve the .aux manifest to {extension: absolute path}.
 
@@ -675,19 +690,9 @@ def aux_files(aux_path: str) -> dict[str, str]:
     these kinds raises MalformedLineError; other entries are skipped with a
     warning. Listed-but-missing files raise MissingFileError.
     """
-    if not os.path.isfile(aux_path):
-        raise MissingFileError(aux_path)
-    base = os.path.dirname(os.path.abspath(aux_path))
-    listed: list[tuple[int, str]] = []
-    for lineno, tokens in ((n, t) for chunk in _lex(aux_path) for n, t in zip(chunk.lineno.tolist(), chunk.rows())):
-        _, colon, value = " ".join(tokens).partition(":")
-        if not colon:
-            raise _malformed(aux_path, lineno, "expected 'Tag : file ...'")
-        listed += [(lineno, fname) for fname in value.split()]
     by_ext: dict[str, str] = {}
-    for lineno, fname in listed:
+    for lineno, fname, path in aux_entries(aux_path):
         ext = os.path.splitext(fname)[1]
-        path = os.path.join(base, fname)
         if ext in by_ext:
             raise _malformed(aux_path, lineno, f"second {ext} entry {fname!r}; exactly one is allowed")
         if ext in (".nodes", ".nets", ".pl", ".scl"):
@@ -698,7 +703,8 @@ def aux_files(aux_path: str) -> dict[str, str]:
             log.warning("%s: unsupported file %s skipped", aux_path, fname)
     for required in (".nodes", ".nets", ".pl"):
         if required not in by_ext:
-            raise MissingFileError(os.path.join(base, f"<{required} entry in {os.path.basename(aux_path)}>"))
+            raise MissingFileError(os.path.join(os.path.dirname(os.path.abspath(aux_path)),
+                                                f"<{required} entry in {os.path.basename(aux_path)}>"))
     return by_ext
 
 
@@ -793,12 +799,21 @@ def write_placement(design: Design, placement: np.ndarray, path: str) -> None:
         f.write("UCLA pl 1.0\n\n" + line * design.num_cells % tuple(fields))
 
 
+def design_files(out_dir: str, name: str) -> dict[str, str]:
+    """The files ``write_design`` writes for ``name`` in ``out_dir``, keyed by extension (.scl only for a region
+    with rows). ValueError for a name an .aux cannot list: empty, only dots, or holding whitespace, '#' or '/'."""
+    if not name.strip(".") or any(c.isspace() or c in "#/" for c in name):
+        raise ValueError(f"name {name!r} cannot be listed in an .aux: it needs a character besides '.' and no whitespace, '#' or '/'")
+    return {ext: os.path.join(out_dir, f"{name}.{ext}") for ext in ("nodes", "nets", "pl", "scl", "aux")}
+
+
 def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray | None = None) -> str:
     """Write a full Bookshelf design (.aux/.nodes/.nets/.pl[/.scl]); returns the .aux path.
 
     ``placement`` supplies movable cell centers for the .pl; defaults to the
     region center. Fixed cells are always written at their fixed position.
     """
+    paths = design_files(out_dir, name)
     os.makedirs(out_dir, exist_ok=True)
     if placement is None:
         placement = np.tile(design.region.center, (design.num_cells, 1))
@@ -811,7 +826,7 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
     nodes[1::4] = design.widths.tolist()
     nodes[2::4] = design.heights.tolist()
     nodes[3::4] = np.where(design.fixed, "\tterminal", "").tolist()
-    with open(os.path.join(out_dir, f"{name}.nodes"), "w") as f:
+    with open(paths["nodes"], "w") as f:
         f.write(f"UCLA nodes 1.0\n\nNumNodes : {design.num_cells}\nNumTerminals : {design.num_fixed}\n")
         f.write("\t%s\t%g\t%g%s\n" * design.num_cells % tuple(nodes))
 
@@ -825,22 +840,20 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
     pins = np.array(design.names, dtype=object)[design.pin_cell], design.pin_dx, design.pin_dy
     fields[is_pin] = np.column_stack(pins).ravel()
     lines = "".join(["NetDegree : %d %s\n" + "\t%s I : %g %g\n" * k for k in degree.tolist()])
-    with open(os.path.join(out_dir, f"{name}.nets"), "w") as f:
+    with open(paths["nets"], "w") as f:
         f.write(f"UCLA nets 1.0\n\nNumNets : {design.num_nets}\nNumPins : {design.pin_cell.size}\n")
         f.write(lines % tuple(fields.tolist()))
 
-    write_placement(design, placement, os.path.join(out_dir, f"{name}.pl"))
+    write_placement(design, placement, paths["pl"])
 
-    files = [f"{name}.nodes", f"{name}.nets", f"{name}.pl"]
     rows = design.region.rows
     if rows:
         row = "CoreRow Horizontal\n\tCoordinate : %g\n\tHeight : %g\n\tSitewidth : %g\n\tSubrowOrigin : %g NumSites : %s\nEnd\n"
         values = [value for r in rows for value in (r.y, r.height, r.site_width, r.x, r.num_sites)]
-        with open(os.path.join(out_dir, f"{name}.scl"), "w") as f:
+        with open(paths["scl"], "w") as f:
             f.write(f"UCLA scl 1.0\n\nNumRows : {len(rows)}\n" + row * len(rows) % tuple(values))
-        files.append(f"{name}.scl")
 
-    aux_path = os.path.join(out_dir, f"{name}.aux")
-    with open(aux_path, "w") as f:
-        f.write("RowBasedPlacement : " + " ".join(files) + "\n")
-    return aux_path
+    listed = ("nodes", "nets", "pl", "scl")[:4 if rows else 3]
+    with open(paths["aux"], "w") as f:
+        f.write("RowBasedPlacement : " + " ".join(os.path.basename(paths[ext]) for ext in listed) + "\n")
+    return paths["aux"]

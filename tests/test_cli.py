@@ -406,7 +406,8 @@ class TestOutputDirectories:
 
 
 class TestSharedOutputPaths:
-    """Two outputs of one run that name the same file end it before its work: exit 2, nothing written."""
+    """Two outputs of one run that name the same file, or an output that names one of its inputs, end the run before
+    its work: exit 2, nothing written."""
 
     @pytest.mark.parametrize(
         "command,flags,named",
@@ -441,7 +442,49 @@ class TestSharedOutputPaths:
         assert code == 2
         assert "--out and --trace are the same file" in err
         assert stdout == ""
-        assert list(replay_dir.iterdir()) == []
+        assert not replay_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command,flags,named",
+        [
+            ("benchgen", ["--cells", "50", "--out-dir", "gen", "--manifest", "gen/synth.pl"], "synth.pl and --manifest"),
+            ("spectrum", ["--out-dir", "spec", "--manifest", "spec/eig_hist_sigma0.csv"],
+             "eig_hist_sigma0.csv and --manifest"),
+            ("gift", ["--manifest", "bench/synth.nets"], "synth.nets and --manifest"),
+            ("place", ["--init", "file:start.pl", "--out", "start.pl", "--max-iters", "3"], "--init and --out"),
+        ],
+        ids=["benchgen-design-file", "spectrum-csv", "gift-design-nets", "place-own-start"],
+    )
+    def test_output_over_another_output_or_an_input(self, bench, tmp_path, capsys, monkeypatch, command, flags, named):
+        # every file already there, the design's .nets and the place run's start among them, keeps its bytes
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "start.pl").write_bytes(Path(bench).with_suffix(".pl").read_bytes())
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*.*")}
+        code, stdout, err = run_cli(capsys, command, *([] if command == "benchgen" else [bench]), *flags)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert f"{named} are the same file" in err
+        assert stdout == ""
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*.*")} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bench", "start.pl"]
+
+    def test_every_run_writes_its_outputs_and_manifest_only(self, bench, tmp_path, capsys):
+        # the manifest's outputs list every file a run writes but the manifest itself
+        runs = {
+            "benchgen": ["--cells", "50", "--out-dir", "{d}"],
+            "gift": [bench, "--out", "{d}/g.pl"],
+            "place": [bench, "--init", "gift", "--max-iters", "3", "--out", "{d}/p.pl"],
+            "spectrum": [bench, "--sigma", "0,1", "--k", "1,2", "--out-dir", "{d}"],
+            "metrics": [bench, "--out", "{d}/m.json"],
+        }
+        for command, args in runs.items():
+            fresh = tmp_path / f"fresh-{command}"
+            fresh.mkdir()
+            code, _, err = run_cli(capsys, command, *(a.format(d=fresh) for a in args))
+            assert code == 0, err
+            (manifest,) = fresh.glob("*manifest.json")
+            written = json.loads(manifest.read_text())["outputs"].values()
+            assert sorted(fresh.iterdir()) == sorted([manifest, *map(Path, written)]), command
 
 
 class TestSpectrum:
@@ -491,6 +534,16 @@ class TestSpectrum:
         (tmp_path / "e.aux").write_text("RowBasedPlacement : e.nodes e.nets e.pl e.scl\n")
         code, _, _ = run_cli(capsys, "spectrum", str(tmp_path / "e.aux"))
         assert code == 1
+
+    def test_too_large_exit_2_makes_no_out_dir(self, tmp_path, capsys):
+        # the dense eigensystem is refused after the design is read; the --out-dir is made only for a result
+        code, _, _ = run_cli(capsys, "benchgen", "--cells", "2100", "--seed", "0", "--out-dir", str(tmp_path / "big"))
+        assert code == 0
+        code, stdout, err = run_cli(capsys, "spectrum", str(tmp_path / "big" / "synth.aux"), "--out-dir", str(tmp_path / "spec"))
+        assert code == 2
+        assert "TooLargeForDense" in err
+        assert stdout == ""
+        assert not (tmp_path / "spec").exists()
 
 
 def move_in_pl(src: str, dst: str, cell: str, x: str, y: str) -> None:
@@ -1039,6 +1092,10 @@ class TestUnusableGeneratorInputs:
             (["--utilization", "1e-8"], "utilization"),
             (["--utilization", "5e-324"], "utilization"),
             (["--fanout", "2:0.3,3:0.3,2:0.4"], "--fanout repeats degree 2"),
+            (["--name", ""], "name '' cannot be listed in an .aux"),
+            (["--name", "a b"], "name 'a b' cannot be listed in an .aux"),
+            (["--name", "a#b"], "name 'a#b' cannot be listed in an .aux"),
+            (["--name", "sub/x"], "name 'sub/x' cannot be listed in an .aux"),
         ],
     )
     def test_exit_2(self, tmp_path, capsys, flags, named):
