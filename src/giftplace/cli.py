@@ -226,6 +226,8 @@ def _outputs(command: str, opts: dict, made: str | None = None) -> dict[str, str
     get their default names. Checked before any work: ValueError when two are one file or one is an input (the .aux
     and its files, --pl, --init file:), and FileNotFoundError for one in a missing directory other than the one the
     run creates: --out-dir, or ``made`` on replay."""
+    if opts.get("out_dir") == "":
+        raise ValueError("--out-dir is the empty path; name a directory, such as '.'")
     base = os.path.splitext(opts.get("aux", ""))[0]
     if command in ("gift", "place"):
         base = opts["out"] or f"{base}.{command}.pl"
@@ -238,6 +240,9 @@ def _outputs(command: str, opts: dict, made: str | None = None) -> dict[str, str
         files = {f"hist_sigma{s:g}": os.path.join(opts["out_dir"], f"eig_hist_sigma{s:g}.csv") for s in sigmas}
         files.update({f"response_sigma{s:g}_k{k}": os.path.join(opts["out_dir"], f"response_sigma{s:g}_k{k}.csv")
                       for s in sigmas for k in ks})
+        if len(files) < len(sigmas) * (1 + len(ks)):  # two values that print alike under {:g} make one key
+            raise ValueError(f"--sigma {opts['sigma']} and --k {opts['k']} give two outputs one file name: the names hold "
+                             "each value to 6 significant digits")
         base = os.path.join(opts["out_dir"], "spectrum")
     else:
         files = design_files(opts["out_dir"], opts["name"])
@@ -368,8 +373,8 @@ def run_metrics(opts: dict, made: str | None = None) -> int:
     grid = _grid_config(opts)
     cap = _clique_cap(opts)
     files = _outputs("metrics", opts, made)
-    design, t_parse = _timed(parse_design, opts["aux"])
-    g = read_placement(design, opts["pl"] or aux_files(opts["aux"])[".pl"])
+    design, t_parse = _timed(parse_design, opts["aux"], listed := aux_files(opts["aux"]))  # one read of the .aux
+    g = read_placement(design, opts["pl"] or listed[".pl"])
     adj, t_graph = _timed(build_clique_graph, design, cap)
     rep = metrics_report(design, adj, g, grid)
 

@@ -37,6 +37,11 @@ class GridConfig:
         if any(n is not None and not 1 <= n <= MAX_BINS for n in (self.nx, self.ny)):
             raise ValueError(f"bin counts must be >= 1 and <= {MAX_BINS}, got {self.nx}x{self.ny}")
 
+    def resolved(self, design: Design) -> GridConfig:
+        """This grid with the bin counts it leaves unset taken from ``default_bins``."""
+        dx, dy = (self.nx, self.ny) if self.nx and self.ny else default_bins(design)
+        return GridConfig(self.nx or dx, self.ny or dy, self.rho_t)
+
 
 def _average_cell(design: Design) -> tuple[float, float]:
     """Width and height of the average movable cell (of every cell if none moves; 1 x 1 without cells)."""
@@ -113,12 +118,8 @@ def hpwl(design: Design, g: np.ndarray) -> float:
 
 def density_map(design: Design, g: np.ndarray, grid: GridConfig | None = None) -> DensityGrid:
     """Exact-overlap occupancy of each bin by cell rectangles clipped to the region."""
-    cfg = grid or GridConfig()
+    cfg = (grid or GridConfig()).resolved(design)
     nx, ny = cfg.nx, cfg.ny
-    if nx is None or ny is None:
-        dx, dy = default_bins(design)
-        nx = nx or dx
-        ny = ny or dy
     bin_w = design.region.width / nx
     bin_h = design.region.height / ny
     overlaps = _bin_overlaps(design, g, nx, ny, bin_w, bin_h)

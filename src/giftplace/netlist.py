@@ -708,14 +708,14 @@ def aux_files(aux_path: str) -> dict[str, str]:
     return by_ext
 
 
-def parse_design(aux_path: str) -> Design:
+def parse_design(aux_path: str, by_ext: dict[str, str] | None = None) -> Design:
     """Parse a .aux manifest and the files it references into a Design.
 
-    Movable/fixed classification follows both the .nodes ``terminal`` marker
-    and the .pl ``/FIXED`` marker. Raises MissingFileError, MalformedLineError,
-    DuplicateCellError or DanglingPinError on bad input.
+    Movable/fixed classification follows both the .nodes ``terminal`` marker and the .pl ``/FIXED`` marker;
+    ``by_ext`` is the .aux's ``aux_files`` when the caller read it already. Raises MissingFileError,
+    MalformedLineError, DuplicateCellError or DanglingPinError on bad input.
     """
-    by_ext = aux_files(aux_path)
+    by_ext = by_ext or aux_files(aux_path)
     names, widths, heights, fixed, name_to_id, num_terminals = _parse_nodes(by_ext[".nodes"])
     net_names, net_start, pin_cell, pin_dx, pin_dy = _parse_nets(by_ext[".nets"], name_to_id)
     corners, pl_fixed = _parse_pl(by_ext[".pl"], name_to_id)

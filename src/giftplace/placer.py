@@ -18,9 +18,10 @@ state instead of measuring pile-peeling depth.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -132,13 +133,17 @@ def _poisson_potential(q: np.ndarray, bin_w: float, bin_h: float) -> np.ndarray:
     """
     from scipy.fft import dctn, idctn  # imported here: only the placer pays for scipy.fft
 
-    nx, ny = q.shape
-    wx = (2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx)) / bin_w**2
-    wy = (2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny)) / bin_h**2
-    denom = wx[:, None] + wy[None, :]
+    denom = _neumann_denominators(*q.shape, bin_w, bin_h)
     q_hat = dctn(q, type=2, norm="ortho")
     phi_hat = np.divide(q_hat, denom, out=np.zeros_like(q_hat), where=denom > 0)
     return idctn(phi_hat, type=2, norm="ortho")
+
+
+@functools.lru_cache(maxsize=4)
+def _neumann_denominators(nx: int, ny: int, bin_w: float, bin_h: float) -> np.ndarray:
+    """The Laplacian's eigenvalue at each cosine mode of an nx x ny grid: one grid's constants, kept across solves."""
+    wx, wy = ((2.0 - 2.0 * np.cos(np.pi * np.arange(m) / m)) / w**2 for m, w in ((nx, bin_w), (ny, bin_h)))
+    return wx[:, None] + wy[None, :]
 
 
 def electrostatic_grad(
@@ -185,6 +190,18 @@ def balanced_lambda0(design: Design, config: PlacerConfig) -> float:
     return LAMBDA_BALANCE * wl_norm / d_norm
 
 
+def _finish(task: Future, fn, *args):
+    """A queued task's result: run here if the worker has not started it, else joined."""
+    return fn(*args) if task.cancel() else task.result()
+
+
+def _halves(pool: ThreadPoolExecutor, fn, n: int) -> None:
+    """``fn(rows)`` over both halves of n rows: the first queued for the worker, the second run here."""
+    task = pool.submit(fn, slice(0, n // 2))
+    fn(slice(n // 2, n))
+    _finish(task, fn, slice(0, n // 2))
+
+
 def run_placer(
     design: Design, g0: np.ndarray, config: PlacerConfig | None = None
 ) -> tuple[np.ndarray, PlacerTrace]:
@@ -194,8 +211,8 @@ def run_placer(
     multiplicatively; the clamp to ``design.bounds`` places fixed cells at their
     fixed positions. Raises DivergenceError when the objective stops being finite, and
     GiftPlaceError when the saturated step finds no force on any movable cell.
-    Each iteration's wirelength term runs on one worker thread, joined before the
-    call returns, beside the density term; the results are those of running them in turn.
+    Each iteration shares its work with one worker thread, joined before the call
+    returns; the results are those of running it all in turn on one thread.
     """
     config = config or PlacerConfig()
     gamma = _gamma(design, config)
@@ -210,6 +227,8 @@ def run_placer(
     trace = PlacerTrace()
     stalled = ""
     lam = config.lambda0 if config.lambda0 is not None else balanced_lambda0(design, config)
+    grid = (config.grid or GridConfig()).resolved(design)  # default_bins once per run, not per evaluation
+    mag = np.empty(design.num_cells)
 
     # With config.step set, the update rule is applied literally. The default
     # is a saturated per-cell step: cells move along their own negative
@@ -223,7 +242,7 @@ def run_placer(
                 step = config.step
                 if step is None:
                     # fixed rows of grad are zero, so they neither stop the loop nor move
-                    mag = np.hypot(grad[:, 0], grad[:, 1])
+                    _halves(pool, lambda rows: np.hypot(grad[rows, 0], grad[rows, 1], out=mag[rows]), len(mag))
                     if not np.any(mag > 0):
                         if design.num_movable:
                             raise GiftPlaceError(f"zero gradient at iteration {it}: no force moves the {design.num_movable} "
@@ -237,15 +256,15 @@ def run_placer(
                 g -= step * grad
                 np.clip(g, *design.bounds, out=g)
                 lam *= config.lambda_growth
-            # the wirelength pass runs on the worker while this thread takes the density, overflow and HPWL
-            # of the same g; the join comes first, so g stays unchanged until both have read it, and when
-            # both kernels raise, the wirelength kernel's error surfaces, as it would in sequence
-            wirelength = pool.submit(smooth_wirelength_grad, design, g, gamma)
+            # the worker takes the queue in order beside the density term; what it has not started runs here, the last
+            # first. Both are back before the step mutates g, and the wirelength error surfaces first, as in sequence
+            wirelength, exact = pool.submit(smooth_wirelength_grad, design, g, gamma), pool.submit(hpwl, design, g)
             try:
-                d_val, d_grad, dens = electrostatic_grad(design, g, config.grid)
-                ovf, exact_wl = overflow(dens), hpwl(design, g)
+                d_val, d_grad, dens = electrostatic_grad(design, g, grid)
+                ovf, exact_wl = overflow(dens), _finish(exact, hpwl, design, g)
             finally:
-                wl_val, wl_grad = wirelength.result()
+                exact.cancel()  # unless done or running: in sequence, hpwl would not run after a density error
+                wl_val, wl_grad = _finish(wirelength, smooth_wirelength_grad, design, g, gamma)
             obj = wl_val + lam * d_val
             grad = wl_grad + lam * d_grad
             if not (np.isfinite(obj) and np.all(np.isfinite(grad))):

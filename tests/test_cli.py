@@ -8,6 +8,7 @@ it.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import re
 import subprocess
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from giftplace import parse_design, read_placement, write_placement
+from giftplace import cli
 from giftplace.cli import _write_csv, main
 
 
@@ -397,6 +399,19 @@ class TestOutputDirectories:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bench"]
 
     @pytest.mark.parametrize("command", ["spectrum", "benchgen"])
+    def test_empty_out_dir_exit_2_before_any_work(self, bench, tmp_path, capsys, monkeypatch, command):
+        # os.makedirs("") fails only after the work: the empty path is refused before it
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "parse_design", None)
+        monkeypatch.setattr(cli, "generate", None)
+        code, stdout, err = run_cli(capsys, command, *([] if command == "benchgen" else [bench]), "--out-dir", "")
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "--out-dir is the empty path" in err
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bench"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "benchgen"])
     def test_manifest_in_the_out_dir_made(self, bench, tmp_path, capsys, command):
         out_dir = tmp_path / "new"
         args = [] if command == "benchgen" else [bench]
@@ -556,6 +571,15 @@ def move_in_pl(src: str, dst: str, cell: str, x: str, y: str) -> None:
 
 
 class TestMetrics:
+    def test_unsupported_aux_entry_warns_once(self, bench, caplog, capsys):
+        # the default --pl comes from the one read of the .aux, so its warning is logged once, as by gift
+        aux = Path(bench)
+        aux.write_text(aux.read_text().rstrip("\n") + " synth.wts\n")
+        with caplog.at_level(logging.WARNING, logger="giftplace.netlist"):
+            code, _, _ = run_cli(capsys, "metrics", bench)
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records] == [f"{bench}: unsupported file synth.wts skipped"]
+
     def test_reports_quality_numbers(self, bench, capsys):
         code, stdout, _ = run_cli(capsys, "metrics", bench)
         assert code == 0
@@ -761,6 +785,19 @@ class TestUnusableOptions:
         assert code == 2
         assert err.count("\n") == 1
         assert named in err
+        assert stdout == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [["--sigma", "0.1234567,0.1234568"], ["--sigma", "1,1.0"], ["--k", "2,2"]])
+    def test_spectrum_values_alike_in_file_names_exit_2_before_parsing(self, bench, tmp_path, capsys, monkeypatch,
+                                                                       flags):
+        # two values that name one CSV would write one over the other: refused before any eigensystem
+        monkeypatch.setattr(cli, "parse_design", None)
+        out_dir = tmp_path / "spec"
+        code, stdout, err = run_cli(capsys, "spectrum", bench, *flags, "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "give two outputs one file name" in err
         assert stdout == ""
         assert not out_dir.exists()
 

@@ -658,6 +658,40 @@ class TestRunPlacer:
         assert len(calls) == len(trace.records) == trace.iterations + 1
         assert trace.records[-1].hpwl == metrics.hpwl(design, g)
 
+    @pytest.mark.parametrize("step", [None, 0.02], ids=["saturated", "fixed-step"])
+    @pytest.mark.parametrize("hpwl_on", ["worker", "caller"])
+    def test_matches_the_sequential_loop_bit_for_bit_whichever_thread_runs_hpwl(self, monkeypatch, step, hpwl_on):
+        # nets of 5, 9 and 17 pins fill padded degree blocks, and the IO pads are fixed cells
+        design = generate(cells=120, fanout={2: 0.4, 3: 0.2, 5: 0.2, 9: 0.1, 17: 0.1}, seed=4)
+        assert design.num_movable < design.num_cells
+        assert any(mask is not None for _, _, mask in design.pin_layout.blocks)
+        g0 = self.spread_start(design, seed=4)
+        config = PlacerConfig(step=step, lambda0=0.5, max_iters=12, stop_overflow=1e-9)
+        ref_g, ref_records = masked_step_reference(design, g0, config)
+
+        # the wirelength kernel waits for hpwl to start, so the caller must run it; or the density kernel waits, so
+        # the worker must: a wait that times out fails the test instead of hanging it
+        held = "smooth_wirelength_grad" if hpwl_on == "caller" else "electrostatic_grad"
+        kernel, exact = getattr(placer, held), placer.hpwl
+        started, on_caller = threading.Event(), []
+
+        def waiting(*args):
+            assert started.wait(timeout=10)
+            started.clear()
+            return kernel(*args)
+
+        def counted(design, g):
+            on_caller.append(threading.current_thread() is threading.main_thread())
+            started.set()
+            return exact(design, g)
+
+        monkeypatch.setattr(placer, held, waiting)
+        monkeypatch.setattr(placer, "hpwl", counted)
+        g, trace = run_placer(design, g0, config)
+        assert g.tobytes() == ref_g.tobytes()
+        assert [(r.iteration, r.wl, r.hpwl, r.overflow, r.lam) for r in trace.records] == ref_records
+        assert on_caller == [hpwl_on == "caller"] * 13
+
     def test_trace_csv_reproducible_without_seconds(self, tmp_path, monkeypatch):
         # place writes the trace it gets from run_placer; the file must hold the bytes of the per-row form below
         design = generate(cells=30, seed=9)
