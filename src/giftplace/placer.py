@@ -129,21 +129,50 @@ def _poisson_potential(q: np.ndarray, bin_w: float, bin_h: float) -> np.ndarray:
     """Solve the 5-point Neumann Poisson problem lap(phi) = -q on the bin grid.
 
     Neumann (mirror) boundaries diagonalize under the type-II cosine
-    transform; the zero-total-charge mode is projected out.
+    transform; the zero-total-charge mode is projected out. Both 2-D cosine
+    transforms take one real FFT each (Makhoul, IEEE TASSP 1980).
     """
-    from scipy.fft import dctn, idctn  # imported here: only the placer pays for scipy.fft
+    quads, c1, c2, c3, c4 = _poisson_plan(*q.shape, bin_w, bin_h)
+    u, h = np.empty(c1.shape, complex), np.empty(c1.shape, complex)
+    v = u.view(float)[:, :q.shape[1]]  # q in Makhoul's order, in u's memory until u is written
+    for ordered, grid in quads:
+        v[ordered] = q[grid]
+    np.fft.rfft2(v, out=h)
+    # u = conj(c2 h + c4 h[-k1]) + c3 h[-k1] + c1 h; row 0 is its own mirror, folded into c1 and c2
+    np.multiply(c2, h, out=u)
+    u[1:] += c4 * h[:0:-1]
+    np.conjugate(u, out=u)
+    u[1:] += c3 * h[:0:-1]
+    u += np.multiply(c1, h, out=h)
+    w = np.fft.irfft(np.fft.ifft(u, axis=0, out=u), n=q.shape[1], axis=1, out=h.view(float)[:, :q.shape[1]])
+    phi = np.empty_like(q)
+    for ordered, grid in quads:
+        phi[grid] = w[ordered]
+    for axis in (0, 1):  # keep a mirror symmetry of q exact in phi: the step would move a symmetric pile on an ulp
+        if np.array_equal(q[0], np.flip(q, axis)[0]) and np.array_equal(q, np.flip(q, axis)):
+            phi = 0.5 * (phi + np.flip(phi, axis))
+    return phi
 
-    denom = _neumann_denominators(*q.shape, bin_w, bin_h)
-    q_hat = dctn(q, type=2, norm="ortho")
-    phi_hat = np.divide(q_hat, denom, out=np.zeros_like(q_hat), where=denom > 0)
-    return idctn(phi_hat, type=2, norm="ortho")
 
-
-@functools.lru_cache(maxsize=4)
-def _neumann_denominators(nx: int, ny: int, bin_w: float, bin_h: float) -> np.ndarray:
-    """The Laplacian's eigenvalue at each cosine mode of an nx x ny grid: one grid's constants, kept across solves."""
-    wx, wy = ((2.0 - 2.0 * np.cos(np.pi * np.arange(m) / m)) / w**2 for m, w in ((nx, bin_w), (ny, bin_h)))
-    return wx[:, None] + wy[None, :]
+@functools.lru_cache(maxsize=1)
+def _poisson_plan(nx: int, ny: int, bin_w: float, bin_h: float) -> tuple:
+    """One grid's constants, kept across solves: the slices of Makhoul's order (even indices, then the odd reversed),
+    and coefficients that fold the twiddles e^(-i pi k / 2n) with the eigenvalues at (+-k1, +-k2)."""
+    halves = [((slice(0, (n + 1) // 2), slice(0, None, 2)), (slice((n + 1) // 2, None), slice(n - 1 - n % 2, 0, -2)))
+              for n in (nx, ny)]
+    quads = [((a, c), (b, d)) for a, b in halves[0] for c, d in halves[1]]
+    m = ny // 2 + 1
+    lx, ly = ((2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / w**2 for n, w in ((nx, bin_w), (ny, bin_h)))
+    mx, my = np.r_[np.inf, lx[:0:-1]][:, None], np.r_[np.inf, ly[:0:-1]][:m]  # at -k; inf drops a wrapped term
+    lam = lx[:, None] + ly[:m]
+    lam[0, 0] = np.inf  # the zero-total-charge mode
+    r1, r2, r3, r4 = 0.25 / lam, 0.25 / (mx + ly[:m]), 0.25 / (lx[:, None] + my), 0.25 / (mx + my)
+    e1, e2 = np.exp(1j * np.pi * np.arange(nx) / nx)[:, None], np.exp(-1j * np.pi * np.arange(m) / ny)
+    c1, c2 = r1 + r2 + r3 + r4, (r1 - r2 - r3 + r4) * (e1.conj() * e2)
+    c3, c4 = (r1 - r2 + r3 - r4) * e1, (r1 + r2 - r3 - r4) * e2
+    c1[0] += c3[0].real
+    c2[0] += c4[0]
+    return quads, c1, c2, c3[1:], c4[1:]
 
 
 def electrostatic_grad(
@@ -259,6 +288,7 @@ def run_placer(
             # the worker takes the queue in order beside the density term; what it has not started runs here, the last
             # first. Both are back before the step mutates g, and the wirelength error surfaces first, as in sequence
             wirelength, exact = pool.submit(smooth_wirelength_grad, design, g, gamma), pool.submit(hpwl, design, g)
+            dens = None  # the last map and its overlaps go before the next is built: one map's memory at a time
             try:
                 d_val, d_grad, dens = electrostatic_grad(design, g, grid)
                 ovf, exact_wl = overflow(dens), _finish(exact, hpwl, design, g)

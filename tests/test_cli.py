@@ -1203,7 +1203,7 @@ SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)
 
 
 def test_importing_the_cli_leaves_scipy_fft_unloaded(tmp_path):
-    """Only the placer's Poisson solve and the dense spectral paths need scipy; importing the CLI loads no scipy module."""
+    """Only the dense spectral paths (`spectrum`, `place --init eigen`) need scipy; importing the CLI loads none."""
     probe = f"import sys, giftplace.cli; print({SCIPY_LOADED})"
     assert probe_words(tmp_path, probe) == ["False"]
 
@@ -1218,3 +1218,15 @@ def test_gift_leaves_scipy_fft_unloaded(tmp_path):
              f"print(*codes, {SCIPY_LOADED})")
     assert probe_words(tmp_path, probe) == ["0", "0", "0", "False"]
     assert (tmp_path / "g.pl").exists()
+
+
+@pytest.mark.parametrize("init", ["center", "gift"])
+def test_place_leaves_scipy_unloaded(tmp_path, init):
+    """The placer solves its Poisson problem with numpy's FFT: place loads no scipy module from either start."""
+    probe = ("import contextlib, io, sys, giftplace.cli as cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [cli.main(['benchgen', '--cells', '50', '--seed', '1', '--out-dir', 'd']),\n"
+             f"             cli.main(['place', 'd/synth.aux', '--init', '{init}', '--seed', '1', '--out', 'p.pl'])]\n"
+             f"print(*codes, {SCIPY_LOADED})")
+    assert probe_words(tmp_path, probe) == ["0", "0", "False"]
+    assert (tmp_path / "p.pl").exists()

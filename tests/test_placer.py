@@ -322,6 +322,62 @@ class TestElectrostaticGradient:
         assert np.any(grad[1] != 0.0)
 
 
+POISSON_GRIDS = [(1, 1), (1, 6), (6, 1), (2, 3), (5, 7), (64, 90), (171, 170)]
+
+
+def scipy_poisson(q, bin_w, bin_h):
+    """The cosine-transform solve as scipy computes it: dctn, a division by the Neumann eigenvalues, idctn."""
+    from scipy.fft import dctn, idctn
+
+    lx, ly = ((2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / w**2 for n, w in zip(q.shape, (bin_w, bin_h)))
+    lam = lx[:, None] + ly
+    q_hat = dctn(q, type=2, norm="ortho")
+    return idctn(np.divide(q_hat, lam, out=np.zeros_like(q_hat), where=lam > 0), type=2, norm="ortho")
+
+
+def neumann_laplacian(phi, bin_w, bin_h):
+    """The 5-point Laplacian with mirror boundaries: an edge bin's neighbour outside the grid is the bin itself."""
+    p = np.pad(phi, 1, mode="edge")
+    return (p[2:, 1:-1] - 2.0 * phi + p[:-2, 1:-1]) / bin_w**2 + (p[1:-1, 2:] - 2.0 * phi + p[1:-1, :-2]) / bin_h**2
+
+
+class TestPoissonSolve:
+    """The FFT solve against scipy's cosine transforms, and against the Laplacian it inverts."""
+
+    @pytest.mark.parametrize("shape", POISSON_GRIDS)
+    def test_matches_scipys_cosine_transforms(self, shape):
+        q = np.random.default_rng(sum(shape)).standard_normal(shape)  # not mean-free: both drop the zero mode
+        ref = scipy_poisson(q, 0.75, 1.9)
+        assert np.abs(placer._poisson_potential(q, 0.75, 1.9) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("shape", POISSON_GRIDS)
+    def test_inverts_the_neumann_laplacian(self, shape):
+        q = np.random.default_rng(sum(shape)).standard_normal(shape)
+        q -= q.mean()
+        phi = placer._poisson_potential(q, 0.75, 1.9)
+        rounding = np.abs(phi).max() * (4.0 / 0.75**2 + 4.0 / 1.9**2)  # what an ulp of phi moves the stencil by
+        assert np.abs(neumann_laplacian(phi, 0.75, 1.9) + q).max() <= 1e-13 * rounding
+        assert abs(phi.sum()) <= 1e-12 * np.abs(phi).sum()  # mean-free, like q
+
+    @pytest.mark.parametrize("shape", [(12, 12), (170, 170), (7, 12), (171, 90), (1, 6)])
+    @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)])
+    def test_a_mirror_symmetric_charge_gets_an_exactly_symmetric_potential(self, shape, axes):
+        # a pile at the center has no force on it only if phi keeps q's symmetry to the last bit
+        q = np.random.default_rng(len(axes)).standard_normal(shape)
+        for axis in axes:
+            q = q + np.flip(q, axis)
+        phi = placer._poisson_potential(q - q.mean(), 1.0, 1.3)
+        for axis in axes:
+            np.testing.assert_array_equal(phi, np.flip(phi, axis))
+
+    def test_balanced_lambda0_and_the_loop_share_one_plan(self):
+        design = generate(cells=60, seed=3)
+        placer._poisson_plan.cache_clear()
+        _, trace = run_placer(design, random_positions(design, np.random.default_rng(3)), PlacerConfig(max_iters=3))
+        info = placer._poisson_plan.cache_info()
+        assert (info.misses, info.hits) == (1, trace.iterations + 1)
+
+
 class TestPlacerConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
