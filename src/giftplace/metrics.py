@@ -137,12 +137,29 @@ class _Axes:
         r = design.region
         self.start, self.end = np.array([[r.xmin], [r.ymin]]), np.array([[r.xmax], [r.ymax]])
         self.width, count = np.array([[bin_w], [bin_h]]), np.array([[nx], [ny]])
-        half = np.stack([design.widths, design.heights]) / 2.0
-        self.lo = np.clip(g.T - half, self.start, self.end)
-        self.hi = np.clip(g.T + half, self.start, self.end)
+        self.lo = np.clip(g.T - design.half_sizes, self.start, self.end)
+        self.hi = np.clip(g.T + design.half_sizes, self.start, self.end)
         self.first = np.clip(np.floor((self.lo - self.start) / self.width).astype(np.int64), 0, count - 1)
         last = np.clip(np.ceil((self.hi - self.start) / self.width).astype(np.int64) - 1, 0, count - 1)
         self.span = np.maximum(last, self.first) - self.first
+
+    def narrow(self, keep: np.ndarray):
+        """``overlap`` at offsets 0 and 1 over every cell, with ``keep``, computing each bin edge once.
+
+        Bin f + 1 starts at bin f's end edge; offset 1 of a one-bin cell is zeroed, as in ``overlap``.
+        """
+        lo, hi, first = self.lo, self.hi, self.first.astype(float)
+        s0, s1, s2 = (self.start + (first + k) * self.width for k in (0, 1, 2))
+        lo_free, hi_free = lo > self.start, hi < self.end
+        wider = self.span > 0
+        offsets = []
+        for b, bs, be, kept in ((self.first, s0, s1, keep), (self.first + wider, s1, s2, keep & wider)):
+            ell = np.minimum(hi, be)
+            ell -= np.maximum(lo, bs)
+            ell = np.where(kept, np.maximum(ell, 0.0, out=ell), 0.0)
+            d_ell = ((hi < be) & hi_free).view(np.int8) - ((lo > bs) & lo_free).view(np.int8)
+            offsets.append((b, ell, np.where(ell > 0.0, d_ell, 0.0)))
+        return offsets
 
     def overlap(self, off: int | np.ndarray, cells: slice | np.ndarray = slice(None), keep: bool | np.ndarray = True):
         """Bin, overlap length and its derivative at bin offset ``off`` from each cell's first bin, per axis.
@@ -177,7 +194,7 @@ def _bin_overlaps(design: Design, g: np.ndarray, nx: int, ny: int, bin_w: float,
     valid = np.all(axes.hi > axes.lo, axis=0)
     narrow = np.all(axes.span <= 1, axis=0)
 
-    offsets = [axes.overlap(off, keep=narrow) for off in (0, 1)]  # a cell clipped to nothing has zero length anyway
+    offsets = axes.narrow(narrow)  # a cell clipped to nothing has zero length anyway
     groups = [(None, bx[0] * ny + by[1], lx[0], ly[1], dlx[0], dly[1]) for bx, lx, dlx in offsets for by, ly, dly in offsets]
 
     wide = np.flatnonzero(valid & ~narrow)

@@ -124,7 +124,7 @@ class Design:
     ``net_names[j]`` and owns the pins ``net_start[j]:net_start[j+1]`` of
     ``pin_cell``, ``pin_dx`` and ``pin_dy`` (offsets from the cell center).
     Construction coerces the arrays to their dtypes and validates them;
-    ``pin_layout`` and ``bounds`` are built from them on first use and kept.
+    ``pin_layout``, ``bounds`` and ``half_sizes`` are built from them on first use and kept.
     """
 
     names: list[str]
@@ -200,6 +200,11 @@ class Design:
         """
         fixed, r = self.fixed[:, None], self.region
         return np.where(fixed, self.fixed_xy, (r.xmin, r.ymin)), np.where(fixed, self.fixed_xy, (r.xmax, r.ymax))
+
+    @functools.cached_property
+    def half_sizes(self) -> np.ndarray:
+        """2 x N half widths and heights: a center minus column i is cell i's lower-left corner."""
+        return np.stack([self.widths, self.heights]) / 2.0
 
     @property
     def nets(self) -> list[Net]:
@@ -756,11 +761,6 @@ def _region_from_placement(corners: np.ndarray, sizes: np.ndarray) -> Region:
     return Region(*lo.min(axis=0).tolist(), *hi.max(axis=0).tolist())
 
 
-def _half_sizes(design: Design) -> np.ndarray:
-    """N x 2 half widths and heights: center minus this is the lower-left corner."""
-    return np.column_stack((design.widths, design.heights)) / 2.0
-
-
 def read_placement(design: Design, pl_path: str) -> np.ndarray:
     """Read cell centers for every design cell from a .pl file."""
     if not os.path.isfile(pl_path):
@@ -769,7 +769,7 @@ def read_placement(design: Design, pl_path: str) -> np.ndarray:
     missing = np.flatnonzero(np.isnan(corners[:, 0]))
     if missing.size:
         raise MalformedLineError(pl_path, 0, design.names[missing[0]], "no placement for cell")
-    return corners + _half_sizes(design)
+    return corners + design.half_sizes.T
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +787,7 @@ def write_placement(design: Design, placement: np.ndarray, path: str) -> None:
         raise GiftPlaceError(
             f"placement shape {placement.shape} does not match design with {design.num_cells} cells"
         )
-    corners = placement - _half_sizes(design)
+    corners = placement - design.half_sizes.T
     # one % format over the whole file: name, x, y and suffix of each cell in turn
     fields: list = [None] * (4 * design.num_cells)
     fields[0::4] = design.names

@@ -224,11 +224,9 @@ def _finish(task: Future, fn, *args):
     return fn(*args) if task.cancel() else task.result()
 
 
-def _halves(pool: ThreadPoolExecutor, fn, n: int) -> None:
-    """``fn(rows)`` over both halves of n rows: the first queued for the worker, the second run here."""
-    task = pool.submit(fn, slice(0, n // 2))
-    fn(slice(n // 2, n))
-    _finish(task, fn, slice(0, n // 2))
+def _settle(design: Design, task: Future, g: np.ndarray, record: TraceRecord) -> TraceRecord:
+    """``record`` with the HPWL of ``g``: ``task``'s, or computed here if the worker has not started it."""
+    return record._replace(hpwl=_finish(task, hpwl, design, g))
 
 
 def run_placer(
@@ -257,7 +255,8 @@ def run_placer(
     stalled = ""
     lam = config.lambda0 if config.lambda0 is not None else balanced_lambda0(design, config)
     grid = (config.grid or GridConfig()).resolved(design)  # default_bins once per run, not per evaluation
-    mag = np.empty(design.num_cells)
+    mag, spare = np.empty(design.num_cells), np.empty_like(g)
+    pending = None  # the last evaluation's record, its HPWL queued: (task, the g it reads, record)
 
     # With config.step set, the update rule is applied literally. The default
     # is a saturated per-cell step: cells move along their own negative
@@ -271,7 +270,7 @@ def run_placer(
                 step = config.step
                 if step is None:
                     # fixed rows of grad are zero, so they neither stop the loop nor move
-                    _halves(pool, lambda rows: np.hypot(grad[rows, 0], grad[rows, 1], out=mag[rows]), len(mag))
+                    np.hypot(grad[:, 0], grad[:, 1], out=mag)
                     if not np.any(mag > 0):
                         if design.num_movable:
                             raise GiftPlaceError(f"zero gradient at iteration {it}: no force moves the {design.num_movable} "
@@ -282,27 +281,30 @@ def run_placer(
                     ref = float(np.sqrt(np.mean(mag[~design.fixed] ** 2)))
                     max_move = MAX_MOVE_BINS * min(dens.bin_w, dens.bin_h)
                     step = (max_move / np.maximum(mag, ref))[:, None]
-                g -= step * grad
-                np.clip(g, *design.bounds, out=g)
+                # into the other buffer: the queued HPWL reads g until it is joined below, before the next step
+                g, spare = np.clip(np.subtract(g, step * grad, out=spare), *design.bounds, out=spare), g
                 lam *= config.lambda_growth
-            # the worker takes the queue in order beside the density term; what it has not started runs here, the last
-            # first. Both are back before the step mutates g, and the wirelength error surfaces first, as in sequence
-            wirelength, exact = pool.submit(smooth_wirelength_grad, design, g, gamma), pool.submit(hpwl, design, g)
+            # the worker takes the last HPWL during the step, then the wirelength kernel beside the density kernel; what
+            # it has not started runs here. The wirelength error surfaces first, as in sequence
+            wirelength = pool.submit(smooth_wirelength_grad, design, g, gamma)
             dens = None  # the last map and its overlaps go before the next is built: one map's memory at a time
             try:
                 d_val, d_grad, dens = electrostatic_grad(design, g, grid)
-                ovf, exact_wl = overflow(dens), _finish(exact, hpwl, design, g)
+                ovf = overflow(dens)
             finally:
-                exact.cancel()  # unless done or running: in sequence, hpwl would not run after a density error
                 wl_val, wl_grad = _finish(wirelength, smooth_wirelength_grad, design, g, gamma)
             obj = wl_val + lam * d_val
             grad = wl_grad + lam * d_grad
             if not (np.isfinite(obj) and np.all(np.isfinite(grad))):
                 raise DivergenceError(f"objective not finite at iteration {it}")
-            trace.records.append(TraceRecord(it, wl_val, exact_wl, ovf, lam))
+            if pending:
+                trace.records.append(_settle(design, *pending))
+            pending = pool.submit(hpwl, design, g), g, TraceRecord(it, wl_val, math.nan, ovf, lam)
             if ovf <= config.stop_overflow:
                 trace.converged = True
                 break
+        if pending:
+            trace.records.append(_settle(design, *pending))
     if not trace.converged:
         cell_w, cell_h = _average_cell(design)
         coarse = (f"; the {dens.nx}x{dens.ny} bins of {dens.bin_w:.4g} x {dens.bin_h:.4g} are larger than the average movable "

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -617,6 +619,22 @@ class TestRunPlacer:
         assert g.tobytes() == ref_g.tobytes()
         assert [(r.iteration, r.wl, r.hpwl, r.overflow, r.lam) for r in trace.records] == ref_records
 
+    def test_matches_the_masked_step_bit_for_bit_under_frequent_thread_switches(self):
+        # the step writes one buffer while the worker reads the other for the queued hpwl; a switch interval of a
+        # microsecond interleaves the two threads' Python code as often as the interpreter allows
+        design = generate(cells=120, fanout={2: 0.4, 3: 0.2, 5: 0.2, 9: 0.1, 17: 0.1}, seed=5)
+        g0 = self.spread_start(design, seed=5)
+        config = PlacerConfig(max_iters=25, stop_overflow=1e-9)
+        ref_g, ref_records = masked_step_reference(design, g0, config)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            g, trace = run_placer(design, g0, config)
+        finally:
+            sys.setswitchinterval(previous)
+        assert g.tobytes() == ref_g.tobytes()
+        assert [(r.iteration, r.wl, r.hpwl, r.overflow, r.lam) for r in trace.records] == ref_records
+
     def test_rejects_wrong_shape(self, tri_design):
         with pytest.raises(ValueError):
             run_placer(tri_design, np.zeros((5, 2)), PlacerConfig())
@@ -725,28 +743,73 @@ class TestRunPlacer:
         config = PlacerConfig(step=step, lambda0=0.5, max_iters=12, stop_overflow=1e-9)
         ref_g, ref_records = masked_step_reference(design, g0, config)
 
-        # the wirelength kernel waits for hpwl to start, so the caller must run it; or the density kernel waits, so
-        # the worker must: a wait that times out fails the test instead of hanging it
-        held = "smooth_wirelength_grad" if hpwl_on == "caller" else "electrostatic_grad"
-        kernel, exact = getattr(placer, held), placer.hpwl
-        started, on_caller = threading.Event(), []
-
-        def waiting(*args):
-            assert started.wait(timeout=10)
-            started.clear()
-            return kernel(*args)
+        # each record's hpwl is queued while the next step is taken. On the worker: queueing it returns only once the
+        # worker has started it. On the caller: the worker first takes a task that waits until the caller has started
+        # it, so the caller finds it unstarted. A wait that times out fails the test instead of hanging it
+        exact, started, waits, on_caller = placer.hpwl, threading.Semaphore(0), [], []
 
         def counted(design, g):
             on_caller.append(threading.current_thread() is threading.main_thread())
-            started.set()
+            started.release()
             return exact(design, g)
 
-        monkeypatch.setattr(placer, held, waiting)
+        class Steered(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                if fn is counted and hpwl_on == "caller":
+                    waits.append(super().submit(started.acquire, timeout=10))
+                task = super().submit(fn, *args)
+                if fn is counted and hpwl_on == "worker":
+                    assert started.acquire(timeout=10)
+                return task
+
         monkeypatch.setattr(placer, "hpwl", counted)
+        monkeypatch.setattr(placer, "ThreadPoolExecutor", Steered)
         g, trace = run_placer(design, g0, config)
         assert g.tobytes() == ref_g.tobytes()
         assert [(r.iteration, r.wl, r.hpwl, r.overflow, r.lam) for r in trace.records] == ref_records
         assert on_caller == [hpwl_on == "caller"] * 13
+        assert [w.result() for w in waits] == [True] * 13 * (hpwl_on == "caller")
+
+    @pytest.mark.parametrize("error", [DivergenceError, GiftPlaceError], ids=["divergence", "zero-gradient"])
+    def test_an_error_at_the_next_iteration_joins_the_pending_hpwl(self, monkeypatch, error):
+        # iteration 1 fails while iteration 0's hpwl is queued or running: that hpwl waits until the error is made.
+        # The error is the sequential loop's, and the worker is joined on the way out
+        raised, waits = threading.Event(), []
+        exact = placer.hpwl
+
+        class Signalled(error):
+            def __init__(self, *args):
+                raised.set()
+                super().__init__(*args)
+
+        def held(design, g):
+            waits.append(raised.wait(timeout=10))
+            return exact(design, g)
+
+        monkeypatch.setattr(placer, error.__name__, Signalled)
+        monkeypatch.setattr(placer, "hpwl", held)
+        if error is DivergenceError:
+            design = generate(cells=16, seed=8)
+            g0, config = self.spread_start(design, seed=8), PlacerConfig(lambda0=1.0, max_iters=5)
+            real, calls = placer.smooth_wirelength_grad, []
+
+            def poisoned(design, g, gamma):
+                calls.append(gamma)
+                value, grad = real(design, g, gamma)
+                return (np.nan if len(calls) == 2 else value), grad
+
+            monkeypatch.setattr(placer, "smooth_wirelength_grad", poisoned)
+            match = "objective not finite at iteration 1"
+        else:
+            # without IO pads nothing pulls the pile at the center apart: the first gradient is zero
+            design = generate(cells=100, io_count=0, seed=1)
+            g0, config = np.tile(design.region.center, (design.num_cells, 1)), PlacerConfig(seed=1)
+            match = "zero gradient at iteration 1"
+        before = threading.active_count()
+        with pytest.raises(error, match=match):
+            run_placer(design, g0, config)
+        assert threading.active_count() == before
+        assert waits == [True]
 
     def test_trace_csv_reproducible_without_seconds(self, tmp_path, monkeypatch):
         # place writes the trace it gets from run_placer; the file must hold the bytes of the per-row form below
@@ -910,6 +973,37 @@ class TestOverlapKernel:
         np.testing.assert_allclose(dens.rho, rho_want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(metrics._field_weighted_grad(design, dens, bin_field), grad_want, rtol=1e-12, atol=1e-12)
         assert dens.rho.sum() == 9.125  # every area but those of cells 8, 9, 10 and 12, which lie outside
+
+    @pytest.mark.parametrize("case", ["bin-edges", "float-slivers", *(f"mixed{seed}" for seed in range(4))])
+    def test_narrow_pass_matches_the_per_offset_overlaps_byte_for_byte(self, case):
+        # bins, lengths and derivatives of offsets 0 and 1 are those of overlap(0) and overlap(1), for cells on bin edges,
+        # cells clipped at the region edge or to nothing, fixed pads and wide cells (whose entries keep leaves zero)
+        if case == "bin-edges":
+            region = Region(0.0, 0.0, 8.0, 8.0)
+            g = np.array([(2.5, 3.5), (2.75, 3.25), (3.0, 3.0), (0.25, 7.75), (7.5, 0.5), (4.0, 4.5), (-1.0, 3.0),
+                          (9.0, 9.0), (0.5, 8.25), (6.0, 2.0), (4.0, 4.0)])
+            sizes = [(1.0, 1.0), (0.5, 0.5), (1.0, 0.5), (0.5, 0.5), (1.0, 1.0), (2.0, 1.0), (1.0, 1.0), (0.5, 1.0),
+                     (1.0, 0.5), (1.5, 1.25), (3.0, 2.5)]
+            design, nx, ny = make_design(len(g), [[0, 1]], region, sizes=sizes, pads={2: (3.0, 3.0), 4: (7.5, 0.5)}), 8, 8
+        elif case == "float-slivers":
+            # 16 x 7 bins whose rounded edges leave slivers: cell 0's x interval ends just past the edge after its one
+            # bin, and the last y edge lies just past the region's end, where cell 1 is clipped
+            region = Region(-0.2, 0.1, -0.2 + 5.6, 0.1 + 7.3)
+            g = np.array([(0.4, 2.0), (2.0, 7.3), (3.0, 3.0), (2.5, 4.0), (-1.0, 9.0), (1.05, 1.2)])
+            sizes = [(0.2, 0.5), (0.2, 0.5), (0.3, 0.3), (1.5, 2.5), (0.2, 0.2), (0.3, 0.5)]
+            design, nx, ny = make_design(len(g), [[0, 1]], region, sizes=sizes, pads={2: (3.0, 3.0)}), 16, 7
+        else:
+            design, g, nx, ny = self.mixed_design(np.random.default_rng(900 + int(case[5:])))
+        axes = metrics._Axes(design, g, nx, ny, *design_bin(design, GridConfig(nx, ny)))
+        narrow = np.all(axes.span <= 1, axis=0)
+        assert narrow.any() and not narrow.all() and design.fixed.any()
+        assert {0, 1} <= set(axes.span[:, narrow].ravel().tolist())
+        if case == "float-slivers":
+            assert axes.span[0, 0] == 0 and axes.hi[0, 0] > axes.start[0] + (axes.first[0, 0] + 1) * axes.width[0]
+            assert axes.hi[1, 1] == axes.end[1] and axes.start[1] + ny * axes.width[1] > axes.end[1]
+        for off, got in zip((0, 1), axes.narrow(narrow)):
+            for a, b in zip(got, axes.overlap(off, keep=narrow)):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
 
     def test_field_gradient_from_kept_overlaps_matches_a_fresh_pass(self):
         base = generate(cells=150, seed=3)
