@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, GiftPlaceError
 from .graph import FilterTerm, SparseSymMatrix, normalized_augmented_adjacency
 from .netlist import Design
 
@@ -98,7 +98,13 @@ def gift_filter(adj: SparseSymMatrix, g: np.ndarray, config: GiftConfig | None =
 
 
 def gift_place(design: Design, adj: SparseSymMatrix, config: GiftConfig | None = None) -> np.ndarray:
-    """Full initialization: seed signal, filter, clamp each cell into its legal box."""
+    """Full initialization: seed signal, filter, clamp each cell into its legal box.
+
+    Raises GiftPlaceError when the filter's result is not finite, as a jitter or term weights out of range make it.
+    """
     config = config or GiftConfig()
-    out = gift_filter(adj, initial_signal(design, config), config)
+    with np.errstate(all="ignore"):  # overflow shows up as a non-finite result below
+        out = gift_filter(adj, initial_signal(design, config), config)
+    if not np.isfinite(out).all():
+        raise GiftPlaceError("the filtered placement is not finite; the jitter or filter weights are out of range")
     return np.clip(out, *design.bounds, out=out)

@@ -139,44 +139,31 @@ class _Axes:
         self.width, count = np.array([[bin_w], [bin_h]]), np.array([[nx], [ny]])
         self.lo = np.clip(g.T - design.half_sizes, self.start, self.end)
         self.hi = np.clip(g.T + design.half_sizes, self.start, self.end)
+        self.lo_free, self.hi_free = self.lo > self.start, self.hi < self.end  # edges the region clip does not hold
         self.first = np.clip(np.floor((self.lo - self.start) / self.width).astype(np.int64), 0, count - 1)
         last = np.clip(np.ceil((self.hi - self.start) / self.width).astype(np.int64) - 1, 0, count - 1)
         self.span = np.maximum(last, self.first) - self.first
 
-    def narrow(self, keep: np.ndarray):
-        """``overlap`` at offsets 0 and 1 over every cell, with ``keep``, computing each bin edge once.
-
-        Bin f + 1 starts at bin f's end edge; offset 1 of a one-bin cell is zeroed, as in ``overlap``.
-        """
-        lo, hi, first = self.lo, self.hi, self.first.astype(float)
-        s0, s1, s2 = (self.start + (first + k) * self.width for k in (0, 1, 2))
-        lo_free, hi_free = lo > self.start, hi < self.end
-        wider = self.span > 0
-        offsets = []
-        for b, bs, be, kept in ((self.first, s0, s1, keep), (self.first + wider, s1, s2, keep & wider)):
-            ell = np.minimum(hi, be)
-            ell -= np.maximum(lo, bs)
-            ell = np.where(kept, np.maximum(ell, 0.0, out=ell), 0.0)
-            d_ell = ((hi < be) & hi_free).view(np.int8) - ((lo > bs) & lo_free).view(np.int8)
-            offsets.append((b, ell, np.where(ell > 0.0, d_ell, 0.0)))
-        return offsets
-
-    def overlap(self, off: int | np.ndarray, cells: slice | np.ndarray = slice(None), keep: bool | np.ndarray = True):
-        """Bin, overlap length and its derivative at bin offset ``off`` from each cell's first bin, per axis.
-
-        Offsets past a cell's span give zero length and derivative: the bin
-        beyond the last one can still clip a floating-point sliver. So do the
-        cells that ``keep`` leaves out.
-        """
-        lo, hi, span = self.lo[:, cells], self.hi[:, cells], self.span[:, cells]
-        b = self.first[:, cells] + np.minimum(off, span)
-        bs = self.start + b * self.width
-        be = self.start + (b + 1) * self.width
-        ell = np.where((off <= span) & keep, np.maximum(np.minimum(hi, be) - np.maximum(lo, bs), 0.0), 0.0)
-        # an edge moves the overlap at rate 1 while strictly inside the bin;
-        # an edge held by the region clip sits on the region boundary and is frozen
-        d_ell = ((hi < be) & (hi < self.end)).astype(float) - ((lo > bs) & (lo > self.start)).astype(float)
+    def lengths(self, b: np.ndarray, bs: np.ndarray, be: np.ndarray, keep, cells=slice(None)):
+        """Bin ``b`` (edges ``bs``, ``be``), the overlap of ``cells`` with it, zero off ``keep``, and its derivative."""
+        lo, hi = self.lo[:, cells], self.hi[:, cells]
+        ell = np.minimum(hi, be)
+        ell -= np.maximum(lo, bs)
+        ell = np.where(keep, np.maximum(ell, 0.0, out=ell), 0.0)
+        # an edge moves the overlap at rate 1 while strictly inside the bin, unless the region clip holds it
+        d_ell = ((hi < be) & self.hi_free[:, cells]).view(np.int8) - ((lo > bs) & self.lo_free[:, cells]).view(np.int8)
         return b, ell, np.where(ell > 0.0, d_ell, 0.0)
+
+    def narrow(self, keep: np.ndarray):
+        """``lengths`` at offsets 0 and 1 from every cell's first bin, with ``keep``, computing each bin edge once.
+
+        Bin f + 1 starts at bin f's end edge. Offset 1 of a one-bin cell is left out: that bin can still clip a
+        floating-point sliver.
+        """
+        first = self.first.astype(float)
+        s0, s1, s2 = (self.start + (first + k) * self.width for k in (0, 1, 2))
+        wider = self.span > 0
+        return [self.lengths(self.first, s0, s1, keep), self.lengths(self.first + wider, s1, s2, keep & wider)]
 
 
 def _bin_overlaps(design: Design, g: np.ndarray, nx: int, ny: int, bin_w: float, bin_h: float):
@@ -203,7 +190,8 @@ def _bin_overlaps(design: Design, g: np.ndarray, nx: int, ny: int, bin_w: float,
     cells = np.repeat(wide, counts)
     k = np.arange(cells.size) - np.repeat(np.cumsum(counts) - counts, counts)  # index in the cell's outer product
     cols = np.repeat(cols, counts)
-    b, ell, d_ell = axes.overlap(np.stack([k // cols, k % cols]), cells)
+    b = axes.first[:, cells] + np.stack([k // cols, k % cols])
+    b, ell, d_ell = axes.lengths(b, axes.start + b * axes.width, axes.start + (b + 1) * axes.width, True, cells)
     groups.append((cells, b[0] * ny + b[1], ell[0], ell[1], d_ell[0], d_ell[1]))
     return groups
 

@@ -7,6 +7,8 @@ it.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import logging
 import os
@@ -17,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from giftplace import parse_design, read_placement, write_placement
 from giftplace import cli
@@ -101,6 +105,55 @@ class TestGift:
         assert err.count("\n") == 1
         assert f"{bench}:1: second .nodes entry 'synth.nodes'" in err
         assert stdout == "" and not out.exists()
+
+
+class TestFilterOverflow:
+    """A filter result out of numeric range ends gift and place --init gift with exit 2, before anything is written."""
+
+    @pytest.mark.parametrize("command", ["gift", "place"])
+    @pytest.mark.parametrize("flags", [["--jitter", "1e308"], ["--terms", "0:1:1e308"], ["--terms", "2:2:-1e308,4:1:1e308"]],
+                             ids=["jitter", "alpha", "alphas-of-either-sign"])
+    def test_exit_2_writes_nothing(self, bench, tmp_path, capsys, command, flags):
+        init = ["--init", "gift"] if command == "place" else []
+        code, stdout, err = run_cli(capsys, command, bench, *init, *flags, "--out", str(tmp_path / "p.pl"))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "GiftPlaceError: the filtered placement is not finite" in err
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "bench"]
+
+
+@pytest.fixture(scope="module")
+def small_aux(tmp_path_factory):
+    """A 60-cell generated design shared by every example of a property test; returns its .aux path."""
+    out = tmp_path_factory.mktemp("small")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["benchgen", "--cells", "60", "--seed", "1", "--out-dir", str(out)]) == 0
+    return str(out / "synth.aux")
+
+
+FILTER_TERMS = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.5, 2.0, 4.0]), st.integers(1, 4), st.floats(-1e308, 1e308, allow_nan=False)),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(jitter=1e308, terms=None)
+@example(jitter=None, terms=[(0.0, 1, 1e308)])
+@given(jitter=st.none() | st.floats(0.0, 1e308), terms=st.none() | FILTER_TERMS)
+def test_gift_writes_a_readable_placement_or_exits_2_with_no_output(small_aux, tmp_path_factory, jitter, terms):
+    out = tmp_path_factory.mktemp("gift") / "g.pl"
+    flags = [] if jitter is None else ["--jitter", repr(jitter)]
+    if terms is not None:
+        flags += ["--terms", ",".join(f"{sigma!r}:{k}:{alpha!r}" for sigma, k, alpha in terms)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["gift", small_aux, "--seed", "1", "--out", str(out), *flags])
+    manifest = out.with_name(out.name + ".manifest.json")
+    if code == 0:
+        assert np.isfinite(read_placement(parse_design(small_aux), str(out))).all() and manifest.exists()
+    else:
+        assert code == 2 and not out.exists() and not manifest.exists()
 
 
 def poison_c0(aux: str, ext: str, column: int, value: str) -> int:

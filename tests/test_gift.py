@@ -15,6 +15,7 @@ from giftplace import (
     DimensionMismatchError,
     FilterTerm,
     GiftConfig,
+    GiftPlaceError,
     Region,
     build_clique_graph,
     generate,
@@ -163,6 +164,25 @@ class TestGiftPlace:
         g = gift_place(design, build_clique_graph(design), GiftConfig(seed=3, jitter_scale=30.0))
         assert g[4].tolist() == [-4.0, 13.5]
         assert np.all((g[:4] >= 0.0) & (g[:4] <= 10.0))
+
+    @pytest.mark.parametrize("config", [
+        GiftConfig(seed=1, jitter_scale=1e308),
+        GiftConfig(seed=1, terms=(FilterTerm(sigma=2.0, k=2, alpha=1e308),)),
+        GiftConfig(seed=1, terms=(FilterTerm(sigma=2.0, k=1, alpha=-1e308), FilterTerm(sigma=4.0, k=3, alpha=1e308))),
+    ], ids=["jitter", "alpha", "alphas-of-either-sign"])
+    def test_non_finite_result_raises_instead_of_clipping(self, config):
+        # an overflowed coordinate would be clipped onto the region's edge, and a NaN would pass the clip;
+        # under the suite's warnings-as-errors an overflow warning would surface instead
+        design = generate(cells=120, seed=1)
+        with pytest.raises(GiftPlaceError, match="filtered placement is not finite"):
+            gift_place(design, build_clique_graph(design), config)
+
+    def test_large_finite_jitter_is_clipped_into_the_region(self):
+        design = generate(cells=120, seed=1)
+        g = gift_place(design, build_clique_graph(design), GiftConfig(seed=1, jitter_scale=1e300))
+        r, movable = design.region, ~design.fixed
+        assert np.all((g[movable] >= (r.xmin, r.ymin)) & (g[movable] <= (r.xmax, r.ymax)))
+        assert np.array_equal(g[design.fixed], design.fixed_xy[design.fixed])
 
     def test_end_to_end_determinism(self):
         design = generate(cells=150, seed=6)

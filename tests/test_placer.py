@@ -919,6 +919,28 @@ def overlap_oracle(design, g, nx, ny, bin_field):
     return rho, grad
 
 
+def overlap_reference(axes, off, cells=slice(None), keep=True):
+    """Bin, overlap length and its derivative at bin offset ``off`` from each cell's first bin, per axis.
+
+    Each bin's edges are ``start + b * width`` and ``start + (b + 1) * width``.
+    Offsets past a cell's span give zero length and derivative: the bin beyond
+    the last one can still clip a floating-point sliver. So do the cells that
+    ``keep`` leaves out.
+    """
+    lo, hi, span = axes.lo[:, cells], axes.hi[:, cells], axes.span[:, cells]
+    b = axes.first[:, cells] + np.minimum(off, span)
+    bs = axes.start + b * axes.width
+    be = axes.start + (b + 1) * axes.width
+    ell = np.where((off <= span) & keep, np.maximum(np.minimum(hi, be) - np.maximum(lo, bs), 0.0), 0.0)
+    d_ell = ((hi < be) & (hi < axes.end)).astype(float) - ((lo > bs) & (lo > axes.start)).astype(float)
+    return b, ell, np.where(ell > 0.0, d_ell, 0.0)
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
 class TestOverlapKernel:
     """density_map and the spreading force share one cell-to-bin overlap kernel."""
 
@@ -976,7 +998,7 @@ class TestOverlapKernel:
 
     @pytest.mark.parametrize("case", ["bin-edges", "float-slivers", *(f"mixed{seed}" for seed in range(4))])
     def test_narrow_pass_matches_the_per_offset_overlaps_byte_for_byte(self, case):
-        # bins, lengths and derivatives of offsets 0 and 1 are those of overlap(0) and overlap(1), for cells on bin edges,
+        # bins, lengths and derivatives of offsets 0 and 1 are the reference's, for cells on bin edges,
         # cells clipped at the region edge or to nothing, fixed pads and wide cells (whose entries keep leaves zero)
         if case == "bin-edges":
             region = Region(0.0, 0.0, 8.0, 8.0)
@@ -1001,9 +1023,28 @@ class TestOverlapKernel:
         if case == "float-slivers":
             assert axes.span[0, 0] == 0 and axes.hi[0, 0] > axes.start[0] + (axes.first[0, 0] + 1) * axes.width[0]
             assert axes.hi[1, 1] == axes.end[1] and axes.start[1] + ny * axes.width[1] > axes.end[1]
-        for off, got in zip((0, 1), axes.narrow(narrow)):
-            for a, b in zip(got, axes.overlap(off, keep=narrow)):
-                assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+        for off, got in zip((0, 1), axes.narrow(narrow), strict=True):
+            assert_same_bytes(got, overlap_reference(axes, off, keep=narrow))
+
+    @pytest.mark.parametrize("case", ["all-wide", *(f"mixed{seed}" for seed in range(4))])
+    def test_wide_group_matches_the_per_offset_overlaps_byte_for_byte(self, case):
+        # the wide group lists every (cell, x offset, y offset) of each wide cell, cell by cell, y offset fastest
+        if case == "all-wide":
+            design = generate(cells=300, seed=1)
+            g, nx, ny = random_positions(design, np.random.default_rng(11)), 256, 256
+        else:
+            design, g, nx, ny = self.mixed_design(np.random.default_rng(900 + int(case[5:])))
+        bins = design_bin(design, GridConfig(nx, ny))
+        axes = metrics._Axes(design, g, nx, ny, *bins)
+        valid = np.all(axes.hi > axes.lo, axis=0)
+        narrow = np.all(axes.span <= 1, axis=0)
+        assert not narrow[valid].any() if case == "all-wide" else narrow.any() and (valid & ~narrow).any()
+        entries = [(i, ox, oy) for i in np.flatnonzero(valid & ~narrow)
+                   for ox in range(axes.span[0, i] + 1) for oy in range(axes.span[1, i] + 1)]
+        cells, ox, oy = (np.array(column, dtype=np.int64) for column in zip(*entries))
+        b, ell, d_ell = overlap_reference(axes, np.stack([ox, oy]), cells)
+        got = metrics._bin_overlaps(design, g, nx, ny, *bins)[-1]
+        assert_same_bytes(got, (cells, b[0] * ny + b[1], ell[0], ell[1], d_ell[0], d_ell[1]))
 
     def test_field_gradient_from_kept_overlaps_matches_a_fresh_pass(self):
         base = generate(cells=150, seed=3)
