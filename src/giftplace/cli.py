@@ -13,6 +13,7 @@ error, 4 placer divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import io
 import json
@@ -196,20 +197,6 @@ def _grid_config(opts: dict) -> GridConfig:
     return GridConfig(nx=nx, ny=ny, rho_t=opts["rho_t"])
 
 
-def _write_manifest(files: dict[str, str], command: str, opts: dict, timings: list) -> None:
-    doc = {
-        "tool": "giftplace",
-        "version": __version__,
-        "command": command,
-        "options": opts,
-        "outputs": {key: path for key, path in files.items() if key != "manifest"},
-        "timings": [{"phase": p, "seconds": s} for p, s in timings],
-    }
-    with open(files["manifest"], "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
     """One row per entry of the equal-length ``columns``, each value to 10 significant digits."""
     np.savetxt(path, np.column_stack(columns), fmt="%.10g", delimiter=",", header=header, comments="")
@@ -224,8 +211,8 @@ def _spectrum_lists(opts: dict) -> tuple[list[float], list[int]]:
 def _outputs(command: str, opts: dict, made: str | None = None) -> dict[str, str]:
     """Every file the run writes, keyed by option or by its name in the manifest's ``outputs``; unset output options
     get their default names. Checked before any work: ValueError when two are one file or one is an input (the .aux
-    and its files, --pl, --init file:), and FileNotFoundError for one in a missing directory other than the one the
-    run creates: --out-dir, or ``made`` on replay."""
+    and its files, --pl, --init file:), and OSError (exit 3) for one that is a directory or lies in a missing directory
+    other than the one the run creates: --out-dir, or ``made`` on replay, which must not be a file."""
     if opts.get("out_dir") == "":
         raise ValueError("--out-dir is the empty path; name a directory, such as '.'")
     base = os.path.splitext(opts.get("aux", ""))[0]
@@ -256,6 +243,11 @@ def _outputs(command: str, opts: dict, made: str | None = None) -> dict[str, str
         if path:
             seen[os.path.realpath(path)] = name
     made = made or opts.get("out_dir")
+    up = made and os.path.abspath(made)  # the nearest existing path of the directory the run makes
+    while up and not os.path.exists(up):
+        up = os.path.dirname(up)
+    if up and not os.path.isdir(up):
+        raise NotADirectoryError(f"output directory {made} cannot be made: {up} is a file")
     for key, path in files.items():
         name, real = f"--{key}" if key in opts else os.path.basename(path), os.path.realpath(path)
         if real in seen:
@@ -264,33 +256,59 @@ def _outputs(command: str, opts: dict, made: str | None = None) -> dict[str, str
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder) and not (made and os.path.abspath(folder) == os.path.abspath(made)):
             raise FileNotFoundError(f"output directory {folder} does not exist")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{name} {path} is a directory")
     return files
 
 
-def _timed(fn, *args, **kwargs):
+def _phase(timings: list, name: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its seconds appended to ``timings`` as the manifest records them."""
     t0 = time.perf_counter()
     result = fn(*args, **kwargs)
-    return result, time.perf_counter() - t0
+    timings.append({"phase": name, "seconds": time.perf_counter() - t0})
+    return result
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def _finish(command: str, opts: dict, made: str | None, files: dict[str, str], timings: list, summary: str,
+            *writers) -> int:
+    """The one ending of a run, once every result is computed: make the output directory (a replay's --out-dir, or
+    --out-dir), call ``writers`` in order, write the manifest last and print ``summary``."""
+    os.makedirs(made or opts.get("out_dir") or ".", exist_ok=True)
+    for write in writers:
+        write()
+    doc = {
+        "tool": "giftplace",
+        "version": __version__,
+        "command": command,
+        "options": opts,
+        "outputs": {key: path for key, path in files.items() if key != "manifest"},
+        "timings": timings,
+    }
+    _write_text(files["manifest"], json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(summary)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# command handlers (each takes the fully resolved options dict and, on replay, the --out-dir it creates)
+# command handlers (each takes the fully resolved options dict and, on replay, the --out-dir it creates); each
+# computes every result, then returns through _finish
 
 
 def run_gift(opts: dict, made: str | None = None) -> int:
     gconfig = _gift_config(opts)
     cap = _clique_cap(opts)
     files = _outputs("gift", opts, made)
-    design, t_parse = _timed(parse_design, opts["aux"])
-    adj, t_graph = _timed(build_clique_graph, design, cap)
-    placement, t_filter = _timed(gift_place, design, adj, gconfig)
-
-    os.makedirs(made or ".", exist_ok=True)  # a replay's --out-dir, made once the run has its results
-    write_placement(design, placement, files["out"])
-    timings = [("parse", t_parse), ("graph", t_graph), ("filter", t_filter)]
-    _write_manifest(files, "gift", opts, timings)
-    print(json.dumps({"out": files["out"], "timings": [{"phase": p, "seconds": s} for p, s in timings]}))
-    return EXIT_OK
+    timings: list = []
+    design = _phase(timings, "parse", parse_design, opts["aux"])
+    adj = _phase(timings, "graph", build_clique_graph, design, cap)
+    placement = _phase(timings, "filter", gift_place, design, adj, gconfig)
+    return _finish("gift", opts, made, files, timings, json.dumps({"out": files["out"], "timings": timings}),
+                   functools.partial(write_placement, design, placement, files["out"]))
 
 
 def run_place(opts: dict, made: str | None = None) -> int:
@@ -302,101 +320,78 @@ def run_place(opts: dict, made: str | None = None) -> int:
     if init not in ("center", "gift", "eigen") and not init.startswith("file:"):
         raise ValueError(f"unknown --init {init!r} (expected center|gift|eigen|file:PATH)")
     files = _outputs("place", opts, made)
-    design, t_parse = _timed(parse_design, opts["aux"])
-    timings = [("parse", t_parse)]
+    timings: list = []
+    design = _phase(timings, "parse", parse_design, opts["aux"])
 
     if init == "center":
         g0 = np.tile(design.region.center, (design.num_cells, 1))
     elif init == "gift":
-        adj, t_graph = _timed(build_clique_graph, design, cap)
-        timings.append(("graph", t_graph))
-        g0, t_filter = _timed(gift_place, design, adj, gconfig)
-        timings.append(("filter", t_filter))
+        adj = _phase(timings, "graph", build_clique_graph, design, cap)
+        g0 = _phase(timings, "filter", gift_place, design, adj, gconfig)
         del adj  # the operator is freed before the placer, whose peak is then the run's
     elif init == "eigen":
-        adj, t_graph = _timed(build_clique_graph, design, cap)
-        timings.append(("graph", t_graph))
-        (lambdas, u), t_eigen = _timed(eigendecompose, identity_minus(normalized_augmented_adjacency(adj, 0.0)))
-        timings.append(("eigen", t_eigen))
+        adj = _phase(timings, "graph", build_clique_graph, design, cap)
+        lambdas, u = _phase(timings, "eigen", eigendecompose, identity_minus(normalized_augmented_adjacency(adj, 0.0)))
         g0 = eigenvector_placement(lambdas, u, design.region)
     else:
         g0 = read_placement(design, init[len("file:"):])
 
-    (g_final, trace), t_place = _timed(run_placer, design, g0, pconfig)
-    timings.append(("place", t_place))
-
-    os.makedirs(made or ".", exist_ok=True)  # a replay's --out-dir, made once the run has its results
-    write_placement(design, g_final, files["out"])
-    _write_csv(files["trace"], "iter,wl,hpwl,overflow,lambda", *np.transpose(trace.records))
-    _write_manifest(files, "place", opts, timings)
+    g_final, trace = _phase(timings, "place", run_placer, design, g0, pconfig)
     last = trace.records[-1]
-    print(json.dumps({
-        "out": files["out"],
-        "iterations": trace.iterations,
-        "converged": trace.converged,
-        "hpwl": last.hpwl,
-        "overflow": last.overflow,
-    }))
-    return EXIT_OK
+    summary = {"out": files["out"], "iterations": trace.iterations, "converged": trace.converged, "hpwl": last.hpwl,
+               "overflow": last.overflow}
+    return _finish("place", opts, made, files, timings, json.dumps(summary),
+                   functools.partial(write_placement, design, g_final, files["out"]),
+                   functools.partial(_write_csv, files["trace"], "iter,wl,hpwl,overflow,lambda", *np.transpose(trace.records)))
 
 
 def run_spectrum(opts: dict, made: str | None = None) -> int:
     cap = _clique_cap(opts)
     files = _outputs("spectrum", opts, made)
     sigmas, ks = _spectrum_lists(opts)
-    design, t_parse = _timed(parse_design, opts["aux"])
+    timings: list = []
+    design = _phase(timings, "parse", parse_design, opts["aux"])
     if design.num_cells == 0:
         _diag("design has no cells; nothing to analyze")
         return EXIT_INPUT
-    adj, t_graph = _timed(build_clique_graph, design, cap)
+    adj = _phase(timings, "graph", build_clique_graph, design, cap)
+    spectra = _phase(timings, "spectrum", lambda: [
+        eigendecompose(identity_minus(normalized_augmented_adjacency(adj, sigma)))[0] for sigma in sigmas])
 
-    summary = {}
-    t0 = time.perf_counter()
-    for sigma in sigmas:
-        lt = identity_minus(normalized_augmented_adjacency(adj, sigma))
-        lambdas, _ = eigendecompose(lt)
-        os.makedirs(opts["out_dir"], exist_ok=True)  # made once there is a result to write, as on replay
+    summary, writers = {}, []
+    for sigma, lambdas in zip(sigmas, spectra):
         # the spectrum lies in [0, 2]: a value outside it is rounding, and is counted at the edge
         counts, edges = np.histogram(np.clip(lambdas, 0.0, 2.0), bins=50, range=(0.0, 2.0))
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        _write_csv(files[f"hist_sigma{sigma:g}"], "lambda,count", centers, counts)
+        writers.append(functools.partial(_write_csv, files[f"hist_sigma{sigma:g}"], "lambda,count",
+                                         0.5 * (edges[:-1] + edges[1:]), counts))
+        writers += [functools.partial(_write_csv, files[f"response_sigma{sigma:g}_k{k}"], "lambda,h", lambdas,
+                                      filter_response(k, lambdas)) for k in ks]
         summary[f"lambda_max_sigma{sigma:g}"] = float(lambdas[-1])
-        for k in ks:
-            _write_csv(files[f"response_sigma{sigma:g}_k{k}"], "lambda,h", lambdas, filter_response(k, lambdas))
-    timings = [("parse", t_parse), ("graph", t_graph), ("spectrum", time.perf_counter() - t0)]
-    _write_manifest(files, "spectrum", opts, timings)
-    print(json.dumps(summary))
-    return EXIT_OK
+    return _finish("spectrum", opts, made, files, timings, json.dumps(summary), *writers)
 
 
 def run_metrics(opts: dict, made: str | None = None) -> int:
     grid = _grid_config(opts)
     cap = _clique_cap(opts)
     files = _outputs("metrics", opts, made)
-    design, t_parse = _timed(parse_design, opts["aux"], listed := aux_files(opts["aux"]))  # one read of the .aux
+    timings: list = []
+    design = _phase(timings, "parse", parse_design, opts["aux"], listed := aux_files(opts["aux"]))  # one .aux read
     g = read_placement(design, opts["pl"] or listed[".pl"])
-    adj, t_graph = _timed(build_clique_graph, design, cap)
-    rep = metrics_report(design, adj, g, grid)
-
-    text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
-    os.makedirs(made or ".", exist_ok=True)  # a replay's --out-dir, made once the run has its results
-    if "out" in files:
-        with open(files["out"], "w") as f:
-            f.write(text)
-    _write_manifest(files, "metrics", opts, [("parse", t_parse), ("graph", t_graph)])
-    print(text, end="")
-    return EXIT_OK
+    adj = _phase(timings, "graph", build_clique_graph, design, cap)
+    text = json.dumps(metrics_report(design, adj, g, grid), indent=2, sort_keys=True)
+    writers = [functools.partial(_write_text, files["out"], text + "\n")] if "out" in files else []
+    return _finish("metrics", opts, made, files, timings, text, *writers)
 
 
 def run_benchgen(opts: dict, made: str | None = None) -> int:
     files = _outputs("benchgen", opts, made)
-    design, t_gen = _timed(generate, cells=opts["cells"], rows=opts["rows"], cols=opts["cols"],
-                           fanout=_parse_fanout(opts["fanout"]), io_count=opts["io"], seed=opts["seed"],
-                           long_range_fraction=opts["long_range_fraction"], utilization=opts["utilization"])
-    aux = write_design(design, opts["out_dir"], opts["name"])
-    _write_manifest(files, "benchgen", opts, [("generate", t_gen)])
-    print(json.dumps({"aux": aux, "cells": design.num_cells, "nets": design.num_nets}))
-    return EXIT_OK
+    timings: list = []
+    design = _phase(timings, "generate", generate, cells=opts["cells"], rows=opts["rows"], cols=opts["cols"],
+                    fanout=_parse_fanout(opts["fanout"]), io_count=opts["io"], seed=opts["seed"],
+                    long_range_fraction=opts["long_range_fraction"], utilization=opts["utilization"])
+    summary = {"aux": files["aux"], "cells": design.num_cells, "nets": design.num_nets}
+    return _finish("benchgen", opts, made, files, timings, json.dumps(summary),
+                   functools.partial(write_design, design, opts["out_dir"], opts["name"]))
 
 
 def _manifest_problem(doc) -> str | None:

@@ -88,6 +88,7 @@ class PlacerTrace:
         return self.records[-1].iteration if self.records else 0
 
 
+@np.errstate(all="ignore")  # per call, and so on the worker thread too: overflow shows as a non-finite result
 def smooth_wirelength_grad(design: Design, g: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:
     """Per-net log-sum-exp HPWL surrogate and its exact gradient.
 
@@ -264,7 +265,8 @@ def run_placer(
     # capped at one bin per iteration — the density weight grows without
     # bound, so any constant step would eventually overshoot.
     design.pin_layout  # built before the worker shares it: cached_property takes no lock on Python 3.12+
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    # overflow from an extreme option shows up as a non-finite objective below, which raises DivergenceError
+    with np.errstate(all="ignore"), ThreadPoolExecutor(max_workers=1) as pool:
         for it in range(config.max_iters + 1):
             if it > 0:
                 step = config.step

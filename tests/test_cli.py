@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -138,22 +139,37 @@ FILTER_TERMS = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@example(jitter=1e308, terms=None)
-@example(jitter=None, terms=[(0.0, 1, 1e308)])
-@given(jitter=st.none() | st.floats(0.0, 1e308), terms=st.none() | FILTER_TERMS)
-def test_gift_writes_a_readable_placement_or_exits_2_with_no_output(small_aux, tmp_path_factory, jitter, terms):
-    out = tmp_path_factory.mktemp("gift") / "g.pl"
+# place's floats that the placer takes as they are, drawn up to the largest float
+PLACER_FLOATS = st.fixed_dictionaries({}, optional={flag: st.floats(0.0, 1e308)
+                                                    for flag in ("--gamma", "--step", "--lambda0", "--lambda-growth")})
+
+
+@settings(max_examples=100, deadline=None)
+@example(command="gift", jitter=1e308, terms=None, placer={})
+@example(command="gift", jitter=None, terms=[(0.0, 1, 1e308)], placer={})
+@example(command="place", jitter=None, terms=None, placer={"--gamma": 1e-308})
+@example(command="place", jitter=None, terms=None, placer={"--step": 1e308})
+@example(command="place", jitter=None, terms=None, placer={"--gamma": 1e308})
+@example(command="place", jitter=None, terms=None, placer={"--lambda-growth": 1e308})
+@given(command=st.sampled_from(["gift", "place"]), jitter=st.none() | st.floats(0.0, 1e308),
+       terms=st.none() | FILTER_TERMS, placer=PLACER_FLOATS)
+def test_gift_and_place_write_finite_outputs_or_nothing(small_aux, tmp_path_factory, command, jitter, terms, placer):
+    # place starts from the filter, so the filter's options reach it too; no numpy warning may escape either
+    out = tmp_path_factory.mktemp(command) / "g.pl"
     flags = [] if jitter is None else ["--jitter", repr(jitter)]
     if terms is not None:
         flags += ["--terms", ",".join(f"{sigma!r}:{k}:{alpha!r}" for sigma, k, alpha in terms)]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["gift", small_aux, "--seed", "1", "--out", str(out), *flags])
-    manifest = out.with_name(out.name + ".manifest.json")
+    if command == "place":
+        flags += ["--init", "gift", "--max-iters", "5", *(word for item in placer.items() for word in map(str, item))]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, small_aux, "--seed", "1", "--out", str(out), *flags])
+    written = sorted(p.name for p in out.parent.iterdir())
     if code == 0:
-        assert np.isfinite(read_placement(parse_design(small_aux), str(out))).all() and manifest.exists()
+        assert np.isfinite(read_placement(parse_design(small_aux), str(out))).all()
+        assert written == sorted(["g.pl", "g.pl.manifest.json", *(["g.pl.trace.csv"] if command == "place" else [])])
     else:
-        assert code == 2 and not out.exists() and not manifest.exists()
+        assert code in ((2, 4) if command == "place" else (2,)) and written == []
 
 
 def poison_c0(aux: str, ext: str, column: int, value: str) -> int:
@@ -471,6 +487,75 @@ class TestOutputDirectories:
         code, _, _ = run_cli(capsys, command, *args, "--out-dir", str(out_dir), "--manifest", str(out_dir / "m.json"))
         assert code == 0
         assert json.loads((out_dir / "m.json").read_text())["command"] == command
+
+
+# four cells, c3 on no net: the sigma-0 operator divides by its zero degree
+ISOLATED_CELL = {
+    "i.aux": "RowBasedPlacement : i.nodes i.nets i.pl\n",
+    "i.nodes": "UCLA nodes 1.0\nNumNodes : 4\nNumTerminals : 0\nc0 1 1\nc1 1 1\nc2 1 1\nc3 1 1\n",
+    "i.nets": "UCLA nets 1.0\nNumNets : 1\nNumPins : 3\nNetDegree : 3 n0\nc0 I\nc1 I\nc2 I\n",
+    "i.pl": "UCLA pl 1.0\nc0 0 0 : N\nc1 1 0 : N\nc2 2 0 : N\nc3 3 0 : N\n",
+}
+
+
+class TestFailedRunWritesNothing:
+    """A run that ends with a non-zero exit leaves every file and directory as it found them. An output that is a
+    directory, or an output directory that is a file, ends it with exit 3 before the design is read or generated."""
+
+    @pytest.mark.parametrize(
+        "args,code,message",
+        [
+            (["spectrum", "iso/i.aux", "--sigma", "1,0", "--k", "1", "--out-dir", "S"], 2,
+             "IsolatedNodeError: node 3 has degree 0"),
+            (["gift", "{bench}", "--out", "taken"], 3, "--out taken is a directory"),
+            (["gift", "{bench}", "--manifest", "taken"], 3, "--manifest taken is a directory"),
+            (["place", "{bench}", "--trace", "taken", "--out", "p.pl"], 3, "--trace taken is a directory"),
+            (["place", "{bench}", "--out", "taken"], 3, "--out taken is a directory"),
+            (["metrics", "{bench}", "--out", "taken"], 3, "--out taken is a directory"),
+            (["spectrum", "{bench}", "--out-dir", "S", "--manifest", "taken"], 3, "--manifest taken is a directory"),
+            (["spectrum", "{bench}", "--out-dir", "taken"], 3, "eig_hist_sigma0.csv taken/eig_hist_sigma0.csv is a directory"),
+            (["spectrum", "{bench}", "--out-dir", "file"], 3, "output directory file cannot be made"),
+            (["spectrum", "{bench}", "--out-dir", "file/S"], 3, "output directory file/S cannot be made"),
+            (["benchgen", "--out-dir", "G", "--manifest", "taken"], 3, "--manifest taken is a directory"),
+            (["benchgen", "--out-dir", "taken"], 3, "synth.pl taken/synth.pl is a directory"),
+            (["benchgen", "--out-dir", "file"], 3, "output directory file cannot be made"),
+            (["report", "g.pl.manifest.json", "--replay", "--out-dir", "R"], 3, "--out R/g.pl is a directory"),
+            (["report", "g.pl.manifest.json", "--replay", "--out-dir", "file"], 3, "output directory file cannot be made"),
+            (["place", "{bench}", "--init", "center", "--max-iters", "30", "--gamma", "1e308"], 4, "DivergenceError"),
+            (["place", "{bench}", "--init", "center", "--max-iters", "30", "--lambda-growth", "1e308"], 4,
+             "DivergenceError"),
+        ],
+        ids=["spectrum-isolated-cell", "gift-out", "gift-manifest", "place-trace", "place-out", "metrics-out",
+             "spectrum-manifest", "spectrum-csv", "spectrum-out-dir-file", "spectrum-out-dir-under-a-file",
+             "benchgen-manifest", "benchgen-design-file", "benchgen-out-dir-file", "replay-out", "replay-out-dir-file",
+             "place-gamma", "place-lambda-growth"],
+    )
+    def test_nonzero_exit_writes_nothing(self, bench, tmp_path, capsys, monkeypatch, args, code, message):
+        monkeypatch.chdir(tmp_path)
+        for folder in ("iso", "taken/eig_hist_sigma0.csv", "taken/synth.pl", "R/g.pl"):
+            (tmp_path / folder).mkdir(parents=True)
+        for name, text in ISOLATED_CELL.items():
+            (tmp_path / "iso" / name).write_text(text)
+        (tmp_path / "file").write_text("")
+        assert run_cli(capsys, "gift", bench, "--out", "g.pl")[0] == 0  # a manifest to replay
+        if code == 3:
+            monkeypatch.setattr(cli, "parse_design", None)
+            monkeypatch.setattr(cli, "generate", None)
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        got, stdout, err = run_cli(capsys, *(a.format(bench=bench) for a in args))
+        assert got == code
+        assert err.count("\n") == 1 and message in err
+        assert stdout == ""
+        assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+    @pytest.mark.parametrize("flags", [["--gamma", "1e-308"], ["--step", "1e308"]], ids=["gamma", "step"])
+    def test_extreme_placer_option_runs_with_no_warning(self, bench, tmp_path, capsys, flags):
+        # pytest's warning filter makes any numpy warning an error, on the placer's worker thread too
+        code, stdout, _ = run_cli(capsys, "place", bench, "--init", "center", "--max-iters", "30", *flags,
+                                  "--out", str(tmp_path / "p.pl"))
+        assert code == 0
+        assert json.loads(stdout)["out"] == str(tmp_path / "p.pl")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bench", "p.pl", "p.pl.manifest.json", "p.pl.trace.csv"]
 
 
 class TestSharedOutputPaths:
