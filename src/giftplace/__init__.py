@@ -18,7 +18,6 @@ from .errors import (
     IsolatedNodeError,
     MalformedLineError,
     MissingFileError,
-    NonSymmetricError,
     TooLargeForDenseError,
     ZeroSignalError,
 )

@@ -61,10 +61,6 @@ class DimensionMismatchError(GiftPlaceError):
     """Operator and signal shapes disagree."""
 
 
-class NonSymmetricError(GiftPlaceError):
-    """A matrix required to be symmetric is not."""
-
-
 class TooLargeForDenseError(GiftPlaceError):
     """Dense spectral routines are guarded to small node counts."""
 

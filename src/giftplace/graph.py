@@ -5,7 +5,7 @@ pin-count incidence matrix and W = diag(2/M) over nets of M pins: the clique
 expansion written through the star expansion (Agarwal et al., ICML 2006). Every
 operator is held as factors S (B W B^T + C) S, C and S diagonal, so a product
 costs O(pins) however large the nets, and the cells x cells matrix is never built.
-A product is two ``np.bincount`` sums; only ``to_dense`` and ``from_csr`` import scipy.
+A product is two ``np.bincount`` sums; only ``to_dense`` imports scipy.
 
 The central object for filtering is the augmented normalized adjacency
 
@@ -26,7 +26,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IsolatedNodeError,
-    NonSymmetricError,
     TooLargeForDenseError,
 )
 from .netlist import Design
@@ -90,27 +89,6 @@ class SparseSymMatrix:
         self.values, self.indices, self.indptr, self.rows, self.nets, self.counts = incidence
         self.n, self.nnz = self.indptr.size - 1, self.values.size
         self.scale = np.ones(self.n) if scale is None else scale
-
-    @classmethod
-    def from_csr(cls, matrix) -> SparseSymMatrix:
-        """An explicit symmetric matrix as the same operator: each edge i < j a 2-pin net of weight a_ij.
-
-        Duplicates are summed and explicit zeros dropped; a matrix that is not
-        square or not symmetric raises NonSymmetricError.
-        """
-        import scipy.sparse as sp  # here, not at module load: an explicit matrix is never on the filter path
-        csr = sp.csr_matrix(matrix, dtype=float, copy=True)
-        csr.sum_duplicates()
-        if csr.shape[0] != csr.shape[1]:
-            raise NonSymmetricError(f"matrix is {csr.shape[0]}x{csr.shape[1]}, not square")
-        diff = abs(csr - csr.T)
-        if diff.nnz and diff.max() > 1e-12 * (1.0 + abs(csr).max()):
-            raise NonSymmetricError("matrix is not symmetric")
-        upper = sp.triu(csr, k=1, format="coo")
-        upper.eliminate_zeros()
-        pins = np.concatenate([upper.row, upper.col]), np.tile(np.arange(upper.nnz), 2)
-        incidence = _incidence(*pins, csr.shape[0], upper.nnz)
-        return cls(incidence, upper.data, csr.diagonal() - _self_loops(incidence, upper.data))
 
     @cached_property
     def degrees(self) -> np.ndarray:

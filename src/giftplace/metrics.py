@@ -99,7 +99,7 @@ def rayleigh_smoothness(laplacian: SparseSymMatrix, column: np.ndarray, center: 
     col = np.asarray(column, dtype=float).ravel()
     if col.shape[0] != laplacian.n:
         raise DimensionMismatchError(f"signal has {col.shape[0]} rows, Laplacian has {laplacian.n}")
-    if center:
+    if center and col.size:  # an empty signal is zero: the mean of nothing would warn
         col = col - col.mean()
     denom = float(col @ col)
     if denom <= 1e-30:

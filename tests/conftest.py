@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from giftplace import (
     Design,
     Region,
     SparseSymMatrix,
 )
+from giftplace.graph import _incidence, _self_loops
 
 
 def make_design(names, nets, region: Region, sizes=(1.0, 1.0), pads=None) -> Design:
@@ -65,12 +65,26 @@ def anchored_design() -> Design:
 
 
 def from_coo(n: int, rows, cols, vals) -> SparseSymMatrix:
-    """A SparseSymMatrix from coordinate triplets (duplicates summed)."""
-    return SparseSymMatrix.from_csr(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+    """The operator of a symmetric matrix given as coordinate triplets: each edge i < j a 2-pin net of weight a_ij.
+
+    Only the i < j and i == j entries are read. Duplicates are summed in input
+    order, the edges numbered in (row, col) order, and an edge whose sum is
+    zero dropped; the i == j entries sum to the diagonal.
+    """
+    rows, cols, vals = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float)
+    upper, loop = rows < cols, rows == cols
+    keys, edge = np.unique(rows[upper] * n + cols[upper], return_inverse=True)
+    sums = np.bincount(edge, vals[upper], minlength=keys.size).astype(float)  # bincount of nothing is int64
+    kept = sums != 0
+    i, j = np.divmod(keys[kept], n)
+    w = sums[kept]
+    incidence = _incidence(np.concatenate([i, j]), np.tile(np.arange(w.size), 2), n, w.size)
+    diag = np.bincount(rows[loop], vals[loop], minlength=n)
+    return SparseSymMatrix(incidence, w, diag - _self_loops(incidence, w))
 
 
-def random_connected_graph(n: int, rng: np.random.Generator) -> SparseSymMatrix:
-    """Random spanning tree plus extra edges, positive random weights."""
+def random_triplets(n: int, rng: np.random.Generator) -> tuple[list, list, list]:
+    """Symmetric triplets of a random spanning tree plus extra edges, positive random weights."""
     rows, cols, vals = [], [], []
     order = rng.permutation(n)
     for i in range(1, n):
@@ -89,7 +103,12 @@ def random_connected_graph(n: int, rng: np.random.Generator) -> SparseSymMatrix:
         rows += [int(a), int(b)]
         cols += [int(b), int(a)]
         vals += [w, w]
-    return from_coo(n, rows, cols, vals)
+    return rows, cols, vals
+
+
+def random_connected_graph(n: int, rng: np.random.Generator) -> SparseSymMatrix:
+    """The operator of ``random_triplets``' graph."""
+    return from_coo(n, *random_triplets(n, rng))
 
 
 @pytest.fixture

@@ -679,14 +679,20 @@ class TestSpectrum:
         rows = "".join(f"{x:.10g},{int(c)}\n" for x, c in zip(values, counts))
         assert path.read_bytes() == ("lambda,count\n" + rows).encode()
 
-    def test_empty_design_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, exit_code", [("spectrum", 1), ("metrics", 0), ("gift", 0), ("place", 0)])
+    def test_empty_design_exit_code(self, tmp_path, capsys, command, exit_code):
+        # in-process, so a numpy warning is an error: a design with no cells has nothing to analyze, but every
+        # other command runs to its end, and metrics reports a Rayleigh quotient of the empty signal as null
         (tmp_path / "e.nodes").write_text("UCLA nodes 1.0\nNumNodes : 0\nNumTerminals : 0\n")
         (tmp_path / "e.nets").write_text("UCLA nets 1.0\nNumNets : 0\nNumPins : 0\n")
         (tmp_path / "e.pl").write_text("UCLA pl 1.0\n")
         (tmp_path / "e.scl").write_text("UCLA scl 1.0\nNumRows : 0\n")
         (tmp_path / "e.aux").write_text("RowBasedPlacement : e.nodes e.nets e.pl e.scl\n")
-        code, _, _ = run_cli(capsys, "spectrum", str(tmp_path / "e.aux"))
-        assert code == 1
+        code, stdout, _ = run_cli(capsys, command, str(tmp_path / "e.aux"))
+        assert code == exit_code
+        if command == "metrics":
+            report = json.loads(stdout)
+            assert report["rayleigh_x"] is None and report["rayleigh_y"] is None
 
     def test_too_large_exit_2_makes_no_out_dir(self, tmp_path, capsys):
         # the dense eigensystem is refused after the design is read; the --out-dir is made only for a result

@@ -22,7 +22,6 @@ from giftplace import (
     FilterTerm,
     GiftConfig,
     IsolatedNodeError,
-    NonSymmetricError,
     Region,
     SparseSymMatrix,
     TooLargeForDenseError,
@@ -33,7 +32,7 @@ from giftplace import (
     laplacian,
     normalized_augmented_adjacency,
 )
-from tests.conftest import from_coo, make_design, random_connected_graph
+from tests.conftest import from_coo, make_design, random_connected_graph, random_triplets
 
 
 def design_with_nets(n_cells: int, nets_pins: list[list[int]]) -> Design:
@@ -371,19 +370,23 @@ class TestCliqueGraph:
 
 
 class TestSparseSymMatrix:
-    def test_rejects_asymmetric(self):
-        m = sp.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
-        with pytest.raises(NonSymmetricError):
-            SparseSymMatrix.from_csr(m)
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(NonSymmetricError):
-            SparseSymMatrix.from_csr(sp.csr_matrix(np.ones((2, 3))))
-
-    def test_duplicates_merged(self):
-        adj = from_coo(2, [0, 1, 0, 1], [1, 0, 1, 0], [1.0, 1.0, 2.0, 2.0])
-        assert adj.nnz == 2
-        assert adj.to_dense()[0, 1] == 3.0
+    @pytest.mark.parametrize(
+        "n, rows, cols, vals",
+        [
+            pytest.param(2, [0, 1, 0, 1], [1, 0, 1, 0], [1.0, 1.0, 2.0, 2.0], id="duplicates"),
+            pytest.param(3, [0, 1, 1, 2, 0, 1], [1, 0, 2, 1, 1, 0], [1.0, 1.0, 0.0, 0.0, -1.0, -1.0], id="zeros"),
+            pytest.param(3, [0, 1, 1, 1, 2], [1, 0, 1, 1, 2], [2.0, 2.0, 3.0, 0.5, -1.0], id="diagonal"),
+            pytest.param(3, [], [], [], id="empty"),
+            pytest.param(40, *random_triplets(40, np.random.default_rng(7)), id="random"),
+        ],
+    )
+    def test_from_coo_is_the_coo_matrix(self, n, rows, cols, vals):
+        # the helper behind every random graph, against scipy; each edge is one 2-pin net and a zero sum none
+        expected = sp.coo_matrix((np.asarray(vals, dtype=float), (rows, cols)), shape=(n, n)).toarray()
+        adj = from_coo(n, rows, cols, vals)
+        np.testing.assert_array_equal(adj.to_dense(), expected)
+        assert adj.nnz == 2 * np.count_nonzero(np.triu(expected, 1))
+        assert adj.weights.dtype == float
 
     def test_matmul_dimension_check(self):
         adj = from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
