@@ -28,6 +28,7 @@ from . import __version__
 from .benchgen import generate
 from .errors import (
     DanglingPinError,
+    DegenerateSpectrumWarning,
     DivergenceError,
     DuplicateCellError,
     GiftPlaceError,
@@ -135,46 +136,28 @@ def _diag(message: str) -> None:
     print(f"giftplace: {prefix} {message}", file=sys.stderr)
 
 
+def _comma_list(opts: dict, key: str, rule: str, *kinds: type, ok=lambda *fields: True) -> list[tuple] | None:
+    """A comma-list option such as --terms 'sigma:k:alpha,...': one tuple per entry, its ':'-separated fields
+    converted by ``kinds`` and checked by ``ok``; None when the option is unset. ValueError names the first bad entry."""
+    if opts[key] is None:
+        return None
+    entries = []
+    for part in opts[key].split(","):
+        try:
+            fields = tuple(kind(field) for kind, field in zip(kinds, part.split(":"), strict=True))
+        except ValueError:
+            fields = None
+        if fields is None or not ok(*fields):
+            raise ValueError(f"bad --{key} entry {part!r}, expected {rule}")
+        entries.append(fields)
+    return entries
+
+
 def _gift_config(opts: dict) -> GiftConfig:
     """--terms is 'sigma:k:alpha,...'; unset keeps the paper's terms."""
-    terms = GiftConfig.terms
-    if opts["terms"] is not None:
-        terms = []
-        for part in opts["terms"].split(","):
-            try:
-                sigma, k, alpha = part.split(":")
-                fields = float(sigma), int(k), float(alpha)
-            except ValueError:
-                raise ValueError(f"bad --terms entry {part!r}, expected sigma:k:alpha") from None
-            terms.append(FilterTerm(*fields))
-    return GiftConfig(terms=terms, seed=opts["seed"], jitter_scale=opts["jitter"])
-
-
-def _parse_fanout(spec: str | None) -> dict[int, float] | None:
-    if spec is None:
-        return None
-    profile: dict[int, float] = {}
-    for part in spec.split(","):
-        try:
-            d, w = part.split(":")
-            degree, weight = int(d), float(w)
-        except ValueError:
-            raise ValueError(f"bad --fanout entry {part!r}, expected DEGREE:WEIGHT") from None
-        if degree in profile:
-            raise ValueError(f"--fanout repeats degree {degree}")
-        profile[degree] = weight
-    return profile
-
-
-def _comma_list(opts: dict, key: str, kind: type, ok, rule: str) -> list:
-    """A comma-list option such as --sigma, each value converted and checked."""
-    try:
-        values = [kind(v) for v in str(opts[key]).split(",")]
-    except ValueError:
-        values = None
-    if values is None or not all(map(ok, values)):
-        raise ValueError(f"--{key} must be a comma list of {rule}, got {opts[key]!r}")
-    return values
+    terms = _comma_list(opts, "terms", "sigma:k:alpha", float, int, float)
+    return GiftConfig(terms=GiftConfig.terms if terms is None else [FilterTerm(*fields) for fields in terms],
+                      seed=opts["seed"], jitter_scale=opts["jitter"])
 
 
 def _clique_cap(opts: dict) -> int | None:
@@ -204,8 +187,9 @@ def _write_csv(path: str, header: str, *columns: np.ndarray) -> None:
 
 def _spectrum_lists(opts: dict) -> tuple[list[float], list[int]]:
     """--sigma and --k, each a comma list checked value by value."""
-    return (_comma_list(opts, "sigma", float, lambda s: 0.0 <= s < np.inf, "finite numbers >= 0"),
-            _comma_list(opts, "k", int, lambda k: k >= 1, "integers >= 1"))
+    sigmas = _comma_list(opts, "sigma", "a finite number >= 0", float, ok=lambda s: 0.0 <= s < np.inf)
+    ks = _comma_list(opts, "k", "an integer >= 1", int, ok=lambda k: k >= 1)
+    return [s for s, in sigmas], [k for k, in ks]
 
 
 def _outputs(command: str, opts: dict, made: str | None = None) -> dict[str, str]:
@@ -385,9 +369,16 @@ def run_metrics(opts: dict, made: str | None = None) -> int:
 
 def run_benchgen(opts: dict, made: str | None = None) -> int:
     files = _outputs("benchgen", opts, made)
+    profile = None
+    if (fanout := _comma_list(opts, "fanout", "DEGREE:WEIGHT", int, float)) is not None:
+        profile = {}
+        for degree, weight in fanout:
+            if degree in profile:
+                raise ValueError(f"--fanout repeats degree {degree}")
+            profile[degree] = weight
     timings: list = []
     design = _phase(timings, "generate", generate, cells=opts["cells"], rows=opts["rows"], cols=opts["cols"],
-                    fanout=_parse_fanout(opts["fanout"]), io_count=opts["io"], seed=opts["seed"],
+                    fanout=profile, io_count=opts["io"], seed=opts["seed"],
                     long_range_fraction=opts["long_range_fraction"], utilization=opts["utilization"])
     summary = {"aux": files["aux"], "cells": design.num_cells, "nets": design.num_nets}
     return _finish("benchgen", opts, made, files, timings, json.dumps(summary),
@@ -547,7 +538,9 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         _diag(f"{type(exc).__name__}: {exc}")
         return EXIT_DIVERGED
-    except GiftPlaceError as exc:  # computation and guard errors, invalid designs
+    # computation and guard errors, invalid designs, and the --init eigen warning where `python -W error` raises it
+    # (any other escalated warning keeps its traceback)
+    except (GiftPlaceError, DegenerateSpectrumWarning) as exc:
         _diag(f"{type(exc).__name__}: {exc}")
         return EXIT_COMPUTE
     except ValueError as exc:

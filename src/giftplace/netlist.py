@@ -800,8 +800,9 @@ def write_placement(design: Design, placement: np.ndarray, path: str) -> None:
 
 
 def design_files(out_dir: str, name: str) -> dict[str, str]:
-    """The files ``write_design`` writes for ``name`` in ``out_dir``, keyed by extension (.scl only for a region
-    with rows). ValueError for a name an .aux cannot list: empty, only dots, or holding whitespace, '#' or '/'."""
+    """The files ``write_design`` may write for ``name`` in ``out_dir``, keyed by extension. The .scl is always listed,
+    though ``write_design`` writes it only for a region with rows. ValueError for a name an .aux cannot list: empty,
+    only dots, or holding whitespace, '#' or '/'."""
     if not name.strip(".") or any(c.isspace() or c in "#/" for c in name):
         raise ValueError(f"name {name!r} cannot be listed in an .aux: it needs a character besides '.' and no whitespace, '#' or '/'")
     return {ext: os.path.join(out_dir, f"{name}.{ext}") for ext in ("nodes", "nets", "pl", "scl", "aux")}
@@ -820,7 +821,8 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
     placement = np.array(placement, dtype=float)
     placement[design.fixed] = design.fixed_xy[design.fixed]
 
-    # one % format per file, as in write_placement
+    # one % format per file, as in write_placement; %.17g gives back every double exactly, and writes an integer or
+    # a half as %g does
     nodes = [None] * (4 * design.num_cells)
     nodes[0::4] = design.names
     nodes[1::4] = design.widths.tolist()
@@ -828,7 +830,7 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
     nodes[3::4] = np.where(design.fixed, "\tterminal", "").tolist()
     with open(paths["nodes"], "w") as f:
         f.write(f"UCLA nodes 1.0\n\nNumNodes : {design.num_cells}\nNumTerminals : {design.num_fixed}\n")
-        f.write("\t%s\t%g\t%g%s\n" * design.num_cells % tuple(nodes))
+        f.write("\t%s\t%.17g\t%.17g%s\n" * design.num_cells % tuple(nodes))
 
     # each net's NetDegree line (2 fields), then its pin lines (3 fields each)
     degree = np.diff(design.net_start)
@@ -839,7 +841,7 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
     is_pin[head] = is_pin[head + 1] = False
     pins = np.array(design.names, dtype=object)[design.pin_cell], design.pin_dx, design.pin_dy
     fields[is_pin] = np.column_stack(pins).ravel()
-    lines = "".join(["NetDegree : %d %s\n" + "\t%s I : %g %g\n" * k for k in degree.tolist()])
+    lines = "".join(["NetDegree : %d %s\n" + "\t%s I : %.17g %.17g\n" * k for k in degree.tolist()])
     with open(paths["nets"], "w") as f:
         f.write(f"UCLA nets 1.0\n\nNumNets : {design.num_nets}\nNumPins : {design.pin_cell.size}\n")
         f.write(lines % tuple(fields.tolist()))
@@ -848,7 +850,8 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
 
     rows = design.region.rows
     if rows:
-        row = "CoreRow Horizontal\n\tCoordinate : %g\n\tHeight : %g\n\tSitewidth : %g\n\tSubrowOrigin : %g NumSites : %s\nEnd\n"
+        row = ("CoreRow Horizontal\n\tCoordinate : %.17g\n\tHeight : %.17g\n\tSitewidth : %.17g\n"
+               "\tSubrowOrigin : %.17g NumSites : %s\nEnd\n")
         values = [value for r in rows for value in (r.y, r.height, r.site_width, r.x, r.num_sites)]
         with open(paths["scl"], "w") as f:
             f.write(f"UCLA scl 1.0\n\nNumRows : {len(rows)}\n" + row * len(rows) % tuple(values))

@@ -496,6 +496,14 @@ ISOLATED_CELL = {
     "i.nets": "UCLA nets 1.0\nNumNets : 1\nNumPins : 3\nNetDegree : 3 n0\nc0 I\nc1 I\nc2 I\n",
     "i.pl": "UCLA pl 1.0\nc0 0 0 : N\nc1 1 0 : N\nc2 2 0 : N\nc3 3 0 : N\n",
 }
+# six cells in three two-cell nets: lambda_3 is 0, so the eigenvector start warns that it is degenerate
+DISCONNECTED = {
+    "d.aux": "RowBasedPlacement : d.nodes d.nets d.pl\n",
+    "d.nodes": "UCLA nodes 1.0\nNumNodes : 6\nNumTerminals : 0\n" + "".join(f"c{i} 1 1\n" for i in range(6)),
+    "d.nets": "UCLA nets 1.0\nNumNets : 3\nNumPins : 6\n"
+              + "".join(f"NetDegree : 2 n{j}\nc{2 * j} I\nc{2 * j + 1} I\n" for j in range(3)),
+    "d.pl": "UCLA pl 1.0\n" + "".join(f"c{i} {i} 0 : N\n" for i in range(6)),
+}
 
 
 class TestFailedRunWritesNothing:
@@ -507,6 +515,9 @@ class TestFailedRunWritesNothing:
         [
             (["spectrum", "iso/i.aux", "--sigma", "1,0", "--k", "1", "--out-dir", "S"], 2,
              "IsolatedNodeError: node 3 has degree 0"),
+            # pytest's warning filter raises the warning, as `python -W error` does
+            (["place", "disc/d.aux", "--init", "eigen", "--out", "e.pl"], 2,
+             "DegenerateSpectrumWarning: second/third eigenvalues are numerically zero"),
             (["gift", "{bench}", "--out", "taken"], 3, "--out taken is a directory"),
             (["gift", "{bench}", "--manifest", "taken"], 3, "--manifest taken is a directory"),
             (["place", "{bench}", "--trace", "taken", "--out", "p.pl"], 3, "--trace taken is a directory"),
@@ -525,17 +536,18 @@ class TestFailedRunWritesNothing:
             (["place", "{bench}", "--init", "center", "--max-iters", "30", "--lambda-growth", "1e308"], 4,
              "DivergenceError"),
         ],
-        ids=["spectrum-isolated-cell", "gift-out", "gift-manifest", "place-trace", "place-out", "metrics-out",
+        ids=["spectrum-isolated-cell", "place-eigen-disconnected", "gift-out", "gift-manifest", "place-trace", "place-out", "metrics-out",
              "spectrum-manifest", "spectrum-csv", "spectrum-out-dir-file", "spectrum-out-dir-under-a-file",
              "benchgen-manifest", "benchgen-design-file", "benchgen-out-dir-file", "replay-out", "replay-out-dir-file",
              "place-gamma", "place-lambda-growth"],
     )
     def test_nonzero_exit_writes_nothing(self, bench, tmp_path, capsys, monkeypatch, args, code, message):
         monkeypatch.chdir(tmp_path)
-        for folder in ("iso", "taken/eig_hist_sigma0.csv", "taken/synth.pl", "R/g.pl"):
+        for folder in ("iso", "disc", "taken/eig_hist_sigma0.csv", "taken/synth.pl", "R/g.pl"):
             (tmp_path / folder).mkdir(parents=True)
-        for name, text in ISOLATED_CELL.items():
-            (tmp_path / "iso" / name).write_text(text)
+        for folder, files in (("iso", ISOLATED_CELL), ("disc", DISCONNECTED)):
+            for name, text in files.items():
+                (tmp_path / folder / name).write_text(text)
         (tmp_path / "file").write_text("")
         assert run_cli(capsys, "gift", bench, "--out", "g.pl")[0] == 0  # a manifest to replay
         if code == 3:
@@ -864,6 +876,8 @@ class TestUnusableOptions:
             ("gift", ["--terms", "1:2:x"], "--terms"),
             ("gift", ["--terms", "1:0.5:1"], "--terms"),
             ("place", ["--init", "gift", "--terms", "1:2"], "--terms"),
+            ("gift", ["--terms", "1:2:3:4"], "bad --terms entry '1:2:3:4', expected sigma:k:alpha"),
+            ("gift", ["--terms", "1:2:0.5,"], "bad --terms entry '', expected sigma:k:alpha"),
         ],
     )
     def test_conversion_error_names_option(self, bench, tmp_path, capsys, command, flags, named):
@@ -921,6 +935,8 @@ class TestUnusableOptions:
             (["--sigma", "1,-1"], "--sigma"),
             (["--sigma", "0,x"], "--sigma"),
             (["--sigma", "0,inf"], "--sigma"),
+            (["--sigma", "1:2"], "bad --sigma entry '1:2', expected a finite number >= 0"),
+            (["--k", "1,,2"], "bad --k entry '', expected an integer >= 1"),
         ],
     )
     def test_spectrum_bad_list_exit_2_before_writing(self, bench, tmp_path, capsys, flags, named):
@@ -1270,6 +1286,7 @@ class TestUnusableGeneratorInputs:
             (["--fanout", "2:-1,3:2"], "fanout"),
             (["--fanout", "2"], "--fanout"),
             (["--fanout", "two:1"], "--fanout"),
+            (["--fanout", "2:0.5:1"], "bad --fanout entry '2:0.5:1', expected DEGREE:WEIGHT"),
             (["--utilization", "1e-8"], "utilization"),
             (["--utilization", "5e-324"], "utilization"),
             (["--fanout", "2:0.3,3:0.3,2:0.4"], "--fanout repeats degree 2"),

@@ -597,34 +597,45 @@ EVERY_FEATURE = Design(
 )
 
 
+# values a 6-significant-digit format would move: 1.23457, 0.123457 and a row 2.75 units off at 1234570
+SEVENTEEN_DIGITS = dataclasses.replace(
+    EVERY_FEATURE,
+    widths=[2.5, 1.2345678, 0.1 + 0.2],
+    pin_dx=[0.0, 0.1234567, -0.5, 0.0, 1234.25, -0.75],
+    region=Region(1234567.25, -2e4, 1274567.25, 2e4, rows=[Row(y=-2e4, height=4e4, x=1234567.25, num_sites=40000)]),
+)
+
+
 @settings(max_examples=40, deadline=None)
 @example(EVERY_FEATURE)
+@example(SEVENTEEN_DIGITS)
 @given(small_designs())
 def test_write_parse_round_trip_is_exact(tmp_path_factory, design):
     again = parse_design(write_design(design, str(tmp_path_factory.mktemp("rt")), "rt"))
     for key in ("names", "net_names", "widths", "heights", "fixed", "net_start", "pin_cell", "pin_dx", "pin_dy"):
         assert np.array_equal(getattr(again, key), getattr(design, key)), key
     assert np.array_equal(again.fixed_xy, design.fixed_xy, equal_nan=True)
+    assert again.region.rows == design.region.rows
 
 
 def per_line_text(design) -> tuple[str, str, str | None]:
     """The .nodes, .nets and .scl text of ``design`` formatted one f-string per line; no .scl without rows."""
     nodes = ["UCLA nodes 1.0", "", f"NumNodes : {design.num_cells}", f"NumTerminals : {design.num_fixed}"]
     for cell, w, h, fixed in zip(design.names, design.widths.tolist(), design.heights.tolist(), design.fixed.tolist()):
-        nodes.append(f"\t{cell}\t{w:g}\t{h:g}" + ("\tterminal" if fixed else ""))
+        nodes.append(f"\t{cell}\t{w:.17g}\t{h:.17g}" + ("\tterminal" if fixed else ""))
     nets = ["UCLA nets 1.0", "", f"NumNets : {design.num_nets}", f"NumPins : {design.pin_cell.size}"]
     starts = design.net_start.tolist()
     for j, net in enumerate(design.net_names):
         nets.append(f"NetDegree : {starts[j + 1] - starts[j]} {net}")
         for i in range(starts[j], starts[j + 1]):
-            nets.append(f"\t{design.names[design.pin_cell[i]]} I : {design.pin_dx[i]:g} {design.pin_dy[i]:g}")
+            nets.append(f"\t{design.names[design.pin_cell[i]]} I : {design.pin_dx[i]:.17g} {design.pin_dy[i]:.17g}")
     scl = ["UCLA scl 1.0", "", f"NumRows : {len(design.region.rows)}"]
     for row in design.region.rows:
         scl.append("CoreRow Horizontal")
-        scl.append(f"\tCoordinate : {row.y:g}")
-        scl.append(f"\tHeight : {row.height:g}")
-        scl.append(f"\tSitewidth : {row.site_width:g}")
-        scl.append(f"\tSubrowOrigin : {row.x:g} NumSites : {row.num_sites}")
+        scl.append(f"\tCoordinate : {row.y:.17g}")
+        scl.append(f"\tHeight : {row.height:.17g}")
+        scl.append(f"\tSitewidth : {row.site_width:.17g}")
+        scl.append(f"\tSubrowOrigin : {row.x:.17g} NumSites : {row.num_sites}")
         scl.append("End")
     return "\n".join(nodes) + "\n", "\n".join(nets) + "\n", "\n".join(scl) + "\n" if design.region.rows else None
 
