@@ -109,11 +109,12 @@ def rayleigh_smoothness(laplacian: SparseSymMatrix, column: np.ndarray, center: 
 
 def hpwl(design: Design, g: np.ndarray) -> float:
     """Half-perimeter wirelength over pin positions (cell center + pin offset)."""
-    layout, total = design.pin_layout, 0.0
-    for p in layout.positions(g):
-        for blk, _ in layout.slabs(p):
-            total += float((np.abs(blk[0] - blk[1]) if len(blk) == 2 else blk.max(0) - blk.min(0)).sum())
-    return total
+    layout, sums = design.pin_layout, []
+    for blk, _ in layout.slabs(layout.positions(g)):  # each call on both axes; a 2-pin net's span takes its first slot
+        span = (np.abs(np.subtract(blk[:, 0], blk[:, 1], out=blk[:, 0]), out=blk[:, 0]) if blk.shape[1] == 2
+                else blk.max(1) - blk.min(1))
+        sums.append(span.sum(1))
+    return layout.total(sums)
 
 
 def density_map(design: Design, g: np.ndarray, grid: GridConfig | None = None) -> DensityGrid:
@@ -173,9 +174,9 @@ def _bin_overlaps(design: Design, g: np.ndarray, nx: int, ny: int, bin_w: float,
     ``bx * ny + by``) is ``lx[k] * ly[k]``; ``dlx``/``dly`` are the
     derivatives of the lengths in the cell's x and y. Cells within two bins on
     both axes come as four corner-offset groups over every cell in order, with
-    ``cells`` None and zero lengths for the wider cells; those come as
-    one group of their flattened per-cell outer products, so the work is the
-    number of cells plus the bins the wide cells overlap.
+    ``cells`` None and zero lengths for the wider cells; those, if any, come
+    as a fifth group of their flattened per-cell outer products, so the work is
+    the number of cells plus the bins the wide cells overlap.
     """
     axes = _Axes(design, np.asarray(g, dtype=float), nx, ny, bin_w, bin_h)
     valid = np.all(axes.hi > axes.lo, axis=0)
@@ -185,6 +186,8 @@ def _bin_overlaps(design: Design, g: np.ndarray, nx: int, ny: int, bin_w: float,
     groups = [(None, bx[0] * ny + by[1], lx[0], ly[1], dlx[0], dly[1]) for bx, lx, dlx in offsets for by, ly, dly in offsets]
 
     wide = np.flatnonzero(valid & ~narrow)
+    if not wide.size:
+        return groups
     cols = axes.span[1, wide] + 1
     counts = (axes.span[0, wide] + 1) * cols
     cells = np.repeat(wide, counts)

@@ -59,28 +59,35 @@ class PinLayout(NamedTuple):
     slot-major (w, m) slab of the m nets, in net order, whose degree rounds up
     to the power of two w; the 2-pin nets make the first block, of width 2. A
     net's pad slots repeat its first pin, and ``mask`` (None in a block without
-    pads) is 0 on them.
+    pads) is 0 on them. Slot positions come as one (2, S) array, x over y, so
+    that each numpy call of a kernel serves both axes.
     """
 
     cell: np.ndarray        # (S,) cell id of each slot
     offset: np.ndarray      # (2, S) pin dx and dy from the cell center
     blocks: tuple           # (width, nets, pad mask or None) of each degree block, widths ascending
 
-    def positions(self, g: np.ndarray):
-        """Yield the slots' x, then their y: the centers ``g`` of their pins' cells plus the offsets.
-
-        One axis at a time keeps the temporaries small enough to reuse memory.
-        """
-        g = np.asarray(g, dtype=float)
-        for axis in (0, 1):
-            yield np.take(g[:, axis], self.cell) + self.offset[axis]
+    def positions(self, g: np.ndarray) -> np.ndarray:
+        """The slots' x and y as a new (2, S) array: the centers ``g`` of their pins' cells plus the offsets."""
+        p = np.take(np.asarray(g, dtype=float).T, self.cell, axis=1)
+        p += self.offset
+        return p
 
     def slabs(self, p: np.ndarray):
-        """Yield each degree block of the slot values ``p`` as a (width, nets) view, with its pad mask."""
+        """Yield each degree block of the (2, S) slot values ``p`` as a (2, width, nets) view, with its pad mask."""
         start = 0
         for width, nets, mask in self.blocks:
-            yield p[start:start + width * nets].reshape(width, nets), mask
+            yield p[:, start:start + width * nets].reshape(2, width, nets), mask
             start += width * nets
+
+    @staticmethod
+    def total(sums) -> float:
+        """The per-block (x, y) ``sums`` added in turn as floats: every block's x, then every block's y, the order
+        of one pass per axis."""
+        total = 0.0
+        for s in np.reshape(sums, (-1, 2)).T.flat:
+            total += float(s)
+        return total
 
 
 @dataclass

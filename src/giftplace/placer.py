@@ -99,29 +99,32 @@ def smooth_wirelength_grad(design: Design, g: np.ndarray, gamma: float) -> tuple
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     layout = design.pin_layout
-    value, grad = 0.0, []
-    for p in layout.positions(g):
-        # one degree block at a time; p's positions are used up: each slot takes its weight in place
-        for blk, mask in layout.slabs(p):
-            if len(blk) == 2:
-                # a 2-pin net at a, b: |a-b| + 2*gamma*log(1 + e^{-|a-b|/gamma}), weight tanh((a-b)/2gamma) on a
-                d = blk[0] - blk[1]
-                span = np.abs(d)
-                value += float(span.sum() + 2.0 * gamma * np.log1p(np.exp(-span / gamma)).sum())
-                np.tanh(d / (2.0 * gamma), out=blk[0])
-                np.negative(blk[0], out=blk[1])
-                continue
-            hi, lo = blk.max(0), blk.min(0)
-            # max-shifted exponentials keep everything in (0, 1]; the mask zeroes the pad slots', and so their weights
-            ea, eb = np.exp((blk - hi) / gamma), np.exp((lo - blk) / gamma)
+    p, sums = layout.positions(g), []
+    # one degree block at a time, each call on both axes; p's positions are used up: each slot takes its weight in place
+    for blk, mask in layout.slabs(p):
+        if blk.shape[1] == 2:
+            # a 2-pin net at a, b: |a-b| + 2*gamma*log(1 + e^{-|a-b|/gamma}), weight tanh((a-b)/2gamma) on a; the
+            # span and its exponentials take b's slots until the weights do
+            d, span = np.subtract(blk[:, 0], blk[:, 1], out=blk[:, 0]), np.abs(blk[:, 0], out=blk[:, 1])
+            span_sum = span.sum(1)
+            soft = np.log1p(np.exp(np.divide(span, -gamma, out=span), out=span), out=span)
+            sums.append(span_sum + 2.0 * gamma * soft.sum(1))
+            np.negative(np.tanh(np.divide(d, 2.0 * gamma, out=d), out=d), out=blk[:, 1])
+            continue
+        hi, lo = blk.max(1), blk.min(1)
+        # max-shifted exponentials keep everything in (0, 1]; the mask zeroes the pad slots', and so their weights.
+        # e^{(x-hi)/gamma} takes the slab's own slots, e^{(lo-x)/gamma} its one temporary
+        eb = np.subtract(lo[:, None], blk)
+        ea = np.subtract(blk, hi[:, None], out=blk)
+        for e in (ea, eb):
+            np.exp(np.divide(e, gamma, out=e), out=e)
             if mask is not None:
-                ea *= mask
-                eb *= mask
-            sa, sb = ea.sum(0), eb.sum(0)
-            value += float(np.sum(hi - lo + gamma * (np.log(sa) + np.log(sb))))
-            np.subtract(ea / sa, eb / sb, out=blk)
-        grad.append(np.bincount(layout.cell, p, minlength=design.num_cells))
-    grad = np.column_stack(grad)
+                e *= mask
+        sa, sb = ea.sum(1), eb.sum(1)
+        sums.append(np.sum(hi - lo + gamma * (np.log(sa) + np.log(sb)), axis=1))
+        np.subtract(np.divide(ea, sa[:, None], out=ea), np.divide(eb, sb[:, None], out=eb), out=blk)
+    value = layout.total(sums)
+    grad = np.column_stack([np.bincount(layout.cell, w, minlength=design.num_cells) for w in p])
     grad[design.fixed] = 0.0
     return value, grad
 
@@ -256,7 +259,7 @@ def run_placer(
     stalled = ""
     lam = config.lambda0 if config.lambda0 is not None else balanced_lambda0(design, config)
     grid = (config.grid or GridConfig()).resolved(design)  # default_bins once per run, not per evaluation
-    mag, spare = np.empty(design.num_cells), np.empty_like(g)
+    mag, spare, movable = np.empty(design.num_cells), np.empty_like(g), ~design.fixed
     pending = None  # the last evaluation's record, its HPWL queued: (task, the g it reads, record)
 
     # With config.step set, the update rule is applied literally. The default
@@ -280,7 +283,7 @@ def run_placer(
                                                  "the symmetry, such as --init gift")
                         stalled = f"; zero gradient at iteration {it}, so no cell could move"
                         break
-                    ref = float(np.sqrt(np.mean(mag[~design.fixed] ** 2)))
+                    ref = float(np.sqrt(np.mean(mag[movable] ** 2)))
                     max_move = MAX_MOVE_BINS * min(dens.bin_w, dens.bin_h)
                     step = (max_move / np.maximum(mag, ref))[:, None]
                 # into the other buffer: the queued HPWL reads g until it is joined below, before the next step
@@ -289,9 +292,10 @@ def run_placer(
             # the worker takes the last HPWL during the step, then the wirelength kernel beside the density kernel; what
             # it has not started runs here. The wirelength error surfaces first, as in sequence
             wirelength = pool.submit(smooth_wirelength_grad, design, g, gamma)
-            dens = None  # the last map and its overlaps go before the next is built: one map's memory at a time
+            dens = None  # the last map goes before the next is built: one map's memory at a time
             try:
                 d_val, d_grad, dens = electrostatic_grad(design, g, grid)
+                dens.overlaps = None  # they served the field gradient: gone before the step and the HPWL beside it
                 ovf = overflow(dens)
             finally:
                 wl_val, wl_grad = _finish(wirelength, smooth_wirelength_grad, design, g, gamma)

@@ -267,6 +267,81 @@ def test_wirelength_and_hpwl_match_the_per_net_reference(case):
     assert hpwl(design, g) == pytest.approx(ref_hpwl, rel=1e-12, abs=1e-12)
 
 
+@np.errstate(all="ignore")
+def per_axis_kernels(design, g, gamma):
+    """(LSE value, its gradient, HPWL) over the pin layout's degree blocks, one axis at a time: the x pass over every
+    block, then the y pass, each numpy call on one axis."""
+    layout = design.pin_layout
+    value, total, grad = 0.0, 0.0, []
+    for axis in (0, 1):
+        p = np.take(np.asarray(g, dtype=float)[:, axis], layout.cell) + layout.offset[axis]
+        start = 0
+        for width, nets, mask in layout.blocks:
+            blk = p[start:start + width * nets].reshape(width, nets)
+            start += width * nets
+            total += float((np.abs(blk[0] - blk[1]) if width == 2 else blk.max(0) - blk.min(0)).sum())
+            if width == 2:
+                d = blk[0] - blk[1]
+                span = np.abs(d)
+                value += float(span.sum() + 2.0 * gamma * np.log1p(np.exp(-span / gamma)).sum())
+                np.tanh(d / (2.0 * gamma), out=blk[0])
+                np.negative(blk[0], out=blk[1])
+                continue
+            hi, lo = blk.max(0), blk.min(0)
+            ea, eb = np.exp((blk - hi) / gamma), np.exp((lo - blk) / gamma)
+            if mask is not None:
+                ea *= mask
+                eb *= mask
+            sa, sb = ea.sum(0), eb.sum(0)
+            value += float(np.sum(hi - lo + gamma * (np.log(sa) + np.log(sb))))
+            np.subtract(ea / sa, eb / sb, out=blk)
+        grad.append(np.bincount(layout.cell, p, minlength=design.num_cells))
+    grad = np.column_stack(grad)
+    grad[design.fixed] = 0.0
+    return value, grad, total
+
+
+def assert_matches_per_axis_kernels(design, g, gamma):
+    value, grad = smooth_wirelength_grad(design, g, gamma)
+    want_value, want_grad, want_hpwl = per_axis_kernels(design, g, gamma)
+    assert value == want_value
+    assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape and grad.tobytes() == want_grad.tobytes()
+    assert hpwl(design, g) == want_hpwl
+
+
+@st.composite
+def offset_pin_cases(draw):
+    """A design with random pin offsets whose nets have 0-40 pins (or only 2, or never 2), a placement and a gamma."""
+    n = draw(st.integers(1, 12))
+    degree = draw(st.sampled_from([st.integers(0, 40), st.just(2), st.integers(0, 40).filter(lambda k: k != 2)]))
+    offset = st.floats(-3.0, 3.0)
+    pin = st.tuples(st.integers(0, n - 1), offset, offset)
+    nets = draw(st.lists(degree.flatmap(lambda k: st.lists(pin, min_size=k, max_size=k)), max_size=16))
+    coord = st.floats(-50.0, 50.0)
+    g = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    fixed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    design = make_design(n, nets, Region(-60.0, -60.0, 60.0, 60.0), pads={i: tuple(g[i]) for i in range(n) if fixed[i]})
+    return design, g, 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(offset_pin_cases())
+def test_both_axes_kernels_match_the_per_axis_kernels_bit_for_bit(case):
+    assert_matches_per_axis_kernels(*case)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.3, 5.0, 1e3])
+def test_both_axes_kernels_match_the_per_axis_kernels_on_long_blocks(gamma):
+    # more than 8192 nets in the 2-pin block and in the padded 4-pin one: numpy's reductions run in buffer-sized pieces
+    rng = np.random.default_rng(3)
+    n, degrees = 3000, [2] * 9000 + [3, 4] * 4600 + [7] * 50
+    nets = [[(int(c), float(dx), float(dy)) for c, dx, dy in zip(rng.integers(0, n, k), *rng.uniform(-0.5, 0.5, (2, k)))]
+            for k in degrees]
+    design = make_design(n, nets, Region(-60.0, -60.0, 60.0, 60.0), pads={0: (3.0, -4.0)})
+    assert [(w, m) for w, m, _ in design.pin_layout.blocks] == [(2, 9000), (4, 9200), (8, 50)]
+    assert_matches_per_axis_kernels(design, random_positions(design, rng), gamma)
+
+
 class TestElectrostaticGradient:
     def test_uniform_occupancy_feels_no_force(self):
         # one 2x2 cell centered in each 4x4 bin: zero charge everywhere
@@ -988,7 +1063,7 @@ class TestOverlapKernel:
         g = np.array(centers)
         design = make_design(len(g), [[0, 1]], region, sizes=sizes, pads={4: centers[4], 11: centers[11]})
         dens = density_map(design, g, GridConfig(nx=8, ny=8))
-        assert all(cells is None for cells, *_ in dens.overlaps[:4]) and dens.overlaps[4][0].size == 0
+        assert len(dens.overlaps) == 4 and all(cells is None for cells, *_ in dens.overlaps)  # no wide cell, no fifth group
         bin_field = np.random.default_rng(4).normal(size=(8, 8))
         rho_want, grad_want = overlap_oracle(design, g, 8, 8, bin_field)
         assert np.count_nonzero(grad_want) >= 4
