@@ -13,6 +13,7 @@ error, 4 placer divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import inspect
 import io
@@ -83,7 +84,6 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         "gamma": (float, PlacerConfig.gamma, "wirelength smoothing (default: region width / 100)"),
         "lambda0": (float, PlacerConfig.lambda0, "initial density weight (default: balances the forces)"),
         "lambda_growth": (float, PlacerConfig.lambda_growth, "per-iteration density weight multiplier"),
-        "step": (float, PlacerConfig.step, "fixed step size (default: per-cell saturated steps)"),
         "max_iters": (int, PlacerConfig.max_iters, "iteration budget"),
         "stop_overflow": (float, PlacerConfig.stop_overflow, "stop once overflow is at most this"),
         "bins": _BINS,
@@ -121,6 +121,11 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         **_SEEDED,
     },
 }
+
+# options that manifests of earlier versions record: command -> option -> (type, default, why a value other than the
+# default cannot be replayed, or None when no value changed the outputs). A replay drops them
+RETIRED = {"metrics": {"seed": (int, 0, None)}, "spectrum": {"seed": (int, 0, None)},
+           "place": {"step": (float, None, "a fixed step size is gone; every place run takes the saturated per-cell step")}}
 
 COMMAND_HELP = {
     "gift": "filter a seeded placement signal and write the result",
@@ -296,8 +301,8 @@ def run_gift(opts: dict, made: str | None = None) -> int:
 
 
 def run_place(opts: dict, made: str | None = None) -> int:
-    pconfig = PlacerConfig(grid=_grid_config(opts), seed=opts["seed"], **{
-        key: opts[key] for key in ("gamma", "lambda0", "lambda_growth", "step", "max_iters", "stop_overflow")})
+    pconfig = PlacerConfig(grid=_grid_config(opts), **{
+        f.name: opts[f.name] for f in dataclasses.fields(PlacerConfig) if f.name != "grid"})
     gconfig = _gift_config(opts)
     cap = _clique_cap(opts)
     init = opts["init"]
@@ -399,9 +404,7 @@ def _manifest_problem(doc) -> str | None:
     if missing is not None:
         return f"options lack {missing!r}"
     # a value has its option's type (an int also fits a float, a bool fits none), or is null where the default is
-    table = {**OPTIONS[command], "aux": (str, "", "")}
-    if command in ("metrics", "spectrum"):  # recorded by their manifests before they lost --seed; a replay drops it
-        table["seed"] = _SEEDED["seed"]
+    table = {**OPTIONS[command], "aux": (str, "", ""), **RETIRED.get(command, {})}
     for key, value in options.items():
         if key not in table:
             return f"unknown option {key!r}"
@@ -428,6 +431,9 @@ def run_report(opts: dict) -> int:
     if not opts.get("replay"):
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
+    for key, (_, default, reason) in RETIRED.get(doc["command"], {}).items():
+        if reason and doc["options"].get(key, default) != default:
+            raise ValueError(f"{path}: cannot replay --{key} {json.dumps(doc['options'][key])}: {reason}")
     out_dir = opts.get("out_dir")
     if not out_dir:
         raise ValueError("--replay requires --out-dir")

@@ -75,7 +75,7 @@ class ZeroSignalError(GiftPlaceError):
 
 
 class DivergenceError(GiftPlaceError):
-    """The placer objective became NaN/Inf; the step size is too large."""
+    """The placer objective became NaN/Inf, as a placer option near the float range makes it."""
 
 
 class DegenerateSpectrumWarning(UserWarning):

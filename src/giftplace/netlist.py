@@ -244,9 +244,18 @@ class Design:
         if bad.size:
             net = self.net_names[np.searchsorted(self.net_start, bad[0], side="right") - 1]
             raise GiftPlaceError(f"net {net!r} pin references cell id {self.pin_cell[bad[0]]} out of range")
+        bad = np.flatnonzero(~(np.isfinite(self.pin_dx) & np.isfinite(self.pin_dy)))
+        if bad.size:
+            net = self.net_names[np.searchsorted(self.net_start, bad[0], side="right") - 1]
+            raise GiftPlaceError(f"net {net!r} has a pin offset that is not finite")
         r = self.region
         if not (np.isfinite([r.xmin, r.ymin, r.xmax, r.ymax]).all() and r.xmax > r.xmin and r.ymax > r.ymin):
             raise GiftPlaceError("region must be finite with positive extent")
+        for i, row in enumerate(r.rows):  # the rules _parse_scl reads an .scl by, so write_design's .scl reads back
+            if not (all(map(math.isfinite, (row.y, row.height, row.x, row.num_sites, row.site_width)))
+                    and row.height > 0 and row.site_width > 0 and row.num_sites >= 0 and row.num_sites % 1 == 0):
+                raise GiftPlaceError(f"row {i} {row}: its values must be finite, its height and site width > 0 and "
+                                     "its site count a whole number >= 0")
 
 
 # ---------------------------------------------------------------------------

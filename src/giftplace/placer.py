@@ -43,14 +43,13 @@ class PlacerConfig:
     gamma: float | None = None          # LSE smoothing; default 1% of region width
     lambda0: float | None = None        # initial density weight; default balances the forces
     lambda_growth: float = 1.03         # per-iteration multiplier
-    step: float | None = None           # fixed step; default: per-cell saturated steps
     max_iters: int = 1000
     stop_overflow: float = 0.15
     grid: GridConfig | None = None      # unset bin counts: metrics.default_bins
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "lambda0", "lambda_growth", "step"):
+        for name in ("gamma", "lambda0", "lambda_growth"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -60,8 +59,6 @@ class PlacerConfig:
             raise ValueError("lambda0 must be >= 0")
         if self.lambda_growth < 1.0:
             raise ValueError("lambda_growth must be >= 1")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if self.seed < 0:
@@ -238,10 +235,10 @@ def run_placer(
 ) -> tuple[np.ndarray, PlacerTrace]:
     """Projected gradient descent until overflow <= stop_overflow or budget ends.
 
-    Update: g <- clamp(g - step * (grad_wl + lambda * grad_density)), lambda growing
-    multiplicatively; the clamp to ``design.bounds`` places fixed cells at their
-    fixed positions. Raises DivergenceError when the objective stops being finite, and
-    GiftPlaceError when the saturated step finds no force on any movable cell.
+    Update: g <- clamp(g - s * grad), grad = grad_wl + lambda * grad_density, lambda growing multiplicatively, with
+    the saturated per-cell step s_i = m / max(|grad_i|, rms): m is MAX_MOVE_BINS bin widths, rms the root mean square
+    of |grad_i| over the movable cells. The clamp to ``design.bounds`` places fixed cells at their fixed positions.
+    Raises DivergenceError when the objective stops being finite, and GiftPlaceError when no force moves a cell.
     Each iteration shares its work with one worker thread, joined before the call
     returns; the results are those of running it all in turn on one thread.
     """
@@ -262,30 +259,25 @@ def run_placer(
     mag, spare, movable = np.empty(design.num_cells), np.empty_like(g), ~design.fixed
     pending = None  # the last evaluation's record, its HPWL queued: (task, the g it reads, record)
 
-    # With config.step set, the update rule is applied literally. The default
-    # is a saturated per-cell step: cells move along their own negative
-    # gradient at a speed proportional to its magnitude relative to the RMS,
-    # capped at one bin per iteration — the density weight grows without
-    # bound, so any constant step would eventually overshoot.
+    # a cell moves m * min(|grad_i| / rms, 1), not in proportion to |grad_i|: lambda grows without bound, so a move in
+    # proportion to the gradient, like any constant step, would eventually overshoot
     design.pin_layout  # built before the worker shares it: cached_property takes no lock on Python 3.12+
     # overflow from an extreme option shows up as a non-finite objective below, which raises DivergenceError
     with np.errstate(all="ignore"), ThreadPoolExecutor(max_workers=1) as pool:
         for it in range(config.max_iters + 1):
             if it > 0:
-                step = config.step
-                if step is None:
-                    # fixed rows of grad are zero, so they neither stop the loop nor move
-                    np.hypot(grad[:, 0], grad[:, 1], out=mag)
-                    if not np.any(mag > 0):
-                        if design.num_movable:
-                            raise GiftPlaceError(f"zero gradient at iteration {it}: no force moves the {design.num_movable} "
-                                                 "movable cells from their start; start from a placement that breaks "
-                                                 "the symmetry, such as --init gift")
-                        stalled = f"; zero gradient at iteration {it}, so no cell could move"
-                        break
-                    ref = float(np.sqrt(np.mean(mag[movable] ** 2)))
-                    max_move = MAX_MOVE_BINS * min(dens.bin_w, dens.bin_h)
-                    step = (max_move / np.maximum(mag, ref))[:, None]
+                # fixed rows of grad are zero, so they neither stop the loop nor move
+                np.hypot(grad[:, 0], grad[:, 1], out=mag)
+                if not np.any(mag > 0):
+                    if design.num_movable:
+                        raise GiftPlaceError(f"zero gradient at iteration {it}: no force moves the {design.num_movable} "
+                                             "movable cells from their start; start from a placement that breaks the "
+                                             "symmetry, such as --init gift")
+                    stalled = f"; zero gradient at iteration {it}, so no cell could move"
+                    break
+                ref = float(np.sqrt(np.mean(mag[movable] ** 2)))
+                max_move = MAX_MOVE_BINS * min(dens.bin_w, dens.bin_h)
+                step = (max_move / np.maximum(mag, ref))[:, None]
                 # into the other buffer: the queued HPWL reads g until it is joined below, before the next step
                 g, spare = np.clip(np.subtract(g, step * grad, out=spare), *design.bounds, out=spare), g
                 lam *= config.lambda_growth

@@ -8,6 +8,7 @@ it.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import logging
@@ -15,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from giftplace import parse_design, read_placement, write_placement
 from giftplace import cli
 from giftplace.cli import _write_csv, main
+from giftplace.placer import PlacerConfig
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -141,14 +144,13 @@ FILTER_TERMS = st.lists(
 
 # place's floats that the placer takes as they are, drawn up to the largest float
 PLACER_FLOATS = st.fixed_dictionaries({}, optional={flag: st.floats(0.0, 1e308)
-                                                    for flag in ("--gamma", "--step", "--lambda0", "--lambda-growth")})
+                                                    for flag in ("--gamma", "--lambda0", "--lambda-growth")})
 
 
 @settings(max_examples=100, deadline=None)
 @example(command="gift", jitter=1e308, terms=None, placer={})
 @example(command="gift", jitter=None, terms=[(0.0, 1, 1e308)], placer={})
 @example(command="place", jitter=None, terms=None, placer={"--gamma": 1e-308})
-@example(command="place", jitter=None, terms=None, placer={"--step": 1e308})
 @example(command="place", jitter=None, terms=None, placer={"--gamma": 1e308})
 @example(command="place", jitter=None, terms=None, placer={"--lambda-growth": 1e308})
 @given(command=st.sampled_from(["gift", "place"]), jitter=st.none() | st.floats(0.0, 1e308),
@@ -560,7 +562,7 @@ class TestFailedRunWritesNothing:
         assert stdout == ""
         assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
 
-    @pytest.mark.parametrize("flags", [["--gamma", "1e-308"], ["--step", "1e308"]], ids=["gamma", "step"])
+    @pytest.mark.parametrize("flags", [["--gamma", "1e-308"]], ids=["gamma"])
     def test_extreme_placer_option_runs_with_no_warning(self, bench, tmp_path, capsys, flags):
         # pytest's warning filter makes any numpy warning an error, on the placer's worker thread too
         code, stdout, _ = run_cli(capsys, "place", bench, "--init", "center", "--max-iters", "30", *flags,
@@ -812,13 +814,16 @@ class TestConfigFile:
         assert stdout == ""
         assert not out.exists()
 
-    def test_unknown_key_warns(self, bench, tmp_path, capsys, caplog):
+    # place's fixed step is gone: a config line that sets one is ignored, and the run takes the saturated step
+    @pytest.mark.parametrize("command,key", [("gift", "binz"), ("place", "step")])
+    def test_unknown_key_warns(self, bench, tmp_path, capsys, caplog, command, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 3\nbinz = 4\n")
-        code, _, _ = run_cli(capsys, "gift", bench, "--config", str(cfg), "--out", str(tmp_path / "g.pl"))
+        cfg.write_text(f"seed = 3\n{key} = 0.02\nmax_iters = 3\n" if command == "place" else f"seed = 3\n{key} = 4\n")
+        code, _, _ = run_cli(capsys, command, bench, "--config", str(cfg), "--out", str(tmp_path / "g.pl"))
         assert code == 0
-        assert "unknown config key 'binz' ignored" in caplog.text
-        assert json.loads((tmp_path / "g.pl.manifest.json").read_text())["options"]["seed"] == 3
+        assert f"unknown config key {key!r} ignored" in caplog.text
+        options = json.loads((tmp_path / "g.pl.manifest.json").read_text())["options"]
+        assert options["seed"] == 3 and key not in options
 
     def test_config_and_flags_resolve_alike(self, tmp_path, capsys):
         values = {"cells": "30", "rows": "5", "io": "6", "long_range_fraction": "0.25", "utilization": "0.5", "seed": "4"}
@@ -841,8 +846,6 @@ class TestUnusableOptions:
     @pytest.mark.parametrize(
         "command,flags",
         [
-            ("place", ["--step", "nan"]),
-            ("place", ["--step", "0"]),
             ("place", ["--gamma", "inf"]),
             ("place", ["--lambda0", "-1"]),
             ("place", ["--lambda-growth", "nan"]),
@@ -985,14 +988,24 @@ class TestUnusableOptions:
         for default in ("(default 1.03)", "(default 1000)", "(default 0.15)", "(default 1.0)", "(default center)"):
             assert default in text
 
+    def test_place_options_hold_every_placer_default(self):
+        # run_place builds its PlacerConfig from these options, one per field; --bins and --rho-t make its grid
+        hints = typing.get_type_hints(PlacerConfig)
+        for f in dataclasses.fields(PlacerConfig):
+            if f.name != "grid":
+                kind, default, _ = cli.OPTIONS["place"][f.name]
+                assert default == f.default and kind in (hints[f.name], *typing.get_args(hints[f.name])), f.name
+
 
 class TestRemovedOptions:
     """Options that no code read are gone: --seed of metrics and spectrum, and report's
-    --seed, --manifest and --config. Each now exits 2 at argument parsing."""
+    --seed, --manifest and --config; so is place's --step, with the fixed step. Each now
+    exits 2 at argument parsing."""
 
     @pytest.mark.parametrize(
         "command,flag",
-        [("metrics", "--seed"), ("spectrum", "--seed"), ("report", "--seed"), ("report", "--manifest"), ("report", "--config")],
+        [("metrics", "--seed"), ("spectrum", "--seed"), ("report", "--seed"), ("report", "--manifest"), ("report", "--config"),
+         ("place", "--step")],
     )
     def test_exit_2(self, bench, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
@@ -1006,13 +1019,15 @@ class TestRemovedOptions:
             ("metrics", "--bins --config --manifest --max-clique-pins --out --pl --rho-t --verbose"),
             ("spectrum", "--config --k --manifest --max-clique-pins --out-dir --sigma --verbose"),
             ("report", "--out-dir --replay --verbose"),
+            ("place", "--bins --config --gamma --init --jitter --lambda-growth --lambda0 --manifest --max-clique-pins "
+                      "--max-iters --out --rho-t --seed --stop-overflow --terms --trace --verbose"),
         ],
-        ids=["metrics", "spectrum", "report"],
+        ids=["metrics", "spectrum", "report", "place"],
     )
     def test_help_lists_the_options_read(self, capsys, command, options):
         with pytest.raises(SystemExit):
             main([command, "--help"])
-        assert " ".join(sorted(set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"})) == options
+        assert " ".join(sorted(set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)) - {"--help"})) == options
 
 
 class TestManifestPhases:
@@ -1076,19 +1091,28 @@ class TestReportReplay:
         assert self.replay(capsys, str(tmp_path / "g.pl.manifest.json"), str(replay_dir)) == 0
         assert (replay_dir / "g.pl").read_bytes() == out.read_bytes()
 
-    def test_place_replay_byte_identical(self, bench, tmp_path, capsys):
+    @pytest.mark.parametrize("step", [False, True], ids=["as-written", "recording-null-step"])
+    def test_place_replay_byte_identical(self, bench, tmp_path, capsys, step):
         out = tmp_path / "p.pl"
-        code, _, _ = run_cli(
+        code, stdout, _ = run_cli(
             capsys, "place", bench, "--init", "gift", "--out", str(out),
             "--max-iters", "25", "--seed", "6",
         )
         assert code == 0
+        manifest = tmp_path / "p.pl.manifest.json"
+        if step:  # as every place manifest did while place took a fixed --step: null, the saturated step
+            doc = json.loads(manifest.read_text())
+            doc["options"]["step"] = None
+            manifest.write_text(json.dumps(doc))
         replay_dir = tmp_path / "replay"
-        assert self.replay(capsys, str(tmp_path / "p.pl.manifest.json"), str(replay_dir)) == 0
+        code, replayed, _ = run_cli(capsys, "report", str(manifest), "--replay", "--out-dir", str(replay_dir))
+        assert code == 0
+        assert json.loads(replayed) == {**json.loads(stdout), "out": str(replay_dir / "p.pl")}
         assert (replay_dir / "p.pl").read_bytes() == out.read_bytes()
         assert (replay_dir / "p.pl.trace.csv").read_bytes() == (
             tmp_path / "p.pl.trace.csv"
         ).read_bytes()
+        assert "step" not in json.loads((replay_dir / "p.pl.manifest.json").read_text())["options"]
 
     def test_replay_verbose(self, bench, tmp_path, capsys):
         out = tmp_path / "g.pl"
@@ -1250,6 +1274,16 @@ class TestReportRejects:
         code, err = self.report(capsys, tmp_path, path, replay)
         assert code == 2
         assert f"not a run manifest: option {key!r} is {json.dumps(value)}" in err
+
+    @pytest.mark.parametrize("step", [0.02, 1])
+    def test_fixed_step_manifest_replay_exit_2(self, bench, tmp_path, capsys, step):
+        # a fixed step chose another update rule, which is gone: such a run cannot be replayed, though it still prints
+        path = self.place_manifest(capsys, bench, tmp_path, step=step)
+        code, err = self.report(capsys, tmp_path, path, ["--replay"])
+        assert code == 2
+        assert f"p.pl.manifest.json: cannot replay --step {step}: " in err
+        code, stdout, _ = run_cli(capsys, "report", str(path))
+        assert code == 0 and json.loads(stdout)["options"]["step"] == step
 
     def test_int_for_float_and_null_defaults_replay(self, bench, tmp_path, capsys):
         path = self.place_manifest(capsys, bench, tmp_path, lambda_growth=1, gamma=None, step=None, max_clique_pins=None)

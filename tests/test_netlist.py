@@ -494,6 +494,32 @@ class TestValidate:
         with pytest.raises(GiftPlaceError, match="region"):
             Design(**design_fields(region=region))
 
+    @pytest.mark.parametrize("key", ["pin_dx", "pin_dy"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pin_offset_names_its_net(self, key, value):
+        # the .nets parser refuses such an offset; a Design built in memory must too, before the placer diverges on it
+        offsets = np.zeros(4)
+        offsets[2] = value
+        with pytest.raises(GiftPlaceError, match="^net 'n1' has a pin offset that is not finite$"):
+            Design(**design_fields(**{key: offsets}))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"y": np.nan}, {"x": np.inf}, {"height": 0.0}, {"height": -1.0}, {"site_width": 0.0}, {"site_width": np.nan},
+         {"num_sites": -3}, {"num_sites": 2.5}, {"num_sites": np.inf}],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_row_the_scl_parser_refuses(self, bad):
+        # write_design would write this row into an .scl that parse_design rejects
+        rows = [Row(y=0.0, height=5.0, x=0.0, num_sites=10), Row(**{"y": 5.0, "height": 5.0, "x": 0.0, "num_sites": 10, **bad})]
+        with pytest.raises(GiftPlaceError, match=r"^row 1 Row\(.*\): its values must be finite"):
+            Design(**design_fields(region=Region(0.0, 0.0, 10.0, 10.0, rows)))
+
+    def test_rows_the_scl_parser_reads_round_trip(self, tmp_path):
+        rows = [Row(y=0.0, height=5.0, x=0.0, num_sites=0, site_width=0.5), Row(y=5.0, height=5.0, x=0.0, num_sites=10.0)]
+        aux = write_design(Design(**design_fields(region=Region(0.0, 0.0, 10.0, 10.0, rows))), str(tmp_path), "rows")
+        assert parse_design(aux).region.rows == rows
+
     def test_parsed_design_is_validated(self, tmp_path):
         # a zero-site row gives the region no width; the parser cannot skip the check
         with pytest.raises(GiftPlaceError):

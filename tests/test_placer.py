@@ -470,8 +470,7 @@ class TestPlacerConfig:
         "field,value",
         [
             ("gamma", np.nan), ("gamma", np.inf), ("lambda0", np.nan), ("lambda0", -np.inf),
-            ("lambda0", -1.0), ("lambda_growth", np.nan), ("lambda_growth", np.inf),
-            ("step", np.nan), ("step", np.inf), ("step", 0.0), ("step", -0.1), ("max_iters", -1),
+            ("lambda0", -1.0), ("lambda_growth", np.nan), ("lambda_growth", np.inf), ("max_iters", -1),
         ],
     )
     def test_rejects_unusable_values(self, field, value):
@@ -572,12 +571,14 @@ class TestRunPlacer:
         g, _ = run_placer(design, g0, PlacerConfig(max_iters=30))
         np.testing.assert_array_equal(g[fixed], design.fixed_xy[fixed])
 
-    def test_pure_wirelength_descent_is_monotone(self):
-        # with the density weight pinned at zero and a small fixed step, the
-        # loop is plain projected descent on the smooth wirelength
+    def test_pure_wirelength_descent_is_monotone(self, monkeypatch):
+        # with the density weight pinned at zero and each move capped at a
+        # twentieth of a bin, the loop is plain projected descent on the smooth
+        # wirelength
+        monkeypatch.setattr(placer, "MAX_MOVE_BINS", 0.05)
         design = generate(cells=40, seed=5)
         g0 = self.spread_start(design, seed=5)
-        config = PlacerConfig(lambda0=0.0, step=0.02, max_iters=60, stop_overflow=1e-9)
+        config = PlacerConfig(lambda0=0.0, max_iters=60, stop_overflow=1e-9)
         _, trace = run_placer(design, g0, config)
         wl = [r.wl for r in trace.records]
         assert len(wl) == 61
@@ -651,26 +652,24 @@ class TestRunPlacer:
         _, trace = run_placer(design, g0, PlacerConfig(seed=1))
         assert trace.converged
 
-    @pytest.mark.parametrize("step", [None, 0.02], ids=["saturated", "fixed-step"])
-    def test_leaves_g0_unchanged(self, step):
+    def test_leaves_g0_unchanged(self):
         # the loop steps its own copy in place; start outside the region so the first clamp moves cells too
         design = generate(cells=60, seed=3)
         g0 = self.spread_start(design, seed=3)
         g0[~design.fixed] += design.region.width / 2
         before = g0.copy()
-        g, trace = run_placer(design, g0, PlacerConfig(step=step, max_iters=10, stop_overflow=1e-9))
+        g, trace = run_placer(design, g0, PlacerConfig(max_iters=10, stop_overflow=1e-9))
         np.testing.assert_array_equal(g0, before)
         assert trace.iterations == 10
         assert not np.array_equal(g, g0)
 
-    @pytest.mark.parametrize("step", [None, 0.02], ids=["saturated", "fixed-step"])
-    def test_places_fixed_rows_of_g0_at_their_fixed_positions(self, step):
+    def test_places_fixed_rows_of_g0_at_their_fixed_positions(self):
         design = generate(cells=60, seed=4)
         fixed = design.fixed
         g0 = self.spread_start(design, seed=4)
         g0[fixed] += (3.0, -2.0)
         for max_iters in (0, 5):
-            g, _ = run_placer(design, g0, PlacerConfig(step=step, max_iters=max_iters, stop_overflow=1e-9))
+            g, _ = run_placer(design, g0, PlacerConfig(max_iters=max_iters, stop_overflow=1e-9))
             np.testing.assert_array_equal(g[fixed], design.fixed_xy[fixed])
 
     def test_pad_outside_the_region_stays_at_its_fixed_position(self):
@@ -683,12 +682,11 @@ class TestRunPlacer:
         assert g[4].tolist() == [-4.0, 13.5]
         assert np.all((g[:4] >= 0.0) & (g[:4] <= 10.0))
 
-    @pytest.mark.parametrize("step", [None, 0.02], ids=["saturated", "fixed-step"])
-    def test_matches_the_masked_step_bit_for_bit(self, step):
+    def test_matches_the_masked_step_bit_for_bit(self):
         design = generate(cells=60, seed=3)
         g0 = self.spread_start(design, seed=3)
         g0[~design.fixed] += design.region.width / 3
-        config = PlacerConfig(step=step, max_iters=10, stop_overflow=1e-9)
+        config = PlacerConfig(max_iters=10, stop_overflow=1e-9)
         g, trace = run_placer(design, g0, config)
         ref_g, ref_records = masked_step_reference(design, g0, config)
         assert g.tobytes() == ref_g.tobytes()
@@ -807,15 +805,14 @@ class TestRunPlacer:
         assert len(calls) == len(trace.records) == trace.iterations + 1
         assert trace.records[-1].hpwl == metrics.hpwl(design, g)
 
-    @pytest.mark.parametrize("step", [None, 0.02], ids=["saturated", "fixed-step"])
     @pytest.mark.parametrize("hpwl_on", ["worker", "caller"])
-    def test_matches_the_sequential_loop_bit_for_bit_whichever_thread_runs_hpwl(self, monkeypatch, step, hpwl_on):
+    def test_matches_the_sequential_loop_bit_for_bit_whichever_thread_runs_hpwl(self, monkeypatch, hpwl_on):
         # nets of 5, 9 and 17 pins fill padded degree blocks, and the IO pads are fixed cells
         design = generate(cells=120, fanout={2: 0.4, 3: 0.2, 5: 0.2, 9: 0.1, 17: 0.1}, seed=4)
         assert design.num_movable < design.num_cells
         assert any(mask is not None for _, _, mask in design.pin_layout.blocks)
         g0 = self.spread_start(design, seed=4)
-        config = PlacerConfig(step=step, lambda0=0.5, max_iters=12, stop_overflow=1e-9)
+        config = PlacerConfig(lambda0=0.5, max_iters=12, stop_overflow=1e-9)
         ref_g, ref_records = masked_step_reference(design, g0, config)
 
         # each record's hpwl is queued while the next step is taken. On the worker: queueing it returns only once the
@@ -924,11 +921,9 @@ def masked_step_reference(design, g0, config):
     records = []
     for it in range(config.max_iters + 1):
         if it > 0:
-            step = config.step
-            if step is None:
-                mag = np.hypot(grad[movable, 0], grad[movable, 1])
-                ref = float(np.sqrt(np.mean(mag**2)))
-                step = np.minimum(max_move / ref, max_move / np.maximum(mag, 1e-300))[:, None]
+            mag = np.hypot(grad[movable, 0], grad[movable, 1])
+            ref = float(np.sqrt(np.mean(mag**2)))
+            step = np.minimum(max_move / ref, max_move / np.maximum(mag, 1e-300))[:, None]
             g[movable] -= step * grad[movable]
             g[movable] = np.clip(g[movable], *box)
             lam *= config.lambda_growth
