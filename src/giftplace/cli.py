@@ -6,8 +6,8 @@ writes a JSON run manifest holding the fully resolved options, so
 outputs byte-for-byte (volatile wall-clock data lives only in the manifest).
 
 Exit codes: 0 ok, 1 input/parse error, 2 computation/guard error (and any
-other GiftPlaceError, such as a design that fails validation), 3 output IO
-error, 4 placer divergence.
+other GiftPlaceError, such as a design that fails validation, and a run out of
+memory), 3 output IO error, 4 placer divergence.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import functools
 import inspect
-import io
 import json
 import logging
 import os
@@ -44,11 +43,9 @@ from .graph import (
     normalized_augmented_adjacency,
 )
 from .metrics import GridConfig, report as metrics_report
-from .netlist import aux_entries, aux_files, decode, design_files, parse_design, read_placement, write_design, write_placement
+from .netlist import aux_entries, aux_files, design_files, parse_design, read_placement, write_design, write_placement
 from .placer import PlacerConfig, run_placer
 from .spectral import eigendecompose, eigenvector_placement, filter_response
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -67,8 +64,8 @@ _BINS = (str, None, "density bins, N or NXxNY (default: sized per design)")
 _RHO_T = (float, GridConfig.rho_t, "target density in (0,1]")
 _MAX_CLIQUE_PINS = (int, None, "skip nets with more pins than this during clique expansion")
 
-# command -> option -> (type, default, help): the flags, the config-file keys
-# and the resolved defaults of every command that writes a manifest
+# command -> option -> (type, default, help) of every command that writes a manifest: each option is a flag, which
+# argparse alone checks and defaults, and the manifest records
 OPTIONS: dict[str, dict[str, tuple]] = {
     "gift": {
         "out": (str, None, "output .pl path (default: AUX stem + .gift.pl)"),
@@ -428,13 +425,13 @@ def run_report(opts: dict) -> int:
     problem = _manifest_problem(doc)
     if problem:
         raise ValueError(f"{path}: not a run manifest: {problem}")
-    if not opts.get("replay"):
+    if not opts["replay"]:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
     for key, (_, default, reason) in RETIRED.get(doc["command"], {}).items():
         if reason and doc["options"].get(key, default) != default:
             raise ValueError(f"{path}: cannot replay --{key} {json.dumps(doc['options'][key])}: {reason}")
-    out_dir = opts.get("out_dir")
+    out_dir = opts["out_dir"]
     if not out_dir:
         raise ValueError("--replay requires --out-dir")
     new_opts = {k: v for k, v in doc["options"].items() if k in OPTIONS[doc["command"]] or k == "aux"}
@@ -460,13 +457,11 @@ HANDLERS = {
 # argument parsing
 
 
-def _add_options(p: argparse.ArgumentParser, options: dict[str, tuple], config: bool = True) -> None:
+def _add_options(p: argparse.ArgumentParser, options: dict[str, tuple]) -> None:
     for key, (kind, default, text) in options.items():
         if default is not None:
             text = f"{text} (default {default})"
-        p.add_argument("--" + key.replace("_", "-"), type=kind, default=argparse.SUPPRESS, help=text)
-    if config:
-        p.add_argument("--config", default=argparse.SUPPRESS, help="key=value config file; flags override")
+        p.add_argument("--" + key.replace("_", "-"), type=kind, default=default, help=text)
     p.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
 
 
@@ -486,57 +481,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summarize a run manifest, or replay it")
     p.add_argument("manifest_path", help="manifest JSON from a previous run")
     p.add_argument("--replay", action="store_true", help="re-execute the recorded run")
-    _add_options(p, {"out_dir": (str, None, "output directory for the replay")}, config=False)
+    _add_options(p, {"out_dir": (str, None, "output directory for the replay")})
     return parser
-
-
-def _load_config(path: str, command: str) -> dict:
-    """key=value config file; '#' comments; unknown keys warn and are ignored."""
-    if not os.path.isfile(path):
-        raise MissingFileError(path)
-    values: dict = {}
-    options = OPTIONS[command]
-    with open(path, "rb") as f:
-        text = decode(path, f.read())
-    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise MalformedLineError(path, lineno, line, "expected key=value")
-        key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in options:
-            log.warning("%s: unknown config key %r ignored", path, key)
-            continue
-        kind = options[key][0]
-        try:
-            values[key] = kind(val.strip())
-        except ValueError:
-            raise MalformedLineError(path, lineno, line, f"{key} expects {kind.__name__}")
-    return values
-
-
-def _resolve(command: str, ns: argparse.Namespace) -> dict:
-    provided = {k: v for k, v in vars(ns).items() if k not in ("command", "verbose")}
-    if command == "report":  # its options are the manifest's
-        return provided
-    opts = {key: default for key, (_, default, _) in OPTIONS[command].items()}
-    config_path = provided.pop("config", None)
-    if config_path:
-        opts.update(_load_config(config_path, command))
-    opts.update(provided)
-    return opts
 
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.INFO if getattr(ns, "verbose", False) else logging.WARNING,
+        level=logging.INFO if ns.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    opts = {k: v for k, v in vars(ns).items() if k not in ("command", "verbose")}
     try:
-        opts = _resolve(ns.command, ns)
         return HANDLERS[ns.command](opts)
     except PARSE_ERRORS as exc:
         _diag(str(exc))
@@ -551,6 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_COMPUTE
     except ValueError as exc:
         _diag(str(exc))
+        return EXIT_COMPUTE
+    except MemoryError as exc:  # a size this machine cannot hold; every run writes last, so nothing is written
+        _diag(f"MemoryError: {str(exc) or 'out of memory'}")
         return EXIT_COMPUTE
     except OSError as exc:
         _diag(str(exc))

@@ -262,7 +262,7 @@ class Design:
 # parsing
 
 
-def decode(path: str, data: bytes) -> str:
+def _decode(path: str, data: bytes) -> str:
     """``data`` decoded as ``open`` decodes a file; a byte it cannot decode raises
     MalformedLineError at the line holding it."""
     try:
@@ -298,7 +298,7 @@ def _lex(path: str):
     with open(path, "rb") as f:
         data = f.read()
     if not data.isascii():
-        data = _NON_ASCII_SPACE.sub(" ", decode(path, data)).encode()
+        data = _NON_ASCII_SPACE.sub(" ", _decode(path, data)).encode()
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b"#" in data:
@@ -640,20 +640,23 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
 
 
 def _parse_scl(path: str) -> list[Row]:
-    """The complete ``CoreRow`` blocks; a value follows its line's first ':'."""
+    """The complete ``CoreRow`` blocks; a value follows its line's first ':'. A block without ``End`` (cut short by
+    the next ``CoreRow`` or by the end of the file) is skipped with a warning naming its ``CoreRow`` line."""
     rows: list[Row] = []
-    in_row = False
+    opened = None  # the line of the open block's CoreRow, None outside a block
     cur: dict[str, float] = {}
     for lineno, tokens in ((n, t) for chunk in _lex(path) for n, t in zip(chunk.lineno.tolist(), chunk.rows())):
         first = tokens[0]
         if first == "CoreRow":
-            in_row = True
+            if opened is not None:
+                log.warning("%s:%d: CoreRow block without End skipped", path, opened)
+            opened = lineno
             cur = {"site_width": 1.0}
             continue
-        if not in_row:
+        if opened is None:
             continue  # NumRows and anything else outside a block
         if first == "End":
-            in_row = False
+            opened = None
             if {"y", "height", "x", "num_sites"} <= cur.keys():
                 rows.append(Row(y=cur["y"], height=cur["height"], x=cur["x"], num_sites=int(cur["num_sites"]),
                                 site_width=cur["site_width"]))
@@ -686,6 +689,8 @@ def _parse_scl(path: str) -> list[Row]:
             raise _malformed(path, lineno, "NumSites must be a whole number >= 0")
         if cur.get("height", 1.0) <= 0 or cur["site_width"] <= 0:
             raise _malformed(path, lineno, "row height and site width must be > 0")
+    if opened is not None:
+        log.warning("%s:%d: CoreRow block without End skipped", path, opened)
     return rows
 
 

@@ -296,7 +296,8 @@ def _lineno(warning: str) -> int:
 def test_mutated_scl_parses_as_the_line_parser_parses_it(tmp_path_factory, base, kinds, chunk, rnd):
     """The same rows and warnings, or the same exception, message and line, as the reference, except
     that a fractional or negative ``NumSites``, which the reference truncates, and a ``Height`` or
-    ``Sitewidth`` of at most 0, which it keeps, are errors at their line."""
+    ``Sitewidth`` of at most 0, which it keeps, are errors at their line, and that a ``CoreRow`` block
+    without ``End``, which the reference drops without a word, is dropped with a warning."""
     tmp_dir = str(tmp_path_factory.mktemp("scl"))
     _written(tmp_dir, base)
     path = os.path.join(tmp_dir, "d.scl")
@@ -310,6 +311,8 @@ def test_mutated_scl_parses_as_the_line_parser_parses_it(tmp_path_factory, base,
         chunked = _outcome(netlist._parse_scl, path)
     by_line = _outcome(reference._parse_scl, path)
     value, warnings = chunked
+    warnings = [w for w in warnings if not w.endswith(": CoreRow block without End skipped")]  # the reference's is silent
+    chunked = value, warnings
     reason = value[1] if isinstance(value, tuple) else ""
     if not ("NumSites must be a whole number >= 0" in reason or "row height and site width must be > 0" in reason):
         return _assert_same(chunked, by_line)

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import re
+import resource
 import subprocess
 import sys
 import typing
@@ -288,15 +289,6 @@ class TestUndecodableByte:
         assert err.count("\n") == 1
         assert stdout == "" and not out.exists()
 
-    def test_config_file_exit_1(self, bench, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_bytes(b"seed = 3\r\n# caf\xe9\r\nsigma = 1\n")
-        code, stdout, err = run_cli(capsys, "gift", bench, "--config", str(config), "--out", str(tmp_path / "g.pl"))
-        assert code == 1
-        assert err.startswith(f"giftplace: error: {config}:2: byte 0xe9 is not valid ")
-        assert err.count("\n") == 1
-        assert stdout == ""
-
 
 def child_env() -> dict[str, str]:
     """This environment, with a PYTHONPATH under which a fresh interpreter imports this giftplace."""
@@ -351,6 +343,19 @@ def test_place_refuses_a_pile_no_force_can_move(tmp_path, capsys):
     assert err.startswith("giftplace: error: GiftPlaceError: zero gradient at iteration 1: ")
     assert "--init gift" in err
     assert sorted(os.listdir(tmp_path)) == ["gen"]
+
+
+def test_out_of_memory_exit_2(tmp_path):
+    # a design far larger than the child's address space, which the limit caps for the child alone: numpy's
+    # allocation fails, and the run ends in one line, exit 2 and no --out-dir
+    limit = 1500 * 2**20
+    run = subprocess.run([sys.executable, "-m", "giftplace.cli", "benchgen", "--cells", "300000000", "--out-dir",
+                          str(tmp_path / "D")], capture_output=True, text=True, env=child_env(),
+                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert run.returncode == 2
+    assert run.stderr.startswith("giftplace: error: MemoryError: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
+    assert run.stdout == "" and os.listdir(tmp_path) == []
 
 
 class TestPlace:
@@ -780,66 +785,6 @@ class TestMetrics:
         assert not (tmp_path / "metrics.json.manifest.json").exists()
 
 
-class TestConfigFile:
-    def test_flags_override_config(self, bench, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 3\nmax_iters = 5\n# comment\n")
-        out = tmp_path / "p.pl"
-        code, stdout, _ = run_cli(
-            capsys, "place", bench, "--config", str(cfg), "--out", str(out),
-            "--max-iters", "2",
-        )
-        assert code == 0
-        manifest = json.loads((tmp_path / "p.pl.manifest.json").read_text())
-        assert manifest["options"]["max_iters"] == 2
-        assert manifest["options"]["seed"] == 3
-
-    def test_missing_config_exit_1(self, bench, tmp_path, capsys):
-        code, _, err = run_cli(capsys, "place", bench, "--config", str(tmp_path / "nope.cfg"))
-        assert code == 1
-        assert "nope.cfg" in err
-
-    @pytest.mark.parametrize(
-        "text,reason",
-        [("seed = 3\n# budget\nmax_iters = abc\n", "max_iters expects int"), ("seed = 3\n\nmax_iters 5\n", "expected key=value")],
-        ids=["bad-value", "no-equals"],
-    )
-    def test_bad_line_exit_1_names_it(self, bench, tmp_path, capsys, text, reason):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        out = tmp_path / "p.pl"
-        code, stdout, err = run_cli(capsys, "place", bench, "--config", str(cfg), "--out", str(out))
-        assert code == 1
-        assert f"run.cfg:3: {reason}" in err
-        assert stdout == ""
-        assert not out.exists()
-
-    # place's fixed step is gone: a config line that sets one is ignored, and the run takes the saturated step
-    @pytest.mark.parametrize("command,key", [("gift", "binz"), ("place", "step")])
-    def test_unknown_key_warns(self, bench, tmp_path, capsys, caplog, command, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"seed = 3\n{key} = 0.02\nmax_iters = 3\n" if command == "place" else f"seed = 3\n{key} = 4\n")
-        code, _, _ = run_cli(capsys, command, bench, "--config", str(cfg), "--out", str(tmp_path / "g.pl"))
-        assert code == 0
-        assert f"unknown config key {key!r} ignored" in caplog.text
-        options = json.loads((tmp_path / "g.pl.manifest.json").read_text())["options"]
-        assert options["seed"] == 3 and key not in options
-
-    def test_config_and_flags_resolve_alike(self, tmp_path, capsys):
-        values = {"cells": "30", "rows": "5", "io": "6", "long_range_fraction": "0.25", "utilization": "0.5", "seed": "4"}
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        flags = [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), v)]
-        options = []
-        for name, args in (("cfg", ["--config", str(cfg)]), ("flags", flags)):
-            code, _, _ = run_cli(capsys, "benchgen", *args, "--out-dir", str(tmp_path / name))
-            assert code == 0
-            manifest = json.loads((tmp_path / name / "synth.manifest.json").read_text())
-            options.append({k: v for k, v in manifest["options"].items() if k not in ("out_dir", "manifest")})
-        assert options[0] == options[1]
-        assert options[0]["rows"] == 5 and options[0]["utilization"] == 0.5
-
-
 class TestUnusableOptions:
     """A value no config object can use exits 2 with one diagnostic line and writes nothing."""
 
@@ -999,30 +944,37 @@ class TestUnusableOptions:
 
 class TestRemovedOptions:
     """Options that no code read are gone: --seed of metrics and spectrum, and report's
-    --seed, --manifest and --config; so is place's --step, with the fixed step. Each now
-    exits 2 at argument parsing."""
+    --seed and --manifest; so is place's --step, with the fixed step, and every command's
+    --config file, whose options are flags. Each now exits 2 at argument parsing."""
 
     @pytest.mark.parametrize(
         "command,flag",
         [("metrics", "--seed"), ("spectrum", "--seed"), ("report", "--seed"), ("report", "--manifest"), ("report", "--config"),
-         ("place", "--step")],
+         ("place", "--step"), *((command, "--config") for command in ("gift", "place", "spectrum", "metrics", "benchgen"))],
     )
-    def test_exit_2(self, bench, capsys, command, flag):
+    def test_exit_2(self, bench, tmp_path, monkeypatch, capsys, command, flag):
+        monkeypatch.chdir(tmp_path)  # where benchgen and spectrum write by default
+        before = sorted(os.listdir(os.path.dirname(bench)))
+        positional = {"report": ["run.manifest.json"], "benchgen": []}.get(command, [bench])
         with pytest.raises(SystemExit) as exc:
-            main([command, "run.manifest.json" if command == "report" else bench, flag, "1"])
+            main([command, *positional, flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bench"] and sorted(os.listdir(os.path.dirname(bench))) == before
 
     @pytest.mark.parametrize(
         "command,options",
         [
-            ("metrics", "--bins --config --manifest --max-clique-pins --out --pl --rho-t --verbose"),
-            ("spectrum", "--config --k --manifest --max-clique-pins --out-dir --sigma --verbose"),
+            ("metrics", "--bins --manifest --max-clique-pins --out --pl --rho-t --verbose"),
+            ("spectrum", "--k --manifest --max-clique-pins --out-dir --sigma --verbose"),
             ("report", "--out-dir --replay --verbose"),
-            ("place", "--bins --config --gamma --init --jitter --lambda-growth --lambda0 --manifest --max-clique-pins "
+            ("place", "--bins --gamma --init --jitter --lambda-growth --lambda0 --manifest --max-clique-pins "
                       "--max-iters --out --rho-t --seed --stop-overflow --terms --trace --verbose"),
+            ("gift", "--jitter --manifest --max-clique-pins --out --seed --terms --verbose"),
+            ("benchgen", "--cells --cols --fanout --io --long-range-fraction --manifest --name --out-dir --rows --seed "
+                         "--utilization --verbose"),
         ],
-        ids=["metrics", "spectrum", "report", "place"],
+        ids=["metrics", "spectrum", "report", "place", "gift", "benchgen"],
     )
     def test_help_lists_the_options_read(self, capsys, command, options):
         with pytest.raises(SystemExit):

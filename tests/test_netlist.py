@@ -313,6 +313,17 @@ class TestParseErrors:
         rows = parse_design(write_corpus(tmp_path, scl=SCL.replace("NumSites : 10", f"NumSites : {sites}"))).region.rows
         assert [r.num_sites for r in rows] == [10, 10]
 
+    @pytest.mark.parametrize(
+        "scl,opened,y",
+        [(SCL[: SCL.rindex("End")], 9, 0.0), (SCL.replace("End\n", "", 1), 3, 5.0)],
+        ids=["at-end-of-file", "cut-short-by-next-corerow"],
+    )
+    def test_block_without_end_skipped_with_warning(self, tmp_path, caplog, scl, opened, y):
+        with caplog.at_level(logging.WARNING):
+            rows = parse_design(write_corpus(tmp_path, scl=scl)).region.rows
+        assert [r.y for r in rows] == [y]
+        assert f"tiny.scl:{opened}: CoreRow block without End skipped" in caplog.text
+
     def test_error_carries_location(self, tmp_path):
         nets = NETS.replace("  b I\n", "  ghost I\n")
         with pytest.raises(DanglingPinError) as exc:
