@@ -9,6 +9,7 @@ that good placements have a geometric meaning.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 
@@ -71,14 +72,18 @@ def generate(
     # random long-range nets with the requested fanout profile
     degrees = np.array(sorted(fanout), dtype=np.int64)
     weights = np.array([fanout[int(d)] for d in degrees], dtype=float)
-    if not (np.isfinite(weights).all() and (weights >= 0).all() and weights.sum() > 0):
-        raise ValueError(f"fanout weights must be finite and >= 0 with a positive sum, got {fanout}")
-    weights = weights / weights.sum()
+    with np.errstate(over="ignore"):  # a sum beyond the floats is refused below, with no warning first
+        total = weights.sum()
+    if not (np.isfinite(weights).all() and (weights >= 0).all() and 0 < total < math.inf):
+        raise ValueError(f"fanout weights must be finite and >= 0 with a positive, finite sum, got {fanout}")
+    # rng.choice(degrees, p=weights) would build this table on every call and search it for one rng.random(): the
+    # same stream, with the table built once and searched by bisect as searchsorted(side="right") searches it
+    cdf = (weights / total).cumsum()
+    cdf, capped = (cdf / cdf[-1]).tolist(), np.minimum(degrees, cells).tolist()
     n_long = int(round(long_range_fraction * cells))
     long_nets = []
     for _ in range(n_long):
-        d = min(int(rng.choice(degrees, p=weights)), cells)
-        long_nets.append(rng.choice(cells, size=d, replace=False))
+        long_nets.append(rng.choice(cells, size=capped[bisect.bisect_right(cdf, rng.random())], replace=False))
 
     # IO terminals on the periphery, attached to the matching grid side
     n_io = io_count if io_count is not None else max(4, int(round(2 * math.sqrt(cells))))

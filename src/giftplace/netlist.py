@@ -797,11 +797,37 @@ def read_placement(design: Design, pl_path: str) -> np.ndarray:
 # writing
 
 
+WRITE_SLICE = 1 << 12  # cells or nets a writer formats per write(), which bounds the strings it holds
+
+
+def _write_slices(path: str, header: str, count: int, text) -> None:
+    """Write ``header``, then ``text(a, b)``, the lines of cells or nets a to b, for WRITE_SLICE of them at a time."""
+    with open(path, "w") as f:
+        f.write(header)
+        for a in range(0, count, WRITE_SLICE):
+            f.write(text(a, min(a + WRITE_SLICE, count)))
+
+
+def _texts(values: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each of ``values``, each distinct one formatted once; keyed by bits, as -0.0 prints -0."""
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)[where]
+
+
+def _interleave(line: str, *columns: list) -> str:
+    """``line`` filled in from the columns, one line per row."""
+    fields: list = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        fields[k::len(columns)] = column
+    return line * len(columns[0]) % tuple(fields)
+
+
 def write_placement(design: Design, placement: np.ndarray, path: str) -> None:
     """Write a .pl file; coordinates are converted to lower-left corners.
 
     Fixed cells carry the /FIXED marker. Output is deterministic: no
-    timestamps, fixed 6-decimal coordinate formatting.
+    timestamps, fixed 6-decimal coordinate formatting. The lines are formatted
+    and written WRITE_SLICE cells at a time.
     """
     placement = np.asarray(placement, dtype=float)
     if placement.shape != (design.num_cells, 2):
@@ -809,15 +835,10 @@ def write_placement(design: Design, placement: np.ndarray, path: str) -> None:
             f"placement shape {placement.shape} does not match design with {design.num_cells} cells"
         )
     corners = placement - design.half_sizes.T
-    # one % format over the whole file: name, x, y and suffix of each cell in turn
-    fields: list = [None] * (4 * design.num_cells)
-    fields[0::4] = design.names
-    fields[1::4] = corners[:, 0].tolist()
-    fields[2::4] = corners[:, 1].tolist()
-    fields[3::4] = np.where(design.fixed, " /FIXED", "").tolist()
     line = f"%s\t%.{PL_PRECISION}f\t%.{PL_PRECISION}f\t: N%s\n"
-    with open(path, "w") as f:
-        f.write("UCLA pl 1.0\n\n" + line * design.num_cells % tuple(fields))
+    _write_slices(path, "UCLA pl 1.0\n\n", design.num_cells, lambda a, b: _interleave(
+        line, design.names[a:b], corners[a:b, 0].tolist(), corners[a:b, 1].tolist(),
+        np.where(design.fixed[a:b], " /FIXED", "").tolist()))
 
 
 def design_files(out_dir: str, name: str) -> dict[str, str]:
@@ -829,12 +850,28 @@ def design_files(out_dir: str, name: str) -> dict[str, str]:
     return {ext: os.path.join(out_dir, f"{name}.{ext}") for ext in ("nodes", "nets", "pl", "scl", "aux")}
 
 
+# A name reads back when it is not empty and holds no whitespace or '#'. A cell name also starts lines, where the reader
+# takes UCLA for a header and the other words for keywords. Searched for in the names joined by newlines, with a newline
+# at each end: a newline matches only where it starts an empty or reserved name.
+_UNREADABLE = {kind: re.compile(rf"[\s#](?<!\n(?!(?:{words})\n))")
+               for kind, words in (("cell", "|UCLA|Num(?:Nodes|Terminals|Nets|Pins)|NetDegree|:"), ("net", ""))}
+
+
 def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray | None = None) -> str:
     """Write a full Bookshelf design (.aux/.nodes/.nets/.pl[/.scl]); returns the .aux path.
 
     ``placement`` supplies movable cell centers for the .pl; defaults to the
     region center. Fixed cells are always written at their fixed position.
+    The .nodes, .nets and .pl are formatted and written WRITE_SLICE cells or
+    nets at a time. GiftPlaceError, before any file is written, for a cell or
+    net name that would not read back.
     """
+    for kind, names in (("cell", design.names), ("net", design.net_names)):
+        joined = "\n".join(["", *names, ""])
+        if _UNREADABLE[kind].search(joined) or joined.count("\n") > len(names) + 1:
+            bad = next(n for n in names if "\n" in n or _UNREADABLE[kind].search(f"\n{n}\n"))
+            raise GiftPlaceError(f"{kind} name {bad!r} would not read back from a Bookshelf file: it is empty, holds "
+                                 "whitespace or '#', or is a word the reader keeps for itself")
     paths = design_files(out_dir, name)
     os.makedirs(out_dir, exist_ok=True)
     if placement is None:
@@ -842,30 +879,28 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
     placement = np.array(placement, dtype=float)
     placement[design.fixed] = design.fixed_xy[design.fixed]
 
-    # one % format per file, as in write_placement; %.17g gives back every double exactly, and writes an integer or
-    # a half as %g does
-    nodes = [None] * (4 * design.num_cells)
-    nodes[0::4] = design.names
-    nodes[1::4] = design.widths.tolist()
-    nodes[2::4] = design.heights.tolist()
-    nodes[3::4] = np.where(design.fixed, "\tterminal", "").tolist()
-    with open(paths["nodes"], "w") as f:
-        f.write(f"UCLA nodes 1.0\n\nNumNodes : {design.num_cells}\nNumTerminals : {design.num_fixed}\n")
-        f.write("\t%s\t%.17g\t%.17g%s\n" * design.num_cells % tuple(nodes))
+    # %.17g gives back every double exactly, and writes an integer or a half as %g does
+    _write_slices(paths["nodes"], f"UCLA nodes 1.0\n\nNumNodes : {design.num_cells}\nNumTerminals : {design.num_fixed}\n",
+                  design.num_cells, lambda a, b: _interleave(
+                      "\t%s\t%s\t%s%s\n", design.names[a:b], _texts(design.widths[a:b]).tolist(),
+                      _texts(design.heights[a:b]).tolist(), np.where(design.fixed[a:b], "\tterminal", "").tolist()))
+    cell_names, degree = np.array(design.names, dtype=object), np.diff(design.net_start)
 
-    # each net's NetDegree line (2 fields), then its pin lines (3 fields each)
-    degree = np.diff(design.net_start)
-    fields = np.empty(2 * design.num_nets + 3 * design.pin_cell.size, dtype=object)
-    head = 2 * np.arange(design.num_nets) + 3 * design.net_start[:-1]
-    fields[head], fields[head + 1] = degree, design.net_names
-    is_pin = np.ones(fields.size, dtype=bool)
-    is_pin[head] = is_pin[head + 1] = False
-    pins = np.array(design.names, dtype=object)[design.pin_cell], design.pin_dx, design.pin_dy
-    fields[is_pin] = np.column_stack(pins).ravel()
-    lines = "".join(["NetDegree : %d %s\n" + "\t%s I : %.17g %.17g\n" * k for k in degree.tolist()])
-    with open(paths["nets"], "w") as f:
-        f.write(f"UCLA nets 1.0\n\nNumNets : {design.num_nets}\nNumPins : {design.pin_cell.size}\n")
-        f.write(lines % tuple(fields.tolist()))
+    def nets(a: int, b: int) -> str:
+        # each net's NetDegree line (2 fields), then its pin lines (3 fields each)
+        p, q = design.net_start[a], design.net_start[b]
+        degrees, which = np.unique(degree[a:b], return_inverse=True)
+        lines = np.array(["NetDegree : %d %s\n" + "\t%s I : %s %s\n" * k for k in degrees.tolist()], dtype=object)
+        fields = np.empty(2 * (b - a) + 3 * (q - p), dtype=object)
+        head = 2 * np.arange(b - a) + 3 * (design.net_start[a:b] - p)
+        fields[head], fields[head + 1] = degree[a:b], design.net_names[a:b]
+        pin = 3 * np.arange(q - p) + 2 * np.repeat(np.arange(1, b - a + 1), degree[a:b])
+        fields[pin], fields[pin + 1] = cell_names[design.pin_cell[p:q]], _texts(design.pin_dx[p:q])
+        fields[pin + 2] = _texts(design.pin_dy[p:q])
+        return "".join(lines[which].tolist()) % tuple(fields.tolist())
+
+    _write_slices(paths["nets"], f"UCLA nets 1.0\n\nNumNets : {design.num_nets}\nNumPins : {design.pin_cell.size}\n",
+                  design.num_nets, nets)
 
     write_placement(design, placement, paths["pl"])
 

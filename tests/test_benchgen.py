@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from giftplace import build_clique_graph, generate, parse_design, write_design
+from giftplace import Design, Region, Row, build_clique_graph, generate, parse_design, write_design
+from giftplace.benchgen import DEFAULT_FANOUT, _ring_point
 
 
 class UnionFind:
@@ -118,6 +121,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(cells=10, fanout={1: 1.0})
 
+    @pytest.mark.parametrize("long_range_fraction", [0.0, 0.5])
+    def test_fanout_weights_summing_past_the_floats_rejected(self, long_range_fraction):
+        with pytest.raises(ValueError, match="positive, finite sum"):
+            generate(cells=10, fanout={2: 1e308, 3: 1e308}, long_range_fraction=long_range_fraction)
+
     def test_grid_shape_override(self):
         design = generate(cells=12, rows=3, cols=4, seed=0)
         assert design.num_movable == 12
@@ -141,6 +149,79 @@ class TestGenerate:
         design = generate(cells=49, long_range_fraction=0.0, seed=3)
         # mesh + io nets only; everything is 2-pin
         assert np.all(np.diff(design.net_start) == 2)
+
+
+def per_net_choice_generate(cells: int, fanout: dict | None = None, long_range_fraction: float = 0.15,
+                            seed: int = 0) -> Design:
+    """``generate`` with its default grid, pads and utilization as it was when each long net drew its degree with
+    ``rng.choice(degrees, p=weights)``: the random stream the generator must keep."""
+    rng = np.random.default_rng(seed)
+    cols = math.ceil(math.sqrt(cells))
+    rows = math.ceil(cells / cols)
+    fanout = fanout or DEFAULT_FANOUT
+    side = math.ceil(math.sqrt(cells / 0.70))
+    half = side / 2.0
+    region = Region(xmin=-half, ymin=-half, xmax=half, ymax=half,
+                    rows=[Row(y=-half + r, height=1.0, x=-half, num_sites=side) for r in range(side)])
+    ids = np.arange(cells)
+    mesh = np.stack([ids, ids + 1, ids, ids + cols], axis=1).reshape(cells, 2, 2)
+    mesh = mesh[np.stack([(ids % cols + 1 < cols) & (ids + 1 < cells), ids + cols < cells], axis=1)]
+    degrees = np.array(sorted(fanout), dtype=np.int64)
+    weights = np.array([fanout[int(d)] for d in degrees], dtype=float)
+    weights = weights / weights.sum()
+    long_nets = []
+    for _ in range(int(round(long_range_fraction * cells))):
+        d = min(int(rng.choice(degrees, p=weights)), cells)
+        long_nets.append(rng.choice(cells, size=d, replace=False))
+    n_io = max(4, int(round(2 * math.sqrt(cells))))
+    grid_c, grid_r = ids % cols, ids // cols
+    side_cells = {
+        "bottom": np.flatnonzero(grid_r <= max(rows // 3, 0)),
+        "right": np.flatnonzero(grid_c >= cols - 1 - cols // 3),
+        "top": np.flatnonzero(grid_r >= rows - 1 - rows // 3),
+        "left": np.flatnonzero(grid_c <= max(cols // 3, 0)),
+    }
+    fixed_xy = np.full((cells + n_io, 2), np.nan)
+    io_nets = np.empty((n_io, 2), dtype=np.int64)
+    for j in range(n_io):
+        x, y, side_name = _ring_point((j + 0.5) * 4.0 * side / n_io, side, half)
+        fixed_xy[cells + j] = (x, y)
+        candidates = side_cells[side_name]
+        target = int(rng.choice(candidates)) if candidates.size else int(rng.integers(cells))
+        io_nets[j] = (target, cells + j)
+    pin_cell = np.concatenate([mesh.ravel(), *long_nets, io_nets.ravel()])
+    net_degrees = np.concatenate([np.full(len(mesh), 2), [len(n) for n in long_nets], np.full(n_io, 2)])
+    return Design(
+        names=[f"c{i}" for i in range(cells)] + [f"io{j}" for j in range(n_io)],
+        widths=np.ones(cells + n_io), heights=np.ones(cells + n_io), fixed=np.arange(cells + n_io) >= cells,
+        fixed_xy=fixed_xy, net_names=[f"n{j}" for j in range(net_degrees.size)],
+        net_start=np.concatenate(([0], np.cumsum(net_degrees))), pin_cell=pin_cell,
+        pin_dx=np.zeros(pin_cell.size), pin_dy=np.zeros(pin_cell.size), region=region,
+    )
+
+
+WIDE_FANOUT = {2: 0.35, 3: 0.2, 4: 0.15, 6: 0.1, 8: 0.08, 16: 0.07, 32: 0.05}  # the benchmark's wide-fanout profile
+
+
+@pytest.mark.parametrize("seed", [0, 1, 29])
+@pytest.mark.parametrize("cells, fanout, long_range_fraction", [
+    (500, None, 0.15),
+    (700, WIDE_FANOUT, 0.5),
+    (300, {2: 3, 5: 1}, 0.15),
+    (300, {2: 0.5, 3: 0.0, 4: 0.5}, 0.3),
+    (30, {2: 0.5, 40: 0.5}, 0.5),
+    (200, None, 0.0),
+    (200, WIDE_FANOUT, 1.0),
+], ids=["default", "wide-fanout", "unnormalized", "zero-weight", "degree-above-cells", "no-long-nets", "all-long-nets"])
+def test_same_random_stream_as_a_per_net_choice(cells, fanout, long_range_fraction, seed):
+    design = generate(cells=cells, fanout=fanout, long_range_fraction=long_range_fraction, seed=seed)
+    expected = per_net_choice_generate(cells, fanout, long_range_fraction, seed)
+    for field in dataclasses.fields(Design):
+        got, want = getattr(design, field.name), getattr(expected, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), field.name
+        else:
+            assert got == want, field.name
 
 
 class TestRoundTripThroughBookshelf:

@@ -168,12 +168,20 @@ def _assert_same(a, b) -> None:
 
 
 def _written(tmp_dir: str, base: int, name: str | None = None, cell: int = 0) -> dict[str, str]:
-    """Write base design ``base``, with cell ``cell`` renamed to ``name`` if given."""
-    design = BASES[base]
+    """Write base design ``base``, with cell ``cell`` renamed to ``name`` if given. ``write_design`` refuses a name
+    that would not read back, as most of ``NAMES`` would not, so the cell is written under a stand-in name that the
+    written files then trade for ``name``."""
+    design, stand_in = BASES[base], "stand_in_for_the_renamed_cell"
     if name is not None:
-        design = dataclasses.replace(design, names=[name if i == cell else n for i, n in enumerate(design.names)])
+        design = dataclasses.replace(design, names=[stand_in if i == cell else n for i, n in enumerate(design.names)])
     write_design(design, tmp_dir, "d", placement=PLACEMENTS[base])
-    return {ext: os.path.join(tmp_dir, "d" + ext) for ext in (".aux", *FILES)}
+    paths = {ext: os.path.join(tmp_dir, "d" + ext) for ext in (".aux", *FILES)}
+    for ext in FILES if name is not None else ():
+        with open(paths[ext], newline="") as f:
+            text = f.read()
+        with open(paths[ext], "w", newline="") as f:
+            f.write(text.replace(stand_in, name))
+    return paths
 
 
 @pytest.mark.parametrize("chunk", [24, 200, netlist.CHUNK_BYTES], ids=["chunk-24", "chunk-200", "chunk-default"])

@@ -1270,6 +1270,7 @@ class TestUnusableGeneratorInputs:
             (["--fanout", "2:nan"], "fanout"),
             (["--fanout", "2:0"], "fanout"),
             (["--fanout", "2:-1,3:2"], "fanout"),
+            (["--fanout", "2:1e308,3:1e308"], "fanout"),
             (["--fanout", "2"], "--fanout"),
             (["--fanout", "two:1"], "--fanout"),
             (["--fanout", "2:0.5:1"], "bad --fanout entry '2:0.5:1', expected DEGREE:WEIGHT"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,15 @@ from giftplace import (
     Region,
     Row,
     aux_files,
+    generate,
+    netlist,
     parse_design,
     read_placement,
     write_design,
     write_placement,
 )
+
+import writer_reference
 
 NODES = """\
 UCLA nodes 1.0
@@ -583,6 +588,38 @@ class TestRoundTrip:
             read_placement(anchored_design, str(path))
 
 
+class TestUnreadableNames:
+    """write_design refuses a name that would not read back, naming the first one, before it writes a file."""
+
+    @pytest.mark.parametrize("names, net_names, bad", [
+        (["a", "b", "pad"], ["n 0", "n1"], "net name 'n 0'"),  # read back as n
+        (["a", "b", "pad"], ["n#0", "n1"], "net name 'n#0'"),  # read back as n
+        (["a", "b", "pad"], ["n0", ""], "net name ''"),  # read back as net1
+        (["a", "b", "pad"], ["n0", "n\n1"], r"net name 'n\n1'"),
+        (["a", "b", "pad"], ["n\x1c0", "n 1"], r"net name 'n\x1c0'"),  # whitespace to str.isspace, the first of two
+        (["a", "c d", "pad"], ["n0", "n1"], "cell name 'c d'"),
+        (["a", "c\u3000d", "pad"], ["n0", "n1"], r"cell name 'c\u3000d'"),
+        (["a", "c#d", "pad"], ["n0", "n1"], "cell name 'c#d'"),
+        (["a", "UCLA", "pad"], ["n0", "n1"], "cell name 'UCLA'"),
+        (["a", "b", ""], ["n0", "n1"], "cell name ''"),
+        (["a", "NetDegree", "NumNodes"], ["n0", "n1"], "cell name 'NetDegree'"),
+        (["a", "b", ":"], ["n0", "n1"], "cell name ':'"),
+        (["a", "b", "NumPins"], ["n 0", "n1"], "cell name 'NumPins'"),  # cells are checked first
+    ], ids=["net-space", "net-hash", "net-empty", "net-newline", "net-first-of-two", "cell-space", "cell-ideographic-space",
+            "cell-hash", "cell-UCLA", "cell-empty", "cell-keywords", "cell-colon", "cell-before-net"])
+    def test_refused_before_any_file(self, tmp_path, names, net_names, bad):
+        design = Design(**design_fields(names=names, net_names=net_names))
+        with pytest.raises(GiftPlaceError, match="^" + re.escape(f"{bad} would not read back")):
+            write_design(design, str(tmp_path / "out"), "d")
+        assert not (tmp_path / "out").exists()
+
+    def test_names_that_read_back_are_written(self, tmp_path):
+        # the reader's words are names in other places: a net may be named UCLA or ':', and a cell UCLAx or I
+        design = Design(**design_fields(names=["UCLAx", "I", "nœud"], net_names=["UCLA", ":"]))
+        again = parse_design(write_design(design, str(tmp_path), "d"))
+        assert again.names == design.names and again.net_names == design.net_names
+
+
 # Multiples of 0.25 below 1e4 print exactly with both ``:g`` (six significant
 # digits) and ``.6f``, and a half width or height is a multiple of 0.125, so a
 # fixed center survives the lower-left conversion bit for bit.
@@ -720,3 +757,36 @@ def test_write_design_matches_the_per_line_form(tmp_path_factory, design):
         assert not (out / "d.scl").exists()
     else:
         assert (out / "d.scl").read_bytes() == scl.encode()
+
+
+# both signed zeros as offsets and coordinates, fractional sizes and offsets, empty nets, non-ASCII names, fixed pads
+SIGNED_ZEROS = Design(
+    names=["pad_é", "ノード", "m", "pad2"],
+    widths=[2.5, 0.1 + 0.2, 1.0, 3.0],
+    heights=[1.5, 1.0, 1.2345678, 1.0],
+    fixed=[True, False, False, True],
+    fixed_xy=[[-3.25, 7.75], [np.nan, np.nan], [np.nan, np.nan], [-0.0, 0.0]],
+    net_names=["empty", "zeros", "ネット", "empty2", "fractions"],
+    net_start=[0, 0, 4, 5, 5, 8],
+    pin_cell=[0, 1, 2, 3, 1, 2, 0, 3],
+    pin_dx=[0.0, -0.0, 0.0, -0.0, 0.125, -0.0, 1.0 / 3.0, -2.5e-7],
+    pin_dy=[-0.0, 0.0, -0.0, 0.0, -0.375, 0.0, -1e16, 0.0],
+    region=ROUND_TRIP_REGION,
+)
+WRITTEN = {"signed-zeros": SIGNED_ZEROS, "every-feature": EVERY_FEATURE, "no-pads": NO_PADS,
+           "benchgen": generate(cells=60, fanout={2: 0.5, 3: 0.3, 7: 0.2}, long_range_fraction=0.5, seed=1)}
+
+
+@pytest.mark.parametrize("rows_per_write", [1, 2, 3, 10**6], ids=["slice-1", "slice-2", "slice-3", "one-slice"])
+@pytest.mark.parametrize("name", list(WRITTEN))
+def test_writers_write_the_bytes_of_the_whole_file_writers(tmp_path, monkeypatch, name, rows_per_write):
+    design = WRITTEN[name]
+    placement = np.random.default_rng(3).uniform(-5.0, 5.0, (design.num_cells, 2))
+    placement[0] = (-0.0, 1.0 / 3.0)
+    monkeypatch.setattr(netlist, "WRITE_SLICE", rows_per_write)
+    for out, writers in ((tmp_path / "sliced", netlist), (tmp_path / "whole", writer_reference)):
+        writers.write_design(design, str(out), "d", placement=placement)
+        writers.write_placement(design, placement, str(out / "start.pl"))
+    for ext in ("aux", "nodes", "nets", "pl", "scl"):
+        assert (tmp_path / "sliced" / f"d.{ext}").read_bytes() == (tmp_path / "whole" / f"d.{ext}").read_bytes(), ext
+    assert (tmp_path / "sliced" / "start.pl").read_bytes() == (tmp_path / "whole" / "start.pl").read_bytes()
