@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .netlist import Design, Region, Row
+from .netlist import Design, Names, Region, Row
 
 log = logging.getLogger(__name__)
 
@@ -109,12 +109,12 @@ def generate(
     pin_cell = np.concatenate([mesh.ravel(), *long_nets, io_nets.ravel()])
     net_degrees = np.concatenate([np.full(len(mesh), 2), [len(n) for n in long_nets], np.full(n_io, 2)])
     return Design(
-        names=[f"c{i}" for i in range(cells)] + [f"io{j}" for j in range(n_io)],
+        names=Names.of([f"c{i}" for i in range(cells)] + [f"io{j}" for j in range(n_io)]),  # each list freed once joined
         widths=np.ones(cells + n_io),
         heights=np.ones(cells + n_io),
         fixed=np.arange(cells + n_io) >= cells,
         fixed_xy=fixed_xy,
-        net_names=[f"n{j}" for j in range(net_degrees.size)],
+        net_names=Names.of([f"n{j}" for j in range(net_degrees.size)]),
         net_start=np.concatenate(([0], np.cumsum(net_degrees))),
         pin_cell=pin_cell,
         pin_dx=np.zeros(pin_cell.size),

@@ -31,6 +31,7 @@ DEFAULT_TERMS: tuple[FilterTerm, ...] = (
 
 
 JITTER_REGION_FRACTION = 0.25  # auto jitter_scale as a fraction of min region dimension
+MAX_PRODUCTS = 1000  # sparse products per signal column (per sigma its largest k, summed); the paper's terms take 6
 
 
 @dataclass
@@ -43,6 +44,8 @@ class GiftConfig:
         self.terms = tuple(self.terms)
         if not self.terms:
             raise ValueError("filter needs at least one term")
+        if (products := sum({t.sigma: t.k for t in sorted(self.terms, key=lambda t: t.k)}.values())) > MAX_PRODUCTS:
+            raise ValueError(f"the filter terms take {products} sparse products per signal column, more than {MAX_PRODUCTS}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.jitter_scale is not None and not 0.0 <= self.jitter_scale < math.inf:

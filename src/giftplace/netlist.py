@@ -18,7 +18,7 @@ import logging
 import math
 import os
 import re
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -90,6 +90,87 @@ class PinLayout(NamedTuple):
         return total
 
 
+class Names(Sequence):
+    """Names held as one str, each followed by a newline: name i is ``text[start[i]:start[i + 1] - 1]``, so a name
+    may hold a newline. An index gives a str, a slice a list, and a Names equals the list of the same strings. ``get``
+    and ``find`` look cells up by name."""
+
+    def __init__(self, parts: list[tuple[str, np.ndarray]]) -> None:
+        """The names of each ``(text, sizes)`` in ``parts``: each followed by a newline, ``sizes`` characters with it."""
+        self.text, self.start = "".join(t for t, _ in parts), np.append(0, np.cumsum(_join([s for _, s in parts], np.int64)))
+
+    @classmethod
+    def of(cls, names) -> Names:
+        """``names`` if it is a Names, else its strings joined."""
+        return names if isinstance(names, Names) else cls(
+            [("\n".join([*names, ""]), np.fromiter(map(len, names), np.int64, len(names)) + 1)])
+
+    def __len__(self) -> int:
+        return self.start.size - 1
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            i = range(len(self))[i]  # an int in range, or IndexError
+            return self.text[self.start[i]:self.start[i + 1] - 1]
+        a, b, step = i.indices(len(self))
+        names = self.text[self.start[a]:self.start[b] - 1].split("\n") if step == 1 and a < b else []
+        return names if len(names) == len(range(a, b, step)) else [self[j] for j in range(a, b, step)]
+
+    def __eq__(self, other) -> bool:
+        return self[:] == list(other) if isinstance(other, (Names, list, tuple)) else NotImplemented
+
+    @functools.cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray, dict[str, int], np.ndarray]:
+        """Cell ids by name: the sorted keys (``_keys``) of the names a key stands for alone, then _NO_KEY; their ids,
+        then -1; a dict of the other names' ids; and the first id over the later one of each name that repeats one. A
+        name is looked up in the keys only if its key stands for it alone, so its id never depends on how it was read."""
+        data, start = self.text.encode("utf-8", "surrogatepass"), self.start
+        if len(data) != len(self.text):  # move each start by the extra bytes of the multi-byte characters before it
+            code = np.frombuffer(self.text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+            start = start + np.append(0, np.cumsum((code >= 0x80).astype(np.int64) + (code >= 0x800) + (code >= 0x10000)))[start]
+        keys, fits = _keys(np.frombuffer(data, dtype=np.uint8), start[:-1], np.diff(start) - 1)
+        ids = np.flatnonzero(fits)[np.argsort(keys[fits], kind="stable")]  # a repeated key's ids in file order
+        keys = keys[ids]
+        later = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        repeats, long = [(ids[np.searchsorted(keys, keys[later])], ids[later])], {}
+        for i in np.flatnonzero(~fits).tolist():
+            if long.setdefault(self[i], i) != i:
+                repeats.append(([long[self[i]]], [i]))
+        return np.append(keys, _NO_KEY), np.append(ids, -1), long, np.concatenate(repeats, axis=1)
+
+    def get(self, name: str, default=None):
+        """The id of the cell ``name``, or ``default``."""
+        byte = np.frombuffer(name.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        i = int(self.find(byte, np.zeros(1, np.int64), np.array([byte.size]), lambda at: [name])[0])
+        return default if i < 0 else i
+
+    def find(self, byte: np.ndarray, start: np.ndarray, length: np.ndarray, pick) -> np.ndarray:
+        """The cell ids of the names of ``length`` bytes from ``start`` in ``byte``, -1 for a name no cell has;
+        ``pick(at)`` gives the names at ``at`` as strings, for those a key does not stand for alone."""
+        keys, fits = _keys(byte, start, length)
+        table, ids, long, _ = self._index
+        order = np.argsort(keys)  # searched in key order, each search starting where the last ended: 4x faster at 1M
+        at = np.empty_like(order)
+        at[order] = np.minimum(np.searchsorted(table, keys[order]), table.size - 1)
+        ids = np.where(table[at] == keys, ids[at], -1)
+        ids[~fits] = [long.get(name, -1) for name in pick(np.flatnonzero(~fits))]
+        return ids
+
+
+_NO_KEY = np.uint64(2**64 - 1)  # no UTF-8 name holds a 0xff byte
+_FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # [k]: the first k bytes of a key
+
+
+def _keys(byte: np.ndarray, start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys of the names of ``length`` bytes from ``start`` in ``byte``: the bytes, zero-padded to 8, as a little-endian
+    ``uint64`` (the view's item i holds bytes i to i + 7); and a mask of the names a key stands for alone, those of at
+    most 8 bytes with no NUL."""
+    mask = _FIRST_BYTES[np.minimum(length, 8)]
+    keys = np.ndarray((byte.size + 1,), "<u8", np.append(byte, np.zeros(8, np.uint8)), 0, (1,))[start] & mask
+    probe = keys | ~mask  # the bytes past the name set, so that only its own can be 0: has it a 0 byte?
+    return keys, (length <= 8) & ((probe - np.uint64(0x0101010101010101)) & ~probe & np.uint64(0x8080808080808080) == 0)
+
+
 @dataclass
 class Row:
     """Core row geometry from .scl; parsed but unused by the math."""
@@ -130,16 +211,16 @@ class Design:
     ``fixed_xy`` (N x 2 fixed centers, NaN for movable cells). Net j is
     ``net_names[j]`` and owns the pins ``net_start[j]:net_start[j+1]`` of
     ``pin_cell``, ``pin_dx`` and ``pin_dy`` (offsets from the cell center).
-    Construction coerces the arrays to their dtypes and validates them;
+    Construction coerces the names to ``Names`` and the arrays to their dtypes, and validates them;
     ``pin_layout``, ``bounds`` and ``half_sizes`` are built from them on first use and kept.
     """
 
-    names: list[str]
+    names: Names
     widths: np.ndarray
     heights: np.ndarray
     fixed: np.ndarray
     fixed_xy: np.ndarray
-    net_names: list[str]
+    net_names: Names
     net_start: np.ndarray
     pin_cell: np.ndarray
     pin_dx: np.ndarray
@@ -147,6 +228,7 @@ class Design:
     region: Region
 
     def __post_init__(self) -> None:
+        self.names, self.net_names = Names.of(self.names), Names.of(self.net_names)
         self.widths = np.asarray(self.widths, dtype=float)
         self.heights = np.asarray(self.heights, dtype=float)
         self.fixed = np.asarray(self.fixed, dtype=bool)
@@ -228,9 +310,9 @@ class Design:
         if not (self.net_start.shape == (len(self.net_names) + 1,) and self.pin_cell.ndim == 1
                 and self.pin_cell.shape == self.pin_dx.shape == self.pin_dy.shape):
             raise GiftPlaceError("net and pin arrays have inconsistent lengths")
-        if len(set(self.names)) != n:
-            dup = next(name for name, count in Counter(self.names).items() if count > 1)
-            raise GiftPlaceError(f"duplicate cell name {dup!r}")
+        first = self.names._index[3][0]  # the first id of each repeated name
+        if first.size:
+            raise GiftPlaceError(f"duplicate cell name {self.names[first.min()]!r}")
         w, h = self.widths, self.heights
         bad = np.flatnonzero(~((w > 0) & (h > 0) & np.isfinite(w) & np.isfinite(h)))
         if bad.size:
@@ -262,15 +344,16 @@ class Design:
 # parsing
 
 
-def _decode(path: str, data: bytes) -> str:
-    """``data`` decoded as ``open`` decodes a file; a byte it cannot decode raises
-    MalformedLineError at the line holding it."""
+def _decode(path: str, data: bytes, line0: int) -> tuple[bytes, MalformedLineError | None]:
+    """(``data``, file lines ``line0`` + 1 on, decoded as ``open`` decodes a file, its non-ASCII whitespace made spaces,
+    as UTF-8; None), or, at a byte it cannot decode, (the lines before that byte's, the MalformedLineError there)."""
     try:
-        return data.decode(locale.getpreferredencoding(False))
+        return _NON_ASCII_SPACE.sub(" ", data.decode(locale.getpreferredencoding(False))).encode(), None
     except UnicodeDecodeError as exc:
-        lineno = len((data[:exc.start] + b".").splitlines())
-        line = data.splitlines()[lineno - 1].decode(exc.encoding, "replace")
-        raise MalformedLineError(path, lineno, line, f"byte 0x{data[exc.start]:02x} is not valid {exc.encoding}") from None
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        error = MalformedLineError(path, line0 + data.count(b"\n", 0, start) + 1, data[start:].split(b"\n", 1)[0].decode(
+            exc.encoding, "replace"), f"byte 0x{data[exc.start]:02x} is not valid {exc.encoding}")
+        return _decode(path, data[:start], line0)[0], error
 
 
 def _malformed(path: str, lineno: int, reason: str) -> MalformedLineError:
@@ -280,13 +363,13 @@ def _malformed(path: str, lineno: int, reason: str) -> MalformedLineError:
     return MalformedLineError(path, lineno, line.split("#", 1)[0].strip(), reason)
 
 
-# The lexical rules of every Bookshelf file, applied once to its bytes: ``\r\n`` and a
-# lone ``\r`` end a line, as in a text-mode read; ``#`` starts a comment that runs to
-# the end of the line; every ``str.isspace()`` character separates tokens; blank lines
-# and lines whose first token is ``UCLA`` are dropped. A non-ASCII file is decoded as
-# ``open`` decodes it, its non-ASCII whitespace becomes spaces, and it is tokenized as
-# UTF-8. Files are cut into line-aligned chunks of about CHUNK_BYTES, which bound the token
-# arrays; a string is cut from a chunk's bytes only for a token read as one.
+# The lexical rules of every Bookshelf file, applied to each chunk of whole lines of it:
+# ``\r\n`` and a lone ``\r`` end a line, as in a text-mode read; ``#`` starts a comment
+# that runs to the end of the line; every ``str.isspace()`` character separates tokens;
+# blank lines and lines whose first token is ``UCLA`` are dropped. A non-ASCII chunk is
+# decoded as ``open`` decodes a file, its non-ASCII whitespace becomes spaces, and it is
+# tokenized as UTF-8. A file is read CHUNK_BYTES at a time, which bounds the bytes and token
+# arrays held; a string is cut from a chunk's bytes only for a token read as one.
 CHUNK_BYTES = 1 << 19
 _SEPARATORS = bytes(c < 128 and chr(c).isspace() for c in range(256))  # translate() table: 1 for ASCII whitespace
 _NON_ASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")
@@ -294,22 +377,25 @@ _COMMENT = re.compile(rb"#[^\n]*")
 
 
 def _lex(path: str):
-    """Yield the lines of a Bookshelf file as ``_Chunk``s, in file order."""
+    """Yield the lines of a Bookshelf file as ``_Chunk``s, in file order, from reads of CHUNK_BYTES. An undecodable
+    byte raises MalformedLineError after the lines before it."""
+    lines, rest = 0, b""
     with open(path, "rb") as f:
-        data = f.read()
-    if not data.isascii():
-        data = _NON_ASCII_SPACE.sub(" ", _decode(path, data)).encode()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if b"#" in data:
-        data = _COMMENT.sub(b"", data)
-    pos = lines = 0
-    while pos < len(data):
-        end = data.find(b"\n", pos + CHUNK_BYTES)
-        end = len(data) if end < 0 else end + 1
-        text = data[pos:end] if data.endswith(b"\n", pos, end) else data[pos:end] + b"\n"
-        pos, line0, lines = end, lines, lines + text.count(b"\n")
-        yield _Chunk(text, line0)  # held by no name here, so that a reader can let it go
+        for block in itertools.chain(iter(functools.partial(f.read, CHUNK_BYTES), b""), [b""]):  # b"" ends the file
+            data = rest + block
+            # up to the last line end; a '\r' that ends the read may be the first half of a '\r\n'
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1 if block else len(data)
+            data, rest, error = data[:cut], data[cut:], None
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data  # the test scans faster
+            if not data.isascii():
+                data, error = _decode(path, data, lines)
+            if b"#" in data:
+                data = _COMMENT.sub(b"", data)
+            if data:
+                yield (chunk := _Chunk(data if data.endswith(b"\n") else data + b"\n", lines))
+                lines, chunk = chunk.end, None  # let go here before the next chunk is cut, as the reader lets it go
+            if error is not None:
+                raise error
 
 
 def _spans(start: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -327,6 +413,7 @@ class _Chunk:
     def __init__(self, text: bytes, line0: int) -> None:
         self.byte = byte = np.frombuffer(text, dtype=np.uint8)
         newlines = np.flatnonzero(byte == ord("\n"))
+        self.end = line0 + newlines.size  # the number of the chunk's last line
         space = byte <= ord(" ")
         if np.count_nonzero(byte < ord(" ")) != newlines.size + np.count_nonzero(byte == ord("\t")):
             space = np.frombuffer(text.translate(_SEPARATORS), dtype=bool)  # control bytes beyond tab and newline
@@ -375,6 +462,17 @@ class _Chunk:
     def pick(self, idx: np.ndarray) -> list[str]:
         """The tokens at ``idx`` as strings, cut from the chunk's bytes each with the separator after it."""
         return self.byte[_spans(self.starts[idx], self.length[idx] + 1)].tobytes().decode().split()
+
+    def joined(self, idx: np.ndarray) -> tuple[str, np.ndarray]:
+        """The tokens at ``idx`` as one str, each followed by a newline, and the characters of each with it."""
+        size = self.length[idx] + 1
+        cut = self.byte[_spans(self.starts[idx], size)]
+        ends = np.cumsum(size) - 1
+        cut[ends] = ord("\n")
+        text = cut.tobytes().decode()
+        if len(text) != cut.size:  # count the characters by their first bytes
+            size = np.diff(np.cumsum((cut & 0xC0) != 0x80)[ends], prepend=0)
+        return text, size
 
     def rows(self, rows=slice(None)) -> list[list[str]]:
         """The token lists of ``rows`` (default: every row), from one ``pick``."""
@@ -457,66 +555,65 @@ def _join(parts: list[np.ndarray], dtype: type) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
-def _ids(name_to_id: dict[str, int], names: list[str]) -> np.ndarray:
-    """Cell ids of ``names``, -1 for an undeclared name."""
-    return np.fromiter(map(name_to_id.get, names, itertools.repeat(-1)), dtype=np.int64, count=len(names))
-
-
 def _parse_nodes(path: str):
-    """(names, widths, heights, fixed flags, name -> id, NumTerminals or None).
+    """(names, widths, heights, fixed flags, the cell lookup by name (``names``), NumTerminals or None).
 
     A node line is ``name width height [tokens...]``; a later token starting with
-    ``terminal`` marks the node fixed.
+    ``terminal`` marks the node fixed. A repeated name is found once the names
+    read are indexed, and is the error if its line comes before any other fault.
     """
-    names: list[str] = []
-    widths, heights, fixed = [], [], []
-    name_to_id: dict[str, int] = {}
+    parts, lines, widths, heights, fixed = [], [], [], [], []
     declared: dict[str, int] = {}
-    for chunk in _lex(path):
-        errors = _FirstError(path, chunk)
-        head = chunk.heads("NumNodes", "NumTerminals") > 0
-        _headers(chunk, head, declared, errors)
-        rows = np.flatnonzero(~head)
-        first, counts = chunk.first[rows], chunk.counts[rows]
-        errors.check(rows, counts < 3, "expected 'name width height [terminal]'")
-        sized = rows[counts >= 3]
-        w, bad_w = chunk.numbers(chunk.first[sized] + 1, float)
-        h, bad_h = chunk.numbers(chunk.first[sized] + 2, float)
-        errors.check(sized, bad_w | bad_h, "width/height are not numbers")
-        errors.check(sized, ~((w > 0) & (w < math.inf) & (h > 0) & (h < math.inf)), "width/height must be positive and finite")
-        chunk_names = chunk.pick(first)
-        name_to_id.update(zip(chunk_names, range(len(names), len(names) + rows.size)))
-        if len(name_to_id) != len(names) + rows.size:  # a name repeats; the error below ends the parse
-            first_seen = dict(zip(reversed(names + chunk_names), range(len(names) + rows.size - 1, -1, -1)))
-            seen = np.fromiter(map(first_seen.__getitem__, chunk_names), dtype=np.int64, count=rows.size) < len(names) + np.arange(rows.size)
-            errors.check(rows, seen, lambda lineno, i: DuplicateCellError(path, lineno, chunk_names[i]))
-        errors.raise_first()
-        names += chunk_names
-        widths.append(w)
-        heights.append(h)
-        fixed.append(chunk.lines_with(chunk.match("terminal", prefix=True), 3)[rows])
-        del chunk  # gone before the next chunk is cut
+    failure = None  # the first fault other than a repeated name
+    try:
+        for chunk in _lex(path):
+            errors = _FirstError(path, chunk)
+            head = chunk.heads("NumNodes", "NumTerminals") > 0
+            _headers(chunk, head, declared, errors)
+            rows = np.flatnonzero(~head)
+            counts = chunk.counts[rows]
+            errors.check(rows, counts < 3, "expected 'name width height [terminal]'")
+            sized = rows[counts >= 3]
+            w, bad_w = chunk.numbers(chunk.first[sized] + 1, float)
+            h, bad_h = chunk.numbers(chunk.first[sized] + 2, float)
+            errors.check(sized, bad_w | bad_h, "width/height are not numbers")
+            errors.check(sized, ~((w > 0) & (w < math.inf) & (h > 0) & (h < math.inf)), "width/height must be positive and finite")
+            parts.append(chunk.joined(chunk.first[rows]))
+            lines.append(chunk.lineno[rows])
+            errors.raise_first()
+            widths.append(w)
+            heights.append(h)
+            fixed.append(chunk.lines_with(chunk.match("terminal", prefix=True), 3)[rows])
+            del chunk  # gone before the next chunk is cut
+    except MalformedLineError as exc:  # the chunk's first fault, or an undecodable byte
+        failure = exc
+    names, lines = Names(parts), _join(lines, np.int64)
+    later = names._index[3][1].min(initial=lines.size)  # the first name that repeats an earlier one, if any
+    if later < lines.size and (failure is None or lines[later] < failure.lineno):
+        failure = DuplicateCellError(path, int(lines[later]), names[later])
+    if failure is not None:
+        raise failure
     num_nodes = declared.get("NumNodes")
     if num_nodes is not None and num_nodes != len(names):
         raise MalformedLineError(path, 0, f"NumNodes : {num_nodes}", f"header declares {num_nodes} nodes, body has {len(names)}")
-    return names, _join(widths, float), _join(heights, float), _join(fixed, bool), name_to_id, declared.get("NumTerminals")
+    return names, _join(widths, float), _join(heights, float), _join(fixed, bool), names, declared.get("NumTerminals")
 
 
-def _parse_nets(path: str, name_to_id: dict[str, int]):
+def _parse_nets(path: str, cell_names: Names):
     """(net names, net_start, pin_cell, pin_dx, pin_dy), flat.
 
     ``NetDegree : k [name]`` opens a net of the k pin lines that follow; an unnamed
     net j is ``net{j}``. A pin line is ``cell [dir]``, or has a ``:`` token
     followed by exactly the two offsets ``dx dy``.
     """
-    net_names: list[str] = []
-    degrees, cells, dxs, dys = [], [], [], []
+    parts, degrees, cells, dxs, dys = [], [], [], [], []
     declared: dict[str, int] = {}
-    pending = 0  # pin lines still expected for the current net
+    nets = pending = 0  # nets so far; pin lines still expected for the current net
     for chunk in _lex(path):
-        names, k, ids, dx, dy, pending = _net_rows(path, chunk, name_to_id, declared, pending, len(net_names))
+        part, k, ids, dx, dy, pending = _net_rows(path, chunk, cell_names, declared, pending, nets)
         del chunk  # gone before the next chunk is cut
-        net_names += names
+        nets += part[1].size
+        parts.append(part)
         degrees.append(k)
         cells.append(ids)
         dxs.append(dx)
@@ -524,17 +621,16 @@ def _parse_nets(path: str, name_to_id: dict[str, int]):
     if pending:
         raise MalformedLineError(path, 0, "", f"last net is missing {pending} pin line(s)")
     pin_cell = _join(cells, np.int64)
-    for key, what, body in (("NumNets", "nets", len(net_names)), ("NumPins", "pins", pin_cell.size)):
+    for key, what, body in (("NumNets", "nets", nets), ("NumPins", "pins", pin_cell.size)):
         if key in declared and declared[key] != body:
             raise MalformedLineError(path, 0, f"{key} : {declared[key]}", f"header declares {declared[key]} {what}, body has {body}")
     net_start = np.concatenate(([0], np.cumsum(_join(degrees, np.int64))))
-    return net_names, net_start, pin_cell, _join(dxs, float), _join(dys, float)
+    return Names(parts), net_start, pin_cell, _join(dxs, float), _join(dys, float)
 
 
-def _net_rows(path: str, chunk: _Chunk, name_to_id: dict[str, int], declared: dict[str, int], pending: int,
-              nets_before: int):
-    """(net names, pin counts, pin cells, pin dx, pin dy) of one chunk of a .nets file, and the
-    pin lines its last net still expects; ``pending`` are those of the net open before it."""
+def _net_rows(path: str, chunk: _Chunk, cell_names: Names, declared: dict[str, int], pending: int, nets_before: int):
+    """((net names, their sizes) as ``Chunk.joined`` gives them, pin counts, pin cells, pin dx, pin dy) of one chunk of a .nets file,
+    and the pin lines its last net still expects; ``pending`` are those of the net open before it."""
     errors = _FirstError(path, chunk)
     kind = chunk.heads("NumNets", "NumPins", "NetDegree")
     _headers(chunk, (kind == 1) | (kind == 2), declared, errors)
@@ -547,7 +643,7 @@ def _net_rows(path: str, chunk: _Chunk, name_to_id: dict[str, int], declared: di
     plain = c >= 3
     plain[plain] = colon[f[plain] + 1]
     named = plain & (c >= 4)
-    names = chunk.pick(f + 3 * named)  # the other nets are named below
+    text, size = chunk.joined(f + 3 * named)  # the other nets are named below
     k_plain, bad_plain = chunk.numbers(f[plain] + 2, int)
     # a glued or missing ':', or no count: the line is split in Python, as header lines are
     odd = np.flatnonzero(~plain)
@@ -559,10 +655,13 @@ def _net_rows(path: str, chunk: _Chunk, name_to_id: dict[str, int], declared: di
     bad, no_colon = np.zeros((2, net_rows.size), dtype=bool)
     bad[plain], bad[odd[bad_odd]] = bad_plain, True
     no_colon[odd] = [not sep for _, sep, _ in split]
-    for i, p in zip(odd.tolist(), parts):
-        named[i], names[i] = len(p) == 2, p[-1]
-    for i in np.flatnonzero(~named).tolist():
-        names[i] = f"net{nets_before + i}"
+    if not named.all():  # the chunk's net names as strings, to name the others in Python
+        names = text.split("\n")[:-1]
+        for i, p in zip(odd.tolist(), parts):
+            named[i], names[i] = len(p) == 2, p[-1]
+        for i in np.flatnonzero(~named).tolist():
+            names[i] = f"net{nets_before + i}"
+        text, size = "\n".join([*names, ""]), np.fromiter(map(len, names), np.int64, len(names)) + 1
 
     # the pin lines of each net: net q of the chunk (0 is the one still open from
     # before) holds the pin lines from before[q] on, and expects expect[q] of them
@@ -580,9 +679,8 @@ def _net_rows(path: str, chunk: _Chunk, name_to_id: dict[str, int], declared: di
     extra = np.minimum(before + room, pin_rows.size - 1).astype(np.int64)
     errors.check(pin_rows[extra] if pin_rows.size else extra, got > room, "pin line outside a NetDegree block")
     f, c = chunk.first[pin_rows], chunk.counts[pin_rows]
-    pin_names = chunk.pick(f)
-    ids = _ids(name_to_id, pin_names)
-    errors.check(pin_rows, ids < 0, lambda lineno, i: DanglingPinError(path, lineno, pin_names[i]))
+    ids = cell_names.find(chunk.byte, chunk.starts[f], chunk.length[f], lambda at: chunk.pick(f[at]))
+    errors.check(pin_rows, ids < 0, lambda lineno, i: DanglingPinError(path, lineno, chunk.pick(f[i:i + 1])[0]))
     colon_at = np.append(np.flatnonzero(colon), colon.size)
     j = colon_at[np.searchsorted(colon_at, f)]  # the line's first ':' token, if before f + c
     has = j < f + c
@@ -601,18 +699,18 @@ def _net_rows(path: str, chunk: _Chunk, name_to_id: dict[str, int], declared: di
 
     dx, dy = np.zeros(pin_rows.size), np.zeros(pin_rows.size)
     dx[at], dy[at] = dx_at, dy_at
-    return names, k, ids, dx, dy, int(expect[-1]) - int(got[-1])
+    return (text, size), k, ids, dx, dy, int(expect[-1]) - int(got[-1])
 
 
-def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+def _parse_pl(path: str, cell_names: Names) -> tuple[np.ndarray, np.ndarray]:
     """(N x 2 lower-left corners, N /FIXED flags), indexed by cell id.
 
     A line is ``name x y [tokens...]``; a later ``/FIXED`` or ``/FIXED_NI`` token
     fixes the cell. Corners are NaN for cells that no line places. A cell on
-    several lines keeps its last line; a name missing from ``name_to_id`` is
+    several lines keeps its last line; a name missing from ``cell_names`` is
     skipped with a warning.
     """
-    n = len(name_to_id)
+    n = len(cell_names)
     corners, fixed = np.full((n, 2), math.nan), np.zeros(n, dtype=bool)
     for chunk in _lex(path):
         errors = _FirstError(path, chunk)
@@ -623,16 +721,14 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
         y, bad_y = chunk.numbers(chunk.first[placed] + 2, float)
         errors.check(placed, bad_x | bad_y, "coordinates are not numbers")
         errors.check(placed, ~(np.isfinite(x) & np.isfinite(y)), "coordinates must be finite")
-        names = chunk.pick(chunk.first)
-        ids = _ids(name_to_id, names)
-        for i in np.flatnonzero(ids[:errors.row] < 0).tolist():
-            log.warning("%s: placement for undeclared cell %r skipped", path, names[i])
+        ids = cell_names.find(chunk.byte, chunk.starts[chunk.first], chunk.length[chunk.first], lambda at: chunk.pick(chunk.first[at]))
+        for name in chunk.pick(chunk.first[np.flatnonzero(ids[:errors.row] < 0)]):
+            log.warning("%s: placement for undeclared cell %r skipped", path, name)
         errors.raise_first()
         marked = chunk.lines_with(chunk.match("/FIXED") | chunk.match("/FIXED_NI"), 3)
-        # the last line of each name wins: keep the rows whose position is their cell's latest
-        last = np.full(n, -1)
-        np.maximum.at(last, ids[ids >= 0], rows[ids >= 0])
-        win = rows[(ids >= 0) & (last[np.maximum(ids, 0)] == rows)]
+        # the last line of each name wins: the first of its rows from the end
+        known = rows[ids >= 0][::-1]
+        win = known[np.unique(ids[known], return_index=True)[1]]
         corners[ids[win]] = np.column_stack((x, y))[win]
         fixed[ids[win]] = marked[win]
         del chunk  # gone before the next chunk is cut
@@ -742,9 +838,9 @@ def parse_design(aux_path: str, by_ext: dict[str, str] | None = None) -> Design:
     MalformedLineError, DuplicateCellError or DanglingPinError on bad input.
     """
     by_ext = by_ext or aux_files(aux_path)
-    names, widths, heights, fixed, name_to_id, num_terminals = _parse_nodes(by_ext[".nodes"])
-    net_names, net_start, pin_cell, pin_dx, pin_dy = _parse_nets(by_ext[".nets"], name_to_id)
-    corners, pl_fixed = _parse_pl(by_ext[".pl"], name_to_id)
+    names, widths, heights, fixed, lookup, num_terminals = _parse_nodes(by_ext[".nodes"])
+    net_names, net_start, pin_cell, pin_dx, pin_dy = _parse_nets(by_ext[".nets"], lookup)
+    corners, pl_fixed = _parse_pl(by_ext[".pl"], lookup)
     sizes = np.column_stack((widths, heights))
 
     fixed = np.asarray(fixed, dtype=bool) | pl_fixed
@@ -786,7 +882,7 @@ def read_placement(design: Design, pl_path: str) -> np.ndarray:
     """Read cell centers for every design cell from a .pl file."""
     if not os.path.isfile(pl_path):
         raise MissingFileError(pl_path)
-    corners, _ = _parse_pl(pl_path, {name: i for i, name in enumerate(design.names)})
+    corners, _ = _parse_pl(pl_path, design.names)
     missing = np.flatnonzero(np.isnan(corners[:, 0]))
     if missing.size:
         raise MalformedLineError(pl_path, 0, design.names[missing[0]], "no placement for cell")
@@ -867,8 +963,7 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
     net name that would not read back.
     """
     for kind, names in (("cell", design.names), ("net", design.net_names)):
-        joined = "\n".join(["", *names, ""])
-        if _UNREADABLE[kind].search(joined) or joined.count("\n") > len(names) + 1:
+        if _UNREADABLE[kind].search("\n" + names.text) or names.text.count("\n") > len(names):
             bad = next(n for n in names if "\n" in n or _UNREADABLE[kind].search(f"\n{n}\n"))
             raise GiftPlaceError(f"{kind} name {bad!r} would not read back from a Bookshelf file: it is empty, holds "
                                  "whitespace or '#', or is a word the reader keeps for itself")
@@ -880,11 +975,12 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
     placement[design.fixed] = design.fixed_xy[design.fixed]
 
     # %.17g gives back every double exactly, and writes an integer or a half as %g does
+    names = design.names[:]  # split once: the pin lines below take any cell's name
     _write_slices(paths["nodes"], f"UCLA nodes 1.0\n\nNumNodes : {design.num_cells}\nNumTerminals : {design.num_fixed}\n",
                   design.num_cells, lambda a, b: _interleave(
-                      "\t%s\t%s\t%s%s\n", design.names[a:b], _texts(design.widths[a:b]).tolist(),
+                      "\t%s\t%s\t%s%s\n", names[a:b], _texts(design.widths[a:b]).tolist(),
                       _texts(design.heights[a:b]).tolist(), np.where(design.fixed[a:b], "\tterminal", "").tolist()))
-    cell_names, degree = np.array(design.names, dtype=object), np.diff(design.net_start)
+    cell_names, degree = np.array(names, dtype=object), np.diff(design.net_start)
 
     def nets(a: int, b: int) -> str:
         # each net's NetDegree line (2 fields), then its pin lines (3 fields each)
@@ -893,7 +989,7 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
         lines = np.array(["NetDegree : %d %s\n" + "\t%s I : %s %s\n" * k for k in degrees.tolist()], dtype=object)
         fields = np.empty(2 * (b - a) + 3 * (q - p), dtype=object)
         head = 2 * np.arange(b - a) + 3 * (design.net_start[a:b] - p)
-        fields[head], fields[head + 1] = degree[a:b], design.net_names[a:b]
+        fields[head], fields[head + 1] = degree[a:b], np.array(design.net_names[a:b], dtype=object)  # no str copies
         pin = 3 * np.arange(q - p) + 2 * np.repeat(np.arange(1, b - a + 1), degree[a:b])
         fields[pin], fields[pin + 1] = cell_names[design.pin_cell[p:q]], _texts(design.pin_dx[p:q])
         fields[pin + 2] = _texts(design.pin_dy[p:q])

@@ -337,3 +337,112 @@ def test_mutated_scl_parses_as_the_line_parser_parses_it(tmp_path_factory, base,
     ref_value, ref_warnings = by_line
     assert isinstance(ref_value, list) or ref_value[2] > lineno
     assert warnings == [w for w in ref_warnings if _lineno(w) < lineno]
+
+
+# Names at the edges of the key path: of 8 bytes and of 9, sharing their first 8 bytes, holding a NUL (which pads a
+# key alike) or another control byte, and non-ASCII of at most 8 UTF-8 bytes and of more
+KEY_NAMES = {
+    "8-and-9-bytes": ["abcdefgh", "abcdefghi", "abcdefg"],
+    "shared-8-byte-prefix": ["prefix08", "prefix08a", "prefix08b"],
+    "nul": ["a", "a\x00", "a\x00\x00"],
+    "control-byte": ["a\x01", "\x7f", "b\x1b[0m"],
+    "non-ascii-at-most-8": ["nœud", "ノー", "éééé"],
+    "non-ascii-over-8": ["ノード", "nœud_long", "éééée"],
+}
+
+
+@pytest.mark.parametrize("chunk", [24, netlist.CHUNK_BYTES], ids=["chunk-24", "chunk-default"])
+@pytest.mark.parametrize("names", KEY_NAMES.values(), ids=KEY_NAMES.keys())
+def test_names_at_the_edges_of_the_key_path_find_their_cells(tmp_path, names, chunk):
+    """Each name finds its own cell, by key or through the dict: the reference's arrays, and ``get`` gives each
+    name the id of its cell and a name of no cell None."""
+    design = dataclasses.replace(BASES[0], names=names + BASES[0].names[len(names):])
+    write_design(design, str(tmp_path), "d", placement=PLACEMENTS[0])
+    aux, pl = str(tmp_path / "d.aux"), str(tmp_path / "d.pl")
+    with mock.patch.object(netlist, "CHUNK_BYTES", chunk):
+        parsed = _outcome(parse_design, aux)
+        _assert_same(parsed, _by_line(parse_design, aux))
+        _assert_same(_outcome(read_placement, design, pl), _by_line(read_placement, design, pl))
+    assert parsed[0].names == design.names
+    assert [design.names.get(name) for name in design.names] == list(range(design.num_cells))
+    assert [design.names.get(name) for name in ("a\x00\x00\x00", "abcdefgh\x00", "prefix08c", "ノ")] == [None] * 4
+
+
+# One edit of base 3, whose cells have names of at most 8 bytes and of more: a dangling pin, an undeclared .pl name
+# and a repeated .nodes name, each named on the key path and on the dict path; and a repeated name with another fault
+# after it, before it and on its own line
+PATH_EDITS = {
+    "dangling-pin-key": (".nets", "\tnœud I : ", "\tghost I : "),
+    "dangling-pin-dict": (".nets", "\tnœud I : ", "\tghost_of_a_cell I : "),
+    "undeclared-pl-key": (".pl", "\nc5\t", "\nghost 1 1 : N\nc5\t"),
+    "undeclared-pl-dict": (".pl", "\nc5\t", "\nghost_of_a_cell 1 1 : N\nc5\t"),
+    "repeated-key": (".nodes", "\tc5\t1\t1\n", "\tc5\t1\t1\n" * 2),
+    "repeated-dict": (".nodes", "\tanother_name_longer_than_8\t1\t1\n", "\tanother_name_longer_than_8\t1\t1\n" * 2),
+    "repeated-far": (".nodes", "\tc11\t1\t1\n", "\tc11\t1\t1\n\tnœud\t1\t1\n"),
+    "repeated-then-fault": (".nodes", "\tc5\t1\t1\n", "\tc5\t1\t1\n\tc5\t1\t1\n\tc98\tx\t1\n"),
+    "fault-then-repeated": (".nodes", "\tc5\t1\t1\n", "\tc98\tx\t1\n\tc5\t1\t1\n\tc5\t1\t1\n"),
+    "repeated-with-fault": (".nodes", "\tc5\t1\t1\n", "\tc5\t1\t1\n\tc5\tx\t1\n"),
+}
+
+
+@pytest.mark.parametrize("chunk", [24, 200, netlist.CHUNK_BYTES], ids=["chunk-24", "chunk-200", "chunk-default"])
+@pytest.mark.parametrize("ext,old,new", PATH_EDITS.values(), ids=PATH_EDITS.keys())
+def test_faults_on_either_lookup_path_as_the_line_parser_finds_them(tmp_path, ext, old, new, chunk):
+    paths = _written(str(tmp_path), 3)
+    with open(paths[ext], encoding="utf-8", newline="") as f:
+        text = f.read()
+    assert old in text
+    with open(paths[ext], "w", encoding="utf-8", newline="") as f:
+        f.write(text.replace(old, new, 1))
+    with mock.patch.object(netlist, "CHUNK_BYTES", chunk):
+        parsed = _outcome(parse_design, paths[".aux"])
+        placed = _outcome(read_placement, BASES[3], paths[".pl"])
+    _assert_same(parsed, _by_line(parse_design, paths[".aux"]))
+    _assert_same(placed, _by_line(read_placement, BASES[3], paths[".pl"]))
+    assert isinstance(parsed[0], tuple) or parsed[1]  # an error or a warning
+
+
+# Files that reads of CHUNK_BYTES, at every size, cut at every byte: a '\r\n' split between two reads, a comment
+# across a read's end, no final newline, lone '\r's, and non-ASCII names and separators
+LEX_TEXTS = {
+    "crlf": b"UCLA nodes 1.0\r\n\r\nNumNodes : 2\r\n\ta\t1\t1\r\n\tb\t2\t2\r\n",
+    "comment": b"a 1 1 # a comment longer than a read\nb 2 2\n# a whole line\nc 3 3 #\n",
+    "no-final-newline": b"a 1 1\nb 2 2\n\nc 3 3",
+    "lone-cr": b"a 1 1\rb 2 2\r\rc 3 3\r",
+    "non-ascii": "nœud 1 1　x\nノード 2 2 # セル\r\nc\xa03 3".encode(),
+}
+
+
+def _lexed(path: str) -> list:
+    return [(n, tokens) for chunk in netlist._lex(path) for n, tokens in zip(chunk.lineno.tolist(), chunk.rows())]
+
+
+@pytest.mark.parametrize("name", LEX_TEXTS)
+def test_reads_cut_anywhere_lex_as_the_line_parser_reads(tmp_path, name):
+    path = tmp_path / "f"
+    path.write_bytes(LEX_TEXTS[name])
+    expected = [(n, line.split()) for n, line in reference._data_lines(str(path))]
+    for chunk in range(1, len(LEX_TEXTS[name]) + 2):
+        with mock.patch.object(netlist, "CHUNK_BYTES", chunk):
+            assert _lexed(str(path)) == expected, chunk
+
+
+def test_an_undecodable_byte_is_reported_at_its_line_after_the_lines_before_it(tmp_path):
+    data = b"a 1 1\nb 2 2\r\nc\xff 3 3\nd 4 4\n"
+    (tmp_path / "f").write_bytes(data)
+    for chunk in range(1, len(data) + 2):
+        lines = []
+        with mock.patch.object(netlist, "CHUNK_BYTES", chunk), pytest.raises(netlist.MalformedLineError) as exc:
+            for part in netlist._lex(str(tmp_path / "f")):
+                lines += part.lineno.tolist()
+        assert (exc.value.lineno, exc.value.line, lines) == (3, "c� 3 3", [1, 2]), chunk
+    # in a design, from a later read than the first: the error names its line
+    paths = _written(str(tmp_path / "d"), 0)
+    with open(paths[".nodes"], "rb") as f:
+        lines = f.read().split(b"\n")
+    lines[-3] += b"\xff"
+    with open(paths[".nodes"], "wb") as f:
+        f.write(b"\n".join(lines))
+    with mock.patch.object(netlist, "CHUNK_BYTES", 24), pytest.raises(netlist.MalformedLineError) as exc:
+        parse_design(paths[".aux"])
+    assert exc.value.lineno == len(lines) - 2 and "byte 0xff is not valid utf-8" in str(exc.value)

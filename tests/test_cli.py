@@ -804,6 +804,8 @@ class TestUnusableOptions:
             ("metrics", ["--bins", "0"]),
             ("place", ["--jitter", "-1"]),
             ("place", ["--terms", "1:0:1"]),
+            ("gift", ["--terms", "2:100000000:1"]),  # 10^8 products: refused before the parse
+            ("place", ["--terms", "2:600:1,4:600:1"]),  # 1200 products in all
         ],
     )
     def test_exit_2(self, bench, tmp_path, capsys, command, flags):

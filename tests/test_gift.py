@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from giftplace import (
+    DEFAULT_TERMS,
     DimensionMismatchError,
     FilterTerm,
     GiftConfig,
@@ -25,6 +26,7 @@ from giftplace import (
     normalized_augmented_adjacency,
     quadratic_wirelength,
 )
+from giftplace.gift import MAX_PRODUCTS
 from tests.conftest import from_coo, make_design, random_connected_graph
 
 
@@ -57,6 +59,13 @@ class TestInitialSignal:
     def test_no_terms_rejected(self):
         with pytest.raises(ValueError, match="filter needs at least one term"):
             GiftConfig(terms=())
+
+    def test_products_bounded(self):
+        # per sigma its largest k, summed: 2 + (MAX_PRODUCTS - 2) is the most a config may take
+        GiftConfig(terms=[FilterTerm(2.0, 2, 0.1), FilterTerm(4.0, 2, 0.7), FilterTerm(4.0, MAX_PRODUCTS - 2, 0.2)])
+        with pytest.raises(ValueError, match=f"take {MAX_PRODUCTS + 1} sparse products per signal column"):
+            GiftConfig(terms=[FilterTerm(2.0, 2, 0.1), FilterTerm(4.0, 1, 0.7), FilterTerm(4.0, MAX_PRODUCTS - 1, 0.2)])
+        assert sum(max(t.k for t in DEFAULT_TERMS if t.sigma == s) for s in {t.sigma for t in DEFAULT_TERMS}) == 6
 
     def test_seed_determinism(self, tri_design):
         a = initial_signal(tri_design, GiftConfig(seed=11))

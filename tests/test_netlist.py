@@ -30,6 +30,8 @@ from giftplace import (
     write_placement,
 )
 
+from giftplace.netlist import Names
+
 import writer_reference
 
 NODES = """\
@@ -457,6 +459,21 @@ class TestValidate:
         with pytest.raises(GiftPlaceError, match="duplicate cell name 'a'"):
             Design(**design_fields(names=["a", "b", "a"]))
 
+    @pytest.mark.parametrize("names, repeated", [
+        (["b", "b", "pad"], "b"),  # found by key
+        (["a_long_cell_name", "b", "a_long_cell_name"], "a_long_cell_name"),  # found through the dict
+        (["pad", "a\x00", "a\x00"], "a\x00"),  # a NUL: through the dict
+    ], ids=["short", "long", "nul"])
+    def test_duplicate_name_on_either_lookup_path(self, names, repeated):
+        with pytest.raises(GiftPlaceError, match=f"^duplicate cell name {re.escape(repr(repeated))}$"):
+            Design(**design_fields(names=names))
+
+    @pytest.mark.parametrize("names", [["prefix08a", "prefix08b", "pad"], ["a", "a\x00", "a\x00\x00"]],
+                             ids=["shared-8-byte-prefix", "nul-padded"])
+    def test_names_alike_in_their_first_8_bytes_are_distinct(self, names):
+        design = Design(**design_fields(names=names))
+        assert [design.names.get(name) for name in names] == [0, 1, 2]
+
     @pytest.mark.parametrize("key", ["widths", "heights"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
     def test_bad_size(self, key, value):
@@ -586,6 +603,18 @@ class TestRoundTrip:
         path.write_text("UCLA pl 1.0\nm0 1 1 : N\n")
         with pytest.raises(MalformedLineError):
             read_placement(anchored_design, str(path))
+
+
+class TestNames:
+    """The names of a Design, held as one joined str: a sequence of str that equals the list of the same strings."""
+
+    def test_index_slice_and_equality(self):
+        names = Names.of(["a", "b\nc", "", "nœud"])  # a name may hold a newline, or be empty
+        assert len(names) == 4 and names[1] == "b\nc" and names[-1] == "nœud" and names[np.int64(2)] == ""
+        assert names[1:3] == ["b\nc", ""] and names[::2] == ["a", ""] and names[3:1] == [] and names[:1] == ["a"]
+        assert names == ["a", "b\nc", "", "nœud"] and list(names) == names and names != ["a"] and Names.of(names) is names
+        with pytest.raises(IndexError):
+            names[4]
 
 
 class TestUnreadableNames:
