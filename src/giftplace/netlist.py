@@ -552,7 +552,10 @@ def _headers(chunk: _Chunk, head: np.ndarray, declared: dict[str, int], errors: 
 
 
 def _join(parts: list[np.ndarray], dtype: type) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+    """``parts`` as one array; the list is emptied, so the parts go as soon as they are joined."""
+    joined = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+    parts.clear()
+    return joined
 
 
 def _parse_nodes(path: str):

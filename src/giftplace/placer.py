@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -193,7 +193,9 @@ def electrostatic_grad(
     q = dens.rho - float(np.mean(dens.rho))
     phi = _poisson_potential(q, dens.bin_w, dens.bin_h)
     value = 0.5 * float(np.sum(q * phi))
-    return value, _field_weighted_grad(design, dens, phi), dens
+    grad = _field_weighted_grad(design, dens, phi)
+    dens.overlaps = None  # they served the field gradient: the grid returned holds only its map
+    return value, grad, dens
 
 
 def _gamma(design: Design, config: PlacerConfig) -> float:
@@ -218,16 +220,6 @@ def balanced_lambda0(design: Design, config: PlacerConfig) -> float:
     if wl_norm <= 0.0 or d_norm <= 0.0:
         return LAMBDA_BALANCE
     return LAMBDA_BALANCE * wl_norm / d_norm
-
-
-def _finish(task: Future, fn, *args):
-    """A queued task's result: run here if the worker has not started it, else joined."""
-    return fn(*args) if task.cancel() else task.result()
-
-
-def _settle(design: Design, task: Future, g: np.ndarray, record: TraceRecord) -> TraceRecord:
-    """``record`` with the HPWL of ``g``: ``task``'s, or computed here if the worker has not started it."""
-    return record._replace(hpwl=_finish(task, hpwl, design, g))
 
 
 def run_placer(
@@ -256,8 +248,8 @@ def run_placer(
     stalled = ""
     lam = config.lambda0 if config.lambda0 is not None else balanced_lambda0(design, config)
     grid = (config.grid or GridConfig()).resolved(design)  # default_bins once per run, not per evaluation
-    mag, spare, movable = np.empty(design.num_cells), np.empty_like(g), ~design.fixed
-    pending = None  # the last evaluation's record, its HPWL queued: (task, the g it reads, record)
+    mag, movable = np.empty(design.num_cells), ~design.fixed
+    evaluated = []  # per iteration: (iteration, wl, its queued HPWL, overflow, lambda)
 
     # a cell moves m * min(|grad_i| / rms, 1), not in proportion to |grad_i|: lambda grows without bound, so a move in
     # proportion to the gradient, like any constant step, would eventually overshoot
@@ -278,31 +270,27 @@ def run_placer(
                 ref = float(np.sqrt(np.mean(mag[movable] ** 2)))
                 max_move = MAX_MOVE_BINS * min(dens.bin_w, dens.bin_h)
                 step = (max_move / np.maximum(mag, ref))[:, None]
-                # into the other buffer: the queued HPWL reads g until it is joined below, before the next step
-                g, spare = np.clip(np.subtract(g, step * grad, out=spare), *design.bounds, out=spare), g
+                g = g - step * grad  # a fresh array: the queued HPWL may still be reading the last one
+                np.clip(g, *design.bounds, out=g)
                 lam *= config.lambda_growth
-            # the worker takes the last HPWL during the step, then the wirelength kernel beside the density kernel; what
-            # it has not started runs here. The wirelength error surfaces first, as in sequence
+            # the worker runs its queue in order: the last HPWL during the step, then the wirelength kernel beside the
+            # density kernel. Joining the wirelength kernel joins the HPWL before it, so at most those two are queued
             wirelength = pool.submit(smooth_wirelength_grad, design, g, gamma)
             dens = None  # the last map goes before the next is built: one map's memory at a time
             try:
                 d_val, d_grad, dens = electrostatic_grad(design, g, grid)
-                dens.overlaps = None  # they served the field gradient: gone before the step and the HPWL beside it
                 ovf = overflow(dens)
             finally:
-                wl_val, wl_grad = _finish(wirelength, smooth_wirelength_grad, design, g, gamma)
+                wl_val, wl_grad = wirelength.result()  # its error surfaces first, as in sequence
             obj = wl_val + lam * d_val
             grad = wl_grad + lam * d_grad
             if not (np.isfinite(obj) and np.all(np.isfinite(grad))):
                 raise DivergenceError(f"objective not finite at iteration {it}")
-            if pending:
-                trace.records.append(_settle(design, *pending))
-            pending = pool.submit(hpwl, design, g), g, TraceRecord(it, wl_val, math.nan, ovf, lam)
+            evaluated.append((it, wl_val, pool.submit(hpwl, design, g), ovf, lam))
             if ovf <= config.stop_overflow:
                 trace.converged = True
                 break
-        if pending:
-            trace.records.append(_settle(design, *pending))
+    trace.records = [TraceRecord(it, wl, task.result(), ovf, lam) for it, wl, task, ovf, lam in evaluated]
     if not trace.converged:
         cell_w, cell_h = _average_cell(design)
         coarse = (f"; the {dens.nx}x{dens.ny} bins of {dens.bin_w:.4g} x {dens.bin_h:.4g} are larger than the average movable "

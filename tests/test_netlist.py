@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,20 @@ class TestParse:
         assert design.num_movable == 3
         assert np.diff(design.net_start).tolist() == [3, 2]
         assert design.net_names == ["n_first", "n_pad"]
+
+    def test_nets_parse_peaks_below_twice_its_pin_arrays(self, tmp_path, monkeypatch):
+        # each chunk's pin cells and offsets are kept until the end; each list goes as soon as it is joined, so the
+        # peak is the chunks' arrays plus one joined array, not all of them plus all the joined ones
+        write_design(generate(cells=5000, seed=1), str(tmp_path), "d")
+        *_, lookup, _ = netlist._parse_nodes(str(tmp_path / "d.nodes"))
+        monkeypatch.setattr(netlist, "CHUNK_BYTES", 1 << 14)
+        tracemalloc.start()
+        try:
+            _, *arrays = netlist._parse_nets(str(tmp_path / "d.nets"), lookup)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * sum(a.nbytes for a in arrays)
 
     def test_region_from_scl(self, tmp_path):
         design = parse_design(write_corpus(tmp_path))

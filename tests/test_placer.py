@@ -693,7 +693,7 @@ class TestRunPlacer:
         assert [(r.iteration, r.wl, r.hpwl, r.overflow, r.lam) for r in trace.records] == ref_records
 
     def test_matches_the_masked_step_bit_for_bit_under_frequent_thread_switches(self):
-        # the step writes one buffer while the worker reads the other for the queued hpwl; a switch interval of a
+        # the step writes a fresh array while the worker reads the last one for the queued hpwl; a switch interval of a
         # microsecond interleaves the two threads' Python code as often as the interpreter allows
         design = generate(cells=120, fanout={2: 0.4, 3: 0.2, 5: 0.2, 9: 0.1, 17: 0.1}, seed=5)
         g0 = self.spread_start(design, seed=5)
@@ -805,8 +805,7 @@ class TestRunPlacer:
         assert len(calls) == len(trace.records) == trace.iterations + 1
         assert trace.records[-1].hpwl == metrics.hpwl(design, g)
 
-    @pytest.mark.parametrize("hpwl_on", ["worker", "caller"])
-    def test_matches_the_sequential_loop_bit_for_bit_whichever_thread_runs_hpwl(self, monkeypatch, hpwl_on):
+    def test_matches_the_sequential_loop_bit_for_bit_with_hpwl_beside_the_step(self, monkeypatch):
         # nets of 5, 9 and 17 pins fill padded degree blocks, and the IO pads are fixed cells
         design = generate(cells=120, fanout={2: 0.4, 3: 0.2, 5: 0.2, 9: 0.1, 17: 0.1}, seed=4)
         assert design.num_movable < design.num_cells
@@ -815,22 +814,19 @@ class TestRunPlacer:
         config = PlacerConfig(lambda0=0.5, max_iters=12, stop_overflow=1e-9)
         ref_g, ref_records = masked_step_reference(design, g0, config)
 
-        # each record's hpwl is queued while the next step is taken. On the worker: queueing it returns only once the
-        # worker has started it. On the caller: the worker first takes a task that waits until the caller has started
-        # it, so the caller finds it unstarted. A wait that times out fails the test instead of hanging it
-        exact, started, waits, on_caller = placer.hpwl, threading.Semaphore(0), [], []
+        # each record's hpwl is queued before the next step, and queueing it returns only once the worker has started
+        # it: the step runs while the worker reads the last placement. A wait that times out fails the test
+        exact, started, on_main = placer.hpwl, threading.Semaphore(0), []
 
         def counted(design, g):
-            on_caller.append(threading.current_thread() is threading.main_thread())
+            on_main.append(threading.current_thread() is threading.main_thread())
             started.release()
             return exact(design, g)
 
         class Steered(ThreadPoolExecutor):
             def submit(self, fn, *args):
-                if fn is counted and hpwl_on == "caller":
-                    waits.append(super().submit(started.acquire, timeout=10))
                 task = super().submit(fn, *args)
-                if fn is counted and hpwl_on == "worker":
+                if fn is counted:
                     assert started.acquire(timeout=10)
                 return task
 
@@ -839,14 +835,30 @@ class TestRunPlacer:
         g, trace = run_placer(design, g0, config)
         assert g.tobytes() == ref_g.tobytes()
         assert [(r.iteration, r.wl, r.hpwl, r.overflow, r.lam) for r in trace.records] == ref_records
-        assert on_caller == [hpwl_on == "caller"] * 13
-        assert [w.result() for w in waits] == [True] * 13 * (hpwl_on == "caller")
+        assert on_main == [False] * 13
+
+    def test_at_most_one_hpwl_and_one_wirelength_kernel_are_queued(self, monkeypatch):
+        # the worker runs its queue in order and each wirelength kernel is joined, so the hpwl queued before it is done
+        # by then: at any submit, at most the last hpwl and the new task are not done
+        tasks, outstanding = [], []
+
+        class Counted(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                tasks.append(super().submit(fn, *args))
+                outstanding.append(sum(not task.done() for task in tasks))
+                return tasks[-1]
+
+        monkeypatch.setattr(placer, "ThreadPoolExecutor", Counted)
+        design = generate(cells=60, seed=6)
+        _, trace = run_placer(design, self.spread_start(design, seed=6), PlacerConfig(max_iters=45, stop_overflow=1e-9))
+        assert trace.iterations == 45 and len(outstanding) == 2 * 46
+        assert max(outstanding) <= 2
 
     @pytest.mark.parametrize("error", [DivergenceError, GiftPlaceError], ids=["divergence", "zero-gradient"])
     def test_an_error_at_the_next_iteration_joins_the_pending_hpwl(self, monkeypatch, error):
-        # iteration 1 fails while iteration 0's hpwl is queued or running: that hpwl waits until the error is made.
-        # The error is the sequential loop's, and the worker is joined on the way out
-        raised, waits = threading.Event(), []
+        # iteration 1 fails after iteration 0's hpwl is queued. The error is the sequential loop's, the worker is joined
+        # on the way out, and that hpwl has completed
+        raised, waits, completed = threading.Event(), [], []
         exact = placer.hpwl
 
         class Signalled(error):
@@ -855,8 +867,12 @@ class TestRunPlacer:
                 super().__init__(*args)
 
         def held(design, g):
-            waits.append(raised.wait(timeout=10))
-            return exact(design, g)
+            if error is GiftPlaceError:  # found before iteration 1 queues anything: this hpwl waits for the error
+                waits.append(raised.wait(timeout=10))
+            else:  # iteration 1's wirelength kernel is queued behind this hpwl: it runs before the error is made
+                waits.append(not raised.is_set())
+            completed.append(exact(design, g))
+            return completed[-1]
 
         monkeypatch.setattr(placer, error.__name__, Signalled)
         monkeypatch.setattr(placer, "hpwl", held)
@@ -882,6 +898,7 @@ class TestRunPlacer:
             run_placer(design, g0, config)
         assert threading.active_count() == before
         assert waits == [True]
+        assert completed == [exact(design, np.clip(g0, *design.bounds))]
 
     def test_trace_csv_reproducible_without_seconds(self, tmp_path, monkeypatch):
         # place writes the trace it gets from run_placer; the file must hold the bytes of the per-row form below
