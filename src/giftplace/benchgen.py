@@ -112,7 +112,6 @@ def generate(
         names=Names.of([f"c{i}" for i in range(cells)] + [f"io{j}" for j in range(n_io)]),  # each list freed once joined
         widths=np.ones(cells + n_io),
         heights=np.ones(cells + n_io),
-        fixed=np.arange(cells + n_io) >= cells,
         fixed_xy=fixed_xy,
         net_names=Names.of([f"n{j}" for j in range(net_degrees.size)]),
         net_start=np.concatenate(([0], np.cumsum(net_degrees))),

@@ -207,18 +207,17 @@ class Region:
 class Design:
     """In-memory circuit as a struct of arrays; immutable by convention.
 
-    Cell i is row i of ``names``, ``widths``, ``heights``, ``fixed`` and
-    ``fixed_xy`` (N x 2 fixed centers, NaN for movable cells). Net j is
+    Cell i is row i of ``names``, ``widths``, ``heights`` and ``fixed_xy`` (N x 2:
+    the center of a fixed cell, NaN for a movable one). Net j is
     ``net_names[j]`` and owns the pins ``net_start[j]:net_start[j+1]`` of
     ``pin_cell``, ``pin_dx`` and ``pin_dy`` (offsets from the cell center).
     Construction coerces the names to ``Names`` and the arrays to their dtypes, and validates them;
-    ``pin_layout``, ``bounds`` and ``half_sizes`` are built from them on first use and kept.
+    ``fixed``, ``pin_layout``, ``bounds`` and ``half_sizes`` are built from them on first use and kept.
     """
 
     names: Names
     widths: np.ndarray
     heights: np.ndarray
-    fixed: np.ndarray
     fixed_xy: np.ndarray
     net_names: Names
     net_start: np.ndarray
@@ -231,7 +230,6 @@ class Design:
         self.names, self.net_names = Names.of(self.names), Names.of(self.net_names)
         self.widths = np.asarray(self.widths, dtype=float)
         self.heights = np.asarray(self.heights, dtype=float)
-        self.fixed = np.asarray(self.fixed, dtype=bool)
         self.fixed_xy = np.asarray(self.fixed_xy, dtype=float)
         self.net_start = np.asarray(self.net_start, dtype=np.int64)
         self.pin_cell = np.asarray(self.pin_cell, dtype=np.int64)
@@ -254,6 +252,11 @@ class Design:
     @property
     def num_fixed(self) -> int:
         return int(np.count_nonzero(self.fixed))
+
+    @functools.cached_property
+    def fixed(self) -> np.ndarray:
+        """Which cells are fixed: the rows of ``fixed_xy`` that hold a center."""
+        return np.isfinite(self.fixed_xy[:, 0])
 
     def fixed_mask(self) -> np.ndarray:
         return self.fixed
@@ -305,7 +308,7 @@ class Design:
     def validate(self) -> None:
         """Check structural invariants; raises GiftPlaceError on violation."""
         n = len(self.names)
-        if not (self.widths.shape == self.heights.shape == self.fixed.shape == (n,) and self.fixed_xy.shape == (n, 2)):
+        if not (self.widths.shape == self.heights.shape == (n,) and self.fixed_xy.shape == (n, 2)):
             raise GiftPlaceError(f"cell arrays do not all have {n} rows, one per name")
         if not (self.net_start.shape == (len(self.net_names) + 1,) and self.pin_cell.ndim == 1
                 and self.pin_cell.shape == self.pin_dx.shape == self.pin_dy.shape):
@@ -317,9 +320,9 @@ class Design:
         bad = np.flatnonzero(~((w > 0) & (h > 0) & np.isfinite(w) & np.isfinite(h)))
         if bad.size:
             raise GiftPlaceError(f"cell {self.names[bad[0]]!r} has non-positive or non-finite dimensions")
-        bad = np.flatnonzero((np.isfinite(self.fixed_xy) != self.fixed[:, None]).any(axis=1))
-        if bad.size:
-            raise GiftPlaceError(f"cell {self.names[bad[0]]!r}: fixed_xy must be finite exactly when fixed")
+        bad = np.flatnonzero(~(np.isfinite(self.fixed_xy).all(axis=1) | np.isnan(self.fixed_xy).all(axis=1)))
+        if bad.size:  # a row is a finite center or NaN, so that ``fixed`` reads the row's first coordinate alone
+            raise GiftPlaceError(f"cell {self.names[bad[0]]!r}: fixed_xy must be finite or NaN in both coordinates")
         if self.net_start[0] != 0 or self.net_start[-1] != self.pin_cell.size or np.any(np.diff(self.net_start) < 0):
             raise GiftPlaceError("net_start must rise monotonically from 0 to the pin count")
         bad = np.flatnonzero((self.pin_cell < 0) | (self.pin_cell >= n))
@@ -866,7 +869,7 @@ def parse_design(aux_path: str, by_ext: dict[str, str] | None = None) -> Design:
         region = _region_from_placement(corners, sizes)
         log.warning("%s: no usable .scl; region set to placement bounding box", aux_path)
 
-    return Design(names=names, widths=widths, heights=heights, fixed=fixed, fixed_xy=fixed_xy, net_names=net_names,
+    return Design(names=names, widths=widths, heights=heights, fixed_xy=fixed_xy, net_names=net_names,
                   net_start=net_start, pin_cell=pin_cell, pin_dx=pin_dx, pin_dy=pin_dy, region=region)
 
 
@@ -926,13 +929,18 @@ def write_placement(design: Design, placement: np.ndarray, path: str) -> None:
 
     Fixed cells carry the /FIXED marker. Output is deterministic: no
     timestamps, fixed 6-decimal coordinate formatting. The lines are formatted
-    and written WRITE_SLICE cells at a time.
+    and written WRITE_SLICE cells at a time. GiftPlaceError, before the file is
+    opened, for a placement of the wrong shape or with a coordinate that is not
+    finite, which ``read_placement`` would refuse.
     """
     placement = np.asarray(placement, dtype=float)
     if placement.shape != (design.num_cells, 2):
         raise GiftPlaceError(
             f"placement shape {placement.shape} does not match design with {design.num_cells} cells"
         )
+    bad = np.flatnonzero(~np.isfinite(placement).all(axis=1))
+    if bad.size:
+        raise GiftPlaceError(f"cell {design.names[bad[0]]!r} has a placement coordinate that is not finite")
     corners = placement - design.half_sizes.T
     line = f"%s\t%.{PL_PRECISION}f\t%.{PL_PRECISION}f\t: N%s\n"
     _write_slices(path, "UCLA pl 1.0\n\n", design.num_cells, lambda a, b: _interleave(
@@ -956,14 +964,13 @@ _UNREADABLE = {kind: re.compile(rf"[\s#](?<!\n(?!(?:{words})\n))")
                for kind, words in (("cell", "|UCLA|Num(?:Nodes|Terminals|Nets|Pins)|NetDegree|:"), ("net", ""))}
 
 
-def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray | None = None) -> str:
+def write_design(design: Design, out_dir: str, name: str) -> str:
     """Write a full Bookshelf design (.aux/.nodes/.nets/.pl[/.scl]); returns the .aux path.
 
-    ``placement`` supplies movable cell centers for the .pl; defaults to the
-    region center. Fixed cells are always written at their fixed position.
-    The .nodes, .nets and .pl are formatted and written WRITE_SLICE cells or
-    nets at a time. GiftPlaceError, before any file is written, for a cell or
-    net name that would not read back.
+    The .pl places fixed cells at their fixed centers and movable cells at the
+    region center. The .nodes, .nets and .pl are formatted and written
+    WRITE_SLICE cells or nets at a time. GiftPlaceError, before any file is
+    written, for a cell or net name that would not read back.
     """
     for kind, names in (("cell", design.names), ("net", design.net_names)):
         if _UNREADABLE[kind].search("\n" + names.text) or names.text.count("\n") > len(names):
@@ -972,10 +979,6 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
                                  "whitespace or '#', or is a word the reader keeps for itself")
     paths = design_files(out_dir, name)
     os.makedirs(out_dir, exist_ok=True)
-    if placement is None:
-        placement = np.tile(design.region.center, (design.num_cells, 1))
-    placement = np.array(placement, dtype=float)
-    placement[design.fixed] = design.fixed_xy[design.fixed]
 
     # %.17g gives back every double exactly, and writes an integer or a half as %g does
     names = design.names[:]  # split once: the pin lines below take any cell's name
@@ -1001,7 +1004,7 @@ def write_design(design: Design, out_dir: str, name: str, placement: np.ndarray 
     _write_slices(paths["nets"], f"UCLA nets 1.0\n\nNumNets : {design.num_nets}\nNumPins : {design.pin_cell.size}\n",
                   design.num_nets, nets)
 
-    write_placement(design, placement, paths["pl"])
+    write_placement(design, np.where(design.fixed[:, None], design.fixed_xy, design.region.center), paths["pl"])
 
     rows = design.region.rows
     if rows:

@@ -6,7 +6,8 @@ functions are those of ``giftplace.netlist`` at the time, unchanged; only the
 calls into the chunked reader's predecessor are left out. ``_parse_scl`` is the
 ``.scl`` reader from before it took its tokens from the chunked lexer; it quotes
 its errors' lines itself, as ``netlist._malformed`` does, and truncates a
-fractional ``NumSites``.
+fractional ``NumSites``. Like ``netlist._parse_scl``, it warns at a ``CoreRow``
+block without ``End``.
 """
 
 from __future__ import annotations
@@ -189,18 +190,20 @@ def _parse_pl(path: str, name_to_id: dict[str, int]) -> tuple[np.ndarray, np.nda
 
 def _parse_scl(path: str) -> list[Row]:
     rows: list[Row] = []
-    in_row = False
+    opened = None  # the line of the open block's CoreRow, None outside a block
     cur: dict[str, float] = {}
     for lineno, line in _data_lines(path):
         first = line.split(None, 1)[0]
         if first == "CoreRow":
-            in_row = True
+            if opened is not None:
+                log.warning("%s:%d: CoreRow block without End skipped", path, opened)
+            opened = lineno
             cur = {"site_width": 1.0}
             continue
-        if not in_row:
+        if opened is None:
             continue  # NumRows and anything else outside a block
         if first == "End":
-            in_row = False
+            opened = None
             if {"y", "height", "x", "num_sites"} <= cur.keys():
                 rows.append(
                     Row(
@@ -234,4 +237,6 @@ def _parse_scl(path: str) -> list[Row]:
             raise MalformedLineError(path, lineno, line, "malformed row attribute")
         if not all(map(math.isfinite, cur.values())):
             raise MalformedLineError(path, lineno, line, "row attributes must be finite")
+    if opened is not None:
+        log.warning("%s:%d: CoreRow block without End skipped", path, opened)
     return rows

@@ -36,7 +36,6 @@ def make_design(names, nets, region: Region, sizes=(1.0, 1.0), pads=None) -> Des
         names=names,
         widths=wh[:, 0],
         heights=wh[:, 1],
-        fixed=~np.isnan(fixed_xy[:, 0]),
         fixed_xy=fixed_xy,
         net_names=[f"n{j}" for j in range(len(nets))],
         net_start=np.cumsum([0] + [len(net) for net in nets]),

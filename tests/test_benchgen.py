@@ -193,8 +193,8 @@ def per_net_choice_generate(cells: int, fanout: dict | None = None, long_range_f
     net_degrees = np.concatenate([np.full(len(mesh), 2), [len(n) for n in long_nets], np.full(n_io, 2)])
     return Design(
         names=[f"c{i}" for i in range(cells)] + [f"io{j}" for j in range(n_io)],
-        widths=np.ones(cells + n_io), heights=np.ones(cells + n_io), fixed=np.arange(cells + n_io) >= cells,
-        fixed_xy=fixed_xy, net_names=[f"n{j}" for j in range(net_degrees.size)],
+        widths=np.ones(cells + n_io), heights=np.ones(cells + n_io), fixed_xy=fixed_xy,
+        net_names=[f"n{j}" for j in range(net_degrees.size)],
         net_start=np.concatenate(([0], np.cumsum(net_degrees))), pin_cell=pin_cell,
         pin_dx=np.zeros(pin_cell.size), pin_dy=np.zeros(pin_cell.size), region=region,
     )

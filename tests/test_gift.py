@@ -79,7 +79,7 @@ class TestInitialSignal:
 
     def test_jitter_independent_of_fixed_layout(self, anchored_design):
         """The movable cells' noise must not shift when other cells are fixed."""
-        free = dataclasses.replace(anchored_design, fixed=np.zeros(4, bool), fixed_xy=np.full((4, 2), np.nan))
+        free = dataclasses.replace(anchored_design, fixed_xy=np.full((4, 2), np.nan))
         g_fixed = initial_signal(anchored_design, GiftConfig(seed=5))
         g_free = initial_signal(free, GiftConfig(seed=5))
         assert np.array_equal(g_fixed[1:3], g_free[1:3])

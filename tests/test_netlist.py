@@ -102,6 +102,7 @@ class TestParse:
         assert design.num_cells == 4
         assert design.num_fixed == 1
         assert design.num_movable == 3
+        assert design.fixed.tolist() == [False, False, False, True]
         assert np.diff(design.net_start).tolist() == [3, 2]
         assert design.net_names == ["n_first", "n_pad"]
 
@@ -148,11 +149,21 @@ class TestParse:
         design = parse_design(write_corpus(tmp_path, nodes=nodes, pl=PL + "UCLAcell 5 5 : N\n"))
         assert design.names == ["a", "b", "c", "pad", "UCLAcell"]
 
+    def test_fixed_center_that_overflows_is_refused(self, tmp_path):
+        # corner plus half size is inf in both coordinates (numpy's overflow warning aside): a row of fixed_xy that is
+        # neither a center nor NaN, not a movable cell
+        nodes = NODES.replace("pad 1 1 terminal", "pad 1e308 1e308 terminal")
+        pl = PL.replace("pad 9 9", "pad 1.7e308 1.7e308")
+        with np.errstate(over="ignore"), \
+                pytest.raises(GiftPlaceError, match="^cell 'pad': fixed_xy must be finite or NaN in both coordinates$"):
+            parse_design(write_corpus(tmp_path, nodes=nodes, pl=pl))
+
     def test_pl_fixed_marker_forces_fixed(self, tmp_path):
         pl = PL.replace("c 0 3 : N", "c 0 3 : N /FIXED")
         design = parse_design(write_corpus(tmp_path, pl=pl))
         assert design.fixed[2]
         assert design.num_fixed == 2
+        assert design.fixed.tolist() == [False, False, True, True]
 
 
 class TestPlacementLines:
@@ -430,6 +441,26 @@ class TestDesignAccessors:
                 Design(**design_fields(pin_cell=np.array([0, 1, 1, cell])))
 
 
+class TestDerivedFixed:
+    """``fixed`` is not a field: it is read from ``fixed_xy`` once and kept."""
+
+    def test_not_a_constructor_field(self):
+        with pytest.raises(TypeError, match="fixed"):
+            Design(**design_fields(fixed=np.array([False, False, True])))
+
+    def test_rows_holding_a_center_once_and_kept(self):
+        fixed_xy = np.array([[1.0, -0.0], [np.nan, np.nan], [9.5, 9.5]])
+        design = Design(**design_fields(fixed_xy=fixed_xy))
+        assert design.fixed is design.fixed and design.fixed_mask() is design.fixed
+        assert design.fixed.dtype == bool and design.fixed.tolist() == [True, False, True]
+        np.testing.assert_array_equal(design.fixed, np.isfinite(design.fixed_xy[:, 0]))
+        assert (design.num_fixed, design.num_movable) == (2, 1)
+
+    def test_generated_design_fixes_its_io_pads(self):
+        design = generate(cells=50, seed=2)
+        assert design.fixed.tolist() == [False] * 50 + [True] * (design.num_cells - 50)
+
+
 class TestDesignBounds:
     def test_clamps_movable_cells_into_the_region_and_pins_fixed_ones(self):
         # the pad's fixed center lies outside the region: its box is that point all the same
@@ -450,7 +481,6 @@ def design_fields(**override) -> dict:
         names=["a", "b", "pad"],
         widths=np.ones(3),
         heights=np.ones(3),
-        fixed=np.array([False, False, True]),
         fixed_xy=np.array([[np.nan, np.nan], [np.nan, np.nan], [9.5, 9.5]]),
         net_names=["n0", "n1"],
         net_start=np.array([0, 2, 4]),
@@ -495,15 +525,11 @@ class TestValidate:
         with pytest.raises(GiftPlaceError, match="'b' has non-positive or non-finite"):
             Design(**design_fields(**{key: np.array([1.0, value, 1.0])}))
 
-    @pytest.mark.parametrize("xy", [[np.nan, np.nan], [9.5, np.nan], [np.inf, 9.5]])
-    def test_fixed_cell_without_finite_position(self, xy):
+    @pytest.mark.parametrize("xy", [[9.5, np.nan], [np.inf, 9.5], [np.nan, 9.5], [-np.inf, -np.inf]],
+                             ids=["y-nan", "x-inf", "x-nan", "both-inf"])
+    def test_fixed_xy_row_neither_a_center_nor_nan(self, xy):
         fixed_xy = np.array([[np.nan, np.nan], [np.nan, np.nan], xy])
-        with pytest.raises(GiftPlaceError, match="'pad'"):
-            Design(**design_fields(fixed_xy=fixed_xy))
-
-    def test_movable_cell_with_position(self):
-        fixed_xy = np.array([[1.0, 1.0], [np.nan, np.nan], [9.5, 9.5]])
-        with pytest.raises(GiftPlaceError, match="'a'"):
+        with pytest.raises(GiftPlaceError, match="^cell 'pad': fixed_xy must be finite or NaN in both coordinates$"):
             Design(**design_fields(fixed_xy=fixed_xy))
 
     @pytest.mark.parametrize("net_start", [[0, 3, 2], [0, 2, 3], [0, 2, 5], [1, 2, 4]])
@@ -516,7 +542,6 @@ class TestValidate:
         [
             {"widths": np.ones(2)},
             {"heights": np.ones(4)},
-            {"fixed": np.array([False, True])},
             {"fixed_xy": np.full(3, np.nan)},
             {"net_names": ["n0"]},
             {"net_start": np.array([0, 2, 3, 4])},
@@ -613,6 +638,15 @@ class TestRoundTrip:
         with pytest.raises(GiftPlaceError):
             write_placement(anchored_design, np.zeros((2, 2)), str(tmp_path / "bad.pl"))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_refused_before_the_file_is_opened(self, tmp_path, anchored_design, value):
+        # read_placement refuses such a line, so a written .pl would not read back
+        g = np.full((4, 2), 2.0)
+        g[2, 1] = value
+        with pytest.raises(GiftPlaceError, match="^cell 'm1' has a placement coordinate that is not finite$"):
+            write_placement(anchored_design, g, str(tmp_path / "bad.pl"))
+        assert not (tmp_path / "bad.pl").exists()
+
     def test_read_placement_requires_every_cell(self, tmp_path, anchored_design):
         path = tmp_path / "partial.pl"
         path.write_text("UCLA pl 1.0\nm0 1 1 : N\n")
@@ -689,7 +723,6 @@ def small_designs(draw) -> Design:
         names=names,
         widths=draw(st.lists(POSITIVE_QUARTERS, min_size=n, max_size=n)),
         heights=draw(st.lists(POSITIVE_QUARTERS, min_size=n, max_size=n)),
-        fixed=fixed,
         fixed_xy=fixed_xy,
         net_names=[f"net_{j}" for j in range(len(nets))],
         net_start=np.cumsum([0] + [len(net) for net in nets]),
@@ -704,7 +737,6 @@ EVERY_FEATURE = Design(
     names=["pad", "UCLAcell", "m"],
     widths=[2.5, 1.0, 0.25],
     heights=[1.5, 1.0, 9999.75],
-    fixed=[True, False, False],
     fixed_xy=[[-3.25, 7.75], [np.nan, np.nan], [np.nan, np.nan]],
     net_names=["empty", "single", "repeat", "offsets"],
     net_start=[0, 0, 1, 4, 6],
@@ -781,7 +813,6 @@ def designs_with_any_numbers(draw) -> Design:
 NO_PADS = dataclasses.replace(
     EVERY_FEATURE,
     widths=[1.5e-7, 1e16, 2.5],
-    fixed=[False] * 3,
     fixed_xy=np.full((3, 2), np.nan),
     pin_dx=[-0.0, 1.5e-7, 1e16, -2.5, 0.0, -1e16],
 )
@@ -808,7 +839,6 @@ SIGNED_ZEROS = Design(
     names=["pad_é", "ノード", "m", "pad2"],
     widths=[2.5, 0.1 + 0.2, 1.0, 3.0],
     heights=[1.5, 1.0, 1.2345678, 1.0],
-    fixed=[True, False, False, True],
     fixed_xy=[[-3.25, 7.75], [np.nan, np.nan], [np.nan, np.nan], [-0.0, 0.0]],
     net_names=["empty", "zeros", "ネット", "empty2", "fractions"],
     net_start=[0, 0, 4, 5, 5, 8],
@@ -829,7 +859,7 @@ def test_writers_write_the_bytes_of_the_whole_file_writers(tmp_path, monkeypatch
     placement[0] = (-0.0, 1.0 / 3.0)
     monkeypatch.setattr(netlist, "WRITE_SLICE", rows_per_write)
     for out, writers in ((tmp_path / "sliced", netlist), (tmp_path / "whole", writer_reference)):
-        writers.write_design(design, str(out), "d", placement=placement)
+        writers.write_design(design, str(out), "d")
         writers.write_placement(design, placement, str(out / "start.pl"))
     for ext in ("aux", "nodes", "nets", "pl", "scl"):
         assert (tmp_path / "sliced" / f"d.{ext}").read_bytes() == (tmp_path / "whole" / f"d.{ext}").read_bytes(), ext

@@ -957,7 +957,6 @@ def with_macro(design, width, height):
         names=list(design.names) + ["macro"],
         widths=np.append(design.widths, width),
         heights=np.append(design.heights, height),
-        fixed=np.append(design.fixed, False),
         fixed_xy=np.vstack([design.fixed_xy, (np.nan, np.nan)]),
         net_names=design.net_names,
         net_start=design.net_start,
