@@ -91,19 +91,20 @@ class PinLayout(NamedTuple):
 
 
 class Names(Sequence):
-    """Names held as one str, each followed by a newline: name i is ``text[start[i]:start[i + 1] - 1]``, so a name
-    may hold a newline. An index gives a str, a slice a list, and a Names equals the list of the same strings. ``get``
-    and ``find`` look cells up by name."""
+    """Names as their UTF-8 bytes, each ended by a newline: name i is line i of ``data``, from ``start[i]``. An index
+    gives a str, a slice a list, and a Names equals the list of the same strings. ``get`` and ``find`` look names up."""
 
-    def __init__(self, parts: list[tuple[str, np.ndarray]]) -> None:
-        """The names of each ``(text, sizes)`` in ``parts``: each followed by a newline, ``sizes`` characters with it."""
-        self.text, self.start = "".join(t for t, _ in parts), np.append(0, np.cumsum(_join([s for _, s in parts], np.int64)))
+    def __init__(self, data: bytes) -> None:
+        self.data, self.start = data, np.append(0, np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")) + 1)
 
     @classmethod
     def of(cls, names) -> Names:
-        """``names`` if it is a Names, else its strings joined."""
-        return names if isinstance(names, Names) else cls(
-            [("\n".join([*names, ""]), np.fromiter(map(len, names), np.int64, len(names)) + 1)])
+        """``names`` if it is a Names, else its strings joined; GiftPlaceError naming the first that holds a newline."""
+        if isinstance(names, Names):
+            return names
+        if (text := "\n".join([*names, ""])).count("\n") > len(names):
+            raise GiftPlaceError("name %r holds a newline, which ends a name" % next(n for n in names if "\n" in n))
+        return cls(text.encode("utf-8", "surrogatepass"))
 
     def __len__(self) -> int:
         return self.start.size - 1
@@ -111,49 +112,47 @@ class Names(Sequence):
     def __getitem__(self, i):
         if not isinstance(i, slice):
             i = range(len(self))[i]  # an int in range, or IndexError
-            return self.text[self.start[i]:self.start[i + 1] - 1]
+            return self.data[self.start[i]:self.start[i + 1] - 1].decode("utf-8", "surrogatepass")
         a, b, step = i.indices(len(self))
-        names = self.text[self.start[a]:self.start[b] - 1].split("\n") if step == 1 and a < b else []
-        return names if len(names) == len(range(a, b, step)) else [self[j] for j in range(a, b, step)]
+        if step == 1 and a < b:
+            return self.data[self.start[a]:self.start[b] - 1].decode("utf-8", "surrogatepass").split("\n")
+        return [self[j] for j in range(a, b, step)]
 
     def __eq__(self, other) -> bool:
         return self[:] == list(other) if isinstance(other, (Names, list, tuple)) else NotImplemented
 
     @functools.cached_property
-    def _index(self) -> tuple[np.ndarray, np.ndarray, dict[str, int], np.ndarray]:
+    def _index(self) -> tuple[np.ndarray, np.ndarray, dict[bytes, int], np.ndarray]:
         """Cell ids by name: the sorted keys (``_keys``) of the names a key stands for alone, then _NO_KEY; their ids,
         then -1; a dict of the other names' ids; and the first id over the later one of each name that repeats one. A
         name is looked up in the keys only if its key stands for it alone, so its id never depends on how it was read."""
-        data, start = self.text.encode("utf-8", "surrogatepass"), self.start
-        if len(data) != len(self.text):  # move each start by the extra bytes of the multi-byte characters before it
-            code = np.frombuffer(self.text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-            start = start + np.append(0, np.cumsum((code >= 0x80).astype(np.int64) + (code >= 0x800) + (code >= 0x10000)))[start]
-        keys, fits = _keys(np.frombuffer(data, dtype=np.uint8), start[:-1], np.diff(start) - 1)
+        byte, start, length = np.frombuffer(self.data, np.uint8), self.start[:-1], np.diff(self.start) - 1
+        keys, fits = _keys(byte, start, length)
         ids = np.flatnonzero(fits)[np.argsort(keys[fits], kind="stable")]  # a repeated key's ids in file order
         keys = keys[ids]
         later = np.flatnonzero(keys[1:] == keys[:-1]) + 1
         repeats, long = [(ids[np.searchsorted(keys, keys[later])], ids[later])], {}
-        for i in np.flatnonzero(~fits).tolist():
-            if long.setdefault(self[i], i) != i:
-                repeats.append(([long[self[i]]], [i]))
+        for i, name in zip(np.flatnonzero(~fits).tolist(), _cut(byte, start[~fits], length[~fits]).split(b"\n")):
+            if long.setdefault(name, i) != i:
+                repeats.append(([long[name]], [i]))
         return np.append(keys, _NO_KEY), np.append(ids, -1), long, np.concatenate(repeats, axis=1)
 
     def get(self, name: str, default=None):
         """The id of the cell ``name``, or ``default``."""
-        byte = np.frombuffer(name.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-        i = int(self.find(byte, np.zeros(1, np.int64), np.array([byte.size]), lambda at: [name])[0])
+        byte = np.frombuffer(name.encode("utf-8", "surrogatepass") + b"\n", dtype=np.uint8)
+        i = int(self.find(byte, np.zeros(1, np.int64), np.array([byte.size - 1]))[0]) if "\n" not in name else -1
         return default if i < 0 else i
 
-    def find(self, byte: np.ndarray, start: np.ndarray, length: np.ndarray, pick) -> np.ndarray:
-        """The cell ids of the names of ``length`` bytes from ``start`` in ``byte``, -1 for a name no cell has;
-        ``pick(at)`` gives the names at ``at`` as strings, for those a key does not stand for alone."""
+    def find(self, byte: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """The cell ids of the names of ``length`` bytes from ``start`` in ``byte``, each followed by a byte and none
+        holding a newline; -1 for a name whose bytes are no cell's."""
         keys, fits = _keys(byte, start, length)
         table, ids, long, _ = self._index
         order = np.argsort(keys)  # searched in key order, each search starting where the last ended: 4x faster at 1M
         at = np.empty_like(order)
         at[order] = np.minimum(np.searchsorted(table, keys[order]), table.size - 1)
         ids = np.where(table[at] == keys, ids[at], -1)
-        ids[~fits] = [long.get(name, -1) for name in pick(np.flatnonzero(~fits))]
+        ids[~fits] = [long.get(name, -1) for name in _cut(byte, start[~fits], length[~fits]).split(b"\n")[:-1]]
         return ids
 
 
@@ -406,6 +405,13 @@ def _spans(start: np.ndarray, size: np.ndarray) -> np.ndarray:
     return np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
 
 
+def _cut(byte: np.ndarray, start: np.ndarray, length: np.ndarray) -> bytes:
+    """The names of ``length`` bytes from ``start`` in ``byte`` as one bytes, a newline in place of the byte after each."""
+    cut = byte[_spans(start, length + 1)]
+    cut[np.cumsum(length + 1) - 1] = ord("\n")
+    return cut.tobytes()
+
+
 class _Chunk:
     """Whole lines of a file, split into tokens: token t is ``length[t]`` bytes from byte ``starts[t]``.
 
@@ -466,16 +472,9 @@ class _Chunk:
         """The tokens at ``idx`` as strings, cut from the chunk's bytes each with the separator after it."""
         return self.byte[_spans(self.starts[idx], self.length[idx] + 1)].tobytes().decode().split()
 
-    def joined(self, idx: np.ndarray) -> tuple[str, np.ndarray]:
-        """The tokens at ``idx`` as one str, each followed by a newline, and the characters of each with it."""
-        size = self.length[idx] + 1
-        cut = self.byte[_spans(self.starts[idx], size)]
-        ends = np.cumsum(size) - 1
-        cut[ends] = ord("\n")
-        text = cut.tobytes().decode()
-        if len(text) != cut.size:  # count the characters by their first bytes
-            size = np.diff(np.cumsum((cut & 0xC0) != 0x80)[ends], prepend=0)
-        return text, size
+    def joined(self, idx: np.ndarray) -> bytes:
+        """The tokens at ``idx`` as one bytes, each ended by a newline."""
+        return _cut(self.byte, self.starts[idx], self.length[idx])
 
     def rows(self, rows=slice(None)) -> list[list[str]]:
         """The token lists of ``rows`` (default: every row), from one ``pick``."""
@@ -593,7 +592,7 @@ def _parse_nodes(path: str):
             del chunk  # gone before the next chunk is cut
     except MalformedLineError as exc:  # the chunk's first fault, or an undecodable byte
         failure = exc
-    names, lines = Names(parts), _join(lines, np.int64)
+    names, lines = Names(b"".join(parts)), _join(lines, np.int64)
     later = names._index[3][1].min(initial=lines.size)  # the first name that repeats an earlier one, if any
     if later < lines.size and (failure is None or lines[later] < failure.lineno):
         failure = DuplicateCellError(path, int(lines[later]), names[later])
@@ -618,7 +617,7 @@ def _parse_nets(path: str, cell_names: Names):
     for chunk in _lex(path):
         part, k, ids, dx, dy, pending = _net_rows(path, chunk, cell_names, declared, pending, nets)
         del chunk  # gone before the next chunk is cut
-        nets += part[1].size
+        nets += k.size
         parts.append(part)
         degrees.append(k)
         cells.append(ids)
@@ -631,12 +630,12 @@ def _parse_nets(path: str, cell_names: Names):
         if key in declared and declared[key] != body:
             raise MalformedLineError(path, 0, f"{key} : {declared[key]}", f"header declares {declared[key]} {what}, body has {body}")
     net_start = np.concatenate(([0], np.cumsum(_join(degrees, np.int64))))
-    return Names(parts), net_start, pin_cell, _join(dxs, float), _join(dys, float)
+    return Names(b"".join(parts)), net_start, pin_cell, _join(dxs, float), _join(dys, float)
 
 
 def _net_rows(path: str, chunk: _Chunk, cell_names: Names, declared: dict[str, int], pending: int, nets_before: int):
-    """((net names, their sizes) as ``Chunk.joined`` gives them, pin counts, pin cells, pin dx, pin dy) of one chunk of a .nets file,
-    and the pin lines its last net still expects; ``pending`` are those of the net open before it."""
+    """(net names as ``_Chunk.joined`` gives them, pin counts, pin cells, pin dx, pin dy) of one chunk of a .nets file, and
+    the pin lines its last net still expects; ``pending`` are those of the net open before it."""
     errors = _FirstError(path, chunk)
     kind = chunk.heads("NumNets", "NumPins", "NetDegree")
     _headers(chunk, (kind == 1) | (kind == 2), declared, errors)
@@ -649,7 +648,7 @@ def _net_rows(path: str, chunk: _Chunk, cell_names: Names, declared: dict[str, i
     plain = c >= 3
     plain[plain] = colon[f[plain] + 1]
     named = plain & (c >= 4)
-    text, size = chunk.joined(f + 3 * named)  # the other nets are named below
+    data = chunk.joined(f + 3 * named)  # the other nets are named below
     k_plain, bad_plain = chunk.numbers(f[plain] + 2, int)
     # a glued or missing ':', or no count: the line is split in Python, as header lines are
     odd = np.flatnonzero(~plain)
@@ -661,13 +660,13 @@ def _net_rows(path: str, chunk: _Chunk, cell_names: Names, declared: dict[str, i
     bad, no_colon = np.zeros((2, net_rows.size), dtype=bool)
     bad[plain], bad[odd[bad_odd]] = bad_plain, True
     no_colon[odd] = [not sep for _, sep, _ in split]
-    if not named.all():  # the chunk's net names as strings, to name the others in Python
-        names = text.split("\n")[:-1]
+    if not named.all():  # the chunk's net names one by one, to name the others in Python
+        names = data.split(b"\n")
         for i, p in zip(odd.tolist(), parts):
-            named[i], names[i] = len(p) == 2, p[-1]
+            named[i], names[i] = len(p) == 2, p[-1].encode()
         for i in np.flatnonzero(~named).tolist():
-            names[i] = f"net{nets_before + i}"
-        text, size = "\n".join([*names, ""]), np.fromiter(map(len, names), np.int64, len(names)) + 1
+            names[i] = b"net%d" % (nets_before + i)
+        data = b"\n".join(names)
 
     # the pin lines of each net: net q of the chunk (0 is the one still open from
     # before) holds the pin lines from before[q] on, and expects expect[q] of them
@@ -685,7 +684,7 @@ def _net_rows(path: str, chunk: _Chunk, cell_names: Names, declared: dict[str, i
     extra = np.minimum(before + room, pin_rows.size - 1).astype(np.int64)
     errors.check(pin_rows[extra] if pin_rows.size else extra, got > room, "pin line outside a NetDegree block")
     f, c = chunk.first[pin_rows], chunk.counts[pin_rows]
-    ids = cell_names.find(chunk.byte, chunk.starts[f], chunk.length[f], lambda at: chunk.pick(f[at]))
+    ids = cell_names.find(chunk.byte, chunk.starts[f], chunk.length[f])
     errors.check(pin_rows, ids < 0, lambda lineno, i: DanglingPinError(path, lineno, chunk.pick(f[i:i + 1])[0]))
     colon_at = np.append(np.flatnonzero(colon), colon.size)
     j = colon_at[np.searchsorted(colon_at, f)]  # the line's first ':' token, if before f + c
@@ -705,7 +704,7 @@ def _net_rows(path: str, chunk: _Chunk, cell_names: Names, declared: dict[str, i
 
     dx, dy = np.zeros(pin_rows.size), np.zeros(pin_rows.size)
     dx[at], dy[at] = dx_at, dy_at
-    return (text, size), k, ids, dx, dy, int(expect[-1]) - int(got[-1])
+    return data, k, ids, dx, dy, int(expect[-1]) - int(got[-1])
 
 
 def _parse_pl(path: str, cell_names: Names) -> tuple[np.ndarray, np.ndarray]:
@@ -727,7 +726,7 @@ def _parse_pl(path: str, cell_names: Names) -> tuple[np.ndarray, np.ndarray]:
         y, bad_y = chunk.numbers(chunk.first[placed] + 2, float)
         errors.check(placed, bad_x | bad_y, "coordinates are not numbers")
         errors.check(placed, ~(np.isfinite(x) & np.isfinite(y)), "coordinates must be finite")
-        ids = cell_names.find(chunk.byte, chunk.starts[chunk.first], chunk.length[chunk.first], lambda at: chunk.pick(chunk.first[at]))
+        ids = cell_names.find(chunk.byte, chunk.starts[chunk.first], chunk.length[chunk.first])
         for name in chunk.pick(chunk.first[np.flatnonzero(ids[:errors.row] < 0)]):
             log.warning("%s: placement for undeclared cell %r skipped", path, name)
         errors.raise_first()
@@ -850,7 +849,7 @@ def parse_design(aux_path: str, by_ext: dict[str, str] | None = None) -> Design:
     sizes = np.column_stack((widths, heights))
 
     fixed = np.asarray(fixed, dtype=bool) | pl_fixed
-    fixed_xy = np.where(fixed[:, None], corners + sizes / 2.0, np.nan)
+    fixed_xy = np.where(fixed[:, None], _centers(by_ext[".pl"], names, corners, sizes / 2.0), np.nan)
     unplaced = np.flatnonzero(fixed & np.isnan(fixed_xy[:, 0]))
     if unplaced.size:
         raise MalformedLineError(by_ext[".pl"], 0, names[unplaced[0]], "fixed cell has no placement")
@@ -877,7 +876,8 @@ def _region_from_placement(corners: np.ndarray, sizes: np.ndarray) -> Region:
     """Fallback region: bounding box of the rectangles placed in .pl."""
     placed = ~np.isnan(corners[:, 0])
     lo = corners[placed]
-    hi = lo + sizes[placed]
+    with np.errstate(over="ignore"):  # a box past the float range is refused as a region that is not finite
+        hi = lo + sizes[placed]
     if not placed.any() or np.any(hi.max(axis=0) <= lo.min(axis=0)):
         log.warning("degenerate placement bounding box; using unit region")
         return Region(0.0, 0.0, 1.0, 1.0)
@@ -892,7 +892,18 @@ def read_placement(design: Design, pl_path: str) -> np.ndarray:
     missing = np.flatnonzero(np.isnan(corners[:, 0]))
     if missing.size:
         raise MalformedLineError(pl_path, 0, design.names[missing[0]], "no placement for cell")
-    return corners + design.half_sizes.T
+    return _centers(pl_path, design.names, corners, design.half_sizes.T)
+
+
+def _centers(pl_path: str, names: Names, corners: np.ndarray, half_sizes: np.ndarray) -> np.ndarray:
+    """The centers of the cells whose N x 2 lower-left ``corners`` the .pl at ``pl_path`` gives, NaN for a NaN corner;
+    MalformedLineError naming the first cell whose center is past the float range."""
+    with np.errstate(over="ignore"):
+        centers = corners + half_sizes
+    bad = np.flatnonzero(np.isinf(centers).any(axis=1))
+    if bad.size:
+        raise MalformedLineError(pl_path, 0, names[bad[0]], "cell center (corner plus half the cell's size) is not finite")
+    return centers
 
 
 # ---------------------------------------------------------------------------
@@ -973,8 +984,8 @@ def write_design(design: Design, out_dir: str, name: str) -> str:
     written, for a cell or net name that would not read back.
     """
     for kind, names in (("cell", design.names), ("net", design.net_names)):
-        if _UNREADABLE[kind].search("\n" + names.text) or names.text.count("\n") > len(names):
-            bad = next(n for n in names if "\n" in n or _UNREADABLE[kind].search(f"\n{n}\n"))
+        if _UNREADABLE[kind].search("\n" + names.data.decode("utf-8", "surrogatepass")):
+            bad = next(n for n in names if _UNREADABLE[kind].search(f"\n{n}\n"))
             raise GiftPlaceError(f"{kind} name {bad!r} would not read back from a Bookshelf file: it is empty, holds "
                                  "whitespace or '#', or is a word the reader keeps for itself")
     paths = design_files(out_dir, name)

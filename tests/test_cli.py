@@ -216,6 +216,46 @@ class TestNonFiniteInput:
         assert "NaN" not in out
 
 
+# a fixed pad whose .pl corner plus half its size is past the float range, in both coordinates
+OVERFLOW_FILES = {
+    "nodes": "UCLA nodes 1.0\nNumNodes : 3\nNumTerminals : 1\nc0 1 1\nc1 1 1\npad 1e308 1e308 terminal\n",
+    "nets": "UCLA nets 1.0\nNumNets : 1\nNumPins : 3\nNetDegree : 3 n0\nc0 I\nc1 I\npad I\n",
+    "big.pl": "UCLA pl 1.0\nc0 0 0 : N\nc1 1 0 : N\npad 1.7e308 1.7e308 : N /FIXED\n",
+    "pl": "UCLA pl 1.0\nc0 0 0 : N\nc1 1 0 : N\npad 0 0 : N /FIXED\n",
+    "scl": "UCLA scl 1.0\nNumRows : 1\nCoreRow Horizontal\n Coordinate : 0\n Height : 10\n Sitewidth : 1\n"
+           " SubrowOrigin : 0 NumSites : 10\nEnd\n",
+}
+
+
+class TestOverflowingCenter:
+    """A .pl corner whose cell center (the corner plus half the cell's size) is past the float range exits 1, with
+    one line naming the .pl and the cell and nothing written. Tests run with warnings as errors, so no numpy warning is
+    printed on the way."""
+
+    @staticmethod
+    def design(tmp_path, scl: bool) -> str:
+        """The overflowing pad in the design's own .pl without a .scl, or placed at 0 0 beside a .scl and in big.pl."""
+        pl = "pl" if scl else "big.pl"
+        for ext, name in (("nodes", "nodes"), ("nets", "nets"), ("pl", pl), ("big.pl", "big.pl"), ("scl", "scl")):
+            (tmp_path / f"d.{ext}").write_text(OVERFLOW_FILES[name])
+        (tmp_path / "d.aux").write_text("RowBasedPlacement : d.nodes d.nets d.pl" + " d.scl" * scl + "\n")
+        return str(tmp_path / "d.aux")
+
+    @pytest.mark.parametrize("command, scl, pl, flags", [
+        ("gift", False, "d.pl", ["--out", "out.pl"]),
+        ("place", True, "d.big.pl", ["--init", "file:{pl}", "--out", "out.pl"]),
+        ("metrics", True, "d.big.pl", ["--pl", "{pl}", "--out", "out.json"]),
+    ], ids=["gift-without-scl", "place-init-file", "metrics-pl"])
+    def test_exit_1_one_line_nothing_written(self, tmp_path, capsys, monkeypatch, command, scl, pl, flags):
+        aux, pl = self.design(tmp_path, scl), str(tmp_path / pl)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        code, stdout, err = run_cli(capsys, command, aux, *(flag.format(pl=pl) for flag in flags))
+        assert code == 1 and stdout == ""
+        assert err == f"giftplace: error: {pl}:0: cell center (corner plus half the cell's size) is not finite: 'pad'\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+
 def poison_scl(aux: str, keyword: str, line: str) -> int:
     """Replace the first .scl line holding ``keyword``; returns its line number."""
     path = aux[: -len(".aux")] + ".scl"

@@ -149,14 +149,16 @@ class TestParse:
         design = parse_design(write_corpus(tmp_path, nodes=nodes, pl=PL + "UCLAcell 5 5 : N\n"))
         assert design.names == ["a", "b", "c", "pad", "UCLAcell"]
 
-    def test_fixed_center_that_overflows_is_refused(self, tmp_path):
-        # corner plus half size is inf in both coordinates (numpy's overflow warning aside): a row of fixed_xy that is
-        # neither a center nor NaN, not a movable cell
-        nodes = NODES.replace("pad 1 1 terminal", "pad 1e308 1e308 terminal")
-        pl = PL.replace("pad 9 9", "pad 1.7e308 1.7e308")
-        with np.errstate(over="ignore"), \
-                pytest.raises(GiftPlaceError, match="^cell 'pad': fixed_xy must be finite or NaN in both coordinates$"):
-            parse_design(write_corpus(tmp_path, nodes=nodes, pl=pl))
+    @pytest.mark.parametrize("terminal, marker", [(" terminal", " /FIXED"), ("", "")], ids=["fixed", "movable"])
+    def test_center_that_overflows_is_refused(self, tmp_path, terminal, marker):
+        # corner plus half size is inf in both coordinates: refused at the .pl, naming the cell, with no numpy warning
+        # (warnings are errors here), whether or not the cell is fixed
+        nodes = NODES.replace("pad 1 1 terminal", "pad 1e308 1e308" + terminal)
+        pl = PL.replace("pad 9 9 : N /FIXED", "pad 1.7e308 1.7e308 : N" + marker)
+        aux = write_corpus(tmp_path, nodes=nodes, pl=pl)
+        message = "cell center (corner plus half the cell's size) is not finite: 'pad'"
+        with pytest.raises(MalformedLineError, match="^" + re.escape(f"{aux[:-len('.aux')]}.pl:0: {message}") + "$"):
+            parse_design(aux)
 
     def test_pl_fixed_marker_forces_fixed(self, tmp_path):
         pl = PL.replace("c 0 3 : N", "c 0 3 : N /FIXED")
@@ -655,15 +657,41 @@ class TestRoundTrip:
 
 
 class TestNames:
-    """The names of a Design, held as one joined str: a sequence of str that equals the list of the same strings."""
+    """The names of a Design, held as UTF-8 bytes, one name a line: a sequence of str that equals the list of the same
+    strings."""
 
     def test_index_slice_and_equality(self):
-        names = Names.of(["a", "b\nc", "", "nœud"])  # a name may hold a newline, or be empty
-        assert len(names) == 4 and names[1] == "b\nc" and names[-1] == "nœud" and names[np.int64(2)] == ""
-        assert names[1:3] == ["b\nc", ""] and names[::2] == ["a", ""] and names[3:1] == [] and names[:1] == ["a"]
-        assert names == ["a", "b\nc", "", "nœud"] and list(names) == names and names != ["a"] and Names.of(names) is names
+        names = Names.of(["a", "b", "", "nœud"])  # a name may be empty
+        assert len(names) == 4 and names[1] == "b" and names[-1] == "nœud" and names[np.int64(2)] == ""
+        assert names[1:3] == ["b", ""] and names[::2] == ["a", ""] and names[3:1] == [] and names[:1] == ["a"]
+        assert names == ["a", "b", "", "nœud"] and list(names) == names and names != ["a"] and Names.of(names) is names
         with pytest.raises(IndexError):
             names[4]
+
+    def test_held_as_utf8_lines(self):
+        names = Names.of(["a", "", "nœud"])
+        assert names.data == "a\n\nnœud\n".encode() and names.start.tolist() == [0, 2, 3, 9]
+
+    def test_lone_surrogate_reads_back(self):
+        # encoded and decoded with surrogatepass, as the lookup encodes a name it is asked for
+        names = Names.of(["a", "x\ud800", "\udfff", "nœud"])
+        assert [names[i] for i in range(4)] == ["a", "x\ud800", "\udfff", "nœud"] and names[-2] == "\udfff"
+        assert names[1:3] == ["x\ud800", "\udfff"] and names[::-1] == ["nœud", "\udfff", "x\ud800", "a"]
+        assert [names.get(name) for name in names] == [0, 1, 2, 3] and names.get("\ud800") is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: Names.of(["a", "b\nc", "d\n"]),
+        lambda: Design(**design_fields(names=["a", "b\nc", "pad"])),
+        lambda: Design(**design_fields(net_names=["n0", "b\nc"])),
+    ], ids=["names", "cell", "net"])
+    def test_newline_name_refused_at_construction(self, make):
+        # a newline ends a name, so no name can hold one; the first such name is named
+        with pytest.raises(GiftPlaceError, match="^" + re.escape(r"name 'b\nc' holds a newline")):
+            make()
+
+    def test_name_with_a_newline_is_no_cell(self):
+        names = Names.of(["a", "b", "long_name_c"])
+        assert names.get("a\nb") is None and names.get("long_name_c\na") is None and names.get("long_name_c") == 2
 
 
 class TestUnreadableNames:
@@ -673,7 +701,6 @@ class TestUnreadableNames:
         (["a", "b", "pad"], ["n 0", "n1"], "net name 'n 0'"),  # read back as n
         (["a", "b", "pad"], ["n#0", "n1"], "net name 'n#0'"),  # read back as n
         (["a", "b", "pad"], ["n0", ""], "net name ''"),  # read back as net1
-        (["a", "b", "pad"], ["n0", "n\n1"], r"net name 'n\n1'"),
         (["a", "b", "pad"], ["n\x1c0", "n 1"], r"net name 'n\x1c0'"),  # whitespace to str.isspace, the first of two
         (["a", "c d", "pad"], ["n0", "n1"], "cell name 'c d'"),
         (["a", "c\u3000d", "pad"], ["n0", "n1"], r"cell name 'c\u3000d'"),
@@ -683,7 +710,7 @@ class TestUnreadableNames:
         (["a", "NetDegree", "NumNodes"], ["n0", "n1"], "cell name 'NetDegree'"),
         (["a", "b", ":"], ["n0", "n1"], "cell name ':'"),
         (["a", "b", "NumPins"], ["n 0", "n1"], "cell name 'NumPins'"),  # cells are checked first
-    ], ids=["net-space", "net-hash", "net-empty", "net-newline", "net-first-of-two", "cell-space", "cell-ideographic-space",
+    ], ids=["net-space", "net-hash", "net-empty", "net-first-of-two", "cell-space", "cell-ideographic-space",
             "cell-hash", "cell-UCLA", "cell-empty", "cell-keywords", "cell-colon", "cell-before-net"])
     def test_refused_before_any_file(self, tmp_path, names, net_names, bad):
         design = Design(**design_fields(names=names, net_names=net_names))
