@@ -58,10 +58,7 @@ def generate(
         raise ValueError(f"utilization {utilization} needs more than {MAX_SIDE} rows for {cells} cells")
     side = math.ceil(side)
     half = side / 2.0
-    region = Region(
-        xmin=-half, ymin=-half, xmax=half, ymax=half,
-        rows=[Row(y=-half + r, height=1.0, x=-half, num_sites=side) for r in range(side)],
-    )
+    region = Region.of_rows([Row(y=-half + r, height=1.0, x=-half, num_sites=side) for r in range(side)])
 
     # mesh: right and up neighbors on the logical grid, in cell order
     ids = np.arange(cells)

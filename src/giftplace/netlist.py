@@ -189,6 +189,12 @@ class Region:
     ymax: float
     rows: list[Row] = field(default_factory=list)
 
+    @classmethod
+    def of_rows(cls, rows: list[Row]) -> Region:
+        """The bounding box of ``rows``, holding them: the region a design with rows has."""
+        return cls(xmin=min(r.x for r in rows), ymin=min(r.y for r in rows), rows=rows,
+                   xmax=max(r.x + r.num_sites * r.site_width for r in rows), ymax=max(r.y + r.height for r in rows))
+
     @property
     def width(self) -> float:
         return self.xmax - self.xmin
@@ -433,31 +439,25 @@ class _Chunk:
         counts = np.diff(before, prepend=0)
         rows = np.flatnonzero(counts)
         self.first, self.counts, self.lineno = before[rows] - counts[rows], counts[rows], rows + line0 + 1
-        keep = self.heads("UCLA") == 0
+        keep = ~self.match("UCLA", rows=True)
         self.first, self.counts, self.lineno = self.first[keep], self.counts[keep], self.lineno[keep]
 
-    def _spell(self, at: np.ndarray, word: str) -> np.ndarray:
-        """Mask over token starts ``at`` whose first byte is ``word``'s: the rest of it follows."""
-        ok = np.ones(at.size, dtype=bool)
-        for k, b in enumerate(word.encode()[1:], 1):
-            ok &= self.byte[at + k] == b
-        return ok
-
-    def match(self, word: str, prefix: bool = False) -> np.ndarray:
-        """Mask over tokens: the token is ``word``, or starts with it if ``prefix``."""
-        hit = (self.length >= len(word) if prefix else self.length == len(word)) & (self.lead == ord(word[0]))
-        if len(word) > 1:
-            hit[hit] = self._spell(self.starts[hit], word)
+    def match(self, word: str, prefix: bool = False, rows: bool = False) -> np.ndarray:
+        """Mask over tokens, or over rows by their first token if ``rows``: the token is ``word``, or starts with it
+        if ``prefix``."""
+        tok = self.first if rows else slice(None)
+        hit = self.lead[tok] == ord(word[0])
+        if len(word) == 1 and not prefix:  # nothing to spell: one pass over every token
+            return hit & (self.length[tok] == 1)
+        at = np.flatnonzero(hit)
+        size = self.length[self.first[at] if rows else at]
+        at = at[size >= len(word) if prefix else size == len(word)]
+        start, ok = self.starts[self.first[at] if rows else at], np.ones(at.size, dtype=bool)
+        for k, b in enumerate(word.encode()[1:], 1):  # spell out the rest where the first byte and the size fit
+            ok &= self.byte[start + k] == b
+        hit = np.zeros_like(hit)
+        hit[at[ok]] = True
         return hit
-
-    def heads(self, *words: str) -> np.ndarray:
-        """Per row: 1 + the index in ``words`` of the row's first token, 0 for any other token."""
-        lead, size = self.lead[self.first], self.length[self.first]
-        out = np.zeros(self.first.size, dtype=np.int64)
-        for n, word in enumerate(words, 1):
-            rows = np.flatnonzero((lead == ord(word[0])) & (size == len(word)))
-            out[rows[self._spell(self.starts[self.first[rows]], word)]] = n
-        return out
 
     def lines_with(self, hit: np.ndarray, skip: int) -> np.ndarray:
         """Mask over rows: a token from the ``skip``-th of the line on is marked in ``hit``."""
@@ -468,13 +468,13 @@ class _Chunk:
             out[row[(tok >= self.first[row] + skip) & (tok < self.first[row] + self.counts[row])]] = True
         return out
 
-    def pick(self, idx: np.ndarray) -> list[str]:
-        """The tokens at ``idx`` as strings, cut from the chunk's bytes each with the separator after it."""
-        return self.byte[_spans(self.starts[idx], self.length[idx] + 1)].tobytes().decode().split()
-
     def joined(self, idx: np.ndarray) -> bytes:
         """The tokens at ``idx`` as one bytes, each ended by a newline."""
         return _cut(self.byte, self.starts[idx], self.length[idx])
+
+    def pick(self, idx: np.ndarray) -> list[str]:
+        """The tokens at ``idx`` as strings."""
+        return self.joined(idx).decode().split("\n")[:-1]
 
     def rows(self, rows=slice(None)) -> list[list[str]]:
         """The token lists of ``rows`` (default: every row), from one ``pick``."""
@@ -519,19 +519,18 @@ class _FirstError:
 
     def __init__(self, path: str, chunk: _Chunk) -> None:
         self.path, self.lineno = path, chunk.lineno
-        self.row, self._rank, self._checks, self._make = chunk.lineno.size, 0, 0, None
+        self.row, self._make = chunk.lineno.size, None
 
     def check(self, rows: np.ndarray, failed: np.ndarray, error) -> None:
         """``failed`` marks the failing entries of ``rows``; ``error`` is the reason or
         makes the exception from the line number and the entry."""
-        self._checks += 1
         i = int(np.argmax(failed)) if failed.size else 0
         if failed.size and failed[i]:
-            self.fail(int(rows[i]), error, i, self._checks)
+            self.fail(int(rows[i]), error, i)
 
-    def fail(self, row: int, error, entry: int = 0, rank: int = 0) -> None:
-        if (row, rank) < (self.row, self._rank):
-            self.row, self._rank, lineno = row, rank, int(self.lineno[row])
+    def fail(self, row: int, error, entry: int = 0) -> None:
+        if row < self.row:  # a later call failing the same row is a later check of it
+            self.row, lineno = row, int(self.lineno[row])
             self._make = functools.partial(_malformed, self.path, lineno, error) if isinstance(error, str) else (
                 functools.partial(error, lineno, entry))
 
@@ -573,7 +572,7 @@ def _parse_nodes(path: str):
     try:
         for chunk in _lex(path):
             errors = _FirstError(path, chunk)
-            head = chunk.heads("NumNodes", "NumTerminals") > 0
+            head = chunk.match("NumNodes", rows=True) | chunk.match("NumTerminals", rows=True)
             _headers(chunk, head, declared, errors)
             rows = np.flatnonzero(~head)
             counts = chunk.counts[rows]
@@ -637,10 +636,10 @@ def _net_rows(path: str, chunk: _Chunk, cell_names: Names, declared: dict[str, i
     """(net names as ``_Chunk.joined`` gives them, pin counts, pin cells, pin dx, pin dy) of one chunk of a .nets file, and
     the pin lines its last net still expects; ``pending`` are those of the net open before it."""
     errors = _FirstError(path, chunk)
-    kind = chunk.heads("NumNets", "NumPins", "NetDegree")
-    _headers(chunk, (kind == 1) | (kind == 2), declared, errors)
-    opens, pins = kind == 3, kind == 0
-    net_rows, pin_rows = np.flatnonzero(opens), np.flatnonzero(pins)
+    head = chunk.match("NumNets", rows=True) | chunk.match("NumPins", rows=True)
+    opens = chunk.match("NetDegree", rows=True)
+    _headers(chunk, head, declared, errors)
+    net_rows, pin_rows = np.flatnonzero(opens), np.flatnonzero(~(head | opens))
 
     # NetDegree lines: the count and the name are the tokens after the line's first ':'
     f, c = chunk.first[net_rows], chunk.counts[net_rows]
@@ -740,6 +739,9 @@ def _parse_pl(path: str, cell_names: Names) -> tuple[np.ndarray, np.ndarray]:
     return corners, fixed
 
 
+_SCL_KEYS = {"Coordinate": "y", "Height": "height", "Sitewidth": "site_width"}  # .scl key: the Row field it sets
+
+
 def _parse_scl(path: str) -> list[Row]:
     """The complete ``CoreRow`` blocks; a value follows its line's first ':'. A block without ``End`` (cut short by
     the next ``CoreRow`` or by the end of the file) is skipped with a warning naming its ``CoreRow`` line."""
@@ -759,8 +761,7 @@ def _parse_scl(path: str) -> list[Row]:
         if first == "End":
             opened = None
             if {"y", "height", "x", "num_sites"} <= cur.keys():
-                rows.append(Row(y=cur["y"], height=cur["height"], x=cur["x"], num_sites=int(cur["num_sites"]),
-                                site_width=cur["site_width"]))
+                rows.append(Row(num_sites=int(cur.pop("num_sites")), **cur))
             else:
                 log.warning("%s:%d: incomplete CoreRow block skipped", path, lineno)
             continue
@@ -769,12 +770,8 @@ def _parse_scl(path: str) -> list[Row]:
         if not colon:
             continue
         try:
-            if first == "Coordinate":
-                cur["y"] = float(value)
-            elif first == "Height":
-                cur["height"] = float(value)
-            elif first == "Sitewidth":
-                cur["site_width"] = float(value)
+            if first in _SCL_KEYS:
+                cur[_SCL_KEYS[first]] = float(value)
             elif first == "SubrowOrigin":
                 # SubrowOrigin : x NumSites : s
                 parts = line.replace(":", " ").split()
@@ -862,22 +859,25 @@ def parse_design(aux_path: str, by_ext: dict[str, str] | None = None) -> Design:
 
     rows = _parse_scl(by_ext[".scl"]) if ".scl" in by_ext else []
     if rows:
-        region = Region(xmin=min(r.x for r in rows), ymin=min(r.y for r in rows), rows=rows,
-                        xmax=max(r.x + r.num_sites * r.site_width for r in rows), ymax=max(r.y + r.height for r in rows))
+        region = Region.of_rows(rows)
     else:
-        region = _region_from_placement(corners, sizes)
+        region = _region_from_placement(by_ext[".pl"], names, corners, sizes)
         log.warning("%s: no usable .scl; region set to placement bounding box", aux_path)
 
     return Design(names=names, widths=widths, heights=heights, fixed_xy=fixed_xy, net_names=net_names,
                   net_start=net_start, pin_cell=pin_cell, pin_dx=pin_dx, pin_dy=pin_dy, region=region)
 
 
-def _region_from_placement(corners: np.ndarray, sizes: np.ndarray) -> Region:
-    """Fallback region: bounding box of the rectangles placed in .pl."""
+def _region_from_placement(pl_path: str, names: Names, corners: np.ndarray, sizes: np.ndarray) -> Region:
+    """Fallback region: bounding box of the rectangles placed in the .pl at ``pl_path``; MalformedLineError naming the
+    first cell whose far corner (its corner plus its size) is past the float range."""
+    with np.errstate(over="ignore"):
+        far = corners + sizes
+    bad = np.flatnonzero(np.isinf(far).any(axis=1))
+    if bad.size:
+        raise MalformedLineError(pl_path, 0, names[bad[0]], "cell's far corner (corner plus its size) is not finite")
     placed = ~np.isnan(corners[:, 0])
-    lo = corners[placed]
-    with np.errstate(over="ignore"):  # a box past the float range is refused as a region that is not finite
-        hi = lo + sizes[placed]
+    lo, hi = corners[placed], far[placed]
     if not placed.any() or np.any(hi.max(axis=0) <= lo.min(axis=0)):
         log.warning("degenerate placement bounding box; using unit region")
         return Region(0.0, 0.0, 1.0, 1.0)
@@ -981,13 +981,18 @@ def write_design(design: Design, out_dir: str, name: str) -> str:
     The .pl places fixed cells at their fixed centers and movable cells at the
     region center. The .nodes, .nets and .pl are formatted and written
     WRITE_SLICE cells or nets at a time. GiftPlaceError, before any file is
-    written, for a cell or net name that would not read back.
+    written, for a cell or net name that would not read back, or for a region
+    with rows that is not their bounding box, as the .scl would read back.
     """
     for kind, names in (("cell", design.names), ("net", design.net_names)):
         if _UNREADABLE[kind].search("\n" + names.data.decode("utf-8", "surrogatepass")):
             bad = next(n for n in names if _UNREADABLE[kind].search(f"\n{n}\n"))
             raise GiftPlaceError(f"{kind} name {bad!r} would not read back from a Bookshelf file: it is empty, holds "
                                  "whitespace or '#', or is a word the reader keeps for itself")
+    r = design.region
+    if r.rows and r != (box := Region.of_rows(r.rows)):
+        raise GiftPlaceError(f"region {(r.xmin, r.ymin, r.xmax, r.ymax)} is not the bounding box of its rows, "
+                             f"{(box.xmin, box.ymin, box.xmax, box.ymax)}, which its .scl would read back as")
     paths = design_files(out_dir, name)
     os.makedirs(out_dir, exist_ok=True)
 

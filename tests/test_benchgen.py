@@ -224,6 +224,19 @@ def test_same_random_stream_as_a_per_net_choice(cells, fanout, long_range_fracti
             assert got == want, field.name
 
 
+@pytest.mark.parametrize("spec", [
+    {"cells": 4},
+    {"cells": 300},
+    {"cells": 20000, "fanout": WIDE_FANOUT, "long_range_fraction": 0.5},
+], ids=["4", "300", "wide-fanout-20k"])
+def test_region_is_the_bounding_box_of_its_rows(tmp_path, spec):
+    design = generate(seed=1, **spec)
+    box = Region.of_rows(design.region.rows)
+    assert box == design.region and box.rows is design.region.rows
+    assert (box.xmin, box.ymin, box.xmax, box.ymax) == (-box.xmax, -box.ymax, len(box.rows) / 2, len(box.rows) / 2)
+    assert parse_design(write_design(design, str(tmp_path), "synth")).region == box
+
+
 class TestRoundTripThroughBookshelf:
     def test_write_parse_preserves_structure(self, tmp_path):
         design = generate(cells=80, seed=4)

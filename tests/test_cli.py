@@ -222,6 +222,7 @@ OVERFLOW_FILES = {
     "nets": "UCLA nets 1.0\nNumNets : 1\nNumPins : 3\nNetDegree : 3 n0\nc0 I\nc1 I\npad I\n",
     "big.pl": "UCLA pl 1.0\nc0 0 0 : N\nc1 1 0 : N\npad 1.7e308 1.7e308 : N /FIXED\n",
     "pl": "UCLA pl 1.0\nc0 0 0 : N\nc1 1 0 : N\npad 0 0 : N /FIXED\n",
+    "far.pl": "UCLA pl 1.0\nc0 0 0 : N\nc1 1 0 : N\npad 1e308 1e308 : N /FIXED\n",  # a finite center, 1.5e308
     "scl": "UCLA scl 1.0\nNumRows : 1\nCoreRow Horizontal\n Coordinate : 0\n Height : 10\n Sitewidth : 1\n"
            " SubrowOrigin : 0 NumSites : 10\nEnd\n",
 }
@@ -253,6 +254,29 @@ class TestOverflowingCenter:
         code, stdout, err = run_cli(capsys, command, aux, *(flag.format(pl=pl) for flag in flags))
         assert code == 1 and stdout == ""
         assert err == f"giftplace: error: {pl}:0: cell center (corner plus half the cell's size) is not finite: 'pad'\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+
+class TestOverflowingFarCorner:
+    """Without a .scl, a .pl corner whose far corner (the corner plus the cell's size) is past the float range exits 1
+    with one line naming the .pl and the cell, before the warning that the region is the placement's bounding box, and
+    writes nothing. Tests run with warnings as errors, so no numpy warning is printed on the way."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("gift", ["--out", "out.pl"]),
+        ("place", ["--out", "out.pl"]),
+        ("metrics", ["--out", "out.json"]),
+        ("spectrum", ["--out-dir", "S"]),
+    ], ids=["gift", "place", "metrics", "spectrum"])
+    def test_exit_1_one_line_nothing_written(self, tmp_path, capsys, monkeypatch, command, flags):
+        for ext, name in (("nodes", "nodes"), ("nets", "nets"), ("pl", "far.pl")):
+            (tmp_path / f"d.{ext}").write_text(OVERFLOW_FILES[name])
+        (tmp_path / "d.aux").write_text("RowBasedPlacement : d.nodes d.nets d.pl\n")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        code, stdout, err = run_cli(capsys, command, str(tmp_path / "d.aux"), *flags)
+        assert code == 1 and stdout == ""
+        assert err == f"giftplace: error: {tmp_path / 'd.pl'}:0: cell's far corner (corner plus its size) is not finite: 'pad'\n"
         assert sorted(os.listdir(tmp_path)) == before
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from giftplace import (
@@ -649,6 +649,16 @@ class TestRoundTrip:
             write_placement(anchored_design, g, str(tmp_path / "bad.pl"))
         assert not (tmp_path / "bad.pl").exists()
 
+    def test_region_that_is_not_its_rows_bounding_box_refused_before_any_file(self, tmp_path):
+        # the .scl of one 5-site row would read back as the region (0, 0, 5, 1), not (0, 0, 10, 10)
+        rows = [Row(y=0.0, height=1.0, x=0.0, num_sites=5)]
+        design = Design(**design_fields(region=Region(0.0, 0.0, 10.0, 10.0, rows=rows)))
+        with pytest.raises(GiftPlaceError, match="^" + re.escape(
+                "region (0.0, 0.0, 10.0, 10.0) is not the bounding box of its rows, (0.0, 0.0, 5.0, 1.0)")):
+            write_design(design, str(tmp_path / "out"), "d")
+        assert not (tmp_path / "out").exists()
+        assert Region.of_rows(rows) == Region(0.0, 0.0, 5.0, 1.0, rows=rows)
+
     def test_read_placement_requires_every_cell(self, tmp_path, anchored_design):
         path = tmp_path / "partial.pl"
         path.write_text("UCLA pl 1.0\nm0 1 1 : N\n")
@@ -823,13 +833,19 @@ OFFSETS = st.sampled_from([-0.0, 1.5e-7, 1e16, -2.5]) | st.floats(allow_nan=Fals
 
 @st.composite
 def designs_with_any_numbers(draw) -> Design:
-    """``small_designs`` with sizes, pin offsets and rows drawn from all finite floats; there may be no row."""
+    """``small_designs`` with sizes, pin offsets and rows drawn from all finite floats; there may be no row. A region
+    with rows is their bounding box; a draw whose box is not finite with positive extent, or whose center is not
+    finite (``write_design`` writes movable cells there), is skipped."""
     design = draw(small_designs())
     n, pins = design.num_cells, design.pin_cell.size
     row = st.builds(Row, y=OFFSETS, height=SIZES, x=OFFSETS, num_sites=st.integers(0, 10**9), site_width=SIZES)
+    rows = draw(st.lists(row, max_size=3))
+    region = Region.of_rows(rows) if rows else ROUND_TRIP_REGION
+    assume(np.isfinite([region.xmin, region.ymin, region.xmax, region.ymax, *region.center]).all()
+           and region.xmax > region.xmin and region.ymax > region.ymin)
     return dataclasses.replace(
         design,
-        region=dataclasses.replace(ROUND_TRIP_REGION, rows=draw(st.lists(row, max_size=3))),
+        region=region,
         widths=draw(st.lists(SIZES, min_size=n, max_size=n)),
         heights=draw(st.lists(SIZES, min_size=n, max_size=n)),
         pin_dx=draw(st.lists(OFFSETS, min_size=pins, max_size=pins)),
