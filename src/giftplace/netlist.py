@@ -450,9 +450,9 @@ class _Chunk:
         if len(word) == 1 and not prefix:  # nothing to spell: one pass over every token
             return hit & (self.length[tok] == 1)
         at = np.flatnonzero(hit)
-        size = self.length[self.first[at] if rows else at]
-        at = at[size >= len(word) if prefix else size == len(word)]
-        start, ok = self.starts[self.first[at] if rows else at], np.ones(at.size, dtype=bool)
+        t = self.first[at] if rows else at  # the tokens of the entries whose first byte fits
+        fits = self.length[t] >= len(word) if prefix else self.length[t] == len(word)
+        at, start, ok = at[fits], self.starts[t[fits]], np.ones(np.count_nonzero(fits), dtype=bool)
         for k, b in enumerate(word.encode()[1:], 1):  # spell out the rest where the first byte and the size fit
             ok &= self.byte[start + k] == b
         hit = np.zeros_like(hit)
@@ -468,13 +468,13 @@ class _Chunk:
             out[row[(tok >= self.first[row] + skip) & (tok < self.first[row] + self.counts[row])]] = True
         return out
 
+    def pick(self, idx: np.ndarray) -> list[str]:
+        """The tokens at ``idx`` as strings, cut from the chunk's bytes each with the separator after it."""
+        return self.byte[_spans(self.starts[idx], self.length[idx] + 1)].tobytes().decode().split()
+
     def joined(self, idx: np.ndarray) -> bytes:
         """The tokens at ``idx`` as one bytes, each ended by a newline."""
         return _cut(self.byte, self.starts[idx], self.length[idx])
-
-    def pick(self, idx: np.ndarray) -> list[str]:
-        """The tokens at ``idx`` as strings."""
-        return self.joined(idx).decode().split("\n")[:-1]
 
     def rows(self, rows=slice(None)) -> list[list[str]]:
         """The token lists of ``rows`` (default: every row), from one ``pick``."""
@@ -739,9 +739,6 @@ def _parse_pl(path: str, cell_names: Names) -> tuple[np.ndarray, np.ndarray]:
     return corners, fixed
 
 
-_SCL_KEYS = {"Coordinate": "y", "Height": "height", "Sitewidth": "site_width"}  # .scl key: the Row field it sets
-
-
 def _parse_scl(path: str) -> list[Row]:
     """The complete ``CoreRow`` blocks; a value follows its line's first ':'. A block without ``End`` (cut short by
     the next ``CoreRow`` or by the end of the file) is skipped with a warning naming its ``CoreRow`` line."""
@@ -761,7 +758,8 @@ def _parse_scl(path: str) -> list[Row]:
         if first == "End":
             opened = None
             if {"y", "height", "x", "num_sites"} <= cur.keys():
-                rows.append(Row(num_sites=int(cur.pop("num_sites")), **cur))
+                rows.append(Row(y=cur["y"], height=cur["height"], x=cur["x"], num_sites=int(cur["num_sites"]),
+                                site_width=cur["site_width"]))
             else:
                 log.warning("%s:%d: incomplete CoreRow block skipped", path, lineno)
             continue
@@ -770,8 +768,12 @@ def _parse_scl(path: str) -> list[Row]:
         if not colon:
             continue
         try:
-            if first in _SCL_KEYS:
-                cur[_SCL_KEYS[first]] = float(value)
+            if first == "Coordinate":
+                cur["y"] = float(value)
+            elif first == "Height":
+                cur["height"] = float(value)
+            elif first == "Sitewidth":
+                cur["site_width"] = float(value)
             elif first == "SubrowOrigin":
                 # SubrowOrigin : x NumSites : s
                 parts = line.replace(":", " ").split()
@@ -846,7 +848,7 @@ def parse_design(aux_path: str, by_ext: dict[str, str] | None = None) -> Design:
     sizes = np.column_stack((widths, heights))
 
     fixed = np.asarray(fixed, dtype=bool) | pl_fixed
-    fixed_xy = np.where(fixed[:, None], _centers(by_ext[".pl"], names, corners, sizes / 2.0), np.nan)
+    fixed_xy = np.where(fixed[:, None], _offset(by_ext[".pl"], names, corners, sizes / 2.0, _CENTER), np.nan)
     unplaced = np.flatnonzero(fixed & np.isnan(fixed_xy[:, 0]))
     if unplaced.size:
         raise MalformedLineError(by_ext[".pl"], 0, names[unplaced[0]], "fixed cell has no placement")
@@ -871,11 +873,7 @@ def parse_design(aux_path: str, by_ext: dict[str, str] | None = None) -> Design:
 def _region_from_placement(pl_path: str, names: Names, corners: np.ndarray, sizes: np.ndarray) -> Region:
     """Fallback region: bounding box of the rectangles placed in the .pl at ``pl_path``; MalformedLineError naming the
     first cell whose far corner (its corner plus its size) is past the float range."""
-    with np.errstate(over="ignore"):
-        far = corners + sizes
-    bad = np.flatnonzero(np.isinf(far).any(axis=1))
-    if bad.size:
-        raise MalformedLineError(pl_path, 0, names[bad[0]], "cell's far corner (corner plus its size) is not finite")
+    far = _offset(pl_path, names, corners, sizes, "cell's far corner (corner plus its size)")
     placed = ~np.isnan(corners[:, 0])
     lo, hi = corners[placed], far[placed]
     if not placed.any() or np.any(hi.max(axis=0) <= lo.min(axis=0)):
@@ -892,18 +890,21 @@ def read_placement(design: Design, pl_path: str) -> np.ndarray:
     missing = np.flatnonzero(np.isnan(corners[:, 0]))
     if missing.size:
         raise MalformedLineError(pl_path, 0, design.names[missing[0]], "no placement for cell")
-    return _centers(pl_path, design.names, corners, design.half_sizes.T)
+    return _offset(pl_path, design.names, corners, design.half_sizes.T, _CENTER)
 
 
-def _centers(pl_path: str, names: Names, corners: np.ndarray, half_sizes: np.ndarray) -> np.ndarray:
-    """The centers of the cells whose N x 2 lower-left ``corners`` the .pl at ``pl_path`` gives, NaN for a NaN corner;
-    MalformedLineError naming the first cell whose center is past the float range."""
+_CENTER = "cell center (corner plus half the cell's size)"
+
+
+def _offset(pl_path: str, names: Names, corners: np.ndarray, extent: np.ndarray, what: str) -> np.ndarray:
+    """``corners + extent`` for the N x 2 lower-left ``corners`` the .pl at ``pl_path`` gives, NaN for a NaN corner;
+    MalformedLineError naming the first cell whose sum, its ``what``, is past the float range."""
     with np.errstate(over="ignore"):
-        centers = corners + half_sizes
-    bad = np.flatnonzero(np.isinf(centers).any(axis=1))
+        out = corners + extent
+    bad = np.flatnonzero(np.isinf(out).any(axis=1))
     if bad.size:
-        raise MalformedLineError(pl_path, 0, names[bad[0]], "cell center (corner plus half the cell's size) is not finite")
-    return centers
+        raise MalformedLineError(pl_path, 0, names[bad[0]], f"{what} is not finite")
+    return out
 
 
 # ---------------------------------------------------------------------------
